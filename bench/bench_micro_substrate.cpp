@@ -56,6 +56,41 @@ void BM_GemmSkinny(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmSkinny)->Arg(1024)->Arg(4096);
 
+// The GEMMs the system actually runs, at the default SAGE dims {100, 256,
+// 47} (SAGE's update input is [self || mean], so f_in doubles):
+//   serving   layer 0 ~100 x 200 x 256 and layer 1 28 x 512 x 47 for a
+//             batch of a few 4-seed requests at fanouts 10,5;
+//   train     layer 0 3958 x 200 x 256 for 1024 seeds at fanouts 25,10
+//             on the 2^16-vertex ogbn-products stand-in, forward (NN)
+//             and backward's dW = A^T dZ (TN) and dA = dZ W^T (NT).
+// Args: m, k, n, trans_a, trans_b.  GFLOP/s counts 2 FLOPs per MAC.
+void BM_GemmShape(benchmark::State& state) {
+  const auto m = static_cast<std::int64_t>(state.range(0));
+  const auto k = static_cast<std::int64_t>(state.range(1));
+  const auto n = static_cast<std::int64_t>(state.range(2));
+  const bool trans_a = state.range(3) != 0;
+  const bool trans_b = state.range(4) != 0;
+  Tensor a = trans_a ? Tensor(k, m) : Tensor(m, k);
+  Tensor b = trans_b ? Tensor(n, k) : Tensor(k, n);
+  Tensor c(m, n);
+  uniform_init(a, -1, 1, 1);
+  uniform_init(b, -1, 1, 2);
+  for (auto _ : state) {
+    gemm(a, trans_a, b, trans_b, c);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(2e-9 * static_cast<double>(m * n * k),
+                                                 benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_GemmShape)
+    ->ArgNames({"m", "k", "n", "tA", "tB"})
+    ->Args({100, 200, 256, 0, 0})
+    ->Args({28, 512, 47, 0, 0})
+    ->Args({3958, 200, 256, 0, 0})
+    ->Args({200, 3958, 256, 1, 0})
+    ->Args({3958, 256, 200, 0, 1})
+    ->UseRealTime();
+
 void BM_GatherRows(benchmark::State& state) {
   const auto rows = static_cast<std::int64_t>(state.range(0));
   Tensor features(1 << 13, 128);

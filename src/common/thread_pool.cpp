@@ -61,10 +61,12 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     }
     submit([&, lo, hi] {
       body(lo, hi);
-      {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        --remaining;
-      }
+      // Signal while holding the lock: the latch lives on the caller's
+      // stack, and the caller can only see remaining == 0 and return
+      // once this unlock has happened, so the notify never touches a
+      // condition variable that is already gone.
+      std::lock_guard<std::mutex> lock(done_mutex);
+      --remaining;
       done_cv.notify_one();
     });
   }

@@ -42,12 +42,12 @@ GnnModel::GnnModel(const ModelConfig& config) : config_(config) {
 Tensor GnnModel::forward(const MiniBatch& batch, const Tensor& x) {
   if (batch.num_layers() != static_cast<int>(layers_.size()))
     throw std::invalid_argument("GnnModel::forward: batch layer count mismatch");
-  activations_.assign(layers_.size() + 1, Tensor());
-  activations_[0] = x;
-  Tensor h = x;
+  // Each layer caches what its own backward needs, so the model keeps no
+  // copies of x or of the activations between layers.
+  Tensor h;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     Tensor h_next;
-    layers_[l].forward(batch.blocks[l], h, h_next);
+    layers_[l].forward(batch.blocks[l], l == 0 ? x : h, h_next);
     // The next block's src set is the prefix of this block's dst set, so
     // the rows already line up; truncate when the next block is smaller.
     if (l + 1 < layers_.size()) {
@@ -60,15 +60,14 @@ Tensor GnnModel::forward(const MiniBatch& batch, const Tensor& x) {
         h_next = std::move(trimmed);
       }
     }
-    activations_[l + 1] = h_next;
     h = std::move(h_next);
   }
+  forwarded_ = true;
   return h;
 }
 
 void GnnModel::backward(const MiniBatch& batch, const Tensor& d_logits) {
-  if (activations_.size() != layers_.size() + 1)
-    throw std::logic_error("GnnModel::backward: call forward first");
+  if (!forwarded_) throw std::logic_error("GnnModel::backward: call forward first");
   Tensor grad = d_logits;
   for (std::size_t li = layers_.size(); li-- > 0;) {
     const LayerBlock& block = batch.blocks[li];

@@ -62,7 +62,7 @@ class GnnModel {
  private:
   ModelConfig config_;
   std::vector<ConvLayer> layers_;
-  std::vector<Tensor> activations_;  ///< activations_[l] = input to layer l
+  bool forwarded_ = false;  ///< backward needs the layer caches of a forward
 };
 
 }  // namespace hyscale

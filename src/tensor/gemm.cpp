@@ -1,6 +1,8 @@
 #include "tensor/gemm.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "tensor/simd.hpp"
@@ -9,53 +11,15 @@ namespace hyscale {
 
 namespace {
 
-// Cache-blocked inner kernel over C[r0:r1). A is MxK, B is KxN (already
-// logically transposed via the index lambdas).
-template <typename AIdx, typename BIdx>
-void gemm_rows(std::int64_t r0, std::int64_t r1, std::int64_t n, std::int64_t k,
-               const float* a, AIdx a_at, const float* b, BIdx b_at, float* c,
-               std::int64_t ldc, float alpha, float beta) {
-  constexpr std::int64_t kBlockK = 128;
-  for (std::int64_t i = r0; i < r1; ++i) {
-    float* c_row = c + i * ldc;
-    for (std::int64_t j = 0; j < n; ++j) c_row[j] *= beta;
-    for (std::int64_t kk = 0; kk < k; kk += kBlockK) {
-      const std::int64_t k_hi = std::min(kk + kBlockK, k);
-      for (std::int64_t p = kk; p < k_hi; ++p) {
-        const float a_ip = alpha * a[a_at(i, p)];
-        if (a_ip == 0.0f) continue;
-        const float* b_row = b;  // indexed through b_at
-        for (std::int64_t j = 0; j < n; ++j) {
-          c_row[j] += a_ip * b_row[b_at(p, j)];
-        }
-      }
-    }
-  }
-}
+// Fan a GEMM out to the pool only when every chunk gets at least this
+// many multiply-adds.  Below it, task hand-off and the caller's wait
+// cost more than the chunk saves; serving batches (a few million MACs,
+// already run on parallel workers) stay on their worker's core.
+constexpr std::int64_t kParallelGrainMacs = 8LL << 20;
 
-// Contiguous-B specialization (trans_b == false): row p of B is the
-// dense span b[p*ldb, p*ldb+n), so the j loop is a vector axpy.  The
-// SIMD body keeps multiply and add as separate rounding steps, so this
-// kernel is bit-identical to gemm_rows above (the differential tests
-// hold it there across backends).
-template <typename AIdx>
-void gemm_rows_contig_b(std::int64_t r0, std::int64_t r1, std::int64_t n, std::int64_t k,
-                        const float* a, AIdx a_at, const float* b, std::int64_t ldb,
-                        float* c, std::int64_t ldc, float alpha, float beta) {
-  constexpr std::int64_t kBlockK = 128;
-  for (std::int64_t i = r0; i < r1; ++i) {
-    float* c_row = c + i * ldc;
-    for (std::int64_t j = 0; j < n; ++j) c_row[j] *= beta;
-    for (std::int64_t kk = 0; kk < k; kk += kBlockK) {
-      const std::int64_t k_hi = std::min(kk + kBlockK, k);
-      for (std::int64_t p = kk; p < k_hi; ++p) {
-        const float a_ip = alpha * a[a_at(i, p)];
-        if (a_ip == 0.0f) continue;
-        simd::axpy(a_ip, b + p * ldb, c_row, n);
-      }
-    }
-  }
-}
+// Rows per parallel unit: the AVX-512 tile height, so chunk boundaries
+// never split a tile.
+constexpr std::int64_t kRowUnit = 8;
 
 }  // namespace
 
@@ -68,38 +32,58 @@ void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
   if (k != kb) throw std::invalid_argument("gemm: inner dimension mismatch");
   if (c.rows() != m || c.cols() != n) throw std::invalid_argument("gemm: output shape mismatch");
 
-  const std::int64_t lda = a.cols();
-  const std::int64_t ldb = b.cols();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-
-  auto run = [&](std::size_t lo, std::size_t hi) {
-    const auto r0 = static_cast<std::int64_t>(lo);
-    const auto r1 = static_cast<std::int64_t>(hi);
-    if (!trans_a && !trans_b) {
-      gemm_rows_contig_b(r0, r1, n, k, pa,
-                         [lda](std::int64_t i, std::int64_t p) { return i * lda + p; }, pb, ldb,
-                         pc, n, alpha, beta);
-    } else if (trans_a && !trans_b) {
-      gemm_rows_contig_b(r0, r1, n, k, pa,
-                         [lda](std::int64_t i, std::int64_t p) { return p * lda + i; }, pb, ldb,
-                         pc, n, alpha, beta);
-    } else if (!trans_a && trans_b) {
-      gemm_rows(r0, r1, n, k, pa, [lda](std::int64_t i, std::int64_t p) { return i * lda + p; },
-                pb, [ldb](std::int64_t p, std::int64_t j) { return j * ldb + p; }, pc, n, alpha, beta);
-    } else {
-      gemm_rows(r0, r1, n, k, pa, [lda](std::int64_t i, std::int64_t p) { return p * lda + i; },
-                pb, [ldb](std::int64_t p, std::int64_t j) { return j * ldb + p; }, pc, n, alpha, beta);
-    }
-  };
-
-  // Only parallelise when the work amortises task overhead.
-  if (m * n * k > (64LL << 10)) {
-    parallel_for(0, static_cast<std::size_t>(m), run);
-  } else {
-    run(0, static_cast<std::size_t>(m));
+  simd::GemmOperands op;
+  op.n = n;
+  op.k = k;
+  op.beta = beta;
+  op.a = a.data();
+  op.a_row_stride = trans_a ? 1 : a.cols();
+  op.a_col_stride = trans_a ? a.cols() : 1;
+  // The kernel has no alpha: each s = alpha * A(i, p) is rounded once
+  // into a scaled copy of A, the same float the product would use.
+  std::vector<float> scaled_a;
+  if (alpha != 1.0f) {
+    scaled_a.assign(a.data(), a.data() + a.size());
+    for (float& v : scaled_a) v *= alpha;
+    op.a = scaled_a.data();
   }
+  op.c = c.data();
+  op.ldc = n;
+  // The kernel reads B as dense k x n rows, so op(B) = B^T is packed
+  // first.  B^T only appears with a weight as B (backward's dZ * W^T),
+  // so the panel is small next to the GEMM itself.
+  std::vector<float> panel;
+  if (trans_b) {
+    panel.resize(static_cast<std::size_t>(k * n));
+    const float* pb = b.data();
+    const std::int64_t ldb = b.cols();
+    for (std::int64_t j = 0; j < n; ++j) {
+      for (std::int64_t p = 0; p < k; ++p) {
+        panel[static_cast<std::size_t>(p * n + j)] = pb[j * ldb + p];
+      }
+    }
+    op.b = panel.data();
+    op.ldb = n;
+  } else {
+    op.b = b.data();
+    op.ldb = b.cols();
+  }
+
+  ThreadPool& pool = ThreadPool::global();
+  const std::int64_t units = (m + kRowUnit - 1) / kRowUnit;
+  const std::int64_t chunks =
+      std::min({static_cast<std::int64_t>(pool.size()), units, m * n * k / kParallelGrainMacs});
+  if (chunks < 2) {
+    simd::gemm(op, 0, m);
+    return;
+  }
+  pool.parallel_for(
+      0, static_cast<std::size_t>(units),
+      [&](std::size_t lo, std::size_t hi) {
+        simd::gemm(op, static_cast<std::int64_t>(lo) * kRowUnit,
+                   std::min(m, static_cast<std::int64_t>(hi) * kRowUnit));
+      },
+      static_cast<std::size_t>(chunks));
 }
 
 void linear_forward(const Tensor& x, const Tensor& w, const Tensor& bias, Tensor& y) {

@@ -1,19 +1,20 @@
 // Vector kernel bodies.  Compiled with -ffp-contract=off (CMake source
-// property) so neither the scalar tails inside the vector functions nor
-// the reference bodies are ever contracted into FMA — the bit-identity
-// contract in simd.hpp depends on multiply and add staying two rounding
-// steps on every path.
+// property, in both the library build and perfbench's) so neither the
+// vector bodies nor the scalar tails and reference bodies are ever
+// contracted into FMA — the bit-identity contract in simd.hpp depends on
+// multiply and add staying two rounding steps on every path.
 //
-// x86-64: AVX2 bodies carry a per-function target attribute (the
-// library itself stays baseline x86-64), guarded at runtime by
-// __builtin_cpu_supports("avx2").  The attribute deliberately does NOT
-// enable FMA: with the ISA absent the compiler cannot fuse the tails
-// even if the contract flag were lost.
+// x86-64: AVX2 and AVX-512F bodies carry per-function target attributes
+// (the library itself stays baseline x86-64), guarded at runtime by
+// __builtin_cpu_supports.  The AVX2 attribute deliberately does NOT
+// enable FMA, so those bodies cannot fuse even if the contract flag were
+// lost; AVX-512F includes FMA, so the GEMM tile relies on the flag.
 //
 // aarch64: NEON is architecturally mandatory, so the bodies dispatch
 // unconditionally (explicit vmul + vadd, never vfma).
 #include "tensor/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -28,14 +29,40 @@ namespace hyscale::simd {
 
 namespace {
 
-std::atomic<bool> g_force_scalar{false};
+std::atomic<Tier> g_cap{Tier::kBest};
+
+Tier best_supported_tier() {
+  static const Tier best = [] {
+#if defined(HYSCALE_SIMD_X86)
+    if (__builtin_cpu_supports("avx512f")) return Tier::kAvx512;
+    if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
+    return Tier::kScalar;
+#elif defined(HYSCALE_SIMD_NEON)
+    return Tier::kNeon;
+#else
+    return Tier::kScalar;
+#endif
+  }();
+  return best;
+}
+
+// Rows of C = A * B + beta * C, one row at a time through an axpy body —
+// the scalar oracle, and the NEON tier's GEMM.
+template <void (*Axpy)(float, const float*, float*, std::int64_t)>
+void gemm_rows_axpy(const GemmOperands& op, std::int64_t r0, std::int64_t r1) {
+  for (std::int64_t i = r0; i < r1; ++i) {
+    float* c_row = op.c + i * op.ldc;
+    for (std::int64_t j = 0; j < op.n; ++j) c_row[j] *= op.beta;
+    const float* a_row = op.a + i * op.a_row_stride;
+    for (std::int64_t p = 0; p < op.k; ++p) {
+      const float s = a_row[p * op.a_col_stride];
+      if (s == 0.0f) continue;
+      Axpy(s, op.b + p * op.ldb, c_row, op.n);
+    }
+  }
+}
 
 #if defined(HYSCALE_SIMD_X86)
-
-bool cpu_has_avx2() {
-  static const bool ok = __builtin_cpu_supports("avx2") != 0;
-  return ok;
-}
 
 __attribute__((target("avx2"))) void copy_avx2(const float* src, float* dst,
                                                std::int64_t n) {
@@ -87,6 +114,180 @@ __attribute__((target("avx2"))) float max_abs_avx2(const float* x, std::int64_t 
   return m;
 }
 
+// The register-tiled GEMM bodies walk k in blocks of kGemmKc, so a block
+// of B (kGemmKc x n) stays cache-resident across every row tile.  Each C
+// element still sees p in ascending order: C round-trips through memory
+// between blocks as a float, exactly, and only the first block applies
+// beta.
+constexpr std::int64_t kGemmKc = 256;
+
+// One MR x (16 * NV) tile of C over p in [p0, p1): the tile lives in
+// MR * NV zmm accumulators; each step loads NV vectors of B row p once
+// and applies them to every row whose A element is non-zero.  The last
+// vector holds `tail` columns (masked).  The zero test is a branch per
+// row, not a blend: ReLU output is sparse, and a skipped row saves its
+// multiplies and adds.
+template <int MR, int NV>
+__attribute__((target("avx512f"))) void tile_avx512(const GemmOperands& op, std::int64_t i0,
+                                                    std::int64_t j0, std::int64_t p0,
+                                                    std::int64_t p1, std::int64_t tail) {
+  __mmask16 mask[NV];
+#pragma GCC unroll 2
+  for (int v = 0; v < NV; ++v) {
+    mask[v] = v + 1 < NV ? __mmask16(0xffff) : __mmask16((1u << tail) - 1u);
+  }
+  const __m512 vbeta = _mm512_set1_ps(op.beta);
+  __m512 acc[MR][NV];
+  const float* a_row[MR];
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+    const float* c_row = op.c + (i0 + r) * op.ldc + j0;
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      acc[r][v] = _mm512_maskz_loadu_ps(mask[v], c_row + 16 * v);
+      if (p0 == 0) acc[r][v] = _mm512_mul_ps(acc[r][v], vbeta);
+    }
+    a_row[r] = op.a + (i0 + r) * op.a_row_stride;
+  }
+  for (std::int64_t p = p0; p < p1; ++p) {
+    const float* b_row = op.b + p * op.ldb + j0;
+    __m512 bv[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) bv[v] = _mm512_maskz_loadu_ps(mask[v], b_row + 16 * v);
+    const std::int64_t a_off = p * op.a_col_stride;
+#pragma GCC unroll 8
+    for (int r = 0; r < MR; ++r) {
+      // Skip A(i, p) == +-0 on its bits, then broadcast it straight from
+      // memory: a load-port op, where broadcasting from a register would
+      // compete with the mul/add ports (45 -> 60 GFLOP/s on Sapphire
+      // Rapids at the serving layer-0 shape).
+      const float* ap = a_row[r] + a_off;
+      std::uint32_t bits;
+      __builtin_memcpy(&bits, ap, sizeof(bits));
+      if (__builtin_expect((bits << 1) == 0, 0)) continue;
+      __m512 vs;
+      asm("vbroadcastss %1, %0" : "=v"(vs) : "m"(*ap));
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        // mul then add — two rounding steps per lane, as in axpy_scalar.
+        acc[r][v] = _mm512_add_ps(acc[r][v], _mm512_mul_ps(vs, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+    float* c_row = op.c + (i0 + r) * op.ldc + j0;
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) _mm512_mask_storeu_ps(c_row + 16 * v, mask[v], acc[r][v]);
+  }
+}
+
+template <int NV>
+void rows_avx512(const GemmOperands& op, std::int64_t i0, std::int64_t rows, std::int64_t j0,
+                 std::int64_t p0, std::int64_t p1, std::int64_t tail) {
+  switch (rows) {
+    case 8: return tile_avx512<8, NV>(op, i0, j0, p0, p1, tail);
+    case 7: return tile_avx512<7, NV>(op, i0, j0, p0, p1, tail);
+    case 6: return tile_avx512<6, NV>(op, i0, j0, p0, p1, tail);
+    case 5: return tile_avx512<5, NV>(op, i0, j0, p0, p1, tail);
+    case 4: return tile_avx512<4, NV>(op, i0, j0, p0, p1, tail);
+    case 3: return tile_avx512<3, NV>(op, i0, j0, p0, p1, tail);
+    case 2: return tile_avx512<2, NV>(op, i0, j0, p0, p1, tail);
+    default: return tile_avx512<1, NV>(op, i0, j0, p0, p1, tail);
+  }
+}
+
+// The AVX2 analogue: MR x (8 * NV) tiles in ymm accumulators; AVX2 has
+// no mask registers, so the column tail goes through maskload/maskstore.
+template <int MR, int NV>
+__attribute__((target("avx2"))) void tile_avx2(const GemmOperands& op, std::int64_t i0,
+                                               std::int64_t j0, std::int64_t p0,
+                                               std::int64_t p1, std::int64_t tail) {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  __m256i mask[NV];
+#pragma GCC unroll 2
+  for (int v = 0; v < NV; ++v) {
+    mask[v] = _mm256_cmpgt_epi32(_mm256_set1_epi32(v + 1 < NV ? 8 : static_cast<int>(tail)), lane);
+  }
+  const __m256 vbeta = _mm256_set1_ps(op.beta);
+  __m256 acc[MR][NV];
+  const float* a_row[MR];
+#pragma GCC unroll 4
+  for (int r = 0; r < MR; ++r) {
+    const float* c_row = op.c + (i0 + r) * op.ldc + j0;
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      acc[r][v] = _mm256_maskload_ps(c_row + 8 * v, mask[v]);
+      if (p0 == 0) acc[r][v] = _mm256_mul_ps(acc[r][v], vbeta);
+    }
+    a_row[r] = op.a + (i0 + r) * op.a_row_stride;
+  }
+  for (std::int64_t p = p0; p < p1; ++p) {
+    const float* b_row = op.b + p * op.ldb + j0;
+    __m256 bv[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) bv[v] = _mm256_maskload_ps(b_row + 8 * v, mask[v]);
+    const std::int64_t a_off = p * op.a_col_stride;
+#pragma GCC unroll 4
+    for (int r = 0; r < MR; ++r) {
+      const float* ap = a_row[r] + a_off;
+      std::uint32_t bits;
+      __builtin_memcpy(&bits, ap, sizeof(bits));
+      if (__builtin_expect((bits << 1) == 0, 0)) continue;
+      __m256 vs;
+      asm("vbroadcastss %1, %0" : "=x"(vs) : "m"(*ap));
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(vs, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < MR; ++r) {
+    float* c_row = op.c + (i0 + r) * op.ldc + j0;
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) _mm256_maskstore_ps(c_row + 8 * v, mask[v], acc[r][v]);
+  }
+}
+
+template <int NV>
+void rows_avx2(const GemmOperands& op, std::int64_t i0, std::int64_t rows, std::int64_t j0,
+               std::int64_t p0, std::int64_t p1, std::int64_t tail) {
+  switch (rows) {
+    case 4: return tile_avx2<4, NV>(op, i0, j0, p0, p1, tail);
+    case 3: return tile_avx2<3, NV>(op, i0, j0, p0, p1, tail);
+    case 2: return tile_avx2<2, NV>(op, i0, j0, p0, p1, tail);
+    default: return tile_avx2<1, NV>(op, i0, j0, p0, p1, tail);
+  }
+}
+
+// Tiles rows i0 .. i0 + rows (rows <= the ISA's tile height) and columns
+// from j0, over p in [p0, p1); the last vector holds `tail` columns.
+using TileRows = void (*)(const GemmOperands& op, std::int64_t i0, std::int64_t rows,
+                          std::int64_t j0, std::int64_t p0, std::int64_t p1, std::int64_t tail);
+
+// Walks rows [r0, r1) of C in kMr-row tiles, two kLanes-wide vectors
+// across (`wide`; `narrow` takes a last tile of at most one vector), and
+// k in kGemmKc blocks.
+template <std::int64_t kMr, std::int64_t kLanes>
+void gemm_tiled(const GemmOperands& op, std::int64_t r0, std::int64_t r1, TileRows wide,
+                TileRows narrow) {
+  for (std::int64_t p0 = 0; p0 == 0 || p0 < op.k; p0 += kGemmKc) {
+    const std::int64_t p1 = std::min(op.k, p0 + kGemmKc);
+    for (std::int64_t i = r0; i < r1; i += kMr) {
+      const std::int64_t rows = std::min(kMr, r1 - i);
+      for (std::int64_t j = 0; j < op.n; j += 2 * kLanes) {
+        const std::int64_t cols = std::min(2 * kLanes, op.n - j);
+        if (cols > kLanes) {
+          wide(op, i, rows, j, p0, p1, cols - kLanes);
+        } else {
+          narrow(op, i, rows, j, p0, p1, cols);
+        }
+      }
+    }
+  }
+}
+
 #elif defined(HYSCALE_SIMD_NEON)
 
 void copy_neon(const float* src, float* dst, std::int64_t n) {
@@ -134,32 +335,47 @@ float max_abs_neon(const float* x, std::int64_t n) {
 
 #endif
 
-bool use_vector() {
-  if (g_force_scalar.load(std::memory_order_relaxed)) return false;
-#if defined(HYSCALE_SIMD_X86)
-  return cpu_has_avx2();
-#elif defined(HYSCALE_SIMD_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
+// copy/axpy/dequant/max_abs have one vector body per ISA (AVX2 or NEON).
+bool use_vector() { return active_tier() != Tier::kScalar; }
 
 }  // namespace
 
-const char* backend_name() {
-  if (!use_vector()) return "scalar";
-#if defined(HYSCALE_SIMD_X86)
-  return "avx2";
-#elif defined(HYSCALE_SIMD_NEON)
-  return "neon";
-#else
-  return "scalar";
-#endif
+const char* tier_name(Tier tier) {
+  switch (tier) {
+    case Tier::kScalar: return "scalar";
+    case Tier::kNeon: return "neon";
+    case Tier::kAvx2: return "avx2";
+    case Tier::kAvx512: return "avx512";
+    case Tier::kBest: return "best";
+  }
+  return "?";
 }
 
-void force_scalar(bool on) { g_force_scalar.store(on, std::memory_order_relaxed); }
-bool forced_scalar() { return g_force_scalar.load(std::memory_order_relaxed); }
+std::vector<Tier> supported_tiers() {
+  const Tier best = best_supported_tier();
+  std::vector<Tier> tiers{Tier::kScalar};
+#if defined(HYSCALE_SIMD_X86)
+  if (best >= Tier::kAvx2) tiers.push_back(Tier::kAvx2);
+#endif
+  if (best != Tier::kScalar && best != tiers.back()) tiers.push_back(best);
+  return tiers;
+}
+
+Tier active_tier() {
+  const Tier cap = g_cap.load(std::memory_order_relaxed);
+  const Tier best = best_supported_tier();
+  if (cap >= best) return best;
+#if defined(HYSCALE_SIMD_X86)
+  // best is AVX2 or AVX-512 here; an AVX-512 CPU also runs AVX2.
+  if (cap >= Tier::kAvx2) return Tier::kAvx2;
+#endif
+  return Tier::kScalar;
+}
+
+const char* backend_name() { return tier_name(active_tier()); }
+
+void force_tier(Tier cap) { g_cap.store(cap, std::memory_order_relaxed); }
+Tier forced_tier() { return g_cap.load(std::memory_order_relaxed); }
 
 void copy_scalar(const float* src, float* dst, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i];
@@ -180,6 +396,10 @@ float max_abs_scalar(const float* x, std::int64_t n) {
     if (v > m) m = v;
   }
   return m;
+}
+
+void gemm_scalar(const GemmOperands& op, std::int64_t r0, std::int64_t r1) {
+  gemm_rows_axpy<axpy_scalar>(op, r0, r1);
 }
 
 void copy(const float* src, float* dst, std::int64_t n) {
@@ -216,6 +436,19 @@ float max_abs(const float* x, std::int64_t n) {
   if (use_vector()) return max_abs_neon(x, n);
 #endif
   return max_abs_scalar(x, n);
+}
+
+void gemm(const GemmOperands& op, std::int64_t r0, std::int64_t r1) {
+#if defined(HYSCALE_SIMD_X86)
+  switch (active_tier()) {
+    case Tier::kAvx512: return gemm_tiled<8, 16>(op, r0, r1, rows_avx512<2>, rows_avx512<1>);
+    case Tier::kAvx2: return gemm_tiled<4, 8>(op, r0, r1, rows_avx2<2>, rows_avx2<1>);
+    default: break;
+  }
+#elif defined(HYSCALE_SIMD_NEON)
+  if (use_vector()) return gemm_rows_axpy<axpy_neon>(op, r0, r1);
+#endif
+  gemm_scalar(op, r0, r1);
 }
 
 }  // namespace hyscale::simd

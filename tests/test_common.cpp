@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -180,6 +181,30 @@ TEST(ThreadPool, ParallelForSumMatchesSerial) {
     sum += local;
   });
   EXPECT_EQ(sum.load(), 10000L * 9999L / 2);
+}
+
+TEST(ThreadPool, ConcurrentParallelForCallersShareOnePool) {
+  // Regression: parallel_for's completion latch lives on the caller's
+  // stack.  A pool thread that signalled it after unlocking could touch
+  // it after the caller had returned and reused that stack, which
+  // crashed or hung callers that share a pool under load.
+  ThreadPool pool(4);
+  constexpr int kCallers = 8;
+  constexpr int kCallsPerCaller = 2000;
+  std::atomic<long> covered{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      for (int call = 0; call < kCallsPerCaller; ++call) {
+        pool.parallel_for(0, 16, [&](std::size_t lo, std::size_t hi) {
+          covered.fetch_add(static_cast<long>(hi - lo), std::memory_order_relaxed);
+        });
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(covered.load(), 16L * kCallers * kCallsPerCaller);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 //   * SIMD-vs-scalar bit-identity for the dispatched kernels across odd
 //     row widths and unaligned spans (the differential harness's fp32
 //     guarantee depends on it);
-//   * GEMM bit-identity under the force_scalar seam;
+//   * GEMM bit-identity against the scalar oracle on every tier the CPU
+//     supports (force_tier seam): all four layouts, row and column
+//     tails, k = 1, signed zeros, ReLU-sparse A, alpha/beta != 1;
 //   * int8 device rows: hit/miss value consistency, wire-byte ratio
 //     (>= 3x vs fp32 at feature widths >= 12), and end-to-end logit
 //     exactness against an explicitly round-tripped reference;
@@ -28,8 +30,8 @@ namespace hyscale {
 namespace {
 
 /// Restores the dispatching backend even when an assertion fails.
-struct ScalarGuard {
-  ~ScalarGuard() { simd::force_scalar(false); }
+struct TierGuard {
+  ~TierGuard() { simd::force_tier(simd::Tier::kBest); }
 };
 
 /// 96 vertices, 32-dim features (wide enough that int8's cols + 4 wire
@@ -64,25 +66,33 @@ const std::size_t kOffsets[] = {0, 1, 3};
 
 // -------------------------------------------------------------- simd kernels
 
-TEST(Simd, BackendNameIsKnownAndForceScalarSticks) {
-  ScalarGuard guard;
+TEST(Simd, BackendNameIsKnownAndForcedTierSticks) {
+  TierGuard guard;
   const std::string name = simd::backend_name();
-  EXPECT_TRUE(name == "avx2" || name == "neon" || name == "scalar") << name;
-  simd::force_scalar(true);
-  EXPECT_TRUE(simd::forced_scalar());
-  EXPECT_STREQ(simd::backend_name(), "scalar");
-  simd::force_scalar(false);
-  EXPECT_FALSE(simd::forced_scalar());
+  EXPECT_TRUE(name == "avx512" || name == "avx2" || name == "neon" || name == "scalar") << name;
+  const std::vector<simd::Tier> tiers = simd::supported_tiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(tiers.front(), simd::Tier::kScalar);
+  EXPECT_EQ(name, simd::tier_name(tiers.back()));
+  for (const simd::Tier tier : tiers) {
+    simd::force_tier(tier);
+    EXPECT_EQ(simd::forced_tier(), tier);
+    EXPECT_EQ(simd::active_tier(), tier);
+    EXPECT_STREQ(simd::backend_name(), simd::tier_name(tier));
+  }
+  simd::force_tier(simd::Tier::kBest);
+  EXPECT_EQ(simd::forced_tier(), simd::Tier::kBest);
+  EXPECT_EQ(simd::active_tier(), tiers.back());
 }
 
 TEST(Simd, CopyBitIdenticalAcrossWidthsAndAlignments) {
-  ScalarGuard guard;
+  TierGuard guard;
   for (const std::int64_t n : kWidths) {
     for (const std::size_t off : kOffsets) {
       const auto src = random_floats(off + static_cast<std::size_t>(n), 11u + off);
       std::vector<float> vec(static_cast<std::size_t>(n), -1.0f);
       std::vector<float> ref(static_cast<std::size_t>(n), -2.0f);
-      simd::force_scalar(false);
+      simd::force_tier(simd::Tier::kBest);
       simd::copy(src.data() + off, vec.data(), n);
       simd::copy_scalar(src.data() + off, ref.data(), n);
       EXPECT_EQ(std::memcmp(vec.data(), ref.data(), ref.size() * sizeof(float)), 0)
@@ -92,14 +102,14 @@ TEST(Simd, CopyBitIdenticalAcrossWidthsAndAlignments) {
 }
 
 TEST(Simd, AxpyBitIdenticalAcrossWidthsAndAlignments) {
-  ScalarGuard guard;
+  TierGuard guard;
   for (const std::int64_t n : kWidths) {
     for (const std::size_t off : kOffsets) {
       const auto x = random_floats(off + static_cast<std::size_t>(n), 23u + off);
       const auto y0 = random_floats(static_cast<std::size_t>(n), 29u * off + 7u);
       std::vector<float> vec = y0;
       std::vector<float> ref = y0;
-      simd::force_scalar(false);
+      simd::force_tier(simd::Tier::kBest);
       simd::axpy(0.773f, x.data() + off, vec.data(), n);
       simd::axpy_scalar(0.773f, x.data() + off, ref.data(), n);
       EXPECT_EQ(std::memcmp(vec.data(), ref.data(), ref.size() * sizeof(float)), 0)
@@ -109,7 +119,7 @@ TEST(Simd, AxpyBitIdenticalAcrossWidthsAndAlignments) {
 }
 
 TEST(Simd, DequantBitIdenticalAcrossWidthsAndAlignments) {
-  ScalarGuard guard;
+  TierGuard guard;
   for (const std::int64_t n : kWidths) {
     for (const std::size_t off : kOffsets) {
       std::vector<std::int8_t> q(off + static_cast<std::size_t>(n));
@@ -117,7 +127,7 @@ TEST(Simd, DequantBitIdenticalAcrossWidthsAndAlignments) {
       for (auto& v : q) v = static_cast<std::int8_t>(static_cast<int>(rng() % 255) - 127);
       std::vector<float> vec(static_cast<std::size_t>(n), 1.0f);
       std::vector<float> ref(static_cast<std::size_t>(n), 2.0f);
-      simd::force_scalar(false);
+      simd::force_tier(simd::Tier::kBest);
       simd::dequant(q.data() + off, 0.0317f, vec.data(), n);
       simd::dequant_scalar(q.data() + off, 0.0317f, ref.data(), n);
       EXPECT_EQ(std::memcmp(vec.data(), ref.data(), ref.size() * sizeof(float)), 0)
@@ -127,11 +137,11 @@ TEST(Simd, DequantBitIdenticalAcrossWidthsAndAlignments) {
 }
 
 TEST(Simd, MaxAbsBitIdenticalAcrossWidthsAndAlignments) {
-  ScalarGuard guard;
+  TierGuard guard;
   for (const std::int64_t n : kWidths) {
     for (const std::size_t off : kOffsets) {
       const auto src = random_floats(off + static_cast<std::size_t>(n), 53u + off);
-      simd::force_scalar(false);
+      simd::force_tier(simd::Tier::kBest);
       const float vec = simd::max_abs(src.data() + off, n);
       const float ref = simd::max_abs_scalar(src.data() + off, n);
       EXPECT_EQ(std::memcmp(&vec, &ref, sizeof(float)), 0) << "n=" << n << " off=" << off;
@@ -142,42 +152,101 @@ TEST(Simd, MaxAbsBitIdenticalAcrossWidthsAndAlignments) {
 TEST(Simd, ForcedScalarDispatchMatchesVectorDispatch) {
   // The per-call seam really flips the backend: both routes produce the
   // same bits, so the differential tests can trust either.
-  ScalarGuard guard;
+  TierGuard guard;
   const std::int64_t n = 100;
   const auto x = random_floats(static_cast<std::size_t>(n), 61);
   const auto y0 = random_floats(static_cast<std::size_t>(n), 67);
   std::vector<float> vec = y0;
   std::vector<float> forced = y0;
-  simd::force_scalar(false);
+  simd::force_tier(simd::Tier::kBest);
   simd::axpy(-1.25f, x.data(), vec.data(), n);
-  simd::force_scalar(true);
+  simd::force_tier(simd::Tier::kScalar);
   simd::axpy(-1.25f, x.data(), forced.data(), n);
   EXPECT_EQ(std::memcmp(vec.data(), forced.data(), forced.size() * sizeof(float)), 0);
 }
 
-TEST(Simd, GemmBitIdenticalUnderForcedScalar) {
-  ScalarGuard guard;
-  Tensor a(7, 13);
-  Tensor b(13, 9);
-  Tensor c0(7, 9);
+// One GEMM differential case: C = alpha * op(A) * op(B) + beta * C with
+// C(m x n) and inner dimension k.
+struct GemmCase {
+  const char* name;
+  std::int64_t m, n, k;
+  bool trans_a, trans_b;
+  float alpha, beta;
+  float a_zero_frac;  ///< share of A entries set to 0 (ReLU-sparse A)
+  bool zero_a_row;    ///< op(A) row 0 all zeros, of both signs
+  bool negative_c;    ///< C starts negative, so beta = 0 leaves -0.0f
+};
+
+std::ostream& operator<<(std::ostream& os, const GemmCase& c) { return os << c.name; }
+
+class GemmTiers : public ::testing::TestWithParam<GemmCase> {};
+
+TEST_P(GemmTiers, BitIdenticalToScalarOracleOnEveryTier) {
+  TierGuard guard;
+  const GemmCase& gc = GetParam();
+  Tensor a = gc.trans_a ? Tensor(gc.k, gc.m) : Tensor(gc.m, gc.k);
+  Tensor b = gc.trans_b ? Tensor(gc.n, gc.k) : Tensor(gc.k, gc.n);
+  Tensor c0(gc.m, gc.n);
   uniform_init(a, -2.0f, 2.0f, 1);
   uniform_init(b, -2.0f, 2.0f, 2);
-  uniform_init(c0, -2.0f, 2.0f, 3);
+  if (gc.negative_c) {
+    uniform_init(c0, -2.0f, -0.5f, 3);
+  } else {
+    uniform_init(c0, -2.0f, 2.0f, 3);
+  }
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<float> unit(0.0f, 1.0f);
+  for (float& v : a.flat()) {
+    if (unit(rng) < gc.a_zero_frac) v = 0.0f;
+  }
+  if (gc.zero_a_row) {
+    for (std::int64_t p = 0; p < gc.k; ++p) {
+      a.data()[gc.trans_a ? p * gc.m : p] = p % 2 == 0 ? 0.0f : -0.0f;
+    }
+  }
 
-  Tensor c_vec = c0;
-  simd::force_scalar(false);
-  gemm(a, false, b, false, c_vec, 1.3f, 0.7f);
-
+  // The oracle: the same call through the scalar reference body.
   Tensor c_ref = c0;
-  simd::force_scalar(true);
-  gemm(a, false, b, false, c_ref, 1.3f, 0.7f);
+  simd::force_tier(simd::Tier::kScalar);
+  gemm(a, gc.trans_a, b, gc.trans_b, c_ref, gc.alpha, gc.beta);
+  if (gc.zero_a_row && gc.beta == 0.0f && gc.negative_c) {
+    EXPECT_TRUE(std::signbit(c_ref.data()[0])) << "beta = 0 must keep -0.0f";
+  }
 
-  ASSERT_EQ(c_vec.flat().size(), c_ref.flat().size());
-  EXPECT_EQ(std::memcmp(c_vec.flat().data(), c_ref.flat().data(),
-                        c_ref.flat().size() * sizeof(float)),
-            0);
-  EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(c_vec, c_ref), 0.0);
+  for (const simd::Tier tier : simd::supported_tiers()) {
+    Tensor c = c0;
+    simd::force_tier(tier);
+    gemm(a, gc.trans_a, b, gc.trans_b, c, gc.alpha, gc.beta);
+    EXPECT_EQ(std::memcmp(c.data(), c_ref.data(), c_ref.flat().size() * sizeof(float)), 0)
+        << "tier " << simd::tier_name(tier) << " max diff " << Tensor::max_abs_diff(c, c_ref);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, GemmTiers,
+    ::testing::Values(
+        GemmCase{"nn_odd", 7, 9, 13, false, false, 1.3f, 0.7f, 0.0f, false, false},
+        GemmCase{"tn_odd", 7, 9, 13, true, false, 1.3f, 0.7f, 0.0f, false, false},
+        GemmCase{"nt_odd", 7, 9, 13, false, true, 1.3f, 0.7f, 0.0f, false, false},
+        GemmCase{"tt_odd", 7, 9, 13, true, true, 1.3f, 0.7f, 0.0f, false, false},
+        GemmCase{"nn_tail_1", 19, 1, 37, false, false, 1.0f, 0.0f, 0.0f, false, false},
+        GemmCase{"nn_tail_15", 19, 15, 37, false, false, 1.0f, 0.0f, 0.0f, false, false},
+        GemmCase{"nn_tail_17", 19, 17, 37, false, false, 1.0f, 0.0f, 0.0f, false, false},
+        GemmCase{"tn_tail_33", 19, 33, 37, true, false, 1.0f, 1.0f, 0.0f, false, false},
+        GemmCase{"nt_tail_47", 28, 47, 64, false, true, 1.0f, 0.0f, 0.0f, false, false},
+        GemmCase{"tt_tail_47", 21, 47, 29, true, true, -0.5f, 2.0f, 0.0f, false, false},
+        GemmCase{"k_1", 11, 33, 1, false, false, 1.0f, 0.0f, 0.0f, false, false},
+        GemmCase{"k_1_tn", 11, 17, 1, true, false, 0.25f, 1.0f, 0.0f, false, false},
+        GemmCase{"signed_zero", 9, 33, 21, false, false, 1.0f, 0.0f, 0.0f, true, true},
+        GemmCase{"signed_zero_tn", 9, 47, 21, true, false, 1.0f, 0.0f, 0.0f, true, true},
+        GemmCase{"relu_sparse", 37, 47, 512, false, false, 1.0f, 0.0f, 0.5f, false, false},
+        GemmCase{"relu_sparse_nt", 37, 64, 47, false, true, 1.0f, 0.0f, 0.5f, false, false},
+        GemmCase{"alpha_beta", 26, 40, 300, false, false, 0.37f, -1.5f, 0.1f, false, false},
+        GemmCase{"alpha_beta_tn", 40, 26, 300, true, false, -2.0f, 0.3f, 0.1f, false, false},
+        // Large enough (21M MACs) to split across the pool.
+        GemmCase{"parallel_serving", 416, 256, 200, false, false, 1.0f, 0.0f, 0.3f, false,
+                 false}),
+    [](const ::testing::TestParamInfo<GemmCase>& info) { return std::string(info.param.name); });
 
 // ------------------------------------------------------------ int8 hot path
 
