@@ -62,19 +62,29 @@ BENCHMARK(BM_GemmSkinny)->Arg(1024)->Arg(4096);
 //             batch of a few 4-seed requests at fanouts 10,5;
 //   train     layer 0 3958 x 200 x 256 for 1024 seeds at fanouts 25,10
 //             on the 2^16-vertex ogbn-products stand-in, forward (NN)
-//             and backward's dW = A^T dZ (TN) and dA = dZ W^T (NT).
-// Args: m, k, n, trans_a, trans_b.  GFLOP/s counts 2 FLOPs per MAC.
+//             and backward's dW = A^T dZ (TN) and dA = dZ W^T (NT);
+//             layer 1 1024 x 512 x 47, backward's dW (TN) and dA (NT).
+// A fed by a ReLU is about half zeros: layer 1's input, and dZ behind
+// the ReLU mask.  The `zero%` argument zeroes that share of A's elements
+// at random, so the sparse cases time the kernel on the data it sees.
+// Args: m, k, n, trans_a, trans_b, zero%.  GFLOP/s counts 2 FLOPs per
+// MAC, zeros included.
 void BM_GemmShape(benchmark::State& state) {
   const auto m = static_cast<std::int64_t>(state.range(0));
   const auto k = static_cast<std::int64_t>(state.range(1));
   const auto n = static_cast<std::int64_t>(state.range(2));
   const bool trans_a = state.range(3) != 0;
   const bool trans_b = state.range(4) != 0;
+  const double zero_frac = static_cast<double>(state.range(5)) / 100.0;
   Tensor a = trans_a ? Tensor(k, m) : Tensor(m, k);
   Tensor b = trans_b ? Tensor(n, k) : Tensor(k, n);
   Tensor c(m, n);
   uniform_init(a, -1, 1, 1);
   uniform_init(b, -1, 1, 2);
+  Xoshiro256 rng(3);
+  for (float& v : a.flat()) {
+    if (rng.uniform() < zero_frac) v = 0.0f;
+  }
   for (auto _ : state) {
     gemm(a, trans_a, b, trans_b, c);
     benchmark::DoNotOptimize(c.data());
@@ -83,12 +93,16 @@ void BM_GemmShape(benchmark::State& state) {
                                                  benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_GemmShape)
-    ->ArgNames({"m", "k", "n", "tA", "tB"})
-    ->Args({100, 200, 256, 0, 0})
-    ->Args({28, 512, 47, 0, 0})
-    ->Args({3958, 200, 256, 0, 0})
-    ->Args({200, 3958, 256, 1, 0})
-    ->Args({3958, 256, 200, 0, 1})
+    ->ArgNames({"m", "k", "n", "tA", "tB", "zero%"})
+    ->Args({100, 200, 256, 0, 0, 0})
+    ->Args({28, 512, 47, 0, 0, 0})
+    ->Args({3958, 200, 256, 0, 0, 0})
+    ->Args({200, 3958, 256, 1, 0, 0})
+    ->Args({3958, 256, 200, 0, 1, 0})
+    ->Args({28, 512, 47, 0, 0, 50})
+    ->Args({512, 1024, 47, 1, 0, 50})
+    ->Args({1024, 47, 512, 0, 1, 50})
+    ->Args({3958, 256, 200, 0, 1, 50})
     ->UseRealTime();
 
 void BM_GatherRows(benchmark::State& state) {

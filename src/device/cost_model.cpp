@@ -33,7 +33,10 @@ Seconds TrainerCostModel::propagation_time(const BatchStats& stats,
     const Seconds t_upd = update_time(dst, f_agg, f_out);
     forward += combine(t_agg, t_upd) + layer_overhead();
     // Eq. 10 backward: layer 1 re-runs only the update; layers >= 2 re-run
-    // both (gradient aggregation mirrors forward aggregation).
+    // both (gradient aggregation mirrors forward aggregation).  The real
+    // trainer matches: GnnModel::backward never computes the first
+    // layer's input gradient, so that layer runs only the dW GEMM (and
+    // GAT's dZ).
     if (l == 1) {
       backward += t_upd + layer_overhead();
     } else {

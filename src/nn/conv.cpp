@@ -237,7 +237,7 @@ void ConvLayer::forward_gat(const LayerBlock& block, const Tensor& h_in, Tensor&
   }
 }
 
-void ConvLayer::backward_gat(const LayerBlock& block, const Tensor& dh_out, Tensor& dh_in) {
+void ConvLayer::backward_gat(const LayerBlock& block, const Tensor& dh_out, Tensor* dh_in) {
   // Through activation and bias.
   Tensor d_pre;
   if (apply_activation_) {
@@ -335,10 +335,11 @@ void ConvLayer::backward_gat(const LayerBlock& block, const Tensor& dh_out, Tens
     }
   }
 
-  // Through the projection: dW += H^T dZ; dH = dZ W^T.
+  // Through the projection: dW += H^T dZ; dH = dZ W^T when asked for.
   gemm(gat_h_in_, /*trans_a=*/true, d_z, false, weight_.grad, 1.0f, 1.0f);
-  dh_in.resize(block.num_src(), in_dim_);
-  gemm(d_z, false, weight_.value, /*trans_b=*/true, dh_in);
+  if (dh_in == nullptr) return;
+  dh_in->resize(block.num_src(), in_dim_);
+  gemm(d_z, false, weight_.value, /*trans_b=*/true, *dh_in);
 }
 
 void ConvLayer::forward(const LayerBlock& block, const Tensor& h_in, Tensor& h_out) {
@@ -361,7 +362,7 @@ void ConvLayer::forward(const LayerBlock& block, const Tensor& h_in, Tensor& h_o
   }
 }
 
-void ConvLayer::backward(const LayerBlock& block, const Tensor& dh_out, Tensor& dh_in) {
+void ConvLayer::backward(const LayerBlock& block, const Tensor& dh_out, Tensor* dh_in) {
   if (dh_out.rows() != block.num_dst || dh_out.cols() != out_dim_)
     throw std::invalid_argument("ConvLayer::backward: grad shape mismatch");
   if (kind_ == ConvKind::kGat) {
@@ -385,17 +386,19 @@ void ConvLayer::backward(const LayerBlock& block, const Tensor& dh_out, Tensor& 
     for (std::int64_t j = 0; j < out_dim_; ++j) b[j] += row[j];
   }
 
+  if (dh_in == nullptr) return;
+
   // Through the update: dA = dPre W^T.
   Tensor d_agg(d_pre.rows(), weight_.value.rows());
   gemm(d_pre, false, weight_.value, /*trans_b=*/true, d_agg);
 
   // Through the aggregation.
-  dh_in.resize(block.num_src(), in_dim_);
-  dh_in.zero();
+  dh_in->resize(block.num_src(), in_dim_);
+  dh_in->zero();
   if (kind_ == ConvKind::kGcn) {
-    aggregate_gcn_backward(block, d_agg, dh_in);
+    aggregate_gcn_backward(block, d_agg, *dh_in);
   } else {
-    aggregate_sage_backward(block, d_agg, dh_in);
+    aggregate_sage_backward(block, d_agg, *dh_in);
   }
 }
 

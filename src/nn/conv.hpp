@@ -14,8 +14,11 @@
 // Degrees are the block-local sampled degrees plus the self loop — the
 // standard mini-batch estimator (matching PyG's GCNConv on sampled
 // blocks).  Forward caches everything backward needs; backward produces
-// both parameter gradients and the gradient w.r.t. the layer input so
-// layers chain.
+// the parameter gradients, and the gradient w.r.t. the layer input only
+// when the caller asks for it: layers above the first need it to chain,
+// while the first layer's input is the feature matrix, which SGD never
+// updates, so GnnModel skips that work (Eq. 10: the first layer's
+// backward re-runs only the update).
 #pragma once
 
 #include <cstdint>
@@ -38,10 +41,14 @@ class ConvLayer {
   /// h_in has block.num_src() rows; output has block.num_dst rows.
   void forward(const LayerBlock& block, const Tensor& h_in, Tensor& h_out);
 
-  /// dh_out has block.num_dst rows; dh_in is resized to num_src rows.
-  /// Accumulates into weight_.grad / bias_.grad (call zero_grad between
-  /// iterations unless accumulation is intended).
-  void backward(const LayerBlock& block, const Tensor& dh_out, Tensor& dh_in);
+  /// dh_out has block.num_dst rows.  Accumulates into weight_.grad /
+  /// bias_.grad (call zero_grad between iterations unless accumulation is
+  /// intended).  A non-null dh_in is resized to num_src rows and receives
+  /// the input gradient; with nullptr the input-gradient work is skipped
+  /// (GCN/SAGE: the dPre W^T GEMM, the aggregation backward and the
+  /// zero-fill; GAT: the final dZ W^T) and the parameter gradients are
+  /// bit-identical either way.
+  void backward(const LayerBlock& block, const Tensor& dh_out, Tensor* dh_in);
 
   ConvKind kind() const { return kind_; }
   std::int64_t in_dim() const { return in_dim_; }
@@ -70,7 +77,7 @@ class ConvLayer {
   void aggregate_sage(const LayerBlock& block, const Tensor& h_in, Tensor& out) const;
   void aggregate_sage_backward(const LayerBlock& block, const Tensor& dout, Tensor& dh_in) const;
   void forward_gat(const LayerBlock& block, const Tensor& h_in, Tensor& h_out);
-  void backward_gat(const LayerBlock& block, const Tensor& dh_out, Tensor& dh_in);
+  void backward_gat(const LayerBlock& block, const Tensor& dh_out, Tensor* dh_in);
 
   ConvKind kind_;
   std::int64_t in_dim_;

@@ -79,8 +79,10 @@ void GnnModel::backward(const MiniBatch& batch, const Tensor& d_logits) {
       std::copy(grad.data(), grad.data() + grad.size(), padded.data());
       grad = std::move(padded);
     }
+    // Layer 0's input is the feature matrix: nothing trains it, so its
+    // input gradient is never computed.
     Tensor d_in;
-    layers_[li].backward(block, grad, d_in);
+    layers_[li].backward(block, grad, li == 0 ? nullptr : &d_in);
     grad = std::move(d_in);
   }
 }

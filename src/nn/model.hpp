@@ -40,7 +40,9 @@ class GnnModel {
   Tensor forward(const MiniBatch& batch, const Tensor& x);
 
   /// Backward from d(logits).  Parameter gradients are *accumulated*;
-  /// call zero_grad() first for a fresh iteration.
+  /// call zero_grad() first for a fresh iteration.  Only the parameter
+  /// gradients are produced: layer 0 does not compute the gradient
+  /// w.r.t. the input features.
   void backward(const MiniBatch& batch, const Tensor& d_logits);
 
   void zero_grad();

@@ -59,7 +59,13 @@ void relu_backward(const Tensor& x, const Tensor& dy, Tensor& dx) {
   const float* pdy = dy.data();
   float* pdx = dx.data();
   const std::int64_t n = x.size();
-  for (std::int64_t i = 0; i < n; ++i) pdx[i] = px[i] > 0.0f ? pdy[i] : 0.0f;
+  for (std::int64_t i = 0; i < n; ++i) {
+    // dy is loaded whether or not it is kept, so the select is a blend
+    // and the loop vectorizes; a conditional load would stay a scalar
+    // compare-and-branch that mispredicts on ReLU's half-zero masks.
+    const float g = pdy[i];
+    pdx[i] = px[i] > 0.0f ? g : 0.0f;
+  }
 }
 
 void dropout_forward(Tensor& x, Tensor& mask, double keep_prob, std::uint64_t seed) {

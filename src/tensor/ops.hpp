@@ -24,7 +24,8 @@ void scatter_add_rows(const Tensor& src, std::span<const std::int64_t> index, Te
 /// y = max(x, 0), in place allowed (y may alias x via same object).
 void relu_forward(const Tensor& x, Tensor& y);
 
-/// dx = dy * (x > 0).
+/// dx = x > 0 ? dy : +0 per element (x = +-0 or NaN gives +0; dy passes
+/// through unchanged, NaN and inf included).  Branch-free.
 void relu_backward(const Tensor& x, const Tensor& dy, Tensor& dx);
 
 /// In-place inverted dropout with mask output; keep_prob in (0, 1].

@@ -115,20 +115,103 @@ __attribute__((target("avx2"))) float max_abs_avx2(const float* x, std::int64_t 
 }
 
 // The register-tiled GEMM bodies walk k in blocks of kGemmKc, so a block
-// of B (kGemmKc x n) stays cache-resident across every row tile.  Each C
-// element still sees p in ascending order: C round-trips through memory
-// between blocks as a float, exactly, and only the first block applies
-// beta.
-constexpr std::int64_t kGemmKc = 256;
+// of B (kGemmKc x n) stays cache-resident across every row tile.  At the
+// serving layer-1 shape (n = 47) a 128-step block of B (24 KB) and the
+// tile's packed A panel fit a 48 KB L1 together; 256 steps (48 KB of B)
+// did not, and cost 10-15 % on that shape.  Each C element still sees p
+// in ascending order: C round-trips through memory between blocks as a
+// float, exactly, and only the first block applies beta.
+constexpr std::int64_t kGemmKc = 128;
+
+// One k-block of a kMr-row slice of A, packed once and shared by every
+// column tile of those rows.  Step s (p = p0 + s) holds A(i0 + r, p) for
+// each row r, a `keep` lane mask per row (all ones where that element is
+// non-zero, all zeros where it is +-0: the rows the scalar body skips)
+// and whether every row's element is non-zero.  A dense step runs the
+// plain mul + add; any other step computes every product and drops the
+// skipped rows' with a masked add, so the tile has no branch per row and
+// a 0 * inf product is discarded, never added.  The AVX-512 tile reads a
+// keep mask's low 16 bits as its __mmask16, the AVX2 tile broadcasts it
+// as a blendv lane mask.
+template <std::int64_t kMr>
+struct PackedPanel {
+  float a[kGemmKc][kMr];
+  std::uint32_t keep[kGemmKc][kMr];
+  bool dense[kGemmKc];
+};
+
+// Packs rows [i0, i0 + rows) of A over p in [p0, p1) into `panel`, four
+// rows at a time where the layout allows: a row-major A (the NN and NT
+// layouts) is transposed four rows by four steps at a time, and in A^T
+// (TN) a step's rows lie side by side, so they copy as one vector.  The
+// rest (a short last row group, the k-block's last few steps, any other
+// strides) goes one element at a time.
+template <std::int64_t kMr>
+__attribute__((target("avx2"))) void pack_panel(const GemmOperands& op, std::int64_t i0,
+                                                std::int64_t rows, std::int64_t p0,
+                                                std::int64_t p1, PackedPanel<kMr>& panel) {
+  const std::int64_t rs = op.a_row_stride;
+  const std::int64_t cs = op.a_col_stride;
+  const float* a = op.a + i0 * rs + p0 * cs;
+  const std::int64_t steps = p1 - p0;
+  std::fill_n(panel.dense, steps, true);
+  auto put1 = [&](std::int64_t s, std::int64_t r) {
+    const float v = a[r * rs + s * cs];
+    const bool nonzero = v != 0.0f;  // NaN is kept, as in the scalar body
+    panel.a[s][r] = v;
+    panel.keep[s][r] = nonzero ? ~0u : 0u;
+    panel.dense[s] = panel.dense[s] && nonzero;
+  };
+  // Rows r .. r + 3 of step s; cmpneqps is NEQ_UQ, so a NaN is kept too.
+  auto put4 = [&panel](std::int64_t s, std::int64_t r, __m128 v) {
+    const __m128 keep = _mm_cmpneq_ps(v, _mm_setzero_ps());
+    _mm_storeu_ps(&panel.a[s][r], v);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(&panel.keep[s][r]), _mm_castps_si128(keep));
+    panel.dense[s] = panel.dense[s] && _mm_movemask_ps(keep) == 0xf;
+  };
+  std::int64_t r = 0;
+  if (cs == 1) {
+    for (; r + 4 <= rows; r += 4) {
+      const float* src = a + r * rs;
+      std::int64_t s = 0;
+      for (; s + 4 <= steps; s += 4) {
+        __m128 s0 = _mm_loadu_ps(src + s);
+        __m128 s1 = _mm_loadu_ps(src + rs + s);
+        __m128 s2 = _mm_loadu_ps(src + 2 * rs + s);
+        __m128 s3 = _mm_loadu_ps(src + 3 * rs + s);
+        _MM_TRANSPOSE4_PS(s0, s1, s2, s3);
+        put4(s, r, s0);
+        put4(s + 1, r, s1);
+        put4(s + 2, r, s2);
+        put4(s + 3, r, s3);
+      }
+      for (; s < steps; ++s) {
+        for (std::int64_t q = r; q < r + 4; ++q) put1(s, q);
+      }
+    }
+  } else if (rs == 1) {
+    for (; r + 4 <= rows; r += 4) {
+      for (std::int64_t s = 0; s < steps; ++s) put4(s, r, _mm_loadu_ps(a + s * cs + r));
+    }
+  }
+  for (; r < rows; ++r) {
+    for (std::int64_t s = 0; s < steps; ++s) put1(s, r);
+  }
+}
 
 // One MR x (16 * NV) tile of C over p in [p0, p1): the tile lives in
 // MR * NV zmm accumulators; each step loads NV vectors of B row p once
-// and applies them to every row whose A element is non-zero.  The last
-// vector holds `tail` columns (masked).  The zero test is a branch per
-// row, not a blend: ReLU output is sparse, and a skipped row saves its
-// multiplies and adds.
+// and applies them to every row.  The last vector holds `tail` columns
+// (masked).  A(i, p) is broadcast straight from the packed panel: a
+// load-port op, where broadcasting from a register would compete with
+// the mul/add ports (45 -> 60 GFLOP/s on Sapphire Rapids at the serving
+// layer-0 shape); a sparse step loads each row's keep mask from the
+// panel the same way.
+using PanelAvx512 = PackedPanel<8>;
+
 template <int MR, int NV>
-__attribute__((target("avx512f"))) void tile_avx512(const GemmOperands& op, std::int64_t i0,
+__attribute__((target("avx512f"))) void tile_avx512(const GemmOperands& op,
+                                                    const PanelAvx512& panel, std::int64_t i0,
                                                     std::int64_t j0, std::int64_t p0,
                                                     std::int64_t p1, std::int64_t tail) {
   __mmask16 mask[NV];
@@ -138,7 +221,6 @@ __attribute__((target("avx512f"))) void tile_avx512(const GemmOperands& op, std:
   }
   const __m512 vbeta = _mm512_set1_ps(op.beta);
   __m512 acc[MR][NV];
-  const float* a_row[MR];
 #pragma GCC unroll 8
   for (int r = 0; r < MR; ++r) {
     const float* c_row = op.c + (i0 + r) * op.ldc + j0;
@@ -147,30 +229,35 @@ __attribute__((target("avx512f"))) void tile_avx512(const GemmOperands& op, std:
       acc[r][v] = _mm512_maskz_loadu_ps(mask[v], c_row + 16 * v);
       if (p0 == 0) acc[r][v] = _mm512_mul_ps(acc[r][v], vbeta);
     }
-    a_row[r] = op.a + (i0 + r) * op.a_row_stride;
   }
   for (std::int64_t p = p0; p < p1; ++p) {
+    const std::int64_t s = p - p0;
     const float* b_row = op.b + p * op.ldb + j0;
     __m512 bv[NV];
 #pragma GCC unroll 2
     for (int v = 0; v < NV; ++v) bv[v] = _mm512_maskz_loadu_ps(mask[v], b_row + 16 * v);
-    const std::int64_t a_off = p * op.a_col_stride;
+    if (panel.dense[s]) {
 #pragma GCC unroll 8
-    for (int r = 0; r < MR; ++r) {
-      // Skip A(i, p) == +-0 on its bits, then broadcast it straight from
-      // memory: a load-port op, where broadcasting from a register would
-      // compete with the mul/add ports (45 -> 60 GFLOP/s on Sapphire
-      // Rapids at the serving layer-0 shape).
-      const float* ap = a_row[r] + a_off;
-      std::uint32_t bits;
-      __builtin_memcpy(&bits, ap, sizeof(bits));
-      if (__builtin_expect((bits << 1) == 0, 0)) continue;
-      __m512 vs;
-      asm("vbroadcastss %1, %0" : "=v"(vs) : "m"(*ap));
+      for (int r = 0; r < MR; ++r) {
+        __m512 vs;
+        asm("vbroadcastss %1, %0" : "=v"(vs) : "m"(panel.a[s][r]));
 #pragma GCC unroll 2
-      for (int v = 0; v < NV; ++v) {
-        // mul then add — two rounding steps per lane, as in axpy_scalar.
-        acc[r][v] = _mm512_add_ps(acc[r][v], _mm512_mul_ps(vs, bv[v]));
+        for (int v = 0; v < NV; ++v) {
+          // mul then add — two rounding steps per lane, as in axpy_scalar.
+          acc[r][v] = _mm512_add_ps(acc[r][v], _mm512_mul_ps(vs, bv[v]));
+        }
+      }
+    } else {
+#pragma GCC unroll 8
+      for (int r = 0; r < MR; ++r) {
+        __m512 vs;
+        asm("vbroadcastss %1, %0" : "=v"(vs) : "m"(panel.a[s][r]));
+        __mmask16 keep;  // a load-port kmovw, not a GPR round trip on port 5
+        asm("kmovw %1, %0" : "=k"(keep) : "m"(panel.keep[s][r]));
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+          acc[r][v] = _mm512_mask_add_ps(acc[r][v], keep, acc[r][v], _mm512_mul_ps(vs, bv[v]));
+        }
       }
     }
   }
@@ -183,26 +270,31 @@ __attribute__((target("avx512f"))) void tile_avx512(const GemmOperands& op, std:
 }
 
 template <int NV>
-void rows_avx512(const GemmOperands& op, std::int64_t i0, std::int64_t rows, std::int64_t j0,
-                 std::int64_t p0, std::int64_t p1, std::int64_t tail) {
+void rows_avx512(const GemmOperands& op, const PanelAvx512& panel, std::int64_t i0,
+                 std::int64_t rows, std::int64_t j0, std::int64_t p0, std::int64_t p1,
+                 std::int64_t tail) {
   switch (rows) {
-    case 8: return tile_avx512<8, NV>(op, i0, j0, p0, p1, tail);
-    case 7: return tile_avx512<7, NV>(op, i0, j0, p0, p1, tail);
-    case 6: return tile_avx512<6, NV>(op, i0, j0, p0, p1, tail);
-    case 5: return tile_avx512<5, NV>(op, i0, j0, p0, p1, tail);
-    case 4: return tile_avx512<4, NV>(op, i0, j0, p0, p1, tail);
-    case 3: return tile_avx512<3, NV>(op, i0, j0, p0, p1, tail);
-    case 2: return tile_avx512<2, NV>(op, i0, j0, p0, p1, tail);
-    default: return tile_avx512<1, NV>(op, i0, j0, p0, p1, tail);
+    case 8: return tile_avx512<8, NV>(op, panel, i0, j0, p0, p1, tail);
+    case 7: return tile_avx512<7, NV>(op, panel, i0, j0, p0, p1, tail);
+    case 6: return tile_avx512<6, NV>(op, panel, i0, j0, p0, p1, tail);
+    case 5: return tile_avx512<5, NV>(op, panel, i0, j0, p0, p1, tail);
+    case 4: return tile_avx512<4, NV>(op, panel, i0, j0, p0, p1, tail);
+    case 3: return tile_avx512<3, NV>(op, panel, i0, j0, p0, p1, tail);
+    case 2: return tile_avx512<2, NV>(op, panel, i0, j0, p0, p1, tail);
+    default: return tile_avx512<1, NV>(op, panel, i0, j0, p0, p1, tail);
   }
 }
 
 // The AVX2 analogue: MR x (8 * NV) tiles in ymm accumulators; AVX2 has
-// no mask registers, so the column tail goes through maskload/maskstore.
+// no mask registers, so the column tail goes through maskload/maskstore
+// and a sparse step blends each row's sum with its keep lane mask.
+using PanelAvx2 = PackedPanel<4>;
+
 template <int MR, int NV>
-__attribute__((target("avx2"))) void tile_avx2(const GemmOperands& op, std::int64_t i0,
-                                               std::int64_t j0, std::int64_t p0,
-                                               std::int64_t p1, std::int64_t tail) {
+__attribute__((target("avx2"))) void tile_avx2(const GemmOperands& op, const PanelAvx2& panel,
+                                               std::int64_t i0, std::int64_t j0,
+                                               std::int64_t p0, std::int64_t p1,
+                                               std::int64_t tail) {
   const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   __m256i mask[NV];
 #pragma GCC unroll 2
@@ -211,7 +303,6 @@ __attribute__((target("avx2"))) void tile_avx2(const GemmOperands& op, std::int6
   }
   const __m256 vbeta = _mm256_set1_ps(op.beta);
   __m256 acc[MR][NV];
-  const float* a_row[MR];
 #pragma GCC unroll 4
   for (int r = 0; r < MR; ++r) {
     const float* c_row = op.c + (i0 + r) * op.ldc + j0;
@@ -220,25 +311,35 @@ __attribute__((target("avx2"))) void tile_avx2(const GemmOperands& op, std::int6
       acc[r][v] = _mm256_maskload_ps(c_row + 8 * v, mask[v]);
       if (p0 == 0) acc[r][v] = _mm256_mul_ps(acc[r][v], vbeta);
     }
-    a_row[r] = op.a + (i0 + r) * op.a_row_stride;
   }
   for (std::int64_t p = p0; p < p1; ++p) {
+    const std::int64_t s = p - p0;
     const float* b_row = op.b + p * op.ldb + j0;
     __m256 bv[NV];
 #pragma GCC unroll 2
     for (int v = 0; v < NV; ++v) bv[v] = _mm256_maskload_ps(b_row + 8 * v, mask[v]);
-    const std::int64_t a_off = p * op.a_col_stride;
+    if (panel.dense[s]) {
 #pragma GCC unroll 4
-    for (int r = 0; r < MR; ++r) {
-      const float* ap = a_row[r] + a_off;
-      std::uint32_t bits;
-      __builtin_memcpy(&bits, ap, sizeof(bits));
-      if (__builtin_expect((bits << 1) == 0, 0)) continue;
-      __m256 vs;
-      asm("vbroadcastss %1, %0" : "=x"(vs) : "m"(*ap));
+      for (int r = 0; r < MR; ++r) {
+        __m256 vs;
+        asm("vbroadcastss %1, %0" : "=x"(vs) : "m"(panel.a[s][r]));
 #pragma GCC unroll 2
-      for (int v = 0; v < NV; ++v) {
-        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(vs, bv[v]));
+        for (int v = 0; v < NV; ++v) {
+          acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(vs, bv[v]));
+        }
+      }
+    } else {
+#pragma GCC unroll 4
+      for (int r = 0; r < MR; ++r) {
+        __m256 vs;
+        asm("vbroadcastss %1, %0" : "=x"(vs) : "m"(panel.a[s][r]));
+        __m256 keep;
+        asm("vbroadcastss %1, %0" : "=x"(keep) : "m"(panel.keep[s][r]));
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+          const __m256 sum = _mm256_add_ps(acc[r][v], _mm256_mul_ps(vs, bv[v]));
+          acc[r][v] = _mm256_blendv_ps(acc[r][v], sum, keep);
+        }
       }
     }
   }
@@ -251,37 +352,37 @@ __attribute__((target("avx2"))) void tile_avx2(const GemmOperands& op, std::int6
 }
 
 template <int NV>
-void rows_avx2(const GemmOperands& op, std::int64_t i0, std::int64_t rows, std::int64_t j0,
-               std::int64_t p0, std::int64_t p1, std::int64_t tail) {
+void rows_avx2(const GemmOperands& op, const PanelAvx2& panel, std::int64_t i0,
+               std::int64_t rows, std::int64_t j0, std::int64_t p0, std::int64_t p1,
+               std::int64_t tail) {
   switch (rows) {
-    case 4: return tile_avx2<4, NV>(op, i0, j0, p0, p1, tail);
-    case 3: return tile_avx2<3, NV>(op, i0, j0, p0, p1, tail);
-    case 2: return tile_avx2<2, NV>(op, i0, j0, p0, p1, tail);
-    default: return tile_avx2<1, NV>(op, i0, j0, p0, p1, tail);
+    case 4: return tile_avx2<4, NV>(op, panel, i0, j0, p0, p1, tail);
+    case 3: return tile_avx2<3, NV>(op, panel, i0, j0, p0, p1, tail);
+    case 2: return tile_avx2<2, NV>(op, panel, i0, j0, p0, p1, tail);
+    default: return tile_avx2<1, NV>(op, panel, i0, j0, p0, p1, tail);
   }
 }
 
-// Tiles rows i0 .. i0 + rows (rows <= the ISA's tile height) and columns
-// from j0, over p in [p0, p1); the last vector holds `tail` columns.
-using TileRows = void (*)(const GemmOperands& op, std::int64_t i0, std::int64_t rows,
-                          std::int64_t j0, std::int64_t p0, std::int64_t p1, std::int64_t tail);
-
-// Walks rows [r0, r1) of C in kMr-row tiles, two kLanes-wide vectors
-// across (`wide`; `narrow` takes a last tile of at most one vector), and
-// k in kGemmKc blocks.
-template <std::int64_t kMr, std::int64_t kLanes>
-void gemm_tiled(const GemmOperands& op, std::int64_t r0, std::int64_t r1, TileRows wide,
-                TileRows narrow) {
+// Walks rows [r0, r1) of C in kMr-row tiles and k in kGemmKc blocks,
+// packing each tile's A panel once, then columns two kLanes-wide vectors
+// at a time (`wide`; `narrow` takes a last tile of at most one vector).
+// Both tile bodies take (op, panel, i0, rows, j0, p0, p1, tail); the last
+// vector holds `tail` columns.
+template <std::int64_t kMr, std::int64_t kLanes, typename Tile>
+void gemm_tiled(const GemmOperands& op, std::int64_t r0, std::int64_t r1, Tile wide,
+                Tile narrow) {
+  PackedPanel<kMr> panel;
   for (std::int64_t p0 = 0; p0 == 0 || p0 < op.k; p0 += kGemmKc) {
     const std::int64_t p1 = std::min(op.k, p0 + kGemmKc);
     for (std::int64_t i = r0; i < r1; i += kMr) {
       const std::int64_t rows = std::min(kMr, r1 - i);
+      pack_panel(op, i, rows, p0, p1, panel);
       for (std::int64_t j = 0; j < op.n; j += 2 * kLanes) {
         const std::int64_t cols = std::min(2 * kLanes, op.n - j);
         if (cols > kLanes) {
-          wide(op, i, rows, j, p0, p1, cols - kLanes);
+          wide(op, panel, i, rows, j, p0, p1, cols - kLanes);
         } else {
-          narrow(op, i, rows, j, p0, p1, cols);
+          narrow(op, panel, i, rows, j, p0, p1, cols);
         }
       }
     }

@@ -103,7 +103,13 @@ struct GemmOperands {
 /// A(i, p) * B(p, j), multiply and add rounded separately.  The x86
 /// bodies hold a tile of C in vector registers while they walk p
 /// (AVX-512: 8 rows x 32 columns; AVX2: 4 x 16), with masked column
-/// tails and a per-row branch for the skip.
+/// tails.  A tile's rows of A are packed once per k-block into a panel
+/// every column tile shares, with a keep mask per row and step and a
+/// per-step "all rows non-zero" flag: a dense step runs the plain
+/// mul + add; a step with a zero computes every product and keeps the
+/// skipped rows' accumulators through a masked add (AVX-512 mask
+/// register, AVX2 blendv).  No branch per row, and a 0 * inf product is
+/// discarded, never added.
 void gemm(const GemmOperands& op, std::int64_t r0, std::int64_t r1);
 
 // ---- scalar reference bodies (the differential oracles) ----

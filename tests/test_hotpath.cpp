@@ -4,7 +4,10 @@
 //     guarantee depends on it);
 //   * GEMM bit-identity against the scalar oracle on every tier the CPU
 //     supports (force_tier seam): all four layouts, row and column
-//     tails, k = 1, signed zeros, ReLU-sparse A, alpha/beta != 1;
+//     tails, k = 1, signed zeros, ReLU-sparse A, alpha/beta != 1, and
+//     the masked-add path: zeros opposite +-inf/NaN, tiles mixing dense
+//     and sparse steps, -0 kept under beta = 1, sparse row tails and
+//     k crossing the 128-step k-block boundary (once and several times);
 //   * int8 device rows: hit/miss value consistency, wire-byte ratio
 //     (>= 3x vs fp32 at feature widths >= 12), and end-to-end logit
 //     exactness against an explicitly round-tripped reference;
@@ -17,6 +20,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <thread>
 #include <vector>
@@ -175,6 +179,13 @@ struct GemmCase {
   float a_zero_frac;  ///< share of A entries set to 0 (ReLU-sparse A)
   bool zero_a_row;    ///< op(A) row 0 all zeros, of both signs
   bool negative_c;    ///< C starts negative, so beta = 0 leaves -0.0f
+  /// Only steps p with p % sparse_every == 0 draw zeros, so a tile mixes
+  /// dense steps (plain add) with sparse ones (masked add).
+  std::int64_t sparse_every = 1;
+  /// op(A) column 0 all zeros opposite an op(B) row 0 of +-inf and NaN:
+  /// every product there is NaN, and the zero skip must discard it.
+  bool inf_opposite_zero = false;
+  bool neg_zero_c = false;  ///< C starts as -0.0f: beta = 1 over a zero row keeps it
 };
 
 std::ostream& operator<<(std::ostream& os, const GemmCase& c) { return os << c.name; }
@@ -191,17 +202,30 @@ TEST_P(GemmTiers, BitIdenticalToScalarOracleOnEveryTier) {
   uniform_init(b, -2.0f, 2.0f, 2);
   if (gc.negative_c) {
     uniform_init(c0, -2.0f, -0.5f, 3);
+  } else if (gc.neg_zero_c) {
+    c0.fill(-0.0f);
   } else {
     uniform_init(c0, -2.0f, 2.0f, 3);
   }
   std::mt19937_64 rng(5);
   std::uniform_real_distribution<float> unit(0.0f, 1.0f);
-  for (float& v : a.flat()) {
-    if (unit(rng) < gc.a_zero_frac) v = 0.0f;
+  for (std::int64_t e = 0; e < a.size(); ++e) {
+    const std::int64_t p = gc.trans_a ? e / gc.m : e % gc.k;
+    if (unit(rng) < gc.a_zero_frac && p % gc.sparse_every == 0) a.data()[e] = 0.0f;
   }
   if (gc.zero_a_row) {
     for (std::int64_t p = 0; p < gc.k; ++p) {
       a.data()[gc.trans_a ? p * gc.m : p] = p % 2 == 0 ? 0.0f : -0.0f;
+    }
+  }
+  if (gc.inf_opposite_zero) {
+    const float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {inf, -inf, std::numeric_limits<float>::quiet_NaN()};
+    for (std::int64_t i = 0; i < gc.m; ++i) {
+      a.data()[gc.trans_a ? i : i * gc.k] = i % 2 == 0 ? 0.0f : -0.0f;
+    }
+    for (std::int64_t j = 0; j < gc.n; ++j) {
+      b.data()[gc.trans_b ? j * gc.k : j] = specials[j % 3];
     }
   }
 
@@ -212,6 +236,11 @@ TEST_P(GemmTiers, BitIdenticalToScalarOracleOnEveryTier) {
   if (gc.zero_a_row && gc.beta == 0.0f && gc.negative_c) {
     EXPECT_TRUE(std::signbit(c_ref.data()[0])) << "beta = 0 must keep -0.0f";
   }
+  if (gc.zero_a_row && gc.neg_zero_c) {
+    for (std::int64_t j = 0; j < gc.n; ++j) {
+      EXPECT_TRUE(std::signbit(c_ref.at(0, j))) << "beta = 1 must keep -0.0f, j=" << j;
+    }
+  }
 
   for (const simd::Tier tier : simd::supported_tiers()) {
     Tensor c = c0;
@@ -219,6 +248,12 @@ TEST_P(GemmTiers, BitIdenticalToScalarOracleOnEveryTier) {
     gemm(a, gc.trans_a, b, gc.trans_b, c, gc.alpha, gc.beta);
     EXPECT_EQ(std::memcmp(c.data(), c_ref.data(), c_ref.flat().size() * sizeof(float)), 0)
         << "tier " << simd::tier_name(tier) << " max diff " << Tensor::max_abs_diff(c, c_ref);
+    if (gc.inf_opposite_zero) {
+      for (const float v : c.flat()) {
+        ASSERT_TRUE(std::isfinite(v)) << "tier " << simd::tier_name(tier)
+                                      << ": a 0 * inf product reached C";
+      }
+    }
   }
 }
 
@@ -245,6 +280,34 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{"alpha_beta_tn", 40, 26, 300, true, false, -2.0f, 0.3f, 0.1f, false, false},
         // Large enough (21M MACs) to split across the pool.
         GemmCase{"parallel_serving", 416, 256, 200, false, false, 1.0f, 0.0f, 0.3f, false,
+                 false},
+        // The sparse path: a step with any zero A element takes the
+        // masked add, every other step the plain one.
+        GemmCase{"inf_opposite_zero", 19, 40, 37, false, false, 1.0f, 0.0f, 0.3f, false, false,
+                 1, true},
+        GemmCase{"inf_opposite_zero_tn", 21, 33, 300, true, false, 0.5f, 1.0f, 0.3f, false,
+                 false, 1, true},
+        GemmCase{"inf_opposite_zero_nt", 12, 47, 20, false, true, 1.0f, 0.0f, 0.0f, false, false,
+                 1, true},
+        GemmCase{"mixed_steps", 24, 40, 300, false, false, 1.0f, 0.0f, 0.5f, false, false, 3},
+        GemmCase{"mixed_steps_tn", 24, 47, 300, true, false, 1.0f, 1.0f, 0.5f, false, false, 4},
+        GemmCase{"beta_one_neg_zero_c", 9, 33, 21, false, false, 1.0f, 1.0f, 0.5f, true, false,
+                 1, false, true},
+        GemmCase{"beta_one_neg_zero_c_tn", 13, 47, 260, true, false, 1.0f, 1.0f, 0.5f, true,
+                 false, 1, false, true},
+        GemmCase{"sparse_m_tail_1", 9, 40, 64, false, false, 1.0f, 0.0f, 0.5f, false, false},
+        GemmCase{"sparse_m_tail_2", 10, 33, 64, true, false, 1.0f, 0.0f, 0.5f, false, false},
+        GemmCase{"sparse_m_tail_3", 11, 17, 40, false, true, 1.0f, 0.0f, 0.5f, false, false},
+        GemmCase{"sparse_m_tail_4", 28, 47, 512, false, false, 1.0f, 0.0f, 0.5f, false, false},
+        GemmCase{"sparse_m_tail_5", 13, 47, 64, true, false, 1.0f, 0.5f, 0.5f, false, false},
+        GemmCase{"sparse_m_tail_6", 14, 20, 33, false, false, 1.0f, 0.0f, 0.5f, false, false},
+        GemmCase{"sparse_m_tail_7", 15, 64, 47, false, true, 1.0f, 0.0f, 0.5f, false, false},
+        GemmCase{"sparse_k_blocks", 19, 40, 600, false, false, 1.0f, 0.0f, 0.5f, false, false},
+        GemmCase{"sparse_k_blocks_tn", 17, 33, 513, true, false, 1.0f, -1.0f, 0.5f, false,
+                 false},
+        GemmCase{"sparse_k_blocks_nt", 16, 47, 257, false, true, 1.0f, 0.0f, 0.5f, false,
+                 false},
+        GemmCase{"sparse_k_block_edge", 12, 40, 129, true, false, 1.0f, 0.0f, 0.5f, false,
                  false}),
     [](const ::testing::TestParamInfo<GemmCase>& info) { return std::string(info.param.name); });
 

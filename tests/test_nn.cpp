@@ -1,8 +1,11 @@
 // Tests for nn/: convolution layers (finite-difference gradient checks),
-// model forward/backward, loss, optimizers, metrics.
+// model forward/backward (including that skipping layer 0's input
+// gradient leaves every parameter gradient bit-identical), loss,
+// optimizers, metrics.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "graph/generator.hpp"
@@ -187,6 +190,129 @@ TEST_P(GradCheckTest, TwoLayerGradientsMatchFiniteDifference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, GradCheckTest,
+                         ::testing::Values(GnnKind::kGcn, GnnKind::kSage, GnnKind::kGat),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case GnnKind::kGcn: return "GCN";
+                             case GnnKind::kSage: return "SAGE";
+                             case GnnKind::kGat: return "GAT";
+                           }
+                           return "?";
+                         });
+
+// Forward, then a backward that asks every layer, layer 0 included, for
+// its input gradient, through a stack of ConvLayers holding `model`'s
+// parameter values and chained the way GnnModel chains its own.  Returns
+// the parameter gradients in GnnModel::parameters() order; `d_x` gets
+// the gradient w.r.t. the input features.
+std::vector<Tensor> grads_with_input_gradient(const GnnModel& model, const MiniBatch& batch,
+                                              const Tensor& x, const Tensor& d_logits,
+                                              Tensor& d_x) {
+  const ModelConfig& config = model.config();
+  const ConvKind conv = config.kind == GnnKind::kGcn    ? ConvKind::kGcn
+                        : config.kind == GnnKind::kSage ? ConvKind::kSage
+                                                        : ConvKind::kGat;
+  const int num_layers = config.num_layers();
+  std::vector<ConvLayer> layers;
+  std::vector<Param*> params;
+  for (int l = 0; l < num_layers; ++l) {
+    layers.emplace_back(conv, config.dims[static_cast<std::size_t>(l)],
+                        config.dims[static_cast<std::size_t>(l) + 1], l + 1 < num_layers, 1);
+  }
+  for (ConvLayer& layer : layers) {
+    params.push_back(&layer.weight());
+    params.push_back(&layer.bias());
+    for (Param* extra : layer.extra_params()) params.push_back(extra);
+  }
+  const auto values = model.parameters();
+  EXPECT_EQ(params.size(), values.size());
+  for (std::size_t i = 0; i < params.size(); ++i) params[i]->value = values[i]->value;
+
+  Tensor h = x;
+  for (int l = 0; l < num_layers; ++l) {
+    Tensor h_next;
+    layers[static_cast<std::size_t>(l)].forward(batch.blocks[static_cast<std::size_t>(l)], h,
+                                                h_next);
+    if (l + 1 < num_layers) {
+      const std::int64_t need = batch.blocks[static_cast<std::size_t>(l) + 1].num_src();
+      Tensor trimmed(need, h_next.cols());
+      std::copy(h_next.data(), h_next.data() + trimmed.size(), trimmed.data());
+      h_next = std::move(trimmed);
+    }
+    h = std::move(h_next);
+  }
+  Tensor grad = d_logits;
+  for (int l = num_layers; l-- > 0;) {
+    const LayerBlock& block = batch.blocks[static_cast<std::size_t>(l)];
+    if (grad.rows() < block.num_dst) {
+      Tensor padded(block.num_dst, grad.cols());
+      std::copy(grad.data(), grad.data() + grad.size(), padded.data());
+      grad = std::move(padded);
+    }
+    Tensor d_in;
+    layers[static_cast<std::size_t>(l)].backward(block, grad, &d_in);
+    grad = std::move(d_in);
+  }
+  d_x = std::move(grad);
+  std::vector<Tensor> grads;
+  for (const Param* p : params) grads.push_back(p->grad);
+  return grads;
+}
+
+class InputGradientSkip : public ::testing::TestWithParam<GnnKind> {};
+
+TEST_P(InputGradientSkip, ParameterGradientsBitIdenticalToFullBackward) {
+  // GnnModel::backward never computes layer 0's input gradient; the
+  // parameter gradients SGD consumes must not move by a bit for it.  The
+  // 2-layer model trims and pads between layers; in the 1-layer model,
+  // layer 0 is also the logits layer (no ReLU).
+  RmatParams rp;
+  rp.scale = 8;
+  rp.edge_factor = 6;
+  const CsrGraph g = generate_rmat(rp);
+  std::vector<VertexId> seeds;
+  for (VertexId v = 0; v < g.num_vertices() && seeds.size() < 24; ++v) {
+    if (g.degree(v) > 1) seeds.push_back(v);
+  }
+  for (const std::vector<int>& dims : {std::vector<int>{12, 16, 5}, std::vector<int>{12, 5}}) {
+    SCOPED_TRACE(dims.size() - 1);
+    std::vector<int> fanouts = {5, 3};
+    fanouts.resize(dims.size() - 1);
+    NeighborSampler sampler(g, fanouts, 8);
+    const MiniBatch batch = sampler.sample(seeds);
+    ModelConfig config;
+    config.kind = GetParam();
+    config.dims = dims;
+    config.seed = 41;
+    GnnModel model(config);
+    Tensor x(batch.blocks.front().num_src(), dims.front());
+    uniform_init(x, -1.0f, 1.0f, 7);
+    std::vector<int> labels(batch.seeds.size());
+    for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<int>(i % 5);
+
+    model.zero_grad();
+    const LossResult loss = softmax_cross_entropy(model.forward(batch, x), labels);
+    model.backward(batch, loss.d_logits);
+
+    Tensor d_x;
+    const std::vector<Tensor> reference =
+        grads_with_input_gradient(model, batch, x, loss.d_logits, d_x);
+    EXPECT_EQ(d_x.rows(), x.rows());
+    EXPECT_EQ(d_x.cols(), x.cols());
+    EXPECT_GT(d_x.norm(), 0.0) << "the reference did compute the input gradient";
+    const auto params = model.parameters();
+    ASSERT_EQ(params.size(), reference.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      const Tensor& grad = params[i]->grad;
+      ASSERT_EQ(grad.size(), reference[i].size());
+      EXPECT_GT(grad.norm(), 0.0) << params[i]->name << " #" << i;
+      EXPECT_EQ(std::memcmp(grad.data(), reference[i].data(), grad.size() * sizeof(float)), 0)
+          << params[i]->name << " #" << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, InputGradientSkip,
                          ::testing::Values(GnnKind::kGcn, GnnKind::kSage, GnnKind::kGat),
                          [](const auto& info) {
                            switch (info.param) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -160,6 +162,38 @@ TEST(Ops, ReluForwardBackward) {
   EXPECT_FLOAT_EQ(dx.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(dx.at(0, 1), 1.0f);
   EXPECT_FLOAT_EQ(dx.at(0, 2), 0.0f);  // gradient at exactly 0 is 0
+}
+
+TEST(Ops, ReluBackwardBitIdenticalToScalarDefinition) {
+  // The branch-free loop must give exactly `x > 0 ? dy : 0.0f`: x = +-0
+  // and NaN select +0, and a kept dy passes through bit for bit, NaN and
+  // +-inf included.  ReLU-sparse data (half of x <= 0) at an odd size
+  // covers the vector body and its tail.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> special_x = {0.0f, -0.0f, nan, -nan, 1e-40f, -1e-40f, inf, -inf};
+  const std::vector<float> special_dy = {nan, -nan, inf, -inf, 0.0f, -0.0f, 1e-40f};
+  Tensor x = random_tensor(37, 19, 81);
+  Tensor dy = random_tensor(37, 19, 82);
+  auto px = x.flat();
+  auto pdy = dy.flat();
+  std::size_t at = 0;
+  for (const float xv : special_x) {
+    for (const float dv : special_dy) {
+      px[at] = xv;
+      pdy[at] = dv;
+      at += 3;
+    }
+  }
+  for (std::size_t i = 1; i < pdy.size(); i += 11) pdy[i] = special_dy[i % special_dy.size()];
+  Tensor dx;
+  relu_backward(x, dy, dx);
+  ASSERT_EQ(dx.size(), x.size());
+  for (std::size_t i = 0; i < px.size(); ++i) {
+    const float expected = px[i] > 0.0f ? pdy[i] : 0.0f;
+    EXPECT_EQ(std::memcmp(&dx.flat()[i], &expected, sizeof(float)), 0)
+        << "i=" << i << " x=" << px[i] << " dy=" << pdy[i] << " dx=" << dx.flat()[i];
+  }
 }
 
 TEST(Ops, DropoutKeepsExpectedValue) {
