@@ -93,7 +93,8 @@ int main() {
     serving.batch.max_wait = 2e-3;
     serving.seed = 7;
     serving.telemetry = &telemetry;
-    InferenceServer server(dataset, model, serving);
+    auto backend = make_static_backend(dataset, serving);
+    InferenceServer server(*backend, model, serving);
 
     LoadGeneratorConfig load;
     load.num_clients = point.clients;

@@ -207,7 +207,7 @@ int main() {
     ExpiryPolicy expiry;
     expiry.ttl = point.ttl_ms < 0.0 ? -1.0 : point.ttl_ms * 1e-3;
     expiry.sweep_interval = 5e-3;
-    StreamingSession session = system.stream(serving, streaming, compaction, publisher, expiry);
+    ServingSession session = system.stream(serving, streaming, compaction, publisher, expiry);
 
     UpdateGeneratorConfig updates;
     updates.operations = point.update_ops;
@@ -312,8 +312,7 @@ int main() {
       compaction.max_overlay_ratio = 0.10;
       PublisherPolicy publisher;
       publisher.staleness_budget = point.slo_budget_ms * 1e-3;
-      ShardedStreamingSession session =
-          system.stream_sharded(sharded, serving, compaction, publisher);
+      ServingSession session = system.stream_sharded(sharded, serving, compaction, publisher);
 
       UpdateGeneratorConfig updates;
       updates.operations = point.update_ops;

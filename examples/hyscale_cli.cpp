@@ -23,15 +23,27 @@
 //        [--compact-edges N] [--compact-ratio R] [--no-annihilate] \
 //        [--slo-ms 5] [--ttl-ms 50] [--sweep-ms 10] [--publish-every N]
 //
+// Each mode parses its flags from one table (stream's extends serve's)
+// that writes straight into the library's config structs.  Every value
+// is parsed whole: trailing junk, a negative count or an out-of-range
+// value exits 2 before the dataset is built.
+//
 // Prints per-epoch reports (train), p50/p99 latency, QPS, batch-size
 // and cache statistics (serve), plus ingest rate, publish lag and
 // queue-wait/compute split (stream).
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/strutil.hpp"
@@ -41,22 +53,212 @@ using namespace hyscale;
 
 namespace {
 
-struct CliOptions {
+// ------------------------------------------------------------ flag table
+
+/// One flag: its name and what its value does.  Switches take no value
+/// (`set` gets nullptr); a setter prints why and returns false to
+/// reject a value.
+struct Flag {
+  std::string name;
+  bool takes_value;
+  std::function<bool(const char* value)> set;
+};
+using FlagTable = std::vector<Flag>;
+
+bool reject(const std::string& flag, const char* value, const std::string& want) {
+  std::fprintf(stderr, "%s: expected %s (got '%s')\n", flag.c_str(), want.c_str(), value);
+  return false;
+}
+
+/// Parses the whole token: an empty token, trailing junk, a sign on an
+/// unsigned type, or a value out of T's range fails.
+template <class T>
+bool parse_whole(const char* text, T& out) {
+  const std::string_view s(text);
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  if constexpr (std::is_floating_point_v<T>) {
+    if (ec == std::errc() && !std::isfinite(out)) return false;
+  }
+  return !s.empty() && ec == std::errc() && end == s.data() + s.size();
+}
+
+/// A switch: stores `value` in `dst`.
+template <class T>
+Flag set_to(std::string name, T& dst, T value) {
+  return {std::move(name), false, [&dst, value](const char*) {
+            dst = value;
+            return true;
+          }};
+}
+
+Flag text(std::string name, std::string& dst) {
+  return {std::move(name), true, [&dst](const char* v) {
+            dst = v;
+            return true;
+          }};
+}
+
+/// An integer at least `min` (counts default to non-negative).
+template <class T>
+Flag count(std::string name, T& dst, T min = 0) {
+  return {name, true, [name, &dst, min](const char* v) {
+            T parsed{};
+            if (!parse_whole(v, parsed) || parsed < min)
+              return reject(name, v, "an integer >= " + std::to_string(min));
+            dst = parsed;
+            return true;
+          }};
+}
+
+/// A finite real, stored in `dst` multiplied by `scale` (1e-3 turns a
+/// millisecond flag into library Seconds).
+Flag real(std::string name, double& dst, double scale = 1.0) {
+  return {name, true, [name, &dst, scale](const char* v) {
+            double parsed = 0.0;
+            if (!parse_whole(v, parsed)) return reject(name, v, "a number");
+            dst = parsed * scale;
+            return true;
+          }};
+}
+
+/// One of a fixed set of spellings.
+template <class T>
+Flag choice(std::string name, T& dst, std::vector<std::pair<std::string, T>> options) {
+  return {name, true, [name, &dst, options = std::move(options)](const char* v) {
+            std::string names;
+            for (const auto& [spelling, value] : options) {
+              if (spelling == v) {
+                dst = value;
+                return true;
+              }
+              names += (names.empty() ? "" : "|") + spelling;
+            }
+            return reject(name, v, names);
+          }};
+}
+
+/// Comma-separated positive fanouts, input layer first.
+Flag fanouts(std::vector<int>& dst) {
+  return {"--fanouts", true, [&dst](const char* v) {
+            std::vector<int> parsed;
+            for (const std::string& token : split(v, ',')) {
+              int f = 0;
+              if (!parse_whole(token.c_str(), f) || f <= 0)
+                return reject("--fanouts", v, "positive integers a,b,...");
+              parsed.push_back(f);
+            }
+            if (parsed.empty()) return reject("--fanouts", v, "positive integers a,b,...");
+            dst = std::move(parsed);
+            return true;
+          }};
+}
+
+/// Probes an output path at parse time so a typo'd directory fails
+/// before minutes of load generation, not after.  "-" means stderr.
+Flag output_path(std::string name, std::string& dst) {
+  return {name, true, [name, &dst](const char* v) {
+            if (std::string(v) != "-") {
+              std::FILE* f = std::fopen(v, "a");
+              if (f == nullptr) {
+                std::fprintf(stderr, "%s: cannot open '%s' for writing\n", name.c_str(), v);
+                return false;
+              }
+              std::fclose(f);
+            }
+            dst = v;
+            return true;
+          }};
+}
+
+enum class Parsed { kOk, kHelp, kBad };
+
+Parsed parse_flags(int argc, char** argv, int first, const FlagTable& table) {
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") return Parsed::kHelp;
+    const auto flag = std::find_if(table.begin(), table.end(),
+                                   [&](const Flag& f) { return f.name == arg; });
+    if (flag == table.end()) {
+      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      return Parsed::kBad;
+    }
+    const char* value = nullptr;
+    if (flag->takes_value) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+        return Parsed::kBad;
+      }
+      value = argv[++i];
+    }
+    if (!flag->set(value)) return Parsed::kBad;
+  }
+  return Parsed::kOk;
+}
+
+/// Parses `flags(options)` from argv[first..], then runs the mode: 0
+/// after --help, 2 on a bad flag (with the usage), 1 when the run
+/// throws.
+template <class Options>
+int run_mode(int argc, char** argv, int first, FlagTable (*flags)(Options&),
+             void (*usage)(const char*), int (*run)(const Options&)) {
+  Options options;
+  switch (parse_flags(argc, argv, first, flags(options))) {
+    case Parsed::kHelp:
+      usage(argv[0]);
+      return 0;
+    case Parsed::kBad:
+      usage(argv[0]);
+      return 2;
+    case Parsed::kOk:
+      break;
+  }
+  try {
+    return run(options);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+}
+
+/// Parses a model name, rejecting what parse_gnn_kind rejects.
+Flag model(GnnKind& dst) {
+  return {"--model", true, [&dst](const char* v) {
+            try {
+              dst = parse_gnn_kind(v);
+              return true;
+            } catch (const std::invalid_argument&) {
+              return reject("--model", v, "gcn|sage|gat");
+            }
+          }};
+}
+
+std::optional<Dataset> load_dataset(const std::string& name, VertexId scale) {
+  MaterializeOptions materialize;
+  materialize.target_vertices = scale;
+  try {
+    return materialize_dataset(name, materialize);
+  } catch (const std::out_of_range&) {
+    std::fprintf(stderr, "unknown dataset '%s'; known datasets:\n", name.c_str());
+    for (const auto& info : paper_datasets()) std::fprintf(stderr, "  %s\n", info.name.c_str());
+    return std::nullopt;
+  }
+}
+
+// ------------------------------------------------------------ train mode
+
+struct TrainOptions {
   std::string dataset = "ogbn-products";
-  std::string model = "sage";
-  std::string platform = "fpga";
+  PlatformSpec (*platform)(int) = cpu_fpga_platform;
   int accels = 4;
   int epochs = 2;
-  std::vector<int> fanouts = {25, 10};
-  bool hybrid = true;
-  bool drm = true;
-  bool tfp = true;
-  bool int8 = false;
-  std::string trace_path;
   VertexId scale = 1 << 11;
+  std::string trace_path;
+  HybridTrainerConfig config;
+
+  TrainOptions() { config.trajectory_cap = 0; }  // --trace keeps 256
 };
 
-void usage(const char* argv0) {
+void train_usage(const char* argv0) {
   std::printf(
       "usage: %s [--dataset NAME] [--model gcn|sage|gat] [--platform gpu|fpga]\n"
       "          [--accels K] [--epochs N] [--fanouts a,b,...] [--scale V]\n"
@@ -64,96 +266,90 @@ void usage(const char* argv0) {
       argv0);
 }
 
-bool parse_args(int argc, char** argv, CliOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--dataset") {
-      const char* v = next();
-      if (!v) return false;
-      options.dataset = v;
-    } else if (arg == "--model") {
-      const char* v = next();
-      if (!v) return false;
-      options.model = v;
-    } else if (arg == "--platform") {
-      const char* v = next();
-      if (!v) return false;
-      options.platform = v;
-    } else if (arg == "--accels") {
-      const char* v = next();
-      if (!v) return false;
-      options.accels = std::atoi(v);
-    } else if (arg == "--epochs") {
-      const char* v = next();
-      if (!v) return false;
-      options.epochs = std::atoi(v);
-    } else if (arg == "--scale") {
-      const char* v = next();
-      if (!v) return false;
-      options.scale = std::atoll(v);
-    } else if (arg == "--fanouts") {
-      const char* v = next();
-      if (!v) return false;
-      options.fanouts.clear();
-      for (const std::string& tok : split(v, ',')) {
-        options.fanouts.push_back(std::atoi(tok.c_str()));
-      }
-    } else if (arg == "--no-hybrid") {
-      options.hybrid = false;
-    } else if (arg == "--no-drm") {
-      options.drm = false;
-    } else if (arg == "--no-tfp") {
-      options.tfp = false;
-    } else if (arg == "--int8") {
-      options.int8 = true;
-    } else if (arg == "--trace") {
-      const char* v = next();
-      if (!v) return false;
-      options.trace_path = v;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
+FlagTable train_flags(TrainOptions& o) {
+  HybridTrainerConfig& c = o.config;
+  return {
+      text("--dataset", o.dataset),
+      model(c.model_kind),
+      choice("--platform", o.platform, {{"gpu", cpu_gpu_platform}, {"fpga", cpu_fpga_platform}}),
+      count("--accels", o.accels, 1),
+      count("--epochs", o.epochs),
+      count<VertexId>("--scale", o.scale, 1),
+      fanouts(c.fanouts),
+      set_to("--no-hybrid", c.hybrid, false),
+      set_to("--no-drm", c.drm, false),
+      set_to("--no-tfp", c.pipeline, PipelineMode::kSinglePrefetch),
+      set_to("--int8", c.transfer_precision, TransferPrecision::kInt8),
+      {"--trace", true,
+       [&o](const char* v) {
+         o.trace_path = v;
+         o.config.trajectory_cap = 256;
+         return true;
+       }},
+  };
 }
 
-// ------------------------------------------------------------- serve mode
+int run_train(const TrainOptions& options) {
+  const std::optional<Dataset> dataset = load_dataset(options.dataset, options.scale);
+  if (!dataset) return 2;
+  const HybridTrainerConfig& config = options.config;
+  const PlatformSpec platform = options.platform(options.accels);
+
+  std::printf("dataset:  %s (paper scale: %llu vertices / %llu edges)\n",
+              dataset->info.name.c_str(),
+              static_cast<unsigned long long>(dataset->info.num_vertices),
+              static_cast<unsigned long long>(dataset->info.num_edges));
+  std::printf("platform: %s\n", platform.name.c_str());
+  std::printf("model:    %s, fanouts", gnn_kind_name(config.model_kind));
+  for (int f : config.fanouts) std::printf(" %d", f);
+  std::printf(", hybrid=%d drm=%d tfp=%d wire=%s\n\n", config.hybrid, config.drm,
+              config.pipeline == PipelineMode::kTwoStagePrefetch,
+              transfer_precision_name(config.transfer_precision));
+
+  HybridTrainer trainer(*dataset, platform, config);
+  std::printf("initial mapping: %s\n", trainer.workload().to_string().c_str());
+  std::printf("predicted epoch: %.3f s\n\n", trainer.predicted_epoch_time());
+
+  EpochReport last;
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    last = trainer.train_epoch();
+    std::printf("epoch %2d: %8.3f s  %7.0f MTEPS  loss %.4f  acc %.3f\n", epoch,
+                last.epoch_time, last.mteps, last.loss, last.train_accuracy);
+  }
+  std::printf("\nfinal workload: %s\n", last.final_workload.to_string().c_str());
+  std::printf("mean stage times: %s\n", last.mean_times.to_string().c_str());
+
+  if (!options.trace_path.empty()) {
+    write_chrome_trace(last, config.pipeline, options.trace_path);
+    std::printf("pipeline trace written to %s (open in chrome://tracing)\n",
+                options.trace_path.c_str());
+  }
+  return 0;
+}
+
+// ------------------------------------------------------------ serve mode
 
 struct ServeOptions {
   std::string dataset = "ogbn-products";
-  std::string model = "sage";
   VertexId scale = 1 << 11;
   int train_epochs = 1;
   std::string checkpoint;       ///< load instead of relying on training
   std::string save_checkpoint;  ///< write trained weights before serving
-  std::vector<int> fanouts = {10, 5};  ///< empty via --full: exact inference
-  int workers = 4;
-  std::int64_t cache_rows = 512;
-  /// Device-row wire precision for the feature cache (and, in stream
-  /// mode, the mutable store's host rows): fp32 or int8.
-  TransferPrecision precision = TransferPrecision::kFp32;
-  std::int64_t max_batch = 16;
-  double max_wait_ms = 2.0;
-  std::int64_t queue_cap = 1024;
-  int clients = 8;
-  int requests = 64;
-  int seeds_per_request = 4;
-  std::uint64_t seed = 1;
-  std::string metrics_out;      ///< JSON-lines telemetry dump; "-" = stderr
-  int metrics_interval_ms = 0;  ///< periodic exporter cadence; 0 = final dump only
-  bool stage_trace = false;     ///< per-request / lifecycle stage tracing
+  std::uint64_t seed = 1;       ///< trainer and server; load and updates derive theirs
+  GnnKind model_kind = GnnKind::kSage;
+  ServingConfig serving;
+  LoadGeneratorConfig load;
+  std::string metrics_out;        ///< JSON-lines telemetry dump; "-" = stderr
+  int metrics_interval_ms = 0;    ///< periodic exporter cadence; 0 = final dump only
+  bool stage_trace = false;       ///< per-request / lifecycle stage tracing
   std::string flight_record_out;  ///< post-mortem JSON bundle; "-" = stderr
+
+  ServeOptions() {
+    serving.fanouts = {10, 5};  // empty via --full: exact inference
+    serving.num_workers = 4;
+    serving.cache_capacity_rows = 512;
+    load.num_clients = 8;
+  }
 
   bool telemetry_enabled() const {
     return !metrics_out.empty() || stage_trace || !flight_record_out.empty();
@@ -180,141 +376,35 @@ void serve_usage(const char* argv0) {
       argv0);
 }
 
-// Probe an output path at parse time so a typo'd directory fails
-// before minutes of load generation, not after.  "-" means stderr and
-// the empty string means "unset"; both always pass.
-bool probe_writable(const std::string& path, const char* flag) {
-  if (path.empty() || path == "-") return true;
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) {
-    std::fprintf(stderr, "%s: cannot open '%s' for writing\n", flag, path.c_str());
-    return false;
-  }
-  std::fclose(f);
-  return true;
-}
-
-bool parse_serve_args(int argc, char** argv, ServeOptions& options) {
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--dataset") {
-      const char* v = next();
-      if (!v) return false;
-      options.dataset = v;
-    } else if (arg == "--model") {
-      const char* v = next();
-      if (!v) return false;
-      options.model = v;
-    } else if (arg == "--scale") {
-      const char* v = next();
-      if (!v) return false;
-      options.scale = std::atoll(v);
-    } else if (arg == "--train-epochs") {
-      const char* v = next();
-      if (!v) return false;
-      options.train_epochs = std::atoi(v);
-    } else if (arg == "--checkpoint") {
-      const char* v = next();
-      if (!v) return false;
-      options.checkpoint = v;
-    } else if (arg == "--save-checkpoint") {
-      const char* v = next();
-      if (!v) return false;
-      options.save_checkpoint = v;
-    } else if (arg == "--fanouts") {
-      const char* v = next();
-      if (!v) return false;
-      options.fanouts.clear();
-      for (const std::string& tok : split(v, ',')) {
-        options.fanouts.push_back(std::atoi(tok.c_str()));
-      }
-    } else if (arg == "--full") {
-      options.fanouts.clear();
-    } else if (arg == "--workers") {
-      const char* v = next();
-      if (!v) return false;
-      options.workers = std::atoi(v);
-    } else if (arg == "--cache-rows") {
-      const char* v = next();
-      if (!v) return false;
-      options.cache_rows = std::atoll(v);
-    } else if (arg == "--precision") {
-      const char* v = next();
-      if (!v) return false;
-      if (std::string(v) == "fp32") {
-        options.precision = TransferPrecision::kFp32;
-      } else if (std::string(v) == "int8") {
-        options.precision = TransferPrecision::kInt8;
-      } else {
-        std::fprintf(stderr, "--precision must be fp32 or int8 (got %s)\n", v);
-        return false;
-      }
-    } else if (arg == "--max-batch") {
-      const char* v = next();
-      if (!v) return false;
-      options.max_batch = std::atoll(v);
-    } else if (arg == "--max-wait-ms") {
-      const char* v = next();
-      if (!v) return false;
-      options.max_wait_ms = std::atof(v);
-    } else if (arg == "--queue-cap") {
-      const char* v = next();
-      if (!v) return false;
-      options.queue_cap = std::atoll(v);
-    } else if (arg == "--clients") {
-      const char* v = next();
-      if (!v) return false;
-      options.clients = std::atoi(v);
-    } else if (arg == "--requests") {
-      const char* v = next();
-      if (!v) return false;
-      options.requests = std::atoi(v);
-    } else if (arg == "--seeds-per-request") {
-      const char* v = next();
-      if (!v) return false;
-      options.seeds_per_request = std::atoi(v);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      options.seed = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return false;
-      options.metrics_out = v;
-      if (!probe_writable(options.metrics_out, "--metrics-out")) return false;
-    } else if (arg == "--metrics-interval-ms") {
-      const char* v = next();
-      if (!v) return false;
-      options.metrics_interval_ms = std::atoi(v);
+FlagTable serve_flags(ServeOptions& o) {
+  ServingConfig& s = o.serving;
+  return {
+      text("--dataset", o.dataset),
+      model(o.model_kind),
+      count<VertexId>("--scale", o.scale, 1),
+      count("--train-epochs", o.train_epochs),
+      text("--checkpoint", o.checkpoint),
+      text("--save-checkpoint", o.save_checkpoint),
+      fanouts(s.fanouts),
+      set_to("--full", s.fanouts, std::vector<int>{}),
+      count("--workers", s.num_workers, 1),
+      count<std::int64_t>("--cache-rows", s.cache_capacity_rows),
+      choice("--precision", s.transfer_precision,
+             {{"fp32", TransferPrecision::kFp32}, {"int8", TransferPrecision::kInt8}}),
+      count<std::int64_t>("--max-batch", s.batch.max_batch_requests, 1),
+      real("--max-wait-ms", s.batch.max_wait, 1e-3),
+      count<std::size_t>("--queue-cap", s.batch.queue_capacity, 1),
+      count("--clients", o.load.num_clients, 1),
+      count("--requests", o.load.requests_per_client, 1),
+      count("--seeds-per-request", o.load.seeds_per_request, 1),
+      count<std::uint64_t>("--seed", o.seed),
+      output_path("--metrics-out", o.metrics_out),
       // 0 is only meaningful as the default (final dump only); an
       // EXPLICIT non-positive cadence is a mistake, not a request.
-      if (options.metrics_interval_ms <= 0) {
-        std::fprintf(stderr, "--metrics-interval-ms must be a positive cadence (got %s)\n", v);
-        return false;
-      }
-    } else if (arg == "--flight-record-out") {
-      const char* v = next();
-      if (!v) return false;
-      options.flight_record_out = v;
-      if (!probe_writable(options.flight_record_out, "--flight-record-out")) return false;
-    } else if (arg == "--trace") {
-      options.stage_trace = true;
-    } else if (arg == "--help" || arg == "-h") {
-      serve_usage(argv[0]);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
+      count("--metrics-interval-ms", o.metrics_interval_ms, 1),
+      output_path("--flight-record-out", o.flight_record_out),
+      set_to("--trace", o.stage_trace, true),
+  };
 }
 
 // Telemetry stack for a CLI session: registry (+ stage tracer when
@@ -382,30 +472,112 @@ void print_telemetry_summary(const CliTelemetry& telemetry, const ServeOptions& 
   std::printf("\n");
 }
 
-// ------------------------------------------------------------ stream mode
+/// The served model: --checkpoint's weights, or `train_epochs` epochs
+/// of training; then --save-checkpoint.
+void prepare_model(HyScale& system, const ServeOptions& options) {
+  if (!options.checkpoint.empty()) {
+    load_checkpoint(system.model(), options.checkpoint);
+    std::printf("weights:  loaded from %s\n", options.checkpoint.c_str());
+  } else {
+    for (int e = 0; e < options.train_epochs; ++e) {
+      const EpochReport report = system.train_epoch();
+      std::printf("train epoch %d: loss %.4f acc %.3f\n", e, report.loss,
+                  report.train_accuracy);
+    }
+  }
+  if (!options.save_checkpoint.empty()) {
+    save_checkpoint(system.model(), options.save_checkpoint);
+    std::printf("weights:  saved to %s\n", options.save_checkpoint.c_str());
+  }
+}
+
+HybridTrainerConfig train_config(const ServeOptions& options) {
+  HybridTrainerConfig config;
+  config.model_kind = options.model_kind;
+  config.seed = options.seed;
+  return config;
+}
+
+ServingConfig serving_config(const ServeOptions& options, Telemetry* telemetry) {
+  ServingConfig serving = options.serving;
+  serving.seed = options.seed;
+  serving.telemetry = telemetry;
+  return serving;
+}
+
+LoadReport run_load(InferenceServer& server, const Dataset& dataset,
+                    const ServeOptions& options, Telemetry* telemetry) {
+  LoadGeneratorConfig load = options.load;
+  load.seed = options.seed + 1;
+  load.telemetry = telemetry;
+  return LoadGenerator(server, dataset, load).run();
+}
+
+int run_serve(const ServeOptions& options) {
+  const ServingConfig& flags = options.serving;
+  // Static serving applies --precision to the device cache; fail before
+  // training runs, not in the backend constructor minutes later.
+  if (flags.transfer_precision != TransferPrecision::kFp32 &&
+      flags.cache_capacity_rows <= 0) {
+    std::fprintf(stderr, "--precision %s needs --cache-rows > 0 in serve mode\n",
+                 transfer_precision_name(flags.transfer_precision));
+    return 2;
+  }
+  const std::optional<Dataset> dataset = load_dataset(options.dataset, options.scale);
+  if (!dataset) return 2;
+  HyScale system(*dataset, cpu_fpga_platform(2), train_config(options));
+  prepare_model(system, options);
+
+  CliTelemetry telemetry = make_telemetry(options);
+  ServingSession session = system.serve(serving_config(options, telemetry.get()));
+
+  std::printf("\nserving %s on %d workers (", dataset->info.name.c_str(), flags.num_workers);
+  if (flags.fanouts.empty()) {
+    std::printf("full neighborhood");
+  } else {
+    std::printf("fanouts");
+    for (int f : flags.fanouts) std::printf(" %d", f);
+  }
+  std::printf(", max_batch=%lld, max_wait=%.1fms, cache_rows=%lld, wire=%s)\n",
+              static_cast<long long>(flags.batch.max_batch_requests),
+              flags.batch.max_wait * 1e3, static_cast<long long>(flags.cache_capacity_rows),
+              transfer_precision_name(flags.transfer_precision));
+
+  const LoadReport report = run_load(*session.server, *dataset, options, telemetry.get());
+  if (telemetry.exporter) telemetry.exporter->flush("load_drained");
+
+  std::printf("\n%s\n", report.to_string().c_str());
+  const ServingSnapshot& stats = report.server;
+  std::printf("latency:  p50 %.3f ms  p95 %.3f ms  p99 %.3f ms  max %.3f ms\n",
+              stats.latency_p50 * 1e3, stats.latency_p95 * 1e3, stats.latency_p99 * 1e3,
+              stats.latency_max * 1e3);
+  std::printf("qps:      %.1f requests/s (%.1f seeds/s)\n", report.qps,
+              report.qps * options.load.seeds_per_request);
+  std::printf("batches:  %lld (mean %.2f requests, min %lld, max %lld)\n",
+              static_cast<long long>(stats.completed_batches), stats.mean_batch_requests,
+              static_cast<long long>(stats.min_batch_requests),
+              static_cast<long long>(stats.max_batch_requests));
+  std::printf("cache:    hit_rate %.3f (%s device, %s host)\n", stats.cache_hit_rate,
+              format_bytes(stats.device_bytes).c_str(), format_bytes(stats.host_bytes).c_str());
+  print_telemetry_summary(telemetry, options);
+  return 0;
+}
+
+// ----------------------------------------------------------- stream mode
 
 struct StreamOptions {
   ServeOptions serve;  ///< shared knobs (dataset, model, workers, batching…)
-  std::int64_t updates = 512;
-  int update_threads = 1;
-  /// 0 (default): the SLO publisher paces visibility; > 0 restores the
-  /// fixed every-N-ops cadence.
-  std::int64_t publish_every = 0;
-  double vertex_add_fraction = 0.05;
-  double vertex_delete_fraction = 0.0;
-  double feature_update_fraction = 0.10;
-  double edge_delete_fraction = 0.0;
-  double delete_recent_fraction = 0.0;
-  EdgeId compact_edges = 1 << 15;
-  double compact_ratio = 0.25;
-  bool annihilate = true;    ///< in-place tombstone GC before full rebuilds
-  double slo_ms = 5.0;       ///< staleness budget; <= 0 disables the publisher
-  double ttl_ms = -1.0;      ///< idle budget for streamed-in entities; < 0 = no TTL
-  double sweep_ms = 10.0;    ///< TTL sweep interval
-  bool cache_rerank = true;  ///< hit-driven cache re-rank at each fold's REBASE
-  int shards = 1;            ///< > 1 serves through the sharded stack
-  std::string partitioner = "hash";  ///< base partition for the shards: hash | bfs
-  std::int64_t rerank_rows = 0;      ///< traffic-triggered re-rank cadence (0 = fold-only)
+  UpdateGeneratorConfig updates;
+  CompactionPolicy compaction;
+  PublisherPolicy publisher;  ///< staleness_budget <= 0 disables the publisher
+  ExpiryPolicy expiry;        ///< ttl < 0 = no TTL
+  StreamingConfig streaming;
+  ShardedConfig sharded;  ///< num_shards > 1 serves through the sharded stack
+
+  StreamOptions() {
+    updates.operations = 512;
+    sharded.num_shards = 1;
+  }
 };
 
 void stream_usage(const char* argv0) {
@@ -435,234 +607,118 @@ void stream_usage(const char* argv0) {
       argv0);
 }
 
-bool parse_stream_args(int argc, char** argv, StreamOptions& options) {
-  // Reuse the serve parser for the shared flags by filtering out the
-  // stream-only ones first.
-  std::vector<char*> passthrough = {argv[0], argv[1]};
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--updates") {
-      const char* v = next();
-      if (!v) return false;
-      options.updates = std::atoll(v);
-    } else if (arg == "--update-threads") {
-      const char* v = next();
-      if (!v) return false;
-      options.update_threads = std::atoi(v);
-    } else if (arg == "--publish-every") {
-      const char* v = next();
-      if (!v) return false;
-      options.publish_every = std::atoll(v);
-    } else if (arg == "--vertex-add-frac") {
-      const char* v = next();
-      if (!v) return false;
-      options.vertex_add_fraction = std::atof(v);
-    } else if (arg == "--feature-update-frac") {
-      const char* v = next();
-      if (!v) return false;
-      options.feature_update_fraction = std::atof(v);
-    } else if (arg == "--delete-frac") {
-      const char* v = next();
-      if (!v) return false;
-      options.edge_delete_fraction = std::atof(v);
-    } else if (arg == "--vertex-delete-frac") {
-      const char* v = next();
-      if (!v) return false;
-      options.vertex_delete_fraction = std::atof(v);
-    } else if (arg == "--delete-recent-frac") {
-      const char* v = next();
-      if (!v) return false;
-      options.delete_recent_fraction = std::atof(v);
-    } else if (arg == "--compact-edges") {
-      const char* v = next();
-      if (!v) return false;
-      options.compact_edges = std::atoll(v);
-    } else if (arg == "--compact-ratio") {
-      const char* v = next();
-      if (!v) return false;
-      options.compact_ratio = std::atof(v);
-    } else if (arg == "--no-annihilate") {
-      options.annihilate = false;
-    } else if (arg == "--slo-ms") {
-      const char* v = next();
-      if (!v) return false;
-      options.slo_ms = std::atof(v);
-    } else if (arg == "--ttl-ms") {
-      const char* v = next();
-      if (!v) return false;
-      options.ttl_ms = std::atof(v);
-    } else if (arg == "--sweep-ms") {
-      const char* v = next();
-      if (!v) return false;
-      options.sweep_ms = std::atof(v);
-    } else if (arg == "--shards") {
-      const char* v = next();
-      if (!v) return false;
-      options.shards = std::atoi(v);
-    } else if (arg == "--partitioner") {
-      const char* v = next();
-      if (!v) return false;
-      options.partitioner = v;
-      if (options.partitioner != "hash" && options.partitioner != "bfs") {
-        std::fprintf(stderr, "--partitioner must be hash or bfs (got %s)\n", v);
-        return false;
-      }
-    } else if (arg == "--rerank-rows") {
-      const char* v = next();
-      if (!v) return false;
-      options.rerank_rows = std::atoll(v);
-    } else if (arg == "--cache-rerank") {
-      const char* v = next();
-      if (!v) return false;
-      if (std::string(v) == "on") {
-        options.cache_rerank = true;
-      } else if (std::string(v) == "off") {
-        options.cache_rerank = false;
-      } else {
-        std::fprintf(stderr, "--cache-rerank must be on or off (got %s)\n", v);
-        return false;
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      stream_usage(argv[0]);
-      std::exit(0);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  return parse_serve_args(static_cast<int>(passthrough.size()), passthrough.data(),
-                          options.serve);
+FlagTable stream_flags(StreamOptions& o) {
+  UpdateGeneratorConfig& u = o.updates;
+  FlagTable table = serve_flags(o.serve);
+  table.insert(
+      table.end(),
+      {
+          count<std::int64_t>("--updates", u.operations),
+          count("--update-threads", u.num_threads, 1),
+          count<std::int64_t>("--publish-every", u.publish_every),  // 0: SLO publisher paces
+          real("--vertex-add-frac", u.vertex_add_fraction),
+          real("--feature-update-frac", u.feature_update_fraction),
+          real("--delete-frac", u.edge_delete_fraction),
+          real("--vertex-delete-frac", u.vertex_delete_fraction),
+          real("--delete-recent-frac", u.delete_recent_fraction),
+          count<EdgeId>("--compact-edges", o.compaction.max_overlay_edges, 1),
+          real("--compact-ratio", o.compaction.max_overlay_ratio),
+          set_to("--no-annihilate", o.compaction.annihilate_first, false),
+          real("--slo-ms", o.publisher.staleness_budget, 1e-3),  // <= 0 disables
+          real("--ttl-ms", o.expiry.ttl, 1e-3),                   // < 0: no TTL
+          real("--sweep-ms", o.expiry.sweep_interval, 1e-3),
+          count("--shards", o.sharded.num_shards, 1),
+          choice("--partitioner", o.sharded.partitioner,
+                 {{"hash", ShardedConfig::Partitioner::kHash},
+                  {"bfs", ShardedConfig::Partitioner::kBfs}}),
+          count<std::int64_t>("--rerank-rows", o.serve.serving.cache_rerank_every_rows),
+          choice("--cache-rerank", o.streaming.cache_rerank, {{"on", true}, {"off", false}}),
+      });
+  return table;
 }
 
-int run_stream_impl(const StreamOptions& options);
-
-int run_stream(int argc, char** argv) {
-  StreamOptions options;
-  if (!parse_stream_args(argc, argv, options)) {
-    stream_usage(argv[0]);
-    return 2;
-  }
-  try {
-    return run_stream_impl(options);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
-
-int run_stream_impl(const StreamOptions& options) {
+int run_stream(const StreamOptions& options) {
   const ServeOptions& serve = options.serve;
-  MaterializeOptions materialize;
-  materialize.target_vertices = serve.scale;
-  Dataset dataset;
-  try {
-    dataset = materialize_dataset(serve.dataset, materialize);
-  } catch (const std::out_of_range&) {
-    std::fprintf(stderr, "unknown dataset '%s'\n", serve.dataset.c_str());
-    return 2;
-  }
-
-  HybridTrainerConfig train_config;
-  train_config.model_kind = parse_gnn_kind(serve.model);
-  train_config.seed = serve.seed;
-  HyScale system(dataset, cpu_fpga_platform(2), train_config);
-  for (int e = 0; e < serve.train_epochs; ++e) {
-    const EpochReport report = system.train_epoch();
-    std::printf("train epoch %d: loss %.4f acc %.3f\n", e, report.loss, report.train_accuracy);
-  }
-
-  ServingConfig serving;
-  serving.fanouts = serve.fanouts;
-  serving.num_workers = serve.workers;
-  serving.cache_capacity_rows = serve.cache_rows;
-  serving.transfer_precision = serve.precision;
-  serving.seed = serve.seed;
-  serving.batch.max_batch_requests = serve.max_batch;
-  serving.batch.max_wait = serve.max_wait_ms * 1e-3;
-  serving.batch.queue_capacity = static_cast<std::size_t>(serve.queue_cap);
-  serving.cache_rerank_every_rows = options.rerank_rows;
+  const std::optional<Dataset> dataset = load_dataset(serve.dataset, serve.scale);
+  if (!dataset) return 2;
+  HyScale system(*dataset, cpu_fpga_platform(2), train_config(serve));
+  prepare_model(system, serve);
 
   CliTelemetry telemetry = make_telemetry(serve);
-  serving.telemetry = telemetry.get();
-  StreamingConfig streaming;
+  const ServingConfig serving = serving_config(serve, telemetry.get());
+  StreamingConfig streaming = options.streaming;
   streaming.telemetry = telemetry.get();
-  streaming.cache_rerank = options.cache_rerank;
-
-  CompactionPolicy compaction;
-  compaction.max_overlay_edges = options.compact_edges;
-  compaction.max_overlay_ratio = options.compact_ratio;
-  compaction.annihilate_first = options.annihilate;
-  PublisherPolicy publisher;
-  publisher.staleness_budget = options.slo_ms * 1e-3;  // <= 0 disables
+  PublisherPolicy publisher = options.publisher;
   // A tiny --slo-ms (sub-poll-floor budgets are legitimate for breach
   // demos) must not trip the poll_floor <= budget precondition.
   if (publisher.staleness_budget > 0.0)
     publisher.poll_floor = std::min(publisher.poll_floor, publisher.staleness_budget / 2.0);
-  ExpiryPolicy expiry;
-  expiry.ttl = options.ttl_ms < 0.0 ? -1.0 : options.ttl_ms * 1e-3;
-  expiry.sweep_interval = options.sweep_ms * 1e-3;
+  const ExpiryPolicy& expiry = options.expiry;
+  const int shards = options.sharded.num_shards;
+  const char* partitioner =
+      options.sharded.partitioner == ShardedConfig::Partitioner::kBfs ? "bfs" : "hash";
+  const char* wire = transfer_precision_name(serving.transfer_precision);
+  const std::int64_t rerank_rows = serving.cache_rerank_every_rows;
 
-  if (options.shards > 1) {
-    ShardedConfig sharded;
-    sharded.num_shards = options.shards;
-    sharded.partitioner = options.partitioner == "bfs" ? ShardedConfig::Partitioner::kBfs
-                                                       : ShardedConfig::Partitioner::kHash;
+  ServingSession session;
+  if (shards > 1) {
+    ShardedConfig sharded = options.sharded;
     sharded.stream = streaming;
     // One facade-wide TTL sweeper, paced through the ServingBackend
     // seam — retirement broadcasts to every shard so the vertex spaces
     // stay in lockstep.
-    ShardedStreamingSession session =
-        system.stream_sharded(sharded, serving, compaction, publisher, {}, expiry);
-
+    session = system.stream_sharded(sharded, serving, options.compaction, publisher, {}, expiry);
     const Partition& partition = session.shards().partition();
     std::printf("\nsharded streaming %s: %d shards (%s partition, imbalance %.3f, "
                 "edge-cut %.1f%%), %d workers, wire=%s, rerank-rows=%lld\n",
-                dataset.info.name.c_str(), options.shards, options.partitioner.c_str(),
-                partition.imbalance(),
-                partition.edge_cut_fraction(dataset.graph.num_edges()) * 100.0,
-                serve.workers, transfer_precision_name(serve.precision),
-                static_cast<long long>(options.rerank_rows));
+                dataset->info.name.c_str(), shards, partitioner, partition.imbalance(),
+                partition.edge_cut_fraction(dataset->graph.num_edges()) * 100.0,
+                serving.num_workers, wire, static_cast<long long>(rerank_rows));
     if (session.sweeper != nullptr) {
       std::printf("expiry:   ttl %.1f ms, sweep every %.1f ms (facade-wide)\n",
-                  options.ttl_ms, options.sweep_ms);
+                  expiry.ttl * 1e3, expiry.sweep_interval * 1e3);
     }
+  } else {
+    session = system.stream(serving, streaming, options.compaction, publisher, expiry);
+    std::printf("\nstreaming %s on %d workers (%lld base edges, compact at %lld overlay "
+                "edges or %.0f%%, wire=%s, rerank=%s)\n",
+                dataset->info.name.c_str(), serving.num_workers,
+                static_cast<long long>(dataset->graph.num_edges()),
+                static_cast<long long>(options.compaction.max_overlay_edges),
+                options.compaction.max_overlay_ratio * 100.0, wire,
+                streaming.cache_rerank ? "on" : "off");
+    if (session.publisher() != nullptr) {
+      std::printf("publisher: staleness budget %.3f ms\n", publisher.staleness_budget * 1e3);
+    } else if (options.updates.publish_every > 0) {
+      std::printf("publisher: off (fixed cadence, publish every %lld ops)\n",
+                  static_cast<long long>(options.updates.publish_every));
+    } else {
+      std::printf("publisher: off and no cadence — updates stay invisible until the "
+                  "final publish (pass --slo-ms or --publish-every)\n");
+    }
+    if (session.sweeper != nullptr) {
+      std::printf("expiry:    ttl %.1f ms, sweep every %.1f ms\n", expiry.ttl * 1e3,
+                  expiry.sweep_interval * 1e3);
+    }
+  }
 
-    UpdateGeneratorConfig updates;
-    updates.operations = options.updates;
-    updates.num_threads = options.update_threads;
-    updates.publish_every = options.publish_every;
-    updates.vertex_add_fraction = options.vertex_add_fraction;
-    updates.vertex_delete_fraction = options.vertex_delete_fraction;
-    updates.feature_update_fraction = options.feature_update_fraction;
-    updates.edge_delete_fraction = options.edge_delete_fraction;
-    updates.delete_recent_fraction = options.delete_recent_fraction;
-    updates.seed = serve.seed + 2;
-    ShardedUpdateDriver update_driver(session.shards(), updates);
-    UpdateReport update_report;
-    std::thread update_thread([&] { update_report = update_driver.run(); });
+  UpdateGeneratorConfig updates = options.updates;
+  updates.seed = serve.seed + 2;
+  UpdateReport update_report;
+  // jthread: joined on the way out even when the load run throws.
+  std::jthread update_thread([&] {
+    update_report = shards > 1 ? ShardedUpdateDriver(session.shards(), updates).run()
+                               : UpdateGenerator(session.stream(), updates).run();
+  });
+  const LoadReport report = run_load(*session.server, *dataset, serve, telemetry.get());
+  update_thread.join();
+  if (telemetry.exporter) telemetry.exporter->flush("load_drained");
 
-    LoadGeneratorConfig load;
-    load.num_clients = serve.clients;
-    load.requests_per_client = serve.requests;
-    load.seeds_per_request = serve.seeds_per_request;
-    load.seed = serve.seed + 1;
-    load.telemetry = telemetry.get();
-    LoadGenerator generator(*session.server, dataset, load);
-    const LoadReport report = generator.run();
-    update_thread.join();
-    if (telemetry.exporter) telemetry.exporter->flush("load_drained");
-
-    const ShardedStats sharded_stats = session.shards().stats();
-    const ServingSnapshot& stats = report.server;
-    std::printf("\nqueries:  %s\n", report.to_string().c_str());
-    std::printf("updates:  %s\n", update_report.to_string().c_str());
-    std::printf("sharded:  %s\n", sharded_stats.to_string().c_str());
+  const ServingSnapshot& stats = report.server;
+  std::printf("\nqueries:  %s\n", report.to_string().c_str());
+  std::printf("updates:  %s\n", update_report.to_string().c_str());
+  if (shards > 1) {
+    std::printf("sharded:  %s\n", session.shards().stats().to_string().c_str());
     std::printf("latency:  p50 %.3f ms  p99 %.3f ms  (queue p99 %.3f ms, compute mean "
                 "%.3f ms)\n",
                 stats.latency_p50 * 1e3, stats.latency_p99 * 1e3,
@@ -680,7 +736,7 @@ int run_stream_impl(const StreamOptions& options) {
                   static_cast<long long>(session.sweeper->retired()),
                   static_cast<long long>(session.sweeper->sweeps()));
     }
-    if (options.rerank_rows > 0) {
+    if (rerank_rows > 0) {
       std::printf("rerank:   %lld traffic-triggered re-ranks\n",
                   static_cast<long long>(session.server->traffic_reranks()));
     }
@@ -688,58 +744,7 @@ int run_stream_impl(const StreamOptions& options) {
     return 0;
   }
 
-  StreamingSession session = system.stream(serving, streaming, compaction, publisher, expiry);
-
-  std::printf("\nstreaming %s on %d workers (%lld base edges, compact at %lld overlay "
-              "edges or %.0f%%, wire=%s, rerank=%s)\n",
-              dataset.info.name.c_str(), serve.workers,
-              static_cast<long long>(dataset.graph.num_edges()),
-              static_cast<long long>(options.compact_edges), options.compact_ratio * 100.0,
-              transfer_precision_name(serve.precision),
-              options.cache_rerank ? "on" : "off");
-  if (session.publisher() != nullptr) {
-    std::printf("publisher: staleness budget %.3f ms\n", options.slo_ms);
-  } else if (options.publish_every > 0) {
-    std::printf("publisher: off (fixed cadence, publish every %lld ops)\n",
-                static_cast<long long>(options.publish_every));
-  } else {
-    std::printf("publisher: off and no cadence — updates stay invisible until the "
-                "final publish (pass --slo-ms or --publish-every)\n");
-  }
-  if (session.sweeper != nullptr) {
-    std::printf("expiry:    ttl %.1f ms, sweep every %.1f ms\n", options.ttl_ms,
-                options.sweep_ms);
-  }
-
-  UpdateGeneratorConfig updates;
-  updates.operations = options.updates;
-  updates.num_threads = options.update_threads;
-  updates.publish_every = options.publish_every;
-  updates.vertex_add_fraction = options.vertex_add_fraction;
-  updates.vertex_delete_fraction = options.vertex_delete_fraction;
-  updates.feature_update_fraction = options.feature_update_fraction;
-  updates.edge_delete_fraction = options.edge_delete_fraction;
-  updates.delete_recent_fraction = options.delete_recent_fraction;
-  updates.seed = serve.seed + 2;
-  UpdateGenerator update_generator(session.stream(), updates);
-  UpdateReport update_report;
-  std::thread update_thread([&] { update_report = update_generator.run(); });
-
-  LoadGeneratorConfig load;
-  load.num_clients = serve.clients;
-  load.requests_per_client = serve.requests;
-  load.seeds_per_request = serve.seeds_per_request;
-  load.seed = serve.seed + 1;
-  load.telemetry = telemetry.get();
-  LoadGenerator generator(*session.server, dataset, load);
-  const LoadReport report = generator.run();
-  update_thread.join();
-  if (telemetry.exporter) telemetry.exporter->flush("load_drained");
-
   const StreamStats stream_stats = session.stream().stats();
-  const ServingSnapshot& stats = report.server;
-  std::printf("\nqueries:  %s\n", report.to_string().c_str());
-  std::printf("updates:  %s\n", update_report.to_string().c_str());
   std::printf("stream:   %s\n", stream_stats.to_string().c_str());
   std::printf("latency:  p50 %.3f ms  p99 %.3f ms  (queue p99 %.3f ms, compute mean %.3f ms)\n",
               stats.latency_p50 * 1e3, stats.latency_p99 * 1e3, stats.queue_wait_p99 * 1e3,
@@ -761,7 +766,7 @@ int run_stream_impl(const StreamOptions& options) {
                 session.publisher()->worst_staleness() * 1e3);
   }
   std::printf("\n");
-  if (serve.cache_rows > 0) {
+  if (serving.cache_capacity_rows > 0) {
     const StaticFeatureCache* cache = session.server->cache();
     std::printf("cache:    hit_rate %.3f  since_invalidate %.3f (%lld invalidations)\n",
                 cache->totals().hit_rate(), cache->since_invalidate().hit_rate(),
@@ -771,178 +776,11 @@ int run_stream_impl(const StreamOptions& options) {
   return 0;
 }
 
-int run_serve_impl(const ServeOptions& options);
-
-int run_serve(int argc, char** argv) {
-  ServeOptions options;
-  if (!parse_serve_args(argc, argv, options)) {
-    serve_usage(argv[0]);
-    return 2;
-  }
-  try {
-    return run_serve_impl(options);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
-
-int run_serve_impl(const ServeOptions& options) {
-  // Static serving applies --precision to the device cache; fail before
-  // training runs, not in the server constructor minutes later.
-  if (options.precision != TransferPrecision::kFp32 && options.cache_rows <= 0) {
-    std::fprintf(stderr, "--precision %s needs --cache-rows > 0 in serve mode\n",
-                 transfer_precision_name(options.precision));
-    return 2;
-  }
-  MaterializeOptions materialize;
-  materialize.target_vertices = options.scale;
-  Dataset dataset;
-  try {
-    dataset = materialize_dataset(options.dataset, materialize);
-  } catch (const std::out_of_range&) {
-    std::fprintf(stderr, "unknown dataset '%s'\n", options.dataset.c_str());
-    return 2;
-  }
-
-  HybridTrainerConfig train_config;
-  train_config.model_kind = parse_gnn_kind(options.model);
-  train_config.seed = options.seed;
-  HybridTrainer trainer(dataset, cpu_fpga_platform(2), train_config);
-  if (!options.checkpoint.empty()) {
-    load_checkpoint(trainer.model(), options.checkpoint);
-    std::printf("weights:  loaded from %s\n", options.checkpoint.c_str());
-  } else {
-    for (int e = 0; e < options.train_epochs; ++e) {
-      const EpochReport report = trainer.train_epoch();
-      std::printf("train epoch %d: loss %.4f acc %.3f\n", e, report.loss,
-                  report.train_accuracy);
-    }
-  }
-  if (!options.save_checkpoint.empty()) {
-    save_checkpoint(trainer.model(), options.save_checkpoint);
-    std::printf("weights:  saved to %s\n", options.save_checkpoint.c_str());
-  }
-
-  ServingConfig serving;
-  serving.fanouts = options.fanouts;
-  serving.num_workers = options.workers;
-  serving.cache_capacity_rows = options.cache_rows;
-  serving.transfer_precision = options.precision;
-  serving.seed = options.seed;
-  serving.batch.max_batch_requests = options.max_batch;
-  serving.batch.max_wait = options.max_wait_ms * 1e-3;
-  serving.batch.queue_capacity = static_cast<std::size_t>(options.queue_cap);
-
-  CliTelemetry telemetry = make_telemetry(options);
-  serving.telemetry = telemetry.get();
-
-  const ModelSnapshot snapshot(trainer.model());
-  InferenceServer server(dataset, snapshot, serving);
-
-  std::printf("\nserving %s on %d workers (", dataset.info.name.c_str(), options.workers);
-  if (serving.fanouts.empty()) {
-    std::printf("full neighborhood");
-  } else {
-    std::printf("fanouts");
-    for (int f : serving.fanouts) std::printf(" %d", f);
-  }
-  std::printf(", max_batch=%lld, max_wait=%.1fms, cache_rows=%lld, wire=%s)\n",
-              static_cast<long long>(options.max_batch), options.max_wait_ms,
-              static_cast<long long>(options.cache_rows),
-              transfer_precision_name(options.precision));
-
-  LoadGeneratorConfig load;
-  load.num_clients = options.clients;
-  load.requests_per_client = options.requests;
-  load.seeds_per_request = options.seeds_per_request;
-  load.seed = options.seed + 1;
-  load.telemetry = telemetry.get();
-  LoadGenerator generator(server, dataset, load);
-  const LoadReport report = generator.run();
-  if (telemetry.exporter) telemetry.exporter->flush("load_drained");
-
-  std::printf("\n%s\n", report.to_string().c_str());
-  const ServingSnapshot& stats = report.server;
-  std::printf("latency:  p50 %.3f ms  p95 %.3f ms  p99 %.3f ms  max %.3f ms\n",
-              stats.latency_p50 * 1e3, stats.latency_p95 * 1e3, stats.latency_p99 * 1e3,
-              stats.latency_max * 1e3);
-  std::printf("qps:      %.1f requests/s (%.1f seeds/s)\n", report.qps,
-              report.qps * options.seeds_per_request);
-  std::printf("batches:  %lld (mean %.2f requests, min %lld, max %lld)\n",
-              static_cast<long long>(stats.completed_batches), stats.mean_batch_requests,
-              static_cast<long long>(stats.min_batch_requests),
-              static_cast<long long>(stats.max_batch_requests));
-  std::printf("cache:    hit_rate %.3f (%s device, %s host)\n", stats.cache_hit_rate,
-              format_bytes(stats.device_bytes).c_str(), format_bytes(stats.host_bytes).c_str());
-  print_telemetry_summary(telemetry, options);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "serve") == 0) return run_serve(argc, argv);
-  if (argc > 1 && std::strcmp(argv[1], "stream") == 0) return run_stream(argc, argv);
-  CliOptions options;
-  if (!parse_args(argc, argv, options)) {
-    usage(argv[0]);
-    return 2;
-  }
-
-  MaterializeOptions materialize;
-  materialize.target_vertices = options.scale;
-  Dataset dataset;
-  try {
-    dataset = materialize_dataset(options.dataset, materialize);
-  } catch (const std::out_of_range&) {
-    std::fprintf(stderr, "unknown dataset '%s'; known datasets:\n", options.dataset.c_str());
-    for (const auto& info : paper_datasets()) std::fprintf(stderr, "  %s\n", info.name.c_str());
-    return 2;
-  }
-
-  const PlatformSpec platform = options.platform == "gpu"
-                                    ? cpu_gpu_platform(options.accels)
-                                    : cpu_fpga_platform(options.accels);
-
-  HybridTrainerConfig config;
-  config.model_kind = parse_gnn_kind(options.model);
-  config.fanouts = options.fanouts;
-  config.hybrid = options.hybrid;
-  config.drm = options.drm;
-  config.pipeline = options.tfp ? PipelineMode::kTwoStagePrefetch
-                                : PipelineMode::kSinglePrefetch;
-  config.transfer_precision =
-      options.int8 ? TransferPrecision::kInt8 : TransferPrecision::kFp32;
-  config.trajectory_cap = options.trace_path.empty() ? 0 : 256;
-
-  std::printf("dataset:  %s (paper scale: %llu vertices / %llu edges)\n",
-              dataset.info.name.c_str(),
-              static_cast<unsigned long long>(dataset.info.num_vertices),
-              static_cast<unsigned long long>(dataset.info.num_edges));
-  std::printf("platform: %s\n", platform.name.c_str());
-  std::printf("model:    %s, fanouts", gnn_kind_name(config.model_kind));
-  for (int f : config.fanouts) std::printf(" %d", f);
-  std::printf(", hybrid=%d drm=%d tfp=%d wire=%s\n\n", config.hybrid, config.drm, options.tfp,
-              transfer_precision_name(config.transfer_precision));
-
-  HybridTrainer trainer(dataset, platform, config);
-  std::printf("initial mapping: %s\n", trainer.workload().to_string().c_str());
-  std::printf("predicted epoch: %.3f s\n\n", trainer.predicted_epoch_time());
-
-  EpochReport last;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    last = trainer.train_epoch();
-    std::printf("epoch %2d: %8.3f s  %7.0f MTEPS  loss %.4f  acc %.3f\n", epoch,
-                last.epoch_time, last.mteps, last.loss, last.train_accuracy);
-  }
-  std::printf("\nfinal workload: %s\n", last.final_workload.to_string().c_str());
-  std::printf("mean stage times: %s\n", last.mean_times.to_string().c_str());
-
-  if (!options.trace_path.empty()) {
-    write_chrome_trace(last, config.pipeline, options.trace_path);
-    std::printf("pipeline trace written to %s (open in chrome://tracing)\n",
-                options.trace_path.c_str());
-  }
-  return 0;
+  const std::string mode = argc > 1 ? argv[1] : "";
+  if (mode == "serve") return run_mode(argc, argv, 2, serve_flags, serve_usage, run_serve);
+  if (mode == "stream") return run_mode(argc, argv, 2, stream_flags, stream_usage, run_stream);
+  return run_mode(argc, argv, 1, train_flags, train_usage, run_train);
 }

@@ -59,25 +59,25 @@ namespace hyscale {
 /// Library version.
 inline constexpr const char* kVersion = "1.0.0";
 
-/// A live serving deployment, flat or sharded: the evolving graph, the
-/// ServingBackend seam the server runs on, the inference server, and
-/// the background lifecycle threads — per-shard compactors
-/// (annihilate-then-fold; exactly one in flat mode), SLO publishers
-/// (staleness budget, on by default), the CutAdopter folding per-shard
-/// publishes into consistent cuts (sharded only), and ONE TTL expiry
-/// sweeper paced through the backend (opt-in; facade-wide in sharded
-/// mode, so retirement keeps every shard's vertex space in lockstep).
+/// A live serving deployment, static, flat or sharded: the evolving
+/// graph (none when static), the ServingBackend seam the server runs
+/// on, the inference server, and the background lifecycle threads —
+/// per-shard compactors (annihilate-then-fold; exactly one in flat
+/// mode), SLO publishers (staleness budget, on by default), the
+/// CutAdopter folding per-shard publishes into consistent cuts (sharded
+/// only), and ONE TTL expiry sweeper paced through the backend (opt-in;
+/// facade-wide in sharded mode, so retirement keeps every shard's
+/// vertex space in lockstep).  A static session has only the backend
+/// and the server.
 ///
-/// This one struct replaced the near-identical StreamingSession /
-/// ShardedStreamingSession pair; those names remain as aliases.
 /// Members are declared in dependency order so teardown is safe: the
 /// sweeper stops first (it feeds retirements into the graph), then the
 /// adopter (cuts freeze), the publishers and compactors, then the
 /// server drains, then the backend detaches its caches, then the graph
 /// goes away.  Quiesce your ingest threads before dropping the session.
 struct ServingSession {
-  std::unique_ptr<StreamingGraph> graph;           ///< flat mode; null when sharded
-  std::unique_ptr<ShardedStreamingGraph> sharded;  ///< sharded mode; null when flat
+  std::unique_ptr<StreamingGraph> graph;           ///< flat mode only
+  std::unique_ptr<ShardedStreamingGraph> sharded;  ///< sharded mode only
   std::unique_ptr<ServingBackend> backend;
   std::unique_ptr<InferenceServer> server;
   std::vector<std::unique_ptr<Compactor>> compactors;  ///< one per shard (flat: one)
@@ -93,11 +93,6 @@ struct ServingSession {
   InferenceResult infer(std::vector<VertexId> seeds) { return server->infer(std::move(seeds)); }
 };
 
-/// Thin typed aliases kept for API compatibility with the pre-seam
-/// facades.
-using StreamingSession = ServingSession;
-using ShardedStreamingSession = ServingSession;
-
 /// Facade: dataset + platform + config -> trained model, reports, and an
 /// online inference server over the trained weights.
 class HyScale {
@@ -108,12 +103,17 @@ class HyScale {
   std::vector<EpochReport> train(int epochs) { return trainer_.train(epochs); }
   EpochReport train_epoch() { return trainer_.train_epoch(); }
 
-  /// Snapshots the current model weights and starts serving them.  Train
-  /// further and call serve() again for a fresher snapshot; live servers
-  /// keep the weights they were started with.
-  std::unique_ptr<InferenceServer> serve(ServingConfig config = {}) {
+  /// Snapshots the current model weights and starts serving them over
+  /// the static dataset graph.  Train further and call serve() again for
+  /// a fresher snapshot (or hot-swap it into session.server); live
+  /// servers keep the weights they were started with.
+  ServingSession serve(ServingConfig config = {}) {
     const ModelSnapshot snapshot(trainer_.model());
-    return std::make_unique<InferenceServer>(*dataset_, snapshot, std::move(config));
+    ServingSession session;
+    session.backend = make_static_backend(*dataset_, config);
+    session.server =
+        std::make_unique<InferenceServer>(*session.backend, snapshot, std::move(config));
+    return session;
   }
 
   /// Snapshots the current weights and starts serving over an EVOLVING
@@ -130,9 +130,9 @@ class HyScale {
   /// `expiry.enabled()`, the ExpirySweeper retires streamed-in
   /// entities idle past their TTL, paced against the compaction
   /// trigger.
-  StreamingSession stream(ServingConfig serving = {}, StreamingConfig streaming = {},
-                          CompactionPolicy compaction = {}, PublisherPolicy publisher = {},
-                          ExpiryPolicy expiry = {}) {
+  ServingSession stream(ServingConfig serving = {}, StreamingConfig streaming = {},
+                        CompactionPolicy compaction = {}, PublisherPolicy publisher = {},
+                        ExpiryPolicy expiry = {}) {
     const ModelSnapshot snapshot(trainer_.model());
     ServingSession session;
     session.graph = std::make_unique<StreamingGraph>(*dataset_, streaming);
@@ -161,12 +161,9 @@ class HyScale {
   /// the backend's facade-wide sweep — broadcast retirement keeps the
   /// shards' vertex spaces in lockstep (the reason per-shard sweepers
   /// would be wrong, and why sharded TTL used to be caller-paced).
-  ShardedStreamingSession stream_sharded(ShardedConfig sharded = {},
-                                         ServingConfig serving = {},
-                                         CompactionPolicy compaction = {},
-                                         PublisherPolicy publisher = {},
-                                         CutAdopterPolicy adopter = {},
-                                         ExpiryPolicy expiry = {}) {
+  ServingSession stream_sharded(ShardedConfig sharded = {}, ServingConfig serving = {},
+                                CompactionPolicy compaction = {}, PublisherPolicy publisher = {},
+                                CutAdopterPolicy adopter = {}, ExpiryPolicy expiry = {}) {
     const ModelSnapshot snapshot(trainer_.model());
     ServingSession session;
     session.sharded = std::make_unique<ShardedStreamingGraph>(*dataset_, std::move(sharded));

@@ -34,6 +34,13 @@ class CsrGraph {
     return {indices_.data() + indptr_[v], static_cast<std::size_t>(degree(v))};
   }
 
+  /// Appends v's neighbors to `out` — the adjacency read of
+  /// FanoutSamplerCore's view interface.
+  void append_neighbors(VertexId v, std::vector<VertexId>& out) const {
+    const auto adjacency = neighbors(v);
+    out.insert(out.end(), adjacency.begin(), adjacency.end());
+  }
+
   const std::vector<EdgeId>& indptr() const { return indptr_; }
   const std::vector<VertexId>& indices() const { return indices_; }
 

@@ -1,20 +1,19 @@
-// Shared fanout/RNG sampling core for view-backed GraphSAGE samplers.
+// The one fanout/RNG sampling core behind every GraphSAGE sampler.
 //
-// OverlaySampler (stream/) and ShardedSampler (shard/) promise the SAME
-// bit-identity contract: over a logical graph state, the produced
-// MiniBatch must equal NeighborSampler's over a rebuilt CSR, edge for
-// edge and RNG draw for RNG draw.  That discipline — dst-prefix layout,
-// partial Fisher-Yates over the view's merged live adjacency, one
-// Xoshiro256(splitmix64(stream)) per layer with ++stream between
-// layers, true live degrees for the GCN normalisation — used to live
-// in two textually-identical copies.  It now lives here once, templated
-// on the snapshot view type (GraphVersion or ShardedCut); the typed
-// samplers are thin wrappers that keep their public names and error
-// messages.
+// NeighborSampler (static CSR), OverlaySampler (stream/) and
+// ShardedSampler (shard/) promise the SAME bit-identity contract: over
+// a logical graph state, the produced MiniBatch is equal edge for edge
+// and RNG draw for RNG draw whichever view it was sampled from.  That
+// discipline — dst-prefix layout, partial Fisher-Yates over the view's
+// live adjacency, one Xoshiro256(splitmix64(stream)) per layer with
+// ++stream between layers, true live degrees for the GCN normalisation
+// — lives here once, templated on the snapshot view type (CsrGraph,
+// GraphVersion or ShardedCut); the typed samplers are thin wrappers
+// that keep their public names and error messages.
 //
 // The view type must provide: num_vertices(), degree(v), max_degree(),
-// and append_neighbors(v, out) yielding the merged live adjacency in
-// the same element order a rebuilt CSR would store.
+// and append_neighbors(v, out) yielding the live adjacency in the same
+// element order a rebuilt CSR would store.
 #pragma once
 
 #include <algorithm>
@@ -30,8 +29,8 @@
 namespace hyscale {
 
 /// Naming bundle so each typed wrapper's exceptions keep its own class
-/// name and view noun ("OverlaySampler" / "version", "ShardedSampler" /
-/// "cut") without duplicating the core.
+/// name and view noun ("NeighborSampler" / "graph", "OverlaySampler" /
+/// "version", "ShardedSampler" / "cut") without duplicating the core.
 struct FanoutSamplerNames {
   const char* sampler;  ///< e.g. "OverlaySampler"
   const char* setter;   ///< e.g. "set_version"
@@ -41,7 +40,7 @@ struct FanoutSamplerNames {
 template <class View>
 class FanoutSamplerCore {
  public:
-  /// `fanouts` ordered input-layer first, like NeighborSampler.
+  /// `fanouts` ordered input-layer first, matching the paper's "(25, 10)".
   FanoutSamplerCore(std::shared_ptr<const View> view, std::vector<int> fanouts,
                     std::uint64_t seed, FanoutSamplerNames names)
       : view_(std::move(view)), fanouts_(std::move(fanouts)), stream_(seed), names_(names) {
@@ -123,11 +122,10 @@ class FanoutSamplerCore {
 
     Xoshiro256 rng(splitmix64(stream_));
     for (VertexId v : dst) {
-      // The view's merged live adjacency (base minus tombstones plus
+      // The view's live adjacency (streaming: base minus tombstones plus
       // insertions, sorted; sharded: the owner shard's copy) — element
       // for element what a rebuilt CSR would store, so the partial
-      // Fisher-Yates below draws the same sample a NeighborSampler over
-      // the rebuild would.
+      // Fisher-Yates below draws the same sample over the rebuild.
       combined_.clear();
       view_->append_neighbors(v, combined_);
       const auto degree = static_cast<std::int64_t>(combined_.size());
@@ -172,8 +170,16 @@ class FanoutSamplerCore {
   std::vector<VertexId> combined_;      ///< scratch: one vertex's merged live adjacency
 };
 
+/// A non-owning handle on a view the caller keeps alive (the aliasing
+/// constructor: no control block, no ownership).
+template <class View>
+std::shared_ptr<const View> borrow_view(const View& view) {
+  return std::shared_ptr<const View>(std::shared_ptr<const View>(), &view);
+}
+
 /// Full-neighborhood (exact) computation graph over a view — the shared
-/// implementation behind sample_full_overlay / sample_full_sharded.  Any
+/// implementation behind sample_full / sample_full_overlay /
+/// sample_full_sharded.  Any
 /// take-everything fanout >= every live degree takes every neighbor and
 /// burns the same number of RNG draws (one per taken edge), so the
 /// bound's exact value never changes the batch — the flat and sharded
@@ -185,9 +191,8 @@ MiniBatch sample_full_via(const View& view, const std::vector<VertexId>& seeds,
     throw std::invalid_argument(std::string(caller) + ": num_layers must be positive");
   const int fanout = static_cast<int>(std::max<EdgeId>(1, view.max_degree()));
   // The view is borrowed for the sampler's (stack-bound) lifetime.
-  Sampler sampler(std::shared_ptr<const View>(&view, [](const View*) {}),
-                  std::vector<int>(static_cast<std::size_t>(num_layers), fanout),
-                  /*seed=*/0);
+  Sampler sampler(borrow_view(view),
+                  std::vector<int>(static_cast<std::size_t>(num_layers), fanout), /*seed=*/0);
   return sampler.sample(seeds);
 }
 

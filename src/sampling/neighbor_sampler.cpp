@@ -1,96 +1,12 @@
 #include "sampling/neighbor_sampler.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-
-#include "common/rng.hpp"
 
 namespace hyscale {
 
-NeighborSampler::NeighborSampler(const CsrGraph& graph, std::vector<int> fanouts,
-                                 std::uint64_t seed)
-    : graph_(graph), fanouts_(std::move(fanouts)), stream_(seed) {
-  if (fanouts_.empty()) throw std::invalid_argument("NeighborSampler: fanouts empty");
-  for (int f : fanouts_) {
-    if (f <= 0) throw std::invalid_argument("NeighborSampler: fanouts must be positive");
-  }
-  local_of_.assign(static_cast<std::size_t>(graph.num_vertices()), 0);
-}
-
-void NeighborSampler::reseed(std::uint64_t seed) { stream_ = seed; }
-
-NeighborSampler::Frontier NeighborSampler::expand(const std::vector<VertexId>& dst, int fanout) {
-  Frontier frontier;
-  LayerBlock& block = frontier.block;
-  block.num_dst = static_cast<std::int64_t>(dst.size());
-  block.src_nodes = dst;  // dst prefix convention
-  block.indptr.reserve(dst.size() + 1);
-  block.indptr.push_back(0);
-
-  // Map global id -> local position + 1 (0 means absent).
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    local_of_[static_cast<std::size_t>(dst[i])] = static_cast<std::int64_t>(i) + 1;
-    touched_.push_back(dst[i]);
-  }
-
-  Xoshiro256 rng(splitmix64(stream_));
-  std::vector<VertexId> reservoir;
-  for (VertexId v : dst) {
-    const auto neighbors = graph_.neighbors(v);
-    const auto degree = static_cast<std::int64_t>(neighbors.size());
-    const std::int64_t take = std::min<std::int64_t>(fanout, degree);
-    reservoir.assign(neighbors.begin(), neighbors.end());
-    // Partial Fisher-Yates: the first `take` entries become a uniform
-    // sample without replacement.
-    for (std::int64_t i = 0; i < take; ++i) {
-      const auto j = i + static_cast<std::int64_t>(
-                             rng.bounded(static_cast<std::uint64_t>(degree - i)));
-      std::swap(reservoir[static_cast<std::size_t>(i)], reservoir[static_cast<std::size_t>(j)]);
-      const VertexId u = reservoir[static_cast<std::size_t>(i)];
-      std::int64_t& slot = local_of_[static_cast<std::size_t>(u)];
-      if (slot == 0) {
-        block.src_nodes.push_back(u);
-        slot = static_cast<std::int64_t>(block.src_nodes.size());
-        touched_.push_back(u);
-      }
-      block.indices.push_back(slot - 1);
-    }
-    block.indptr.push_back(static_cast<EdgeId>(block.indices.size()));
-  }
-
-  for (VertexId v : touched_) local_of_[static_cast<std::size_t>(v)] = 0;
-  touched_.clear();
-
-  // True graph degrees for the GCN normalisation (Eq. 3 uses D(v) of the
-  // original graph).
-  block.src_degrees.reserve(block.src_nodes.size());
-  for (VertexId v : block.src_nodes) block.src_degrees.push_back(graph_.degree(v));
-
-  frontier.nodes = block.src_nodes;
-  return frontier;
-}
-
-MiniBatch NeighborSampler::sample(const std::vector<VertexId>& seeds) {
-  if (seeds.empty()) throw std::invalid_argument("NeighborSampler::sample: empty seeds");
-  for (VertexId s : seeds) {
-    if (s < 0 || s >= graph_.num_vertices())
-      throw std::invalid_argument("NeighborSampler::sample: seed out of range");
-  }
-  MiniBatch batch;
-  batch.seeds = seeds;
-  const int num_layers = static_cast<int>(fanouts_.size());
-  batch.blocks.resize(static_cast<std::size_t>(num_layers));
-
-  std::vector<VertexId> frontier = seeds;
-  // Top-down: output layer first, then inward toward the input features.
-  for (int l = num_layers - 1; l >= 0; --l) {
-    ++stream_;
-    Frontier next = expand(frontier, fanouts_[static_cast<std::size_t>(l)]);
-    batch.blocks[static_cast<std::size_t>(l)] = std::move(next.block);
-    frontier = std::move(next.nodes);
-  }
-  return batch;
-}
+// The fanout/RNG discipline lives in sampling/fanout_core.hpp; pinning
+// the CSR instantiation here keeps one copy of it in the library.
+template class FanoutSamplerCore<CsrGraph>;
 
 BatchStats NeighborSampler::expected_stats(std::int64_t batch_size,
                                            const std::vector<int>& fanouts, double mean_degree,
@@ -118,14 +34,7 @@ BatchStats NeighborSampler::expected_stats(std::int64_t batch_size,
 }
 
 MiniBatch sample_full(const CsrGraph& graph, const std::vector<VertexId>& seeds, int num_layers) {
-  if (num_layers <= 0) throw std::invalid_argument("sample_full: num_layers must be positive");
-  // Equivalent to a NeighborSampler with fanout >= max degree: every
-  // neighbor is taken, deterministically.
-  const int fanout = static_cast<int>(
-      std::max<EdgeId>(1, graph.max_degree()));
-  NeighborSampler sampler(graph, std::vector<int>(static_cast<std::size_t>(num_layers), fanout),
-                          /*seed=*/0);
-  return sampler.sample(seeds);
+  return sample_full_via<NeighborSampler>(graph, seeds, num_layers, "sample_full");
 }
 
 }  // namespace hyscale

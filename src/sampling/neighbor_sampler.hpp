@@ -5,31 +5,32 @@
 // each frontier vertex draws up to fanout[l-1] distinct neighbors without
 // replacement.  Destination vertices are kept as the prefix of each
 // block's src list so self-features are available to SAGE's concat and
-// GCN's self-loop without extra gathers.
+// GCN's self-loop without extra gathers.  The draws themselves are
+// FanoutSamplerCore's (sampling/fanout_core.hpp) over the static CSR —
+// the same code the streaming and sharded samplers run.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/csr.hpp"
+#include "sampling/fanout_core.hpp"
 #include "sampling/minibatch.hpp"
 
 namespace hyscale {
 
-class NeighborSampler {
+class NeighborSampler : public FanoutSamplerCore<CsrGraph> {
  public:
   /// `fanouts` are ordered from the layer closest to the input to the
-  /// output layer, matching the paper's "(25, 10)" notation.
-  NeighborSampler(const CsrGraph& graph, std::vector<int> fanouts, std::uint64_t seed);
-
-  /// Samples one mini-batch for the given seed (target) vertices.
-  MiniBatch sample(const std::vector<VertexId>& seeds);
-
-  /// Deterministically re-seeds the internal stream (used by tests and by
-  /// per-trainer decorrelated streams).
-  void reseed(std::uint64_t seed);
-
-  const std::vector<int>& fanouts() const { return fanouts_; }
+  /// output layer, matching the paper's "(25, 10)" notation.  `graph`
+  /// must outlive the sampler.
+  NeighborSampler(const CsrGraph& graph, std::vector<int> fanouts, std::uint64_t seed)
+      : NeighborSampler(borrow_view(graph), std::move(fanouts), seed) {}
+  NeighborSampler(std::shared_ptr<const CsrGraph> graph, std::vector<int> fanouts,
+                  std::uint64_t seed)
+      : FanoutSamplerCore(std::move(graph), std::move(fanouts), seed,
+                          {"NeighborSampler", "set_graph", "graph"}) {}
 
   /// Expected per-layer frontier growth for the performance model: with
   /// fanout k and batch b the next frontier has <= b * (k + 1) vertices;
@@ -37,20 +38,6 @@ class NeighborSampler {
   /// by the dataset's vertex count.
   static BatchStats expected_stats(std::int64_t batch_size, const std::vector<int>& fanouts,
                                    double mean_degree, std::uint64_t num_vertices);
-
- private:
-  struct Frontier {
-    std::vector<VertexId> nodes;
-    LayerBlock block;
-  };
-  /// Builds one bipartite block for the current frontier (dst) set.
-  Frontier expand(const std::vector<VertexId>& dst, int fanout);
-
-  const CsrGraph& graph_;
-  std::vector<int> fanouts_;
-  std::uint64_t stream_;
-  std::vector<std::int64_t> local_of_;  ///< scratch: global -> local (+1), 0 = absent
-  std::vector<VertexId> touched_;       ///< scratch: which entries of local_of_ are set
 };
 
 /// Full-neighborhood sampler (no fanout cap) — the exact computation

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -10,9 +9,6 @@
 
 #include "common/rng.hpp"
 #include "obs/telemetry.hpp"
-#include "serving/sharded_backend.hpp"
-#include "serving/static_backend.hpp"
-#include "serving/streaming_backend.hpp"
 
 namespace hyscale {
 
@@ -53,50 +49,15 @@ struct SessionReleaseGuard {
 
 }  // namespace
 
-InferenceServer::InferenceServer(const Dataset& dataset, const ModelSnapshot& snapshot,
-                                 ServingConfig config)
-    : InferenceServer(
-          [&dataset](const ServingConfig& c) { return make_static_backend(dataset, c); },
-          nullptr, snapshot, std::move(config)) {}
-
-InferenceServer::InferenceServer(StreamingGraph& stream, const ModelSnapshot& snapshot,
-                                 ServingConfig config)
-    : InferenceServer(
-          [&stream](const ServingConfig& c) { return make_streaming_backend(stream, c); },
-          nullptr, snapshot, std::move(config)) {}
-
-InferenceServer::InferenceServer(ShardedStreamingGraph& sharded,
-                                 const ModelSnapshot& snapshot, ServingConfig config)
-    : InferenceServer(
-          [&sharded](const ServingConfig& c) { return make_sharded_backend(sharded, c); },
-          nullptr, snapshot, std::move(config)) {}
-
 InferenceServer::InferenceServer(ServingBackend& backend, const ModelSnapshot& snapshot,
                                  ServingConfig config)
-    : InferenceServer(BackendFactory{}, &backend, snapshot, std::move(config)) {}
-
-InferenceServer::InferenceServer(const BackendFactory& factory, ServingBackend* backend,
-                                 const ModelSnapshot& snapshot, ServingConfig config)
     : config_(std::move(config)),
       num_classes_(snapshot.num_classes()),
       num_layers_(snapshot.num_layers()),
+      backend_(backend),
       batcher_(config_.batch) {
-  if (factory) {
-    owned_backend_ = factory(config_);
-    backend_ = owned_backend_.get();
-  } else {
-    backend_ = backend;
-  }
   bind_telemetry();
   init_workers(snapshot);
-}
-
-bool InferenceServer::streaming() const {
-  return std::strcmp(backend_->name(), "streaming") == 0;
-}
-
-bool InferenceServer::sharded() const {
-  return std::strcmp(backend_->name(), "sharded") == 0;
 }
 
 void InferenceServer::bind_telemetry() {
@@ -110,9 +71,9 @@ void InferenceServer::bind_telemetry() {
   m_served_version_ = &reg.gauge("serving.last_served_version");
   m_model_epoch_ = &reg.gauge("model.epoch");
   m_model_epoch_->set(1.0);
-  backend_->bind_metrics(reg);
+  backend_.bind_metrics(reg);
   config_.telemetry->journal().log(
-      "serving_start", std::string("backend=") + backend_->name() +
+      "serving_start", std::string("backend=") + backend_.name() +
                            " workers=" + std::to_string(config_.num_workers));
 }
 
@@ -127,7 +88,7 @@ void InferenceServer::init_workers(const ModelSnapshot& snapshot) {
   workers_.resize(static_cast<std::size_t>(config_.num_workers));
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     workers_[w].model = snapshot.instantiate();
-    workers_[w].session = backend_->make_session(config_.seed + w, num_layers_);
+    workers_[w].session = backend_.make_session(config_.seed + w, num_layers_);
     if (config_.telemetry != nullptr) {
       // Hint: the longest stage-to-stage gap while busy.  Workers beat
       // between pipeline stages, so only a single wedged stage (a
@@ -147,9 +108,6 @@ InferenceServer::~InferenceServer() {
   batcher_.shutdown();
   pool_.reset();     // joins the worker loops after they drain the queue
   workers_.clear();  // sessions die before the backend they came from
-  // The owned backend detaches its caches and cache.* callbacks here; a
-  // borrowed backend keeps them until IT dies (it outlives the server).
-  owned_backend_.reset();
 }
 
 std::optional<std::future<InferenceResult>> InferenceServer::try_submit(
@@ -159,7 +117,7 @@ std::optional<std::future<InferenceResult>> InferenceServer::try_submit(
   // Streaming vertices become queryable once a version containing them
   // is published (sharded: adopted — execute-time cuts/versions are
   // monotonically newer).
-  const VertexId limit = backend_->query_limit();
+  const VertexId limit = backend_.query_limit();
   for (VertexId v : seeds) {
     if (v < 0 || v >= limit)
       throw std::invalid_argument("InferenceServer: seed vertex out of range");
@@ -207,7 +165,7 @@ std::uint64_t InferenceServer::swap_model(const ModelSnapshot& snapshot) {
   if (m_model_epoch_ != nullptr) m_model_epoch_->set(static_cast<double>(epoch));
   if (config_.telemetry != nullptr) {
     config_.telemetry->journal().log(
-        "model_swap", std::string("backend=") + backend_->name() +
+        "model_swap", std::string("backend=") + backend_.name() +
                           " epoch=" + std::to_string(epoch));
   }
   return epoch;
@@ -380,7 +338,7 @@ void InferenceServer::execute_batch(Worker& worker, std::vector<InferenceRequest
 void InferenceServer::maybe_rerank(std::int64_t gathered_rows) {
   const std::int64_t every = config_.cache_rerank_every_rows;
   if (every <= 0 || gathered_rows <= 0) return;
-  if (!backend_->has_cache()) return;
+  if (!backend_.has_cache()) return;
   const std::int64_t total =
       rerank_rows_.fetch_add(gathered_rows, std::memory_order_relaxed) + gathered_rows;
   std::int64_t due = rerank_due_.load(std::memory_order_relaxed);
@@ -391,7 +349,7 @@ void InferenceServer::maybe_rerank(std::int64_t gathered_rows) {
     const std::int64_t next = due + every * ((total - due) / every);
     if (!rerank_due_.compare_exchange_weak(due, next, std::memory_order_relaxed)) continue;
     traffic_reranks_.fetch_add(1, std::memory_order_relaxed);
-    backend_->rerank();
+    backend_.rerank();
     break;
   }
 }

@@ -8,12 +8,12 @@
 //   requests -> release the snapshot.
 //
 // The server is MODE-BLIND: every mode-specific step above lives
-// behind ServingBackend (serving/backend.hpp).  The compat
-// constructors build the matching backend internally — static over the
-// dataset CSR, streaming over a StreamingGraph's latest published
-// version, sharded over a ShardedStreamingGraph's latest adopted cut —
-// and the seam constructor serves over any ServingBackend you hand it.
-// Each worker holds ONE BackendSession; snapshot isolation per
+// behind ServingBackend (serving/backend.hpp), and its one constructor
+// serves over whichever backend you hand it — make_static_backend over
+// the dataset CSR, make_streaming_backend over a StreamingGraph's
+// latest published version, make_sharded_backend over a
+// ShardedStreamingGraph's latest adopted cut.  Each worker holds ONE
+// BackendSession; snapshot isolation per
 // micro-batch (in-flight batches keep their version/cut until done) is
 // the session's acquire/release contract.
 //
@@ -39,14 +39,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "graph/datasets.hpp"
 #include "serving/backend.hpp"
 #include "serving/batcher.hpp"
 #include "serving/model_snapshot.hpp"
@@ -54,31 +52,13 @@
 
 namespace hyscale {
 
-class StreamingGraph;
-class ShardedStreamingGraph;
-
 class InferenceServer {
  public:
-  /// Static mode over `dataset` (must outlive the server); the snapshot
-  /// is consumed at construction (per-worker replicas are stamped out
-  /// immediately).
-  InferenceServer(const Dataset& dataset, const ModelSnapshot& snapshot,
-                  ServingConfig config = {});
-
-  /// Streaming mode: serve over `stream`'s latest published version.
-  /// `stream` (and its dataset) must outlive the server.
-  InferenceServer(StreamingGraph& stream, const ModelSnapshot& snapshot,
-                  ServingConfig config = {});
-
-  /// Sharded mode: serve over `sharded`'s latest ADOPTED cut.
-  /// `sharded` (and its dataset) must outlive the server.
-  InferenceServer(ShardedStreamingGraph& sharded, const ModelSnapshot& snapshot,
-                  ServingConfig config = {});
-
-  /// The seam: serve over any ServingBackend.  `backend` must outlive
-  /// the server and serve only this server; its cache.* gauges are
-  /// bound to config.telemetry's registry (if set) and stay registered
-  /// until the BACKEND dies.
+  /// Serves over `backend`, which must outlive the server and serve
+  /// only this server; its cache.* gauges are bound to
+  /// config.telemetry's registry (if set) and stay registered until the
+  /// BACKEND dies.  The snapshot is consumed at construction (per-worker
+  /// replicas are stamped out immediately).
   InferenceServer(ServingBackend& backend, const ModelSnapshot& snapshot,
                   ServingConfig config = {});
   ~InferenceServer();
@@ -108,15 +88,13 @@ class InferenceServer {
   std::uint64_t model_epoch() const { return model_epoch_.load(std::memory_order_acquire); }
 
   ServingSnapshot stats() const { return stats_.snapshot(); }
-  const StaticFeatureCache* cache() const { return backend_->cache(); }
+  const StaticFeatureCache* cache() const { return backend_.cache(); }
   /// Shard `s`'s device cache (sharded mode with a cache configured;
   /// null otherwise).
-  const StaticFeatureCache* shard_cache(int s) const { return backend_->shard_cache(s); }
+  const StaticFeatureCache* shard_cache(int s) const { return backend_.shard_cache(s); }
   const ServingConfig& config() const { return config_; }
   int num_classes() const { return num_classes_; }
-  const ServingBackend& backend() const { return *backend_; }
-  bool streaming() const;
-  bool sharded() const;
+  const ServingBackend& backend() const { return backend_; }
   /// Traffic-triggered cache re-ranks this server has issued
   /// (cache_rerank_every_rows crossings; 0 when the cadence is off).
   std::int64_t traffic_reranks() const {
@@ -146,12 +124,6 @@ class InferenceServer {
     std::vector<char> hit_scratch;
   };
 
-  using BackendFactory = std::function<std::unique_ptr<ServingBackend>(const ServingConfig&)>;
-  /// Common construction: `factory` (compat modes) builds the owned
-  /// backend from the final config; null factory = borrowed `backend`.
-  InferenceServer(const BackendFactory& factory, ServingBackend* backend,
-                  const ModelSnapshot& snapshot, ServingConfig config);
-
   void init_workers(const ModelSnapshot& snapshot);
   void bind_telemetry();
   void worker_loop(Worker& worker);
@@ -168,8 +140,7 @@ class InferenceServer {
   ServingConfig config_;
   int num_classes_ = 0;
   int num_layers_ = 0;
-  std::unique_ptr<ServingBackend> owned_backend_;  ///< compat ctors only
-  ServingBackend* backend_ = nullptr;              ///< never null after construction
+  ServingBackend& backend_;
 
   DynamicBatcher batcher_;
   ServingStats stats_;

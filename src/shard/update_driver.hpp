@@ -9,7 +9,7 @@
 // knows exists"); the fixed publish cadence maps to publish_all() —
 // every shard publishes and the cut advances — while the default
 // leaves mid-run visibility to the per-shard Publishers + CutAdopter a
-// ShardedStreamingSession runs.  Reuses UpdateGeneratorConfig /
+// sharded ServingSession runs.  Reuses UpdateGeneratorConfig /
 // UpdateReport so harnesses can swap drivers without translating
 // configs (report.publishes counts CUT ADOPTIONS here — the sharded
 // visibility event; recycled_vertices is always 0, recycling is off).

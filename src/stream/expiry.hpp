@@ -39,7 +39,7 @@ struct ExpiryPolicy {
   static constexpr EdgeId kDeriveFromCompaction = -1;
 
   /// Idle budget: a streamed-in vertex untouched for longer than this
-  /// is retired.  < 0 disables TTL eviction (StreamingSession skips
+  /// is retired.  < 0 disables TTL eviction (HyScale::stream skips
   /// the sweeper); 0 expires everything idle at sweep time (tests).
   Seconds ttl = -1.0;
   Seconds sweep_interval = 10e-3;
@@ -48,7 +48,7 @@ struct ExpiryPolicy {
   /// Stop a pass once the overlay holds this many pending ops, so a
   /// sweep never pushes the compaction trigger into a rebuild storm.
   /// 0 = no op-budget pacing; kDeriveFromCompaction lets
-  /// StreamingSession substitute half the compaction threshold.
+  /// HyScale::stream substitute half the compaction threshold.
   EdgeId pending_op_budget = kDeriveFromCompaction;
 
   bool enabled() const { return ttl >= 0.0; }

@@ -43,7 +43,7 @@ namespace hyscale {
 struct PublisherPolicy {
   /// No accepted op should wait longer than this to become visible to
   /// queries.  <= 0 disables the background publisher (caller-paced
-  /// publishing only) — StreamingSession skips construction entirely.
+  /// publishing only) — HyScale::stream skips construction entirely.
   Seconds staleness_budget = 5e-3;
   /// Scheduling resolution: once the remaining slack is within this,
   /// publish rather than sleep again.

@@ -1,22 +1,19 @@
-// Refactor guard for the ServingBackend seam (src/serving/backend.hpp)
-// plus live model hot-swap.
+// Tests for the ServingBackend seam (src/serving/backend.hpp) plus live
+// model hot-swap.
 //
-// Equivalence leg: the compat constructors (dataset / StreamingGraph /
-// ShardedStreamingGraph) and the explicit seam constructor
-// (make_*_backend + InferenceServer(backend, ...)) must produce
-// BIT-IDENTICAL logits in all three modes, at full-neighborhood
-// exactness and at sampled fanouts through an int8 device cache — the
-// refactor moved every mode branch behind the seam, and this suite is
-// what keeps the move value-neutral.
+// Seam leg: InferenceServer has one constructor, over a backend the
+// caller builds with make_static_backend / make_streaming_backend /
+// make_sharded_backend.  The server reports that backend's mode label
+// and journals it on serving_start.  Value equivalence across modes is
+// the job of the stream and shard differential suites.
 //
 // Hot-swap leg: swap_model() under concurrent traffic must never tear
 // a batch — every served result matches exactly one of the staged
 // epochs' oracles (run under TSan via the sanitizer presets).
 //
 // Expiry leg: the backend is an ExpiryTarget, so ONE ExpirySweeper
-// paces facade-wide TTL retirement in sharded mode (ROADMAP 1(d)) —
-// bursts capped by max_retire_per_sweep, shard vertex spaces in
-// lockstep afterwards.
+// paces facade-wide TTL retirement in sharded mode — bursts capped by
+// max_retire_per_sweep, shard vertex spaces in lockstep afterwards.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -52,146 +49,13 @@ Tensor direct_forward(GnnModel& model, const Dataset& ds, const std::vector<Vert
   return model.forward(batch, x);
 }
 
-/// The seed sets every equivalence test serves; deliberately reuses
-/// ids across sets so cache state diverging between the two paths
-/// would show up as a logit diff at int8 wire precision.
+/// Probe seed sets, clamped to `limit`; ids repeat across sets.
 std::vector<std::vector<VertexId>> probe_seed_sets(VertexId limit) {
   std::vector<std::vector<VertexId>> sets = {
       {0, 17, 40}, {5, 17, 63, 90}, {0, 40, 90}, {2}, {31, 32, 33, 64, 65}};
   for (auto& seeds : sets)
     for (VertexId& v : seeds) v %= limit;
   return sets;
-}
-
-/// Serves every probe set through `server` and returns the logits.
-std::vector<Tensor> serve_probes(InferenceServer& server,
-                                 const std::vector<std::vector<VertexId>>& sets) {
-  std::vector<Tensor> logits;
-  logits.reserve(sets.size());
-  for (const auto& seeds : sets) logits.push_back(server.infer(seeds).logits);
-  return logits;
-}
-
-void expect_bit_identical(const std::vector<Tensor>& actual,
-                          const std::vector<Tensor>& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(actual[i].rows(), expected[i].rows()) << "probe " << i;
-    EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(actual[i], expected[i]), 0.0) << "probe " << i;
-  }
-}
-
-/// Two serving configs per mode: exact full-neighborhood fp32, and
-/// sampled fanouts through an int8 device cache (the hot path the
-/// refactor actually moved).
-std::vector<ServingConfig> probe_configs() {
-  ServingConfig exact;
-  exact.num_workers = 2;
-
-  ServingConfig sampled;
-  sampled.num_workers = 2;
-  sampled.fanouts = {4, 3};
-  sampled.cache_capacity_rows = 48;
-  sampled.transfer_precision = TransferPrecision::kInt8;
-  return {exact, sampled};
-}
-
-// ----------------------------------------------------- equivalence: static
-
-TEST(BackendEquivalence, StaticSeamMatchesLegacyCtor) {
-  const Dataset& ds = community();
-  GnnModel model(small_model_config());
-  const ModelSnapshot snapshot(model);
-  const auto sets = probe_seed_sets(ds.graph.num_vertices());
-
-  for (const ServingConfig& config : probe_configs()) {
-    std::vector<Tensor> legacy;
-    {
-      InferenceServer server(ds, snapshot, config);
-      EXPECT_STREQ(server.backend().name(), "static");
-      EXPECT_FALSE(server.streaming());
-      EXPECT_FALSE(server.sharded());
-      legacy = serve_probes(server, sets);
-    }
-    auto backend = make_static_backend(ds, config);
-    InferenceServer server(*backend, snapshot, config);
-    expect_bit_identical(serve_probes(server, sets), legacy);
-  }
-}
-
-// -------------------------------------------------- equivalence: streaming
-
-/// A deterministic splash of churn: streamed-in vertices wired into the
-/// topology, edge inserts across communities, and a retraction — then a
-/// publish so queries can see it.
-void churn_and_publish(StreamingGraph& graph) {
-  const std::vector<float> row(8, 0.25f);
-  const VertexId a = graph.add_vertex(row);
-  const VertexId b = graph.add_vertex(row);
-  ASSERT_TRUE(graph.add_edge(a, 0));
-  ASSERT_TRUE(graph.add_edge(b, 33));
-  ASSERT_TRUE(graph.add_edge(a, b));
-  ASSERT_TRUE(graph.add_edge(5, 70));
-  ASSERT_TRUE(graph.remove_edge(a, 0));
-  graph.publish();
-}
-
-TEST(BackendEquivalence, StreamingSeamMatchesLegacyCtor) {
-  const Dataset& ds = community();
-  GnnModel model(small_model_config());
-  const ModelSnapshot snapshot(model);
-
-  for (const ServingConfig& config : probe_configs()) {
-    StreamingGraph graph(ds, {});
-    churn_and_publish(graph);
-    const auto sets = probe_seed_sets(graph.current()->num_vertices());
-
-    std::vector<Tensor> legacy;
-    {
-      // Sequential servers: the backend attaches the device cache to
-      // the graph and detaches it on destruction, so the seam server
-      // below starts from the same clean attach state.
-      InferenceServer server(graph, snapshot, config);
-      EXPECT_STREQ(server.backend().name(), "streaming");
-      EXPECT_TRUE(server.streaming());
-      legacy = serve_probes(server, sets);
-    }
-    auto backend = make_streaming_backend(graph, config);
-    InferenceServer server(*backend, snapshot, config);
-    expect_bit_identical(serve_probes(server, sets), legacy);
-    EXPECT_GT(server.last_served_version(), 0u);
-  }
-}
-
-// ---------------------------------------------------- equivalence: sharded
-
-TEST(BackendEquivalence, ShardedSeamMatchesLegacyCtor) {
-  const Dataset& ds = community();
-  GnnModel model(small_model_config());
-  const ModelSnapshot snapshot(model);
-
-  for (const ServingConfig& config : probe_configs()) {
-    ShardedConfig sharded_config;
-    sharded_config.num_shards = 3;
-    ShardedStreamingGraph sharded(ds, sharded_config);
-    const std::vector<float> row(8, 0.25f);
-    const VertexId a = sharded.add_vertex(row);
-    ASSERT_TRUE(sharded.add_edge(a, 0));
-    ASSERT_TRUE(sharded.add_edge(7, 64));
-    sharded.publish_all();
-    const auto sets = probe_seed_sets(sharded.current_cut()->num_vertices());
-
-    std::vector<Tensor> legacy;
-    {
-      InferenceServer server(sharded, snapshot, config);
-      EXPECT_STREQ(server.backend().name(), "sharded");
-      EXPECT_TRUE(server.sharded());
-      legacy = serve_probes(server, sets);
-    }
-    auto backend = make_sharded_backend(sharded, config);
-    InferenceServer server(*backend, snapshot, config);
-    expect_bit_identical(serve_probes(server, sets), legacy);
-  }
 }
 
 // ------------------------------------------------------- journal labelling
@@ -207,20 +71,34 @@ TEST(BackendSeam, ServingStartJournalsBackendLabel) {
   ShardedStreamingGraph sharded(ds, sharded_config);
   sharded.publish_all();
 
-  const auto start_detail = [&](auto& target) {
+  // Serves over the backend `make_backend` builds and returns the
+  // serving_start journal detail.  The backend is built after the
+  // telemetry it binds its cache.* gauges to, so it dies first.
+  const auto start_detail = [&](const char* name, auto make_backend) {
     Telemetry telemetry;
     ServingConfig config;
     config.num_workers = 1;
     config.telemetry = &telemetry;
-    InferenceServer server(target, snapshot, config);
+    auto backend = make_backend(config);
+    InferenceServer server(*backend, snapshot, config);
+    EXPECT_STREQ(server.backend().name(), name);
     for (const JournalEvent& event : telemetry.journal().events()) {
       if (event.kind == "serving_start") return event.detail;
     }
     return std::string();
   };
-  EXPECT_NE(start_detail(ds).find("backend=static"), std::string::npos);
-  EXPECT_NE(start_detail(graph).find("backend=streaming"), std::string::npos);
-  EXPECT_NE(start_detail(sharded).find("backend=sharded"), std::string::npos);
+  EXPECT_NE(start_detail("static",
+                         [&](const ServingConfig& c) { return make_static_backend(ds, c); })
+                .find("backend=static"),
+            std::string::npos);
+  EXPECT_NE(start_detail("streaming",
+                         [&](const ServingConfig& c) { return make_streaming_backend(graph, c); })
+                .find("backend=streaming"),
+            std::string::npos);
+  EXPECT_NE(start_detail("sharded",
+                         [&](const ServingConfig& c) { return make_sharded_backend(sharded, c); })
+                .find("backend=sharded"),
+            std::string::npos);
 }
 
 // ------------------------------------------------------------ model swap
@@ -234,7 +112,8 @@ TEST(ModelHotSwap, NextBatchServesTheNewEpoch) {
 
   ServingConfig config;  // full neighborhood: exact, oracle-comparable
   config.num_workers = 2;
-  InferenceServer server(ds, ModelSnapshot(model_a), config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, ModelSnapshot(model_a), config);
   EXPECT_EQ(server.model_epoch(), 1u);
 
   const std::vector<VertexId> seeds = {0, 17, 40, 95};
@@ -258,7 +137,8 @@ TEST(ModelHotSwap, NextBatchServesTheNewEpoch) {
 TEST(ModelHotSwap, RejectsMismatchedArchitecture) {
   const Dataset& ds = community();
   GnnModel model(small_model_config());
-  InferenceServer server(ds, ModelSnapshot(model), {});
+  auto backend = make_static_backend(ds, {});
+  InferenceServer server(*backend, ModelSnapshot(model), {});
 
   ModelConfig wrong_classes = small_model_config();
   wrong_classes.dims = {8, 16, 4};
@@ -299,7 +179,8 @@ TEST(ModelHotSwap, ConcurrentTrafficNeverTearsABatch) {
   // and shifts float rounding ~1e-7, which would drown the bitwise
   // oracle check this test is actually about.
   config.batch.max_batch_requests = 1;
-  InferenceServer server(ds, ModelSnapshot(model_a), config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, ModelSnapshot(model_a), config);
 
   std::atomic<int> torn{0};
   std::vector<std::thread> clients;

@@ -62,7 +62,8 @@ TEST(TraceAssembler, ReconstructsExactCriticalPathPerRequest) {
   config.fanouts = {5, 5};
   config.num_workers = 1;
   config.telemetry = &telemetry;
-  InferenceServer server(ds, snapshot, config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
 
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 6; ++i) ids.push_back(server.infer({0, 17, 40}).request_id);
@@ -181,7 +182,8 @@ TEST(ExemplarRing, ServingWorkersFeedTheRing) {
   config.fanouts = {5, 5};
   config.num_workers = 1;
   config.telemetry = &telemetry;
-  InferenceServer server(ds, snapshot, config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
   for (int i = 0; i < 8; ++i) (void)server.infer({0, 17, 40});
 
   // The worker offers the exemplar after fulfilling the reply promise;
@@ -317,7 +319,8 @@ TEST(Watchdog, NoFalsePositivesOverHealthyMultiSecondRun) {
   serving.fanouts = {5, 5};
   serving.num_workers = 2;
   serving.telemetry = &telemetry;
-  InferenceServer server(community(), snapshot, serving);
+  auto backend = make_static_backend(community(), serving);
+  InferenceServer server(*backend, snapshot, serving);
 
   Watchdog watchdog(telemetry);  // default config
 

@@ -198,7 +198,8 @@ TEST(StageTracer, ServedRequestReconstructsQueueSampleGatherForwardPath) {
   config.fanouts = {5, 5};
   config.num_workers = 1;
   config.telemetry = &telemetry;
-  InferenceServer server(ds, snapshot, config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
   for (int i = 0; i < 4; ++i) (void)server.infer({0, 17, 40});
 
   // Group spans by batch context and find a fully-traced batch.

@@ -197,6 +197,56 @@ TEST(FullSampler, TakesAllNeighbors) {
   }
 }
 
+// FNV-1a over every block's indptr, indices, src_nodes and src_degrees:
+// one number that moves if any draw, any dedup slot or any degree does.
+std::uint64_t fingerprint(const MiniBatch& batch) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::int64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= static_cast<std::uint64_t>(x >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const LayerBlock& block : batch.blocks) {
+    mix(block.num_dst);
+    for (const auto* part : {&block.indptr, &block.indices, &block.src_nodes, &block.src_degrees}) {
+      mix(static_cast<std::int64_t>(part->size()));
+      for (std::int64_t x : *part) mix(x);
+    }
+  }
+  return h;
+}
+
+// Golden draw sequence.  The values were recorded from the sampler's
+// own partial Fisher-Yates before it moved onto FanoutSamplerCore, so
+// the move (and any later one) must reproduce every draw, every
+// dedup slot and every degree exactly.  The OverlaySampler equivalence
+// tests cannot catch a change here: both samplers share one core.
+TEST(NeighborSampler, GoldenDrawSequence) {
+  const CsrGraph g = test_graph();
+  const auto seeds = some_seeds(g, 32);
+  struct Case {
+    std::vector<int> fanouts;
+    std::uint64_t seed;
+    std::uint64_t first, second, after_reseed;
+  };
+  const Case cases[] = {
+      {{25, 10}, 1, 2856274986083137301ULL, 15656665842491791628ULL, 15572344200544434047ULL},
+      {{25, 10}, 42, 3326946358038950273ULL, 10694876265062567460ULL, 7610181328248966044ULL},
+      {{4, 3, 2}, 1, 11579995306592064530ULL, 63407450026205848ULL, 4080656793801663025ULL},
+      {{4, 3, 2}, 42, 18264808399405362666ULL, 10318680899778773588ULL, 9204593452797198298ULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "fanouts " << c.fanouts.size() << " seed " << c.seed);
+    NeighborSampler sampler(g, c.fanouts, c.seed);
+    EXPECT_EQ(fingerprint(sampler.sample(seeds)), c.first);
+    EXPECT_EQ(fingerprint(sampler.sample(seeds)), c.second);
+    sampler.reseed(c.seed * 7 + 3);
+    EXPECT_EQ(fingerprint(sampler.sample(seeds)), c.after_reseed);
+  }
+  EXPECT_EQ(fingerprint(sample_full(g, seeds, 2)), 17193893263695318164ULL);
+}
+
 TEST(SaintSampler, InducedSubgraphEdgesExistInParent) {
   const CsrGraph g = test_graph();
   SaintConfig config;

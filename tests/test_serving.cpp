@@ -214,7 +214,8 @@ TEST(InferenceServer, ServedLogitsMatchDirectForward) {
 
   ServingConfig config;  // empty fanouts = full neighborhood (exact)
   config.num_workers = 2;
-  InferenceServer server(ds, snapshot, config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
 
   const std::vector<VertexId> seeds = {0, 17, 40, 95};
   const InferenceResult result = server.infer(seeds);
@@ -242,7 +243,8 @@ TEST(InferenceServer, CoalescesConcurrentRequestsIntoOneMicroBatch) {
   config.num_workers = 1;
   config.batch.max_batch_requests = 4;
   config.batch.max_wait = 0.5;  // generous: submissions land well inside it
-  InferenceServer server(ds, snapshot, config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
 
   std::vector<std::future<InferenceResult>> futures;
   for (VertexId v = 0; v < 4; ++v) {
@@ -272,7 +274,8 @@ TEST(InferenceServer, RespectsDeadlineForLonelyRequest) {
   config.num_workers = 1;
   config.batch.max_batch_requests = 64;  // never filled by one request
   config.batch.max_wait = 0.02;
-  InferenceServer server(ds, snapshot, config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
 
   const InferenceResult result = server.infer({3});
   EXPECT_EQ(result.batch_requests, 1);
@@ -290,7 +293,8 @@ TEST(InferenceServer, BackpressureRejectsAndRecovers) {
   config.batch.max_batch_requests = 1;
   config.batch.max_wait = 0.0;
   config.batch.queue_capacity = 1;
-  InferenceServer server(ds, snapshot, config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
 
   std::vector<std::future<InferenceResult>> accepted;
   std::int64_t rejected = 0;
@@ -320,12 +324,14 @@ TEST(InferenceServer, SampledFanoutsAreDeterministicUnderFixedSeed) {
   config.num_workers = 2;  // determinism must not depend on which worker serves
   const std::vector<VertexId> seeds = {5, 44, 80};
 
-  InferenceServer server_a(ds, snapshot, config);
+  auto backend_a = make_static_backend(ds, config);
+  InferenceServer server_a(*backend_a, snapshot, config);
   const Tensor first = server_a.infer(seeds).logits;
   const Tensor again = server_a.infer(seeds).logits;  // same server, later batch
   EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(first, again), 0.0);
 
-  InferenceServer server_b(ds, snapshot, config);  // fresh server, same seed
+  auto backend_b = make_static_backend(ds, config);
+  InferenceServer server_b(*backend_b, snapshot, config);  // fresh server, same seed
   EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(first, server_b.infer(seeds).logits), 0.0);
 }
 
@@ -333,14 +339,16 @@ TEST(InferenceServer, InvalidSubmissionsThrow) {
   const Dataset& ds = community();
   GnnModel model(small_model_config());
   const ModelSnapshot snapshot(model);
-  InferenceServer server(ds, snapshot, {});
+  auto backend = make_static_backend(ds, {});
+  InferenceServer server(*backend, snapshot, {});
   EXPECT_THROW(server.try_submit({}), std::invalid_argument);
   EXPECT_THROW(server.try_submit({ds.graph.num_vertices()}), std::invalid_argument);
   EXPECT_THROW(server.try_submit({-1}), std::invalid_argument);
 
   ServingConfig bad;
   bad.fanouts = {3};  // model has 2 layers
-  EXPECT_THROW(InferenceServer(ds, snapshot, bad), std::invalid_argument);
+  auto bad_backend = make_static_backend(ds, bad);
+  EXPECT_THROW(InferenceServer(*bad_backend, snapshot, bad), std::invalid_argument);
 }
 
 TEST(InferenceServer, CachedGathersMatchUncachedAndReportTraffic) {
@@ -350,8 +358,10 @@ TEST(InferenceServer, CachedGathersMatchUncachedAndReportTraffic) {
 
   ServingConfig cached;
   cached.cache_capacity_rows = ds.graph.num_vertices() / 4;
-  InferenceServer cached_server(ds, snapshot, cached);
-  InferenceServer plain_server(ds, snapshot, {});
+  auto cached_backend = make_static_backend(ds, cached);
+  InferenceServer cached_server(*cached_backend, snapshot, cached);
+  auto plain_backend = make_static_backend(ds, {});
+  InferenceServer plain_server(*plain_backend, snapshot, {});
 
   const std::vector<VertexId> seeds = {2, 31, 64, 90};
   const Tensor a = cached_server.infer(seeds).logits;
@@ -383,7 +393,8 @@ TEST(ModelSnapshot, CheckpointRoundTripServesIdenticalLogits) {
   const ModelSnapshot snapshot(trainer.model().config(), path);
   std::remove(path.c_str());
 
-  InferenceServer server(ds, snapshot, {});
+  auto backend = make_static_backend(ds, {});
+  InferenceServer server(*backend, snapshot, {});
   const std::vector<VertexId> seeds = {1, 7, 100, 555};
   const Tensor served = server.infer(seeds).logits;
   const Tensor expected = direct_forward(trainer.model(), ds, seeds);
@@ -437,7 +448,8 @@ TEST(LoadGenerator, ClosedLoopSessionCompletesAllRequests) {
   config.num_workers = 2;
   config.batch.max_wait = 1e-3;
   config.cache_capacity_rows = 24;
-  InferenceServer server(ds, snapshot, config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
 
   LoadGeneratorConfig load;
   load.num_clients = 3;
@@ -471,8 +483,9 @@ TEST(HyScaleFacade, TrainThenServe) {
   ServingConfig serving;
   serving.fanouts = {5, 5};
   serving.cache_capacity_rows = 128;
-  auto server = system.serve(serving);
-  const InferenceResult result = server->infer({0, 42});
+  ServingSession session = system.serve(serving);
+  EXPECT_STREQ(session.backend->name(), "static");
+  const InferenceResult result = session.infer({0, 42});
   EXPECT_EQ(result.logits.rows(), 2);
   EXPECT_EQ(result.logits.cols(), ds.info.f2);
   EXPECT_EQ(result.predictions.size(), 2u);
