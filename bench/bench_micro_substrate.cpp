@@ -1,5 +1,6 @@
 // google-benchmark micro-benches for the substrates: GEMM, feature
-// gather, neighbor sampling, source-sorted edges, gradient all-reduce,
+// gather (plain rows and the streaming cache+store path at fp32 vs
+// int8), neighbor sampling, source-sorted edges, gradient all-reduce,
 // and graph partitioning.  These measure the REAL kernels on the host
 // (wall clock), complementing the simulated-platform harnesses.
 #include <benchmark/benchmark.h>
@@ -9,9 +10,11 @@
 #include "graph/generator.hpp"
 #include "graph/partition.hpp"
 #include "nn/model.hpp"
+#include "runtime/feature_cache.hpp"
 #include "runtime/sync.hpp"
 #include "sampling/neighbor_sampler.hpp"
 #include "sampling/sorted_edges.hpp"
+#include "stream/streaming_graph.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
@@ -120,6 +123,50 @@ void BM_GatherRows(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * rows * 128 * 4);
 }
 BENCHMARK(BM_GatherRows)->Arg(1 << 10)->Arg(1 << 14);
+
+// The streaming serving gather (device-cache rows + store miss rows) at
+// one transfer precision: 2^11-vertex ogbn-products, 512 cache rows,
+// uniform random batches of 512, so about a quarter of rows hit.  Arg 0
+// is fp32, arg 1 int8.  `time/row` (ns per row) is the figure the int8
+// write-time quantization work has to bring down to fp32's.
+void BM_StreamingGather(benchmark::State& state) {
+  constexpr std::int64_t kCacheRows = 512;
+  constexpr std::size_t kBatch = 512;
+  constexpr std::size_t kBatches = 64;
+  const TransferPrecision precision =
+      state.range(0) != 0 ? TransferPrecision::kInt8 : TransferPrecision::kFp32;
+  static const Dataset dataset = [] {
+    MaterializeOptions options;
+    options.target_vertices = 1 << 11;
+    options.label_signal = false;
+    return materialize_dataset("ogbn-products", options);
+  }();
+  StreamingGraph stream(dataset);
+  stream.features().set_transfer_precision(precision);
+  StaticFeatureCache cache(dataset.graph, stream.features().base(), kCacheRows, precision);
+  stream.attach_cache(&cache);
+
+  Xoshiro256 rng(7);
+  const auto n = static_cast<std::uint64_t>(dataset.graph.num_vertices());
+  std::vector<VertexId> batches(kBatch * kBatches);
+  for (auto& v : batches) v = static_cast<VertexId>(rng.bounded(n));
+  Tensor out;
+  std::vector<char> scratch;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    stream.gather(std::span<const VertexId>(batches.data() + next * kBatch, kBatch), out,
+                  scratch);
+    benchmark::DoNotOptimize(out.data());
+    next = (next + 1) % kBatches;
+  }
+  const auto rows = static_cast<double>(state.iterations() * static_cast<std::int64_t>(kBatch));
+  state.SetLabel(precision == TransferPrecision::kInt8 ? "int8" : "fp32");
+  state.counters["time/row"] =
+      benchmark::Counter(rows, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["hit_rate"] = cache.totals().hit_rate();
+  state.counters["miss_B/row"] = stream.features().row_wire_bytes();
+}
+BENCHMARK(BM_StreamingGather)->ArgName("int8")->Arg(0)->Arg(1)->UseRealTime();
 
 void BM_NeighborSampling(benchmark::State& state) {
   const CsrGraph& g = bench_graph();

@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,97 +18,6 @@
 #include "runtime/hybrid_trainer.hpp"
 
 namespace hyscale::bench {
-
-/// Minimal JSON emitter for machine-readable perf records
-/// (BENCH_*.json): objects, arrays, and scalar fields, with the
-/// key-ordering and quoting handled here so benches only state values.
-class JsonWriter {
- public:
-  std::string str() const { return out_; }
-
-  void begin_object() { open('{'); }
-  void end_object() { close('}'); }
-  void begin_array() { open('['); }
-  void end_array() { close(']'); }
-
-  /// Starts a keyed object/array member (inside an object).
-  void key(const std::string& name) {
-    separate();
-    out_ += '"' + escape(name) + "\":";
-    pending_value_ = true;
-  }
-
-  void value(double v) { emit(format_double(v, 6)); }
-  void value(std::int64_t v) { emit(std::to_string(v)); }
-  void value(int v) { emit(std::to_string(v)); }
-  void value(bool v) { emit(v ? "true" : "false"); }
-  void value(const std::string& v) { emit('"' + escape(v) + '"'); }
-  void value(const char* v) { value(std::string(v)); }
-
-  template <typename T>
-  void field(const std::string& name, T v) {
-    key(name);
-    value(v);
-  }
-
-  /// Writes the document to `path`; throws std::runtime_error on I/O
-  /// failure.
-  void write(const std::string& path) const {
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) throw std::runtime_error("JsonWriter: cannot open " + path);
-    const bool wrote = std::fputs(out_.c_str(), f) >= 0 && std::fputc('\n', f) != EOF;
-    if (std::fclose(f) != 0 || !wrote)
-      throw std::runtime_error("JsonWriter: write failed for " + path);
-  }
-
- private:
-  static std::string escape(const std::string& s) {
-    std::string out;
-    for (unsigned char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-          if (c < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-          } else {
-            out += static_cast<char>(c);
-          }
-      }
-    }
-    return out;
-  }
-  void separate() {
-    if (need_comma_) out_ += ',';
-    need_comma_ = false;
-  }
-  void open(char c) {
-    if (!pending_value_) separate();
-    pending_value_ = false;
-    out_ += c;
-    need_comma_ = false;
-  }
-  void close(char c) {
-    out_ += c;
-    need_comma_ = true;
-    pending_value_ = false;
-  }
-  void emit(const std::string& rendered) {
-    if (!pending_value_) separate();
-    pending_value_ = false;
-    out_ += rendered;
-    need_comma_ = true;
-  }
-
-  std::string out_;
-  bool need_comma_ = false;
-  bool pending_value_ = false;
-};
 
 inline void header(const std::string& artifact, const std::string& description) {
   std::printf("\n================================================================\n");

@@ -1,7 +1,10 @@
 #include "nn/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <stdexcept>
+#include <vector>
 
 namespace hyscale {
 
@@ -35,19 +38,30 @@ void load_checkpoint(GnnModel& model, const std::string& path) {
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   if (!in || magic != kMagic) throw std::runtime_error("load_checkpoint: bad header in " + path);
-  auto params = model.parameters();
+  const auto params = model.parameters();
   if (count != params.size())
     throw std::runtime_error("load_checkpoint: parameter count mismatch in " + path);
-  for (Param* param : params) {
+  // Every tensor is read into a staging buffer first and the model is
+  // written only once the whole file has checked out, so a failed load
+  // leaves the model exactly as it was.
+  std::vector<std::vector<float>> staged(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const Tensor& value = params[i]->value;
     std::int64_t rows = 0, cols = 0;
     in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
     in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-    if (!in || rows != param->value.rows() || cols != param->value.cols())
+    if (!in || rows != value.rows() || cols != value.cols())
       throw std::runtime_error("load_checkpoint: shape mismatch in " + path);
-    in.read(reinterpret_cast<char*>(param->value.data()),
-            static_cast<std::streamsize>(param->value.size() * sizeof(float)));
+    staged[i].resize(static_cast<std::size_t>(value.size()));
+    in.read(reinterpret_cast<char*>(staged[i].data()),
+            static_cast<std::streamsize>(staged[i].size() * sizeof(float)));
+    if (!in) throw std::runtime_error("load_checkpoint: truncated file " + path);
   }
-  if (!in) throw std::runtime_error("load_checkpoint: truncated file " + path);
+  if (in.peek() != std::ifstream::traits_type::eof())
+    throw std::runtime_error("load_checkpoint: trailing bytes in " + path);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    std::copy(staged[i].begin(), staged[i].end(), params[i]->value.data());
+  }
 }
 
 }  // namespace hyscale

@@ -16,7 +16,8 @@ void save_checkpoint(const GnnModel& model, const std::string& path);
 
 /// Restores parameters written by save_checkpoint into `model`.  The
 /// model must have the same architecture (same parameter shapes);
-/// mismatches throw std::runtime_error.
+/// mismatches, truncation and trailing bytes throw std::runtime_error,
+/// and a load that throws leaves `model` unchanged.
 void load_checkpoint(GnnModel& model, const std::string& path);
 
 }  // namespace hyscale

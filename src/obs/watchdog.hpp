@@ -15,8 +15,8 @@
 // where interval_hint is the longest gap the thread expects between
 // beats while busy.  With the defaults (250 ms floor, 8x multiplier)
 // the bound is at least an order of magnitude above the worst
-// scheduler wakeup lateness observed on the 1-core bench host (~10+ ms
-// tails, see bench_streaming's SLO budget note), so a healthy run
+// scheduler wakeup lateness observed on a 1-core host (~10+ ms tails
+// under sustained churn with ~15 runnable threads), so a healthy run
 // never trips — asserted over a multi-second session in
 // test_diagnosis.  Detection latency for a real stall is threshold +
 // one check interval.

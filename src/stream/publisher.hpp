@@ -24,9 +24,10 @@
 // start + publish cost), so a slow publish that blows the budget is a
 // breach, not an invisible under-report.  The budget is still a soft
 // real-time target (publishes serialize with the compactor's short
-// cut/rebase endpoints, never with its off-lock O(base) build), which
-// is why BENCH_streaming records the measured bound instead of
-// assuming it.
+// cut/rebase endpoints, never with its off-lock O(base) build;
+// test_stream_lifecycle's Publisher.MakesIngestVisibleWhileAFoldIsParked
+// holds that last property), so callers read the measured bound from
+// worst_staleness() instead of assuming it.
 #pragma once
 
 #include <atomic>

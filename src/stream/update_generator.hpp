@@ -16,8 +16,8 @@
 // race with an unpublished retraction — those land in the rejected
 // counters, exactly like duplicate inserts.  Paired with
 // serving/LoadGenerator it produces the mixed query/update (and churn)
-// workloads bench_streaming measures; on its own it is the
-// ingest-throughput microbenchmark.
+// workloads the CLI's stream mode and the streaming tests drive; on its
+// own it is the ingest-throughput microbenchmark.
 #pragma once
 
 #include <cstdint>

@@ -3,16 +3,19 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
 
+#include "common/rng.hpp"
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
 #include "graph/generator.hpp"
 #include "graph/io.hpp"
 #include "graph/partition.hpp"
 #include "graph/reorder.hpp"
+#include "corrupt_file.hpp"
 
 namespace hyscale {
 namespace {
@@ -436,6 +439,98 @@ TEST(GraphIo, CorruptHeaderThrows) {
   std::fwrite(junk, 1, sizeof(junk), f);
   std::fclose(f);
   EXPECT_THROW(load_csr(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// ---- seeded corruption harness: every malformed file ends in a
+// std::runtime_error naming the path, never an abort, a bad_alloc or an
+// exception from CsrGraph's constructor.
+
+namespace corrupt = testing_corrupt;
+
+constexpr std::size_t kCsrHeaderBytes = 24;  // magic, n, m
+
+/// A valid save_csr file of a scale-5 RMAT graph (seed 11).
+std::vector<char> valid_csr_bytes(const std::string& path) {
+  RmatParams p;
+  p.scale = 5;
+  p.seed = 11;
+  save_csr(generate_rmat(p), path);
+  return corrupt::read_file(path);
+}
+
+std::string csr_escape(const std::string& path, const std::vector<char>& bytes, bool may_load) {
+  corrupt::write_file(path, bytes);
+  return corrupt::escape_of([&] { (void)load_csr(path); }, may_load);
+}
+
+TEST(GraphIoCorruption, EveryTruncationThrows) {
+  const std::string path = ::testing::TempDir() + "hyscale_io_truncate.bin";
+  const std::vector<char> valid = valid_csr_bytes(path);
+  corrupt::EscapeLog log;
+  for (std::size_t len = 0; len < valid.size(); ++len) {
+    const std::vector<char> cut(valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(len));
+    log.record("truncated to " + std::to_string(len), csr_escape(path, cut, false));
+  }
+  EXPECT_TRUE(log.escapes.empty()) << log.summary();
+  std::remove(path.c_str());
+}
+
+TEST(GraphIoCorruption, EveryHeaderBitFlipThrows) {
+  const std::string path = ::testing::TempDir() + "hyscale_io_header_flip.bin";
+  const std::vector<char> valid = valid_csr_bytes(path);
+  corrupt::EscapeLog log;
+  for (std::size_t bit = 0; bit < 8 * kCsrHeaderBytes; ++bit) {
+    log.record("header bit " + std::to_string(bit),
+               csr_escape(path, corrupt::flip_bit(valid, bit), false));
+  }
+  EXPECT_TRUE(log.escapes.empty()) << log.summary();
+  std::remove(path.c_str());
+}
+
+TEST(GraphIoCorruption, OversizedSizesThrowBeforeAllocating) {
+  const std::string path = ::testing::TempDir() + "hyscale_io_oversized.bin";
+  const std::vector<char> valid = valid_csr_bytes(path);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  corrupt::EscapeLog log;
+  for (const std::uint64_t size : {std::uint64_t{1} << 44, kMax - 1, kMax}) {
+    log.record("n=" + std::to_string(size),
+               csr_escape(path, corrupt::with_u64(valid, 8, size), false));
+    log.record("m=" + std::to_string(size),
+               csr_escape(path, corrupt::with_u64(valid, 16, size), false));
+  }
+  // A bare 24-byte header that claims 2^44 vertices.
+  const std::vector<char> header_only(valid.begin(),
+                                      valid.begin() + static_cast<std::ptrdiff_t>(kCsrHeaderBytes));
+  log.record("header-only n=2^44",
+             csr_escape(path, corrupt::with_u64(header_only, 8, std::uint64_t{1} << 44), false));
+  EXPECT_TRUE(log.escapes.empty()) << log.summary();
+  std::remove(path.c_str());
+}
+
+TEST(GraphIoCorruption, AppendedByteThrows) {
+  const std::string path = ::testing::TempDir() + "hyscale_io_appended.bin";
+  std::vector<char> bytes = valid_csr_bytes(path);
+  bytes.push_back('\0');
+  EXPECT_EQ(csr_escape(path, bytes, false), "");
+  std::remove(path.c_str());
+}
+
+TEST(GraphIoCorruption, PayloadBitFlipsLoadOrThrowRuntimeError) {
+  // Format v1 has no checksum, so a flipped index may still describe a
+  // valid graph (load_csr validates whatever it returns); otherwise the
+  // flip must be rejected cleanly.  A seeded sample of payload bits.
+  const std::string path = ::testing::TempDir() + "hyscale_io_payload_flip.bin";
+  const std::vector<char> valid = valid_csr_bytes(path);
+  corrupt::EscapeLog log;
+  Xoshiro256 rng(16);
+  for (int pick = 0; pick < 1024; ++pick) {
+    const std::size_t bit =
+        8 * kCsrHeaderBytes + rng.bounded(8 * (valid.size() - kCsrHeaderBytes));
+    log.record("payload bit " + std::to_string(bit),
+               csr_escape(path, corrupt::flip_bit(valid, bit), true));
+  }
+  EXPECT_TRUE(log.escapes.empty()) << log.summary();
   std::remove(path.c_str());
 }
 

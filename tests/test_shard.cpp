@@ -8,6 +8,7 @@
 // test_shard_differential.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -78,6 +79,20 @@ TEST(ShardedGraph, SingleShardDegeneratesToFlatBehaviour) {
   EXPECT_FALSE(graph.add_edge(0, 9));  // duplicate
   graph.publish_all();
   EXPECT_EQ(graph.current_cut()->degree(0), community().graph.degree(0) + 1);
+
+  // Nothing is remote to a single shard: gathers (with a dirty row in
+  // play) count no halo hits and no cross-shard fetches, and the
+  // partition cuts no edge.
+  ASSERT_TRUE(graph.update_feature(5, std::vector<float>(8, 2.0f)));
+  std::vector<VertexId> nodes(static_cast<std::size_t>(graph.num_vertices()));
+  for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i] = static_cast<VertexId>(i);
+  Tensor out;
+  std::vector<char> scratch;
+  graph.gather(0, std::span<const VertexId>(nodes.data(), nodes.size()), out, scratch);
+  const ShardedStats stats = graph.stats();
+  EXPECT_EQ(stats.halo_hits, 0);
+  EXPECT_EQ(stats.cross_shard_rows, 0);
+  EXPECT_EQ(graph.partition().edge_cut_fraction(community().graph.num_edges()), 0.0);
 }
 
 TEST(ShardedGraph, VertexSpacesStayInLockstep) {
@@ -192,11 +207,21 @@ TEST(ShardedGraph, GatherIsHomeShardInvariant) {
   for (VertexId v = 0; v < ds.graph.num_vertices(); v += 3) nodes.push_back(v);
   Tensor reference;
   std::vector<char> scratch;
-  graph.gather(0, std::span<const VertexId>(nodes.data(), nodes.size()), reference, scratch);
-  for (int home = 1; home < graph.num_shards(); ++home) {
+  for (int home = 0; home < graph.num_shards(); ++home) {
     Tensor out;
+    const ShardedStats before = graph.stats();
     graph.gather(home, std::span<const VertexId>(nodes.data(), nodes.size()), out, scratch);
+    const ShardedStats after = graph.stats();
+    if (home == 0) reference = out;
     EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(reference, out), 0.0) << "home " << home;
+    // Every non-home row is accounted exactly once: a fresh-mirror halo
+    // hit or a cross-shard fetch from its owner.
+    const auto non_home = std::count_if(nodes.begin(), nodes.end(),
+                                        [&](VertexId v) { return graph.owner(v) != home; });
+    EXPECT_EQ((after.halo_hits + after.cross_shard_rows) -
+                  (before.halo_hits + before.cross_shard_rows),
+              non_home)
+        << "home " << home;
   }
 }
 

@@ -607,6 +607,42 @@ TEST(Publisher, MakesIngestVisibleWithinBudgetWithoutCallerPublishes) {
   EXPECT_EQ(graph.pending_staleness(), 0.0);
 }
 
+TEST(Publisher, MakesIngestVisibleWhileAFoldIsParked) {
+  // The streaming SLO's precondition: the background publisher never
+  // waits on a fold's O(base) build.  With a fold parked off-lock, an
+  // edge ingested mid-fold must become visible through the publisher
+  // alone while the fold is still in flight.  A publish that serialized
+  // behind the build would leave it invisible past the deadline; the
+  // checks run before finish(), so that regression fails rather than
+  // hangs.
+  StreamingGraph graph(community());
+  const EdgeId base_edges = graph.current()->num_edges();
+  const auto [u1, v1] = absent_edge(*graph.current());
+  ASSERT_TRUE(graph.add_edge(u1, v1));  // gives the fold a cut to build
+
+  FoldPark park(graph);
+  park.start();
+  PublisherPolicy policy;
+  policy.staleness_budget = 2e-3;
+  Publisher publisher(graph, policy);
+
+  const auto [u2, v2] = absent_edge(*graph.current(), 0, {u1, v1});
+  ASSERT_TRUE(graph.add_edge(u2, v2));  // lands mid-build
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (graph.current()->num_edges() != base_edges + 4 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(graph.current()->num_edges(), base_edges + 4);
+  EXPECT_TRUE(graph.fold_in_flight());
+  EXPECT_GE(publisher.publishes(), 1);
+
+  EXPECT_TRUE(park.finish());
+  publisher.stop();
+  EXPECT_EQ(graph.current()->num_edges(), base_edges + 4);
+  EXPECT_TRUE(graph.current()->validate());
+}
+
 TEST(Publisher, IdlesWhenNothingIsPending) {
   StreamingGraph graph(community());
   PublisherPolicy policy;
