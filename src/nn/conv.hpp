@@ -90,7 +90,10 @@ class ConvLayer {
 
   // Forward caches for the most recent batch.
   Tensor aggregated_;     ///< a_v, num_dst x agg_dim
-  Tensor pre_activation_; ///< a_v W + b before act
+  /// a_v W + b before act.  Each row starts as b, the accumulator's
+  /// start value, and linear_forward's FMA chain adds a_v W onto it; no
+  /// value from an earlier batch survives into the next.
+  Tensor pre_activation_;
   // GAT forward caches.
   Tensor gat_h_in_;                   ///< layer input (needed for dW)
   Tensor gat_z_;                      ///< h_in W, num_src x out_dim

@@ -87,16 +87,19 @@ void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
 }
 
 void linear_forward(const Tensor& x, const Tensor& w, const Tensor& bias, Tensor& y) {
+  if (!bias.empty() && bias.cols() != w.cols())
+    throw std::invalid_argument("linear_forward: bias shape");
   if (y.rows() != x.rows() || y.cols() != w.cols()) y.resize(x.rows(), w.cols());
-  gemm(x, false, w, false, y);
-  if (!bias.empty()) {
-    if (bias.cols() != w.cols()) throw std::invalid_argument("linear_forward: bias shape");
-    for (std::int64_t i = 0; i < y.rows(); ++i) {
-      float* row = y.data() + i * y.cols();
-      const float* b = bias.data();
-      for (std::int64_t j = 0; j < y.cols(); ++j) row[j] += b[j];
-    }
+  // Every row of y starts as the bias (or zero) and the GEMM accumulates
+  // onto it with beta = 1, so whatever y held before never reaches the
+  // result: a beta = 0 pass would compute stale * 0, and an inf or NaN
+  // left from an earlier batch would come back as NaN.
+  if (bias.empty()) {
+    y.zero();
+  } else {
+    for (std::int64_t i = 0; i < y.rows(); ++i) std::copy_n(bias.data(), y.cols(), y.row(i).data());
   }
+  gemm(x, false, w, false, y, 1.0f, 1.0f);
 }
 
 }  // namespace hyscale

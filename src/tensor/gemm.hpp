@@ -12,8 +12,8 @@
 // through its stride, folds alpha != 1 into a scaled copy of A, and
 // hands row ranges of C to simd::gemm — one register-tiled micro-kernel
 // for all four layouts, dispatched at runtime to AVX-512F, AVX2, NEON or
-// scalar (see simd.hpp; it lives in simd.cpp because that unit is
-// compiled with -ffp-contract=off).  The result is bit-identical on
+// scalar (see simd.hpp).  Each C element is one chain of fused
+// multiply-adds over p ascending, so the result is bit-identical on
 // every tier.
 //
 // Parallel grain: the GEMM fans out to the global pool only when every
@@ -38,7 +38,9 @@ void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
           Tensor& c, float alpha = 1.0f, float beta = 0.0f);
 
 /// y = x * W + broadcast(bias); the common forward-layer case.
-/// `bias` may be empty (no bias).
+/// `bias` may be empty (no bias).  Each row of y starts as the bias (or
+/// zero) and the GEMM's FMA chain accumulates x * W onto it, so nothing
+/// y held before the call reaches the result.
 void linear_forward(const Tensor& x, const Tensor& w, const Tensor& bias, Tensor& y);
 
 }  // namespace hyscale

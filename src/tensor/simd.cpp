@@ -1,21 +1,27 @@
 // Vector kernel bodies.  Compiled with -ffp-contract=off (CMake source
-// property, in both the library build and perfbench's) so neither the
-// vector bodies nor the scalar tails and reference bodies are ever
-// contracted into FMA — the bit-identity contract in simd.hpp depends on
-// multiply and add staying two rounding steps on every path.
+// property, in both the library build and perfbench's) so the compiler
+// never contracts a mul + add written out in C++ into an FMA: axpy,
+// dequant and the scalar tails keep two rounding steps on every path.
+// The GEMM fuses on purpose: explicit FMA intrinsics in the vector
+// tiles, std::fma in the NEON tail, and an exact double-precision
+// emulation in the scalar oracle (fma_axpy_scalar), none of which the
+// flag touches.  Every tier runs the same chain of fused multiply-adds
+// (the contract in simd.hpp).
 //
 // x86-64: AVX2 and AVX-512F bodies carry per-function target attributes
 // (the library itself stays baseline x86-64), guarded at runtime by
-// __builtin_cpu_supports.  The AVX2 attribute deliberately does NOT
-// enable FMA, so those bodies cannot fuse even if the contract flag were
-// lost; AVX-512F includes FMA, so the GEMM tile relies on the flag.
+// __builtin_cpu_supports.  Both vector tiers need FMA (the AVX2 GEMM
+// tile is compiled "avx2,fma"); a CPU without it runs the scalar tier.
 //
 // aarch64: NEON is architecturally mandatory, so the bodies dispatch
-// unconditionally (explicit vmul + vadd, never vfma).
+// unconditionally (axpy is vmul + vadd, the GEMM's axpy is vfma).
 #include "tensor/simd.hpp"
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <limits>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define HYSCALE_SIMD_X86 1
@@ -34,9 +40,10 @@ std::atomic<Tier> g_cap{Tier::kBest};
 Tier best_supported_tier() {
   static const Tier best = [] {
 #if defined(HYSCALE_SIMD_X86)
+    // The GEMM tiles fuse, so neither vector tier runs without FMA.
+    if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma")) return Tier::kScalar;
     if (__builtin_cpu_supports("avx512f")) return Tier::kAvx512;
-    if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
-    return Tier::kScalar;
+    return Tier::kAvx2;
 #elif defined(HYSCALE_SIMD_NEON)
     return Tier::kNeon;
 #else
@@ -46,9 +53,40 @@ Tier best_supported_tier() {
   return best;
 }
 
-// Rows of C = A * B + beta * C, one row at a time through an axpy body —
-// the scalar oracle, and the NEON tier's GEMM.
-template <void (*Axpy)(float, const float*, float*, std::int64_t)>
+// y[0..n) = fma(a, x[0..n), y[0..n)) — the scalar GEMM oracle's step,
+// bit-equal to std::fma but built from plain double arithmetic, because
+// baseline x86-64 has no FMA instruction and std::fma there is a libm
+// call per element (glibc's software fmaf, which a CPU without FMA
+// takes, ran the GEMM 40-70x slower than this loop does).  A float
+// product is exact in double; TwoSum gives the error e of the double
+// sum s exactly; rounding s to odd (the neighbour with an odd last bit
+// when e != 0) keeps the sticky bit, and 53 >= 24 + 2 bits makes the
+// final float rounding a single correct rounding.  Products cannot overflow double, so a NaN e only comes from
+// an inf/NaN operand, where s is already the IEEE answer.
+void fma_axpy_scalar(float a, const float* x, float* y, std::int64_t n) {
+  const double da = a;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const double p = da * static_cast<double>(x[i]);
+    const double c = y[i];
+    const double s = p + c;
+    const double p_part = s - c;
+    const double e = (p - p_part) + (c - (s - p_part));
+    // 1 if e is non-zero and finite, else 0.  Selected as a double (the
+    // bits of denorm_min are 1) because SSE2 has no 64-bit integer
+    // compare, and an integer select keeps the loop from vectorizing.
+    const std::uint64_t inexact = std::bit_cast<std::uint64_t>(
+        std::fabs(e) > 0.0 ? std::numeric_limits<double>::denorm_min() : 0.0);
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(s);
+    // Truncate toward zero (one step down when e points at zero), then
+    // set the last bit.
+    const std::uint64_t toward_zero = ((bits ^ std::bit_cast<std::uint64_t>(e)) >> 63) & inexact;
+    y[i] = static_cast<float>(std::bit_cast<double>((bits - toward_zero) | inexact));
+  }
+}
+
+// Rows of C = A * B + beta * C, one row at a time through a fused axpy
+// body — the scalar oracle, and the NEON tier's GEMM.
+template <void (*FmaAxpy)(float, const float*, float*, std::int64_t)>
 void gemm_rows_axpy(const GemmOperands& op, std::int64_t r0, std::int64_t r1) {
   for (std::int64_t i = r0; i < r1; ++i) {
     float* c_row = op.c + i * op.ldc;
@@ -57,7 +95,7 @@ void gemm_rows_axpy(const GemmOperands& op, std::int64_t r0, std::int64_t r1) {
     for (std::int64_t p = 0; p < op.k; ++p) {
       const float s = a_row[p * op.a_col_stride];
       if (s == 0.0f) continue;
-      Axpy(s, op.b + p * op.ldb, c_row, op.n);
+      FmaAxpy(s, op.b + p * op.ldb, c_row, op.n);
     }
   }
 }
@@ -128,11 +166,11 @@ constexpr std::int64_t kGemmKc = 128;
 // each row r, a `keep` lane mask per row (all ones where that element is
 // non-zero, all zeros where it is +-0: the rows the scalar body skips)
 // and whether every row's element is non-zero.  A dense step runs the
-// plain mul + add; any other step computes every product and drops the
-// skipped rows' with a masked add, so the tile has no branch per row and
-// a 0 * inf product is discarded, never added.  The AVX-512 tile reads a
-// keep mask's low 16 bits as its __mmask16, the AVX2 tile broadcasts it
-// as a blendv lane mask.
+// plain FMA; any other step computes every FMA and keeps the skipped
+// rows' accumulators through the mask, so the tile has no branch per row
+// and a 0 * inf product is discarded, never added.  The AVX-512 tile
+// reads a keep mask's low 16 bits as its __mmask16, the AVX2 tile
+// broadcasts it as a blendv lane mask.
 template <std::int64_t kMr>
 struct PackedPanel {
   float a[kGemmKc][kMr];
@@ -204,7 +242,7 @@ __attribute__((target("avx2"))) void pack_panel(const GemmOperands& op, std::int
 // and applies them to every row.  The last vector holds `tail` columns
 // (masked).  A(i, p) is broadcast straight from the packed panel: a
 // load-port op, where broadcasting from a register would compete with
-// the mul/add ports (45 -> 60 GFLOP/s on Sapphire Rapids at the serving
+// the FMA ports (45 -> 60 GFLOP/s on Sapphire Rapids at the serving
 // layer-0 shape); a sparse step loads each row's keep mask from the
 // panel the same way.
 using PanelAvx512 = PackedPanel<8>;
@@ -243,8 +281,8 @@ __attribute__((target("avx512f"))) void tile_avx512(const GemmOperands& op,
         asm("vbroadcastss %1, %0" : "=v"(vs) : "m"(panel.a[s][r]));
 #pragma GCC unroll 2
         for (int v = 0; v < NV; ++v) {
-          // mul then add — two rounding steps per lane, as in axpy_scalar.
-          acc[r][v] = _mm512_add_ps(acc[r][v], _mm512_mul_ps(vs, bv[v]));
+          // One rounding per step, as in fma_axpy_scalar.
+          acc[r][v] = _mm512_fmadd_ps(vs, bv[v], acc[r][v]);
         }
       }
     } else {
@@ -256,7 +294,7 @@ __attribute__((target("avx512f"))) void tile_avx512(const GemmOperands& op,
         asm("kmovw %1, %0" : "=k"(keep) : "m"(panel.keep[s][r]));
 #pragma GCC unroll 2
         for (int v = 0; v < NV; ++v) {
-          acc[r][v] = _mm512_mask_add_ps(acc[r][v], keep, acc[r][v], _mm512_mul_ps(vs, bv[v]));
+          acc[r][v] = _mm512_mask3_fmadd_ps(vs, bv[v], acc[r][v], keep);
         }
       }
     }
@@ -287,14 +325,14 @@ void rows_avx512(const GemmOperands& op, const PanelAvx512& panel, std::int64_t 
 
 // The AVX2 analogue: MR x (8 * NV) tiles in ymm accumulators; AVX2 has
 // no mask registers, so the column tail goes through maskload/maskstore
-// and a sparse step blends each row's sum with its keep lane mask.
+// and a sparse step blends each row's FMA with its keep lane mask.
 using PanelAvx2 = PackedPanel<4>;
 
 template <int MR, int NV>
-__attribute__((target("avx2"))) void tile_avx2(const GemmOperands& op, const PanelAvx2& panel,
-                                               std::int64_t i0, std::int64_t j0,
-                                               std::int64_t p0, std::int64_t p1,
-                                               std::int64_t tail) {
+__attribute__((target("avx2,fma"))) void tile_avx2(const GemmOperands& op,
+                                                   const PanelAvx2& panel, std::int64_t i0,
+                                                   std::int64_t j0, std::int64_t p0,
+                                                   std::int64_t p1, std::int64_t tail) {
   const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   __m256i mask[NV];
 #pragma GCC unroll 2
@@ -324,9 +362,7 @@ __attribute__((target("avx2"))) void tile_avx2(const GemmOperands& op, const Pan
         __m256 vs;
         asm("vbroadcastss %1, %0" : "=x"(vs) : "m"(panel.a[s][r]));
 #pragma GCC unroll 2
-        for (int v = 0; v < NV; ++v) {
-          acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(vs, bv[v]));
-        }
+        for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_fmadd_ps(vs, bv[v], acc[r][v]);
       }
     } else {
 #pragma GCC unroll 4
@@ -337,7 +373,7 @@ __attribute__((target("avx2"))) void tile_avx2(const GemmOperands& op, const Pan
         asm("vbroadcastss %1, %0" : "=x"(keep) : "m"(panel.keep[s][r]));
 #pragma GCC unroll 2
         for (int v = 0; v < NV; ++v) {
-          const __m256 sum = _mm256_add_ps(acc[r][v], _mm256_mul_ps(vs, bv[v]));
+          const __m256 sum = _mm256_fmadd_ps(vs, bv[v], acc[r][v]);
           acc[r][v] = _mm256_blendv_ps(acc[r][v], sum, keep);
         }
       }
@@ -406,6 +442,13 @@ void axpy_neon(float a, const float* x, float* y, std::int64_t n) {
     vst1q_f32(y + i, vaddq_f32(vld1q_f32(y + i), prod));
   }
   for (; i < n; ++i) y[i] += a * x[i];
+}
+
+void fma_axpy_neon(float a, const float* x, float* y, std::int64_t n) {
+  const float32x4_t va = vdupq_n_f32(a);
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) vst1q_f32(y + i, vfmaq_f32(vld1q_f32(y + i), va, vld1q_f32(x + i)));
+  for (; i < n; ++i) y[i] = std::fma(a, x[i], y[i]);
 }
 
 void dequant_neon(const std::int8_t* q, float scale, float* dst, std::int64_t n) {
@@ -500,7 +543,7 @@ float max_abs_scalar(const float* x, std::int64_t n) {
 }
 
 void gemm_scalar(const GemmOperands& op, std::int64_t r0, std::int64_t r1) {
-  gemm_rows_axpy<axpy_scalar>(op, r0, r1);
+  gemm_rows_axpy<fma_axpy_scalar>(op, r0, r1);
 }
 
 void copy(const float* src, float* dst, std::int64_t n) {
@@ -547,7 +590,7 @@ void gemm(const GemmOperands& op, std::int64_t r0, std::int64_t r1) {
     default: break;
   }
 #elif defined(HYSCALE_SIMD_NEON)
-  if (use_vector()) return gemm_rows_axpy<axpy_neon>(op, r0, r1);
+  if (use_vector()) return gemm_rows_axpy<fma_axpy_neon>(op, r0, r1);
 #endif
   gemm_scalar(op, r0, r1);
 }

@@ -3,26 +3,32 @@
 // Every kernel has three faces:
 //   * the dispatching entry point (copy/axpy/dequant/max_abs/gemm) —
 //     picks the best tier the CPU supports, checked once at start-up:
-//     AVX-512F, then AVX2 on x86-64; NEON on aarch64; scalar otherwise;
+//     AVX-512F, then AVX2 (each with FMA) on x86-64; NEON on aarch64;
+//     scalar otherwise;
 //   * a `_scalar` reference implementation — always compiled, used as
 //     the differential oracle by the bit-identity tests;
 //   * the vector bodies themselves (simd.cpp).
 // copy/axpy/dequant/max_abs have AVX2 and NEON bodies (the AVX-512 tier
 // runs the AVX2 ones); gemm has a register-tiled body per x86 tier and
-// runs NEON as row-by-row vector axpy.  backend_name() reports the tier:
-// "avx512", "avx2", "neon" or "scalar".
+// runs NEON as a row-by-row fused (vfma) axpy.  backend_name() reports
+// the tier: "avx512", "avx2", "neon" or "scalar".
 //
 // Bit-identity contract: the vector kernels are written so every lane
-// performs EXACTLY the scalar sequence of IEEE operations — multiplies
-// and adds stay separate, reductions use only max (order-independent for
-// finite inputs), and int8->float conversion is exact.  That is what
+// performs EXACTLY the scalar sequence of IEEE operations — axpy and
+// dequant keep multiply and add as separate roundings, the GEMM runs one
+// fused multiply-add per step on every tier (IEEE 754 fma is as exactly
+// specified as mul then add), reductions use only max (order-independent
+// for finite inputs), and int8->float conversion is exact.  That is what
 // lets the stream-vs-rebuild differential harness keep its bit-identical
 // guarantee on the fp32 path while the kernels are live in production:
 // scalar and SIMD builds of the same gather/GEMM produce the same bits.
 // The vector bodies live in simd.cpp because it is the one translation
-// unit every build compiles with -ffp-contract=off: AVX-512F carries FMA,
-// and without the flag the compiler fuses the GEMM tile's mul + add into
-// one rounding, which moves the low bits of nearly every output.
+// unit every build compiles with -ffp-contract=off, so the compiler never
+// fuses a mul + add the code writes out separately (axpy, dequant, the
+// scalar tails); the GEMM fuses only through explicit FMA intrinsics,
+// std::fma, and the scalar oracle's exact double-precision fma, which
+// needs no FMA unit.  On x86-64 both vector tiers need FMA: a CPU
+// without it runs the scalar tier.
 //
 // Dispatch is per call (one relaxed load + predictable branch), so the
 // test seam force_tier() can cap the tier at runtime without rebuilding
@@ -64,9 +70,9 @@ Tier forced_tier();
 /// dst[0..n) = src[0..n).
 void copy(const float* src, float* dst, std::int64_t n);
 
-/// y[0..n) += a * x[0..n) — row accumulation (and the NEON/scalar GEMM's
-/// inner loop).  Multiply and add are separate rounding steps in every
-/// lane (no FMA), matching the scalar kernel bit for bit.
+/// y[0..n) += a * x[0..n) — row accumulation.  Multiply and add are
+/// separate rounding steps in every lane (no FMA, unlike the GEMM),
+/// matching the scalar kernel bit for bit.
 void axpy(float a, const float* x, float* y, std::int64_t n);
 
 /// dst[0..n) = float(q[0..n)) * scale — int8 device-row dequantization,
@@ -99,17 +105,16 @@ struct GemmOperands {
 /// Rows [r0, r1) of C = A * B + beta * C — the feature-update kernel
 /// behind hyscale::gemm (which folds alpha into A first).  Every C(i, j)
 /// gets exactly this IEEE sequence on every tier: c *= beta; then for p
-/// ascending, skip p when A(i, p) == 0 (either sign); else c = c +
-/// A(i, p) * B(p, j), multiply and add rounded separately.  The x86
-/// bodies hold a tile of C in vector registers while they walk p
-/// (AVX-512: 8 rows x 32 columns; AVX2: 4 x 16), with masked column
-/// tails.  A tile's rows of A are packed once per k-block into a panel
-/// every column tile shares, with a keep mask per row and step and a
-/// per-step "all rows non-zero" flag: a dense step runs the plain
-/// mul + add; a step with a zero computes every product and keeps the
-/// skipped rows' accumulators through a masked add (AVX-512 mask
-/// register, AVX2 blendv).  No branch per row, and a 0 * inf product is
-/// discarded, never added.
+/// ascending, skip p when A(i, p) == 0 (either sign); else c =
+/// fma(A(i, p), B(p, j), c), rounded once per step.  The x86 bodies
+/// hold a tile of C in vector registers while they walk p (AVX-512:
+/// 8 rows x 32 columns; AVX2: 4 x 16), with masked column tails.  A
+/// tile's rows of A are packed once per k-block into a panel every
+/// column tile shares, with a keep mask per row and step and a per-step
+/// "all rows non-zero" flag: a dense step runs the plain FMA; a step
+/// with a zero computes every FMA and keeps the skipped rows'
+/// accumulators through a mask (AVX-512 mask3 FMA, AVX2 blendv).  No
+/// branch per row, and a 0 * inf product is discarded, never added.
 void gemm(const GemmOperands& op, std::int64_t r0, std::int64_t r1);
 
 // ---- scalar reference bodies (the differential oracles) ----

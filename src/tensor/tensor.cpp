@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace hyscale {
@@ -36,7 +37,13 @@ double Tensor::max_abs_diff(const Tensor& a, const Tensor& b) {
     throw std::invalid_argument("Tensor::max_abs_diff: shape mismatch");
   double best = 0.0;
   for (std::size_t i = 0; i < a.data_.size(); ++i) {
-    best = std::max(best, std::abs(static_cast<double>(a.data_[i]) - b.data_[i]));
+    const float x = a.data_[i];
+    const float y = b.data_[i];
+    if (x == y || (std::isnan(x) && std::isnan(y))) continue;
+    // NaN against a number: any comparison with NaN is false, so
+    // std::max would drop it and report the mismatch as 0.
+    if (std::isnan(x) || std::isnan(y)) return std::numeric_limits<double>::infinity();
+    best = std::max(best, std::abs(static_cast<double>(x) - y));
   }
   return best;
 }

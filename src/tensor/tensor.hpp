@@ -48,7 +48,9 @@ class Tensor {
   /// Frobenius norm; used by gradient-sanity tests.
   double norm() const;
 
-  /// Max |a_ij - b_ij|; throws on shape mismatch.
+  /// Max |a_ij - b_ij|; throws on shape mismatch.  Equal values (equal
+  /// infinities too) and two NaNs count as no difference; a NaN facing a
+  /// number is +inf, so a tolerance check never passes it.
   static double max_abs_diff(const Tensor& a, const Tensor& b);
 
  private:

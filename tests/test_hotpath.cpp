@@ -5,9 +5,13 @@
 //   * GEMM bit-identity against the scalar oracle on every tier the CPU
 //     supports (force_tier seam): all four layouts, row and column
 //     tails, k = 1, signed zeros, ReLU-sparse A, alpha/beta != 1, and
-//     the masked-add path: zeros opposite +-inf/NaN, tiles mixing dense
+//     the masked path: zeros opposite +-inf/NaN, tiles mixing dense
 //     and sparse steps, -0 kept under beta = 1, sparse row tails and
 //     k crossing the 128-step k-block boundary (once and several times);
+//   * the scalar oracle pinned to a hand-written std::fma chain, a case
+//     where fused and unfused results must differ, and single steps a
+//     double-precision shortcut or a special value could get wrong, on
+//     every tier;
 //   * int8 device rows: hit/miss value consistency, wire-byte ratio
 //     (>= 3x vs fp32 at feature widths >= 12), and end-to-end logit
 //     exactness against an explicitly round-tripped reference;
@@ -18,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -180,7 +185,7 @@ struct GemmCase {
   bool zero_a_row;    ///< op(A) row 0 all zeros, of both signs
   bool negative_c;    ///< C starts negative, so beta = 0 leaves -0.0f
   /// Only steps p with p % sparse_every == 0 draw zeros, so a tile mixes
-  /// dense steps (plain add) with sparse ones (masked add).
+  /// dense steps (plain FMA) with sparse ones (masked FMA).
   std::int64_t sparse_every = 1;
   /// op(A) column 0 all zeros opposite an op(B) row 0 of +-inf and NaN:
   /// every product there is NaN, and the zero skip must discard it.
@@ -282,7 +287,7 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{"parallel_serving", 416, 256, 200, false, false, 1.0f, 0.0f, 0.3f, false,
                  false},
         // The sparse path: a step with any zero A element takes the
-        // masked add, every other step the plain one.
+        // masked FMA, every other step the plain one.
         GemmCase{"inf_opposite_zero", 19, 40, 37, false, false, 1.0f, 0.0f, 0.3f, false, false,
                  1, true},
         GemmCase{"inf_opposite_zero_tn", 21, 33, 300, true, false, 0.5f, 1.0f, 0.3f, false,
@@ -310,6 +315,141 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{"sparse_k_block_edge", 12, 40, 129, true, false, 1.0f, 0.0f, 0.5f, false,
                  false}),
     [](const ::testing::TestParamInfo<GemmCase>& info) { return std::string(info.param.name); });
+
+// The oracle itself: hand-written std::fma chains, C(i, j) = beta * C(i, j)
+// then fma(A(i, p), B(p, j), c) for p ascending, zero A(i, p) skipped.
+Tensor fma_chain_reference(const Tensor& a, const Tensor& b, float beta, const Tensor& c0) {
+  Tensor c = c0;
+  for (std::int64_t i = 0; i < a.rows(); ++i) {
+    for (std::int64_t j = 0; j < b.cols(); ++j) {
+      float acc = c.at(i, j) * beta;
+      for (std::int64_t p = 0; p < a.cols(); ++p) {
+        if (a.at(i, p) != 0.0f) acc = std::fma(a.at(i, p), b.at(p, j), acc);
+      }
+      c.at(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+TEST(GemmOracle, ScalarTierIsAStdFmaChain) {
+  TierGuard guard;
+  simd::force_tier(simd::Tier::kScalar);
+  for (const float beta : {0.0f, 1.0f, -0.75f}) {
+    Tensor a(13, 300), b(300, 47), c0(13, 47);
+    uniform_init(a, -2.0f, 2.0f, 11);
+    uniform_init(b, -2.0f, 2.0f, 12);
+    uniform_init(c0, -2.0f, 2.0f, 13);
+    for (std::int64_t e = 0; e < a.size(); e += 3) a.data()[e] = 0.0f;
+    const Tensor expected = fma_chain_reference(a, b, beta, c0);
+    Tensor c = c0;
+    gemm(a, false, b, false, c, 1.0f, beta);
+    EXPECT_EQ(std::memcmp(c.data(), expected.data(), expected.size() * sizeof(float)), 0)
+        << "beta " << beta << " max diff " << Tensor::max_abs_diff(c, expected);
+  }
+}
+
+// A = B = 1 + 2^-12 and C = -(1 + 2^-11): A * B = 1 + 2^-11 + 2^-24
+// exactly.  Rounded on its own the product ties to even, 1 + 2^-11, and
+// adding C gives 0; fused, the result is 2^-24.  So a tier or oracle that
+// falls back to mul + add fails here every time.  With k = 1 every tile
+// step is dense; with k = 130 each row's one non-zero A entry sits at a
+// step of its own, so every step takes the masked path, and the chain
+// crosses the 128-step k-block boundary.
+TEST(GemmOracle, EveryTierFusesWhereMulAddWouldNot) {
+  TierGuard guard;
+  const float x = 1.0f + std::ldexp(1.0f, -12);
+  const float y = -(1.0f + std::ldexp(1.0f, -11));
+  volatile float product = x * x;  // rounded on its own, never contracted into an FMA
+  ASSERT_EQ(product + y, 0.0f) << "mul + add must round the product away";
+  ASSERT_EQ(std::fma(x, x, y), std::ldexp(1.0f, -24));
+  for (const std::int64_t k : {std::int64_t{1}, std::int64_t{130}}) {
+    // 19 rows and 47 columns: row and column tails on both x86 tiles.
+    Tensor a(19, k), b(k, 47, x), c0(19, 47, y);
+    for (std::int64_t i = 0; i < a.rows(); ++i) a.at(i, (i * 7) % k) = x;
+    for (const simd::Tier tier : simd::supported_tiers()) {
+      simd::force_tier(tier);
+      Tensor c = c0;
+      gemm(a, false, b, false, c, 1.0f, 1.0f);
+      for (const float v : c.flat()) {
+        ASSERT_EQ(v, std::ldexp(1.0f, -24)) << "tier " << simd::tier_name(tier) << " k " << k;
+      }
+    }
+  }
+}
+
+// Single fma steps where a shortcut goes wrong, each a 1 x 1 x 1 GEMM with
+// beta = 1, bit-compared with std::fma on every tier (NaN only as NaN).
+// 33025 * 32513 = 2^30 + 1 and 21483 * 49981 = 2^30 - 1, so the first
+// two products are 2^-24 +- 2^-54: added to c they land 2^-54 off a
+// float midpoint, which rounding the exact sum to double would erase (a
+// tie to even, the wrong way).  The rest: overflow, a subnormal result,
+// inf/NaN operands and the sign of an exact zero.
+TEST(GemmOracle, EveryTierMatchesStdFmaAtHardSteps) {
+  TierGuard guard;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float max = std::numeric_limits<float>::max();
+  struct Step {
+    float a, b, c;
+  };
+  const Step steps[] = {
+      {std::ldexp(33025.0f, -27), std::ldexp(32513.0f, -27), 1.0f},
+      {-std::ldexp(33025.0f, -27), std::ldexp(32513.0f, -27), -1.0f},
+      {std::ldexp(21483.0f, -27), std::ldexp(49981.0f, -27), 1.0f + std::ldexp(1.0f, -23)},
+      {max, 2.0f, -max},
+      {max, 1.0f, max},
+      {std::ldexp(1.5f, -70), std::ldexp(1.0f, -70), std::ldexp(1.0f, -149)},
+      {std::ldexp(1.0f, -75), -std::ldexp(1.0f, -75), 0.0f},
+      {1.5f, 2.0f, inf},
+      {1.5f, inf, -inf},
+      {inf, 1.0f, 3.0f},
+      {1.5f, std::numeric_limits<float>::quiet_NaN(), 1.0f},
+      {2.0f, 3.0f, -6.0f},
+      {1.0f, -0.0f, -0.0f},
+      {1.0f, -0.0f, 0.0f},
+  };
+  ASSERT_EQ(std::fma(steps[0].a, steps[0].b, steps[0].c), 1.0f + std::ldexp(1.0f, -23));
+  ASSERT_EQ(std::fma(steps[2].a, steps[2].b, steps[2].c), 1.0f + std::ldexp(1.0f, -23));
+  for (const simd::Tier tier : simd::supported_tiers()) {
+    simd::force_tier(tier);
+    for (const Step& st : steps) {
+      Tensor a(1, 1, st.a), b(1, 1, st.b), c(1, 1, st.c);
+      gemm(a, false, b, false, c, 1.0f, 1.0f);
+      const float want = std::fma(st.a, st.b, st.c);
+      const float got = c.at(0, 0);
+      if (std::isnan(want)) {
+        EXPECT_TRUE(std::isnan(got)) << simd::tier_name(tier) << " fma(" << st.a << ", " << st.b
+                                     << ", " << st.c << ")";
+      } else {
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << simd::tier_name(tier) << " fma(" << st.a << ", " << st.b << ", " << st.c
+            << ") = " << want << ", got " << got;
+      }
+    }
+  }
+  // And random bit patterns over the whole exponent range: a 64 x 1 x 256
+  // GEMM is 16384 single steps.
+  std::mt19937 rng(7);
+  const auto random_float = [&rng] { return std::bit_cast<float>(static_cast<std::uint32_t>(rng())); };
+  Tensor a(64, 1), b(1, 256), c0(64, 256);
+  for (float& v : a.flat()) v = random_float();
+  for (float& v : b.flat()) v = random_float();
+  for (float& v : c0.flat()) v = random_float();
+  for (const simd::Tier tier : simd::supported_tiers()) {
+    simd::force_tier(tier);
+    Tensor c = c0;
+    gemm(a, false, b, false, c, 1.0f, 1.0f);
+    for (std::int64_t i = 0; i < c.rows(); ++i) {
+      for (std::int64_t j = 0; j < c.cols(); ++j) {
+        const float want = a.at(i, 0) == 0.0f ? c0.at(i, j) : std::fma(a.at(i, 0), b.at(0, j), c0.at(i, j));
+        const float got = c.at(i, j);
+        const bool same = std::isnan(want) ? std::isnan(got) : std::memcmp(&got, &want, sizeof got) == 0;
+        ASSERT_TRUE(same) << simd::tier_name(tier) << " fma(" << a.at(i, 0) << ", " << b.at(0, j)
+                          << ", " << c0.at(i, j) << ") = " << want << ", got " << got;
+      }
+    }
+  }
+}
 
 // ------------------------------------------------------------ int8 hot path
 

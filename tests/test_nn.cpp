@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "graph/generator.hpp"
@@ -370,6 +371,36 @@ TEST(GnnModel, ForwardShapeAndDeterminism) {
   EXPECT_EQ(a.rows(), 4);
   EXPECT_EQ(a.cols(), 2);
   EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(a, b), 0.0);
+}
+
+// A same-shaped batch reuses each layer's pre-activation buffer.  Whatever
+// an earlier batch left there (inf, NaN) must not reach the next result:
+// after a batch with an inf feature, a clean batch gives the same bits as
+// a fresh model.
+TEST(GnnModel, PoisonedBatchDoesNotLeakIntoTheNext) {
+  for (const GnnKind kind : {GnnKind::kSage, GnnKind::kGcn}) {
+    ModelConfig config;
+    config.kind = kind;
+    config.dims = {3, 8, 2};
+    RmatParams rp;
+    rp.scale = 6;
+    const CsrGraph g = generate_rmat(rp);
+    NeighborSampler sampler(g, {4, 4}, 2);
+    const MiniBatch batch = sampler.sample({0, 1, 2, 3});
+    Tensor clean(batch.blocks.front().num_src(), 3);
+    uniform_init(clean, -1.0f, 1.0f, 9);
+    Tensor poisoned = clean;
+    poisoned.at(0, 0) = std::numeric_limits<float>::infinity();
+
+    GnnModel fresh(config);
+    const Tensor expected = fresh.forward(batch, clean);
+    GnnModel reused(config);
+    reused.forward(batch, poisoned);
+    const Tensor second = reused.forward(batch, clean);
+    ASSERT_EQ(second.size(), expected.size());
+    EXPECT_EQ(std::memcmp(second.data(), expected.data(), expected.size() * sizeof(float)), 0)
+        << gnn_kind_name(kind) << " max diff " << Tensor::max_abs_diff(second, expected);
+  }
 }
 
 TEST(GnnModel, ParameterPlumbing) {

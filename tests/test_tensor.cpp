@@ -73,6 +73,33 @@ TEST(Tensor, NormAndDiff) {
   EXPECT_THROW(Tensor::max_abs_diff(a, c), std::invalid_argument);
 }
 
+TEST(Tensor, MaxAbsDiffSeesNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor a(1, 4);
+  a.at(0, 0) = 1.0f;
+  a.at(0, 1) = nan;
+  a.at(0, 2) = inf;
+  a.at(0, 3) = -inf;
+  // Both NaN and equal infinities count as equal.
+  EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(a, a), 0.0);
+  Tensor b = a;
+  b.at(0, 0) = 1.5f;
+  EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(a, b), 0.5);
+  // Exactly one side NaN: +inf, whichever side and wherever it sits.
+  b.at(0, 1) = 0.0f;
+  EXPECT_EQ(Tensor::max_abs_diff(a, b), inf);
+  EXPECT_EQ(Tensor::max_abs_diff(b, a), inf);
+  Tensor c = a;
+  c.at(0, 0) = nan;
+  EXPECT_EQ(Tensor::max_abs_diff(a, c), inf);
+  // An infinity facing a number, or the other infinity, is +inf too.
+  Tensor d = a;
+  d.at(0, 2) = 2.0f;
+  d.at(0, 3) = inf;
+  EXPECT_EQ(Tensor::max_abs_diff(a, d), inf);
+}
+
 TEST(Tensor, NegativeShapeThrows) {
   EXPECT_THROW(Tensor(-1, 2), std::invalid_argument);
 }
@@ -124,6 +151,22 @@ TEST(Gemm, LinearForwardAddsBias) {
   linear_forward(x, w, bias, y);
   EXPECT_FLOAT_EQ(y.at(0, 0), 13.0f);
   EXPECT_FLOAT_EQ(y.at(1, 1), 2.0f);
+}
+
+TEST(Gemm, LinearForwardIgnoresStaleOutput) {
+  const Tensor x = random_tensor(5, 3, 1);
+  const Tensor w = random_tensor(3, 4, 2);
+  for (const Tensor& bias : {random_tensor(1, 4, 3), Tensor()}) {
+    Tensor expected;
+    linear_forward(x, w, bias, expected);
+    // Same shape, so y is reused: inf and NaN left in it must not turn
+    // the result into NaN (stale * 0).
+    Tensor y(5, 4, std::numeric_limits<float>::infinity());
+    y.at(2, 1) = std::numeric_limits<float>::quiet_NaN();
+    linear_forward(x, w, bias, y);
+    EXPECT_EQ(std::memcmp(y.data(), expected.data(), expected.size() * sizeof(float)), 0)
+        << "bias " << !bias.empty() << " max diff " << Tensor::max_abs_diff(y, expected);
+  }
 }
 
 TEST(Ops, GatherRows) {
