@@ -637,6 +637,15 @@ FlagTable stream_flags(StreamOptions& o) {
   return table;
 }
 
+/// The device cache's hit rates (flat and sharded deployments alike have
+/// at most one); prints nothing without a cache.
+void print_cache(const StaticFeatureCache* cache) {
+  if (cache == nullptr) return;
+  std::printf("cache:    hit_rate %.3f  since_invalidate %.3f (%lld invalidations)\n",
+              cache->totals().hit_rate(), cache->since_invalidate().hit_rate(),
+              static_cast<long long>(cache->invalidations()));
+}
+
 int run_stream(const StreamOptions& options) {
   const ServeOptions& serve = options.serve;
   const std::optional<Dataset> dataset = load_dataset(serve.dataset, serve.scale);
@@ -740,6 +749,7 @@ int run_stream(const StreamOptions& options) {
       std::printf("rerank:   %lld traffic-triggered re-ranks\n",
                   static_cast<long long>(session.server->traffic_reranks()));
     }
+    print_cache(session.server->cache());
     print_telemetry_summary(telemetry, serve);
     return 0;
   }
@@ -766,12 +776,7 @@ int run_stream(const StreamOptions& options) {
                 session.publisher()->worst_staleness() * 1e3);
   }
   std::printf("\n");
-  if (serving.cache_capacity_rows > 0) {
-    const StaticFeatureCache* cache = session.server->cache();
-    std::printf("cache:    hit_rate %.3f  since_invalidate %.3f (%lld invalidations)\n",
-                cache->totals().hit_rate(), cache->since_invalidate().hit_rate(),
-                static_cast<long long>(cache->invalidations()));
-  }
+  print_cache(session.server->cache());
   print_telemetry_summary(telemetry, serve);
   return 0;
 }

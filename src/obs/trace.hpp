@@ -39,7 +39,7 @@ enum class TraceStage : std::uint8_t {
   kRebase,       ///< fold phase 3: swap + rebase under the lock
   kAnnihilate,   ///< in-place insert/tombstone pair GC
   kTtlSweep,     ///< ExpirySweeper retirement pass
-  kAdopt,        ///< cross-shard cut adoption (version-vector swap + halo refresh)
+  kAdopt,        ///< cross-shard cut adoption (version-vector swap)
 };
 
 const char* trace_stage_name(TraceStage stage);

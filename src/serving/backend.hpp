@@ -10,7 +10,7 @@
 //   right cache -> release the handle
 //
 // ServingBackend captures exactly that contract plus the lifecycle
-// around it (cache ownership and telemetry registration, the
+// around it (cache ownership and cache.* gauge registration, the
 // traffic-cadence re-rank hook, TTL expiry forwarding, the mode label
 // journal events and benches key on), so InferenceServer — and every
 // future consumer: the wire/snapshot plane (ROADMAP item 2), model
@@ -56,7 +56,7 @@ struct ServingConfig {
   /// Traffic-triggered cache re-rank cadence, in gathered input rows
   /// summed across all workers: every N rows the serving tier recomputes
   /// the attached cache's hot set from its observed access counters
-  /// (streaming: StreamingGraph::rerank_now; sharded: every shard's
+  /// (streaming: StreamingGraph::rerank_now; sharded: the facade's one
   /// cache; static: the same traffic-first/degree-tiebreak ranking over
   /// the dataset graph).  Decouples admission-drift correction from
   /// compaction folds — a serving-heavy session whose quiet ingest never
@@ -133,25 +133,23 @@ class ServingBackend : public ExpiryTarget {
   virtual std::unique_ptr<BackendSession> make_session(std::uint64_t sampler_seed,
                                                        int num_layers) = 0;
 
-  /// True when a device cache sits in this backend's gather path (the
-  /// traffic re-rank cadence is meaningless without one).
-  virtual bool has_cache() const { return false; }
-  /// The flat device cache (static/streaming modes; null in sharded
-  /// mode or when disabled).
+  /// The device cache in this backend's gather path; null when
+  /// disabled.  Every mode has at most one (a sharded deployment's sits
+  /// on the feature store its shards share).
   virtual const StaticFeatureCache* cache() const { return nullptr; }
-  /// Shard `s`'s device cache (sharded mode with a cache configured;
-  /// null otherwise).
-  virtual const StaticFeatureCache* shard_cache(int /*s*/) const { return nullptr; }
+  /// True when a device cache sits in the gather path (the traffic
+  /// re-rank cadence is meaningless without one).
+  bool has_cache() const { return cache() != nullptr; }
 
-  /// Traffic-cadence hook: recompute the hot set of every cache in the
-  /// gather path from observed access counters.
+  /// Traffic-cadence hook: recompute the device cache's hot set from
+  /// observed access counters.
   virtual void rerank() = 0;
 
-  /// Registers this backend's cache.* callback gauges on `registry`
-  /// (owner = the backend; detached when the backend dies).  Re-binding
-  /// to the same registry is a no-op; `registry` must outlive the
-  /// backend once bound.
-  virtual void bind_metrics(MetricsRegistry& registry) = 0;
+  /// Registers cache()'s cache.* callback gauges on `registry` (owner =
+  /// the backend).  No-op without a cache; re-binding to the same
+  /// registry is a no-op; `registry` must outlive the backend once
+  /// bound.
+  void bind_metrics(MetricsRegistry& registry);
 
   // ExpiryTarget: defaults for backends with nothing to expire (the
   // static dataset doesn't age).  Streaming/sharded backends forward to
@@ -162,6 +160,14 @@ class ServingBackend : public ExpiryTarget {
   }
   Telemetry* telemetry() const override { return nullptr; }
   const char* expiry_scope() const override { return name(); }
+
+ protected:
+  /// Freezes the gauges bind_metrics registered.  A backend calls it in
+  /// its destructor, while its cache is still alive.
+  void unbind_metrics();
+
+ private:
+  MetricsRegistry* registry_ = nullptr;  ///< where bind_metrics registered
 };
 
 }  // namespace hyscale

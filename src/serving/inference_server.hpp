@@ -89,9 +89,6 @@ class InferenceServer {
 
   ServingSnapshot stats() const { return stats_.snapshot(); }
   const StaticFeatureCache* cache() const { return backend_.cache(); }
-  /// Shard `s`'s device cache (sharded mode with a cache configured;
-  /// null otherwise).
-  const StaticFeatureCache* shard_cache(int s) const { return backend_.shard_cache(s); }
   const ServingConfig& config() const { return config_; }
   int num_classes() const { return num_classes_; }
   const ServingBackend& backend() const { return backend_; }

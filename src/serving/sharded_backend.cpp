@@ -3,7 +3,6 @@
 #include <span>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "shard/sharded_graph.hpp"
 #include "shard/sharded_sampler.hpp"
 
@@ -42,13 +41,11 @@ class ShardedBackendSession final : public BackendSession {
 
   std::optional<StaticFeatureCache::LoadStats> gather(
       const MiniBatch& batch, Tensor& out, std::vector<char>& hit_scratch) override {
-    // Route through the home shard of the batch's first seed; the
-    // facade patches still-dirty halo rows from their owners so the
-    // block is bit-identical to a flat gather.
+    // One shared feature store and device cache: the block is the flat
+    // gather's, whichever shards own the rows.
     const auto& nodes = batch.input_nodes();
-    const int home = sharded_.owner(batch.seeds.front());
-    const auto stats = sharded_.gather(
-        home, std::span<const VertexId>(nodes.data(), nodes.size()), out, hit_scratch);
+    const auto stats =
+        sharded_.gather(std::span<const VertexId>(nodes.data(), nodes.size()), out, hit_scratch);
     if (cached_) return stats;
     return std::nullopt;
   }
@@ -68,32 +65,22 @@ class ShardedBackend final : public ServingBackend {
   ShardedBackend(ShardedStreamingGraph& sharded, const ServingConfig& config)
       : sharded_(sharded), fanouts_(config.fanouts) {
     if (config.cache_capacity_rows > 0) {
-      // One device cache per shard, ranked by the shard's own (filtered)
-      // degrees and attached to that shard for invalidation/eviction.
-      // Membership differences versus a flat cache are value-neutral:
-      // device rows and store wire fetches apply the same per-row
-      // precision rule, so a hit and a miss gather identical bytes.
-      caches_.reserve(static_cast<std::size_t>(sharded.num_shards()));
-      for (int s = 0; s < sharded.num_shards(); ++s) {
-        StreamingGraph& shard = sharded.shard(s);
-        caches_.push_back(std::make_unique<StaticFeatureCache>(
-            sharded.shard_dataset(s).graph, shard.features().base(),
-            config.cache_capacity_rows, config.transfer_precision));
-        shard.attach_cache(caches_.back().get());
-      }
+      // One device cache over the shared store's base matrix, ranked by
+      // the full dataset's degrees and attached through the facade so
+      // every feature write invalidates it.
+      cache_ = std::make_unique<StaticFeatureCache>(
+          sharded.dataset().graph, sharded.features().base(), config.cache_capacity_rows,
+          config.transfer_precision);
+      sharded.attach_cache(cache_.get());
     }
-    for (int s = 0; s < sharded.num_shards(); ++s) {
-      sharded.shard(s).features().set_transfer_precision(config.transfer_precision);
-    }
+    // Host-side wire simulation matches the cache precision, so a row
+    // gathers to the same values whether it hits or misses.
+    sharded.features().set_transfer_precision(config.transfer_precision);
   }
 
   ~ShardedBackend() override {
-    if (!caches_.empty()) {
-      for (int s = 0; s < sharded_.num_shards(); ++s) {
-        sharded_.shard(s).attach_cache(nullptr);
-      }
-    }
-    if (registry_ != nullptr) registry_->detach(this);
+    if (cache_) sharded_.attach_cache(nullptr);
+    unbind_metrics();
   }
 
   const char* name() const override { return "sharded"; }
@@ -102,49 +89,13 @@ class ShardedBackend final : public ServingBackend {
 
   std::unique_ptr<BackendSession> make_session(std::uint64_t sampler_seed,
                                                int num_layers) override {
-    return std::make_unique<ShardedBackendSession>(sharded_, !caches_.empty(), fanouts_,
+    return std::make_unique<ShardedBackendSession>(sharded_, cache_ != nullptr, fanouts_,
                                                    sampler_seed, num_layers);
   }
 
-  bool has_cache() const override { return !caches_.empty(); }
-  const StaticFeatureCache* shard_cache(int s) const override {
-    return s >= 0 && static_cast<std::size_t>(s) < caches_.size()
-               ? caches_[static_cast<std::size_t>(s)].get()
-               : nullptr;
-  }
+  const StaticFeatureCache* cache() const override { return cache_.get(); }
 
-  void rerank() override { sharded_.rerank_all(); }
-
-  void bind_metrics(MetricsRegistry& registry) override {
-    if (caches_.empty() || registry_ == &registry) return;
-    if (registry_ != nullptr) registry_->detach(this);
-    registry_ = &registry;
-    // The cache.* names aggregate across shards (the per-shard split is
-    // visible through each shard's own counters); frozen by detach() in
-    // the destructor before the caches die.
-    const auto* caches = &caches_;
-    auto sum = [caches](auto getter) {
-      return [caches, getter] {
-        double total = 0.0;
-        for (const auto& cache : *caches) total += static_cast<double>(getter(*cache));
-        return total;
-      };
-    };
-    registry.register_callback("cache.invalidations", this,
-                               sum([](const StaticFeatureCache& c) { return c.invalidations(); }));
-    registry.register_callback("cache.evictions", this,
-                               sum([](const StaticFeatureCache& c) { return c.evictions(); }));
-    registry.register_callback("cache.reranks", this,
-                               sum([](const StaticFeatureCache& c) { return c.reranks(); }));
-    registry.register_callback("cache.readmitted_rows", this,
-                               sum([](const StaticFeatureCache& c) {
-                                 return c.readmitted_rows();
-                               }));
-    registry.register_callback("cache.rerank_evicted_rows", this,
-                               sum([](const StaticFeatureCache& c) {
-                                 return c.rerank_evicted_rows();
-                               }));
-  }
+  void rerank() override { sharded_.rerank_now(); }
 
   // ExpiryTarget: forward to the facade's facade-wide sweep — broadcast
   // retirement keeps every shard's vertex space in lockstep, which is
@@ -159,8 +110,7 @@ class ShardedBackend final : public ServingBackend {
  private:
   ShardedStreamingGraph& sharded_;
   std::vector<int> fanouts_;
-  std::vector<std::unique_ptr<StaticFeatureCache>> caches_;  ///< one per shard
-  MetricsRegistry* registry_ = nullptr;
+  std::unique_ptr<StaticFeatureCache> cache_;
 };
 
 }  // namespace

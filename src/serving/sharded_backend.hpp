@@ -2,17 +2,16 @@
 //
 // acquire() pins the facade's latest ADOPTED cross-shard cut — one
 // frozen version vector, so a query never mixes a pre-publish shard
-// with a post-publish one — sampling goes through a ShardedSampler
-// over that cut (sample_full_sharded when the fanouts are empty), and
-// gathers route through the home shard of the batch's first seed with
-// still-dirty halo rows patched from their owners.  The backend owns
-// one device cache per shard (ranked by the shard's own filtered
-// degrees, attached to that shard for invalidation/eviction, detached
-// when the backend dies); the cache.* gauges it registers aggregate
-// across shards.  ExpiryTarget forwards to the facade's facade-wide
-// sweep (broadcast retirement keeps the shards' vertex spaces in
-// lockstep), closing the sharded-TTL gap: one ExpirySweeper over this
-// backend paces expiry for the whole deployment.
+// with a post-publish one — and sampling goes through a ShardedSampler
+// over that cut (sample_full_sharded when the fanouts are empty).
+// Gathers go through the facade's one feature plane: the store every
+// shard shares, plus the one device cache this backend owns (built over
+// the full dataset graph and the shared base matrix, attached through
+// the facade for invalidation/eviction, detached when the backend
+// dies).  ExpiryTarget forwards to the facade-wide sweep (broadcast
+// retirement keeps the shards' vertex spaces in lockstep), so one
+// ExpirySweeper over this backend paces expiry for the whole
+// deployment.
 #pragma once
 
 #include <memory>
@@ -23,8 +22,8 @@ namespace hyscale {
 
 class ShardedStreamingGraph;
 
-/// `sharded` (and its dataset) must outlive the backend.  Sets every
-/// shard store's wire precision to config.transfer_precision.
+/// `sharded` (and its dataset) must outlive the backend.  Sets the
+/// shared store's wire precision to config.transfer_precision.
 std::unique_ptr<ServingBackend> make_sharded_backend(ShardedStreamingGraph& sharded,
                                                      const ServingConfig& config);
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "runtime/feature_loader.hpp"
 #include "sampling/neighbor_sampler.hpp"
 
@@ -71,9 +70,7 @@ class StaticBackend final : public ServingBackend {
     }
   }
 
-  ~StaticBackend() override {
-    if (registry_ != nullptr) registry_->detach(this);
-  }
+  ~StaticBackend() override { unbind_metrics(); }
 
   const char* name() const override { return "static"; }
   const Dataset& dataset() const override { return dataset_; }
@@ -85,7 +82,6 @@ class StaticBackend final : public ServingBackend {
                                                   sampler_seed, num_layers);
   }
 
-  bool has_cache() const override { return cache_ != nullptr; }
   const StaticFeatureCache* cache() const override { return cache_.get(); }
 
   void rerank() override {
@@ -118,33 +114,10 @@ class StaticBackend final : public ServingBackend {
     cache_->rerank(candidates);
   }
 
-  void bind_metrics(MetricsRegistry& registry) override {
-    if (!cache_ || registry_ == &registry) return;
-    if (registry_ != nullptr) registry_->detach(this);
-    registry_ = &registry;
-    // Pulled at snapshot time; frozen by detach() in the destructor
-    // before the cache dies.
-    const StaticFeatureCache* cache = cache_.get();
-    registry.register_callback("cache.invalidations", this, [cache] {
-      return static_cast<double>(cache->invalidations());
-    });
-    registry.register_callback("cache.evictions", this,
-                               [cache] { return static_cast<double>(cache->evictions()); });
-    registry.register_callback("cache.reranks", this,
-                               [cache] { return static_cast<double>(cache->reranks()); });
-    registry.register_callback("cache.readmitted_rows", this, [cache] {
-      return static_cast<double>(cache->readmitted_rows());
-    });
-    registry.register_callback("cache.rerank_evicted_rows", this, [cache] {
-      return static_cast<double>(cache->rerank_evicted_rows());
-    });
-  }
-
  private:
   const Dataset& dataset_;
   std::vector<int> fanouts_;
   std::unique_ptr<StaticFeatureCache> cache_;
-  MetricsRegistry* registry_ = nullptr;
 };
 
 }  // namespace

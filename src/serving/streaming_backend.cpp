@@ -2,7 +2,6 @@
 
 #include <span>
 
-#include "obs/metrics.hpp"
 #include "stream/overlay_sampler.hpp"
 #include "stream/streaming_graph.hpp"
 
@@ -78,7 +77,7 @@ class StreamingBackend final : public ServingBackend {
 
   ~StreamingBackend() override {
     if (cache_) stream_.attach_cache(nullptr);
-    if (registry_ != nullptr) registry_->detach(this);
+    unbind_metrics();
   }
 
   const char* name() const override { return "streaming"; }
@@ -91,30 +90,9 @@ class StreamingBackend final : public ServingBackend {
                                                      sampler_seed, num_layers);
   }
 
-  bool has_cache() const override { return cache_ != nullptr; }
   const StaticFeatureCache* cache() const override { return cache_.get(); }
 
   void rerank() override { stream_.rerank_now(); }
-
-  void bind_metrics(MetricsRegistry& registry) override {
-    if (!cache_ || registry_ == &registry) return;
-    if (registry_ != nullptr) registry_->detach(this);
-    registry_ = &registry;
-    const StaticFeatureCache* cache = cache_.get();
-    registry.register_callback("cache.invalidations", this, [cache] {
-      return static_cast<double>(cache->invalidations());
-    });
-    registry.register_callback("cache.evictions", this,
-                               [cache] { return static_cast<double>(cache->evictions()); });
-    registry.register_callback("cache.reranks", this,
-                               [cache] { return static_cast<double>(cache->reranks()); });
-    registry.register_callback("cache.readmitted_rows", this, [cache] {
-      return static_cast<double>(cache->readmitted_rows());
-    });
-    registry.register_callback("cache.rerank_evicted_rows", this, [cache] {
-      return static_cast<double>(cache->rerank_evicted_rows());
-    });
-  }
 
   // ExpiryTarget: forward to the graph so one sweeper paces TTL expiry
   // through the seam (keeps the flat stack's "stream.*" instrument
@@ -130,7 +108,6 @@ class StreamingBackend final : public ServingBackend {
   StreamingGraph& stream_;
   std::vector<int> fanouts_;
   std::unique_ptr<StaticFeatureCache> cache_;
-  MetricsRegistry* registry_ = nullptr;
 };
 
 }  // namespace

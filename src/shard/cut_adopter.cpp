@@ -11,7 +11,7 @@ CutAdopter::CutAdopter(ShardedStreamingGraph& graph, CutAdopterPolicy policy)
   if (policy_.poll_interval <= 0.0)
     throw std::invalid_argument("CutAdopter: poll_interval must be positive");
   if (Telemetry* telemetry = graph_.telemetry(); telemetry != nullptr) {
-    // Busy time is one adopt (version snapshot + dirty-row refresh);
+    // Busy time is one adopt (a version-vector snapshot);
     // the poll interval is the natural beat hint.
     heart_ = &telemetry->heartbeats().register_thread(
         "sharded.adopter",

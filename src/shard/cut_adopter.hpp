@@ -4,9 +4,10 @@
 // GraphVersions, but queries only ever read an adopted ShardedCut — a
 // shard's publish is invisible until a cut containing it is installed.
 // The CutAdopter closes that gap: a background thread polls the facade
-// and adopts whenever some shard has published past the current cut or
-// dirty halo rows await a refresh, bounding cut staleness at roughly
-// its poll interval on top of the per-shard publishers' SLO.  Idles
+// and adopts whenever some shard has published past the current cut,
+// bounding cut staleness at roughly its poll interval on top of the
+// per-shard publishers' SLO.  Feature updates need no adoption: every
+// shard serves from one shared store.  Idles
 // (watchdog-visible) when nothing moved; adoption itself is serialized
 // inside the facade, so a concurrent test-driven publish_all is safe.
 #pragma once
@@ -23,8 +24,7 @@
 namespace hyscale {
 
 struct CutAdopterPolicy {
-  /// How often the adopter checks for newly published shard versions
-  /// or pending halo refreshes.
+  /// How often the adopter checks for newly published shard versions.
   Seconds poll_interval = 1e-3;
 };
 

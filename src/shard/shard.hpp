@@ -6,7 +6,8 @@
 //                          only ever read an adopted cut
 //   ShardedStreamingGraph— N partition-routed StreamingGraph shards
 //                          behind one facade: broadcast vertex space,
-//                          owner-routed edges/features, halo mirrors
+//                          owner-routed edges, one shared feature store
+//                          and device cache
 //   ShardedSampler       — bit-identical GraphSAGE sampling over a cut
 //   CutAdopter           — background version-vector advancer
 //   ShardedUpdateDriver  — the facade analogue of UpdateGenerator

@@ -59,25 +59,20 @@ ShardedStreamingGraph::ShardedStreamingGraph(const Dataset& dataset, ShardedConf
   owners_ = std::make_shared<const ShardOwnerMap>(partition_.assignment, config_.num_shards,
                                                   config_.partition_seed);
 
-  shard_datasets_.reserve(static_cast<std::size_t>(config_.num_shards));
+  // One feature store for every shard: views carry only the filtered
+  // topology.
+  features_ = std::make_shared<MutableFeatureStore>(dataset.features);
+  shard_views_.reserve(static_cast<std::size_t>(config_.num_shards));
+  shards_.reserve(static_cast<std::size_t>(config_.num_shards));
   for (int s = 0; s < config_.num_shards; ++s) {
-    Dataset view;
+    Dataset& view = shard_views_.emplace_back();
     view.info = dataset.info;
     view.info.name += "/shard" + std::to_string(s);
     view.graph = filter_owner_incident(dataset.graph, partition_.assignment, s);
-    view.features = dataset.features;  // full copy: every shard mirrors every row
-    view.labels = dataset.labels;
-    view.train_ids = dataset.train_ids;
-    shard_datasets_.push_back(std::move(view));
-  }
-
-  shards_.reserve(static_cast<std::size_t>(config_.num_shards));
-  for (int s = 0; s < config_.num_shards; ++s) {
     StreamingConfig shard_config = config_.stream;
     shard_config.recycle_ids = false;  // lockstep vertex spaces, see header
     shard_config.metric_prefix = "shard" + std::to_string(s) + ".";
-    shards_.push_back(std::make_unique<StreamingGraph>(
-        shard_datasets_[static_cast<std::size_t>(s)], shard_config));
+    shards_.push_back(std::make_unique<StreamingGraph>(view, shard_config, features_));
   }
 
   bind_telemetry();
@@ -95,15 +90,10 @@ void ShardedStreamingGraph::bind_telemetry() {
   tracer_ = &telemetry->tracer();
   journal_ = &telemetry->journal();
   m_adoptions_ = &registry.counter("sharded.cut_adoptions");
-  m_refreshed_ = &registry.counter("sharded.halo_refreshed_rows");
-  m_halo_hits_ = &registry.counter("sharded.halo_hits");
-  m_cross_rows_ = &registry.counter("sharded.cross_shard_rows");
   registry.gauge("sharded.num_shards").set(static_cast<double>(num_shards()));
   registry.gauge("sharded.edge_cut_fraction")
       .set(partition_.edge_cut_fraction(dataset_->graph.num_edges()));
   registry.gauge("sharded.imbalance").set(partition_.imbalance());
-  registry.register_callback("sharded.dirty_rows", this,
-                             [this] { return static_cast<double>(dirty_rows()); });
   registry.register_callback("sharded.cut_id", this, [this] {
     const auto cut = current_cut();
     return cut == nullptr ? 0.0 : static_cast<double>(cut->cut_id());
@@ -208,23 +198,14 @@ bool ShardedStreamingGraph::remove_vertex(VertexId v) {
     removed_edges_.fetch_add(
         shards_[static_cast<std::size_t>(o)]->stats().removed_edges - owner_removed_before,
         std::memory_order_relaxed);
-    std::lock_guard dirty_lock(dirty_mutex_);
-    dirty_.erase(v);  // every mirror is zeroed now; nothing left to refresh
   }
   return removed;
 }
 
 bool ShardedStreamingGraph::update_feature(VertexId v, std::span<const float> values) {
   std::shared_lock topology(topology_mutex_);
-  const int o = owners_->owner(v);
-  const bool accepted = shards_[static_cast<std::size_t>(o)]->update_feature(v, values);
-  if (accepted) {
-    feature_updates_.fetch_add(1, std::memory_order_relaxed);
-    if (shards_.size() > 1) {
-      std::lock_guard dirty_lock(dirty_mutex_);
-      dirty_.insert(v);
-    }
-  }
+  const bool accepted = shards_.front()->update_feature(v, values);
+  if (accepted) feature_updates_.fetch_add(1, std::memory_order_relaxed);
   return accepted;
 }
 
@@ -240,14 +221,9 @@ std::shared_ptr<const ShardedCut> ShardedStreamingGraph::adopt() {
   versions.reserve(shards_.size());
   for (const auto& shard : shards_) versions.push_back(shard->current());
 
-  bool have_dirty;
-  {
-    std::lock_guard dirty_lock(dirty_mutex_);
-    have_dirty = !dirty_.empty();
-  }
   {
     std::lock_guard cut_lock(cut_mutex_);
-    if (current_cut_ != nullptr && !have_dirty) {
+    if (current_cut_ != nullptr) {
       bool unchanged = true;
       for (int s = 0; s < num_shards(); ++s) {
         if (current_cut_->shard_version_ptr(s) != versions[static_cast<std::size_t>(s)]) {
@@ -260,30 +236,6 @@ std::shared_ptr<const ShardedCut> ShardedStreamingGraph::adopt() {
   }
 
   const std::int64_t begin_ns = tracer_ != nullptr ? StageTracer::now_ns() : 0;
-
-  // Halo refresh: bring every non-owner mirror of a dirty vertex up to
-  // the owner's row.  Ascending id order keeps the pass deterministic.
-  std::vector<VertexId> dirty;
-  {
-    std::lock_guard dirty_lock(dirty_mutex_);
-    dirty.assign(dirty_.begin(), dirty_.end());
-    dirty_.clear();
-  }
-  std::sort(dirty.begin(), dirty.end());
-  std::int64_t refreshed = 0;
-  if (!dirty.empty() && shards_.size() > 1) {
-    std::vector<float> row(static_cast<std::size_t>(shards_.front()->features().cols()));
-    for (VertexId v : dirty) {
-      const int o = owners_->owner(v);
-      shards_[static_cast<std::size_t>(o)]->features().copy_row(v, row);
-      for (int s = 0; s < num_shards(); ++s) {
-        if (s == o) continue;
-        shards_[static_cast<std::size_t>(s)]->refresh_mirror_row(v, row);
-        ++refreshed;
-      }
-    }
-  }
-
   const auto cut = std::make_shared<const ShardedCut>(
       owners_, std::move(versions), cut_counter_.fetch_add(1, std::memory_order_relaxed) + 1);
   {
@@ -291,17 +243,11 @@ std::shared_ptr<const ShardedCut> ShardedStreamingGraph::adopt() {
     current_cut_ = cut;
   }
   cut_adoptions_.fetch_add(1, std::memory_order_relaxed);
-  halo_refreshed_rows_.fetch_add(refreshed, std::memory_order_relaxed);
   if (m_adoptions_ != nullptr) m_adoptions_->add(1);
-  if (m_refreshed_ != nullptr && refreshed > 0) m_refreshed_->add(refreshed);
   if (tracer_ != nullptr) {
-    tracer_->record(TraceStage::kAdopt, cut->cut_id(), static_cast<std::uint64_t>(refreshed),
-                    begin_ns, StageTracer::now_ns());
+    tracer_->record(TraceStage::kAdopt, cut->cut_id(), 0, begin_ns, StageTracer::now_ns());
   }
-  if (journal_ != nullptr) {
-    journal_->log("adopt", "cut=" + std::to_string(cut->cut_id()) +
-                               " refreshed_rows=" + std::to_string(refreshed));
-  }
+  if (journal_ != nullptr) journal_->log("adopt", "cut=" + std::to_string(cut->cut_id()));
   return cut;
 }
 
@@ -311,10 +257,6 @@ std::shared_ptr<const ShardedCut> ShardedStreamingGraph::current_cut() const {
 }
 
 bool ShardedStreamingGraph::cut_stale() const {
-  {
-    std::lock_guard dirty_lock(dirty_mutex_);
-    if (!dirty_.empty()) return true;
-  }
   const auto cut = current_cut();
   for (int s = 0; s < num_shards(); ++s) {
     if (cut->shard_version_ptr(s) != shards_[static_cast<std::size_t>(s)]->current())
@@ -324,69 +266,15 @@ bool ShardedStreamingGraph::cut_stale() const {
 }
 
 StaticFeatureCache::LoadStats ShardedStreamingGraph::gather(
-    int home_shard, std::span<const VertexId> nodes, Tensor& out,
-    std::vector<char>& hit_scratch) const {
-  auto stats = shards_[static_cast<std::size_t>(home_shard)]->gather(nodes, out, hit_scratch);
-  if (shards_.size() == 1) return stats;
-
-  // Remote rows: fresh mirrors (halo hits) are already correct in
-  // `out`; rows still dirty since the last adopt are overwritten
-  // straight from their owner's store — at the owner's wire precision,
-  // so the served values match what the flat graph's store would emit.
-  thread_local std::vector<VertexId> stale_nodes;
-  thread_local std::vector<std::int64_t> stale_rows;
-  stale_nodes.clear();
-  stale_rows.clear();
-  std::int64_t remote = 0;
-  {
-    std::lock_guard dirty_lock(dirty_mutex_);
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const VertexId v = nodes[i];
-      if (owners_->owner(v) == home_shard) continue;
-      ++remote;
-      if (dirty_.count(v) != 0) {
-        stale_nodes.push_back(v);
-        stale_rows.push_back(static_cast<std::int64_t>(i));
-      }
-    }
-  }
-  if (remote == 0) return stats;
-  const auto stale = static_cast<std::int64_t>(stale_nodes.size());
-  halo_hits_.fetch_add(remote - stale, std::memory_order_relaxed);
-  cross_shard_rows_.fetch_add(stale, std::memory_order_relaxed);
-  if (m_halo_hits_ != nullptr && remote > stale) m_halo_hits_->add(remote - stale);
-  if (m_cross_rows_ != nullptr && stale > 0) m_cross_rows_->add(stale);
-  if (stale == 0) return stats;
-
-  thread_local std::vector<VertexId> owner_batch;
-  thread_local std::vector<std::int64_t> owner_rows;
-  thread_local Tensor fetched;
-  const std::int64_t cols = out.cols();
-  for (int s = 0; s < num_shards(); ++s) {
-    if (s == home_shard) continue;
-    owner_batch.clear();
-    owner_rows.clear();
-    for (std::size_t k = 0; k < stale_nodes.size(); ++k) {
-      if (owners_->owner(stale_nodes[k]) == s) {
-        owner_batch.push_back(stale_nodes[k]);
-        owner_rows.push_back(stale_rows[k]);
-      }
-    }
-    if (owner_batch.empty()) continue;
-    fetched.resize(static_cast<std::int64_t>(owner_batch.size()), cols);
-    shards_[static_cast<std::size_t>(s)]->features().gather(owner_batch, fetched);
-    for (std::size_t j = 0; j < owner_batch.size(); ++j) {
-      const auto src = fetched.row(static_cast<std::int64_t>(j));
-      const auto dst = out.row(owner_rows[j]);
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
-  }
-  return stats;
+    std::span<const VertexId> nodes, Tensor& out, std::vector<char>& hit_scratch) const {
+  return shards_.front()->gather(nodes, out, hit_scratch);
 }
 
-void ShardedStreamingGraph::rerank_all() {
-  for (auto& shard : shards_) shard->rerank_now();
+void ShardedStreamingGraph::attach_cache(StaticFeatureCache* cache) {
+  shards_.front()->attach_cache(cache);
 }
+
+void ShardedStreamingGraph::rerank_now() { shards_.front()->rerank_now(); }
 
 std::int64_t ShardedStreamingGraph::sweep_expired(Seconds ttl, std::int64_t max_retire,
                                                   EdgeId pending_op_budget) {
@@ -403,23 +291,13 @@ std::int64_t ShardedStreamingGraph::sweep_expired(Seconds ttl, std::int64_t max_
         busiest = std::max(busiest, shard->overlay_ops());
       if (busiest >= pending_op_budget) break;
     }
-    // A vertex read-hot through ANY home shard stays alive: the
-    // effective last touch is the max across all shard stores.
-    std::int64_t last = 0;
-    for (const auto& shard : shards_)
-      last = std::max(last, shard->features().last_touch_ns(v));
-    if (now - last <= ttl_ns) continue;
+    if (now - features_->last_touch_ns(v) <= ttl_ns) continue;
     if (remove_vertex(v)) {
       ++retired;
       expired_vertices_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return retired;
-}
-
-std::int64_t ShardedStreamingGraph::dirty_rows() const {
-  std::lock_guard dirty_lock(dirty_mutex_);
-  return static_cast<std::int64_t>(dirty_.size());
 }
 
 ShardedStats ShardedStreamingGraph::stats() const {
@@ -433,10 +311,6 @@ ShardedStats ShardedStreamingGraph::stats() const {
   stats.feature_updates = feature_updates_.load(std::memory_order_relaxed);
   stats.expired_vertices = expired_vertices_.load(std::memory_order_relaxed);
   stats.cut_adoptions = cut_adoptions_.load(std::memory_order_relaxed);
-  stats.halo_refreshed_rows = halo_refreshed_rows_.load(std::memory_order_relaxed);
-  stats.halo_hits = halo_hits_.load(std::memory_order_relaxed);
-  stats.cross_shard_rows = cross_shard_rows_.load(std::memory_order_relaxed);
-  stats.dirty_rows = dirty_rows();
   const auto cut = current_cut();
   stats.cut_id = cut == nullptr ? 0 : cut->cut_id();
   return stats;
@@ -449,9 +323,7 @@ std::string ShardedStats::to_string() const {
       << " rm=" << removed_edges << " rej=" << rejected_removals << ")"
       << " vertices(add=" << added_vertices << " rm=" << removed_vertices
       << " expired=" << expired_vertices << ")"
-      << " features(updates=" << feature_updates << " dirty=" << dirty_rows
-      << " refreshed=" << halo_refreshed_rows << ")"
-      << " halo(hits=" << halo_hits << " cross_fetch=" << cross_shard_rows << ")";
+      << " feature_updates=" << feature_updates;
   return out.str();
 }
 

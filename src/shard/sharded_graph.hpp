@@ -1,16 +1,16 @@
 // Sharded streaming serving: N partition-routed StreamingGraph shards
-// behind one facade, with a halo feature plane and a consistent
+// behind one facade, with one shared feature plane and a consistent
 // cross-shard cut.
 //
 // This is the repository's stand-in for the multi-node serving tier the
-// paper's §VII baselines (P3, DistDGL) run — built so the costs HyScale
-// avoids (halo feature traffic, cross-shard consistency) can be
+// paper's §VII baselines (P3, DistDGL) run — built so the cost HyScale
+// avoids (cross-shard consistency of a partitioned topology) can be
 // MEASURED against the same workloads instead of modeled.  Vertices are
 // assigned to shards by a Partition (hash or BFS-grown, graph/partition)
 // plus a seeded hash for vertices streamed in later; every shard is a
-// full StreamingGraph (its own DeltaStore, MutableFeatureStore,
-// Compactor and Publisher — all reused unchanged) over the FULL vertex
-// space, holding every directed edge incident to a vertex it owns.
+// full StreamingGraph (its own DeltaStore, Compactor and Publisher — all
+// reused unchanged) over the FULL vertex space, holding every directed
+// edge incident to a vertex it owns.
 //
 // The bit-identity contract (PR 3's standard) survives sharding by
 // construction, not by luck:
@@ -22,24 +22,23 @@
 //     graph's, so a sampler that reads every vertex through its owner
 //     shard draws bit-identical neighborhoods.
 //   * VERTEX SPACE — vertex adds/removes are broadcast to every shard
-//     under an exclusive lock, with id recycling disabled
-//     (StreamingConfig::recycle_ids = false), so all shards agree on
-//     ids and liveness at every instant.
-//   * FEATURES — every shard carries a full feature copy.  A feature
-//     update writes the OWNER's row immediately and marks the vertex
-//     dirty; non-owner mirrors catch up at the next cut adoption (halo
-//     refresh).  Gathers run against one "home" shard and overlay the
-//     still-dirty remote rows straight from their owners' stores — at
-//     the owners' wire precision, so int8 serving stays bit-identical
-//     to the flat graph's int8 gather.
+//     (shard 0 first) under an exclusive lock, with id recycling
+//     disabled (StreamingConfig::recycle_ids = false), so all shards
+//     agree on ids and liveness at every instant.
+//   * FEATURES — as in HyScale's single host-memory feature matrix,
+//     there is ONE MutableFeatureStore, shared by every shard, and at
+//     most one device cache.  Every feature operation — update, gather,
+//     cache re-rank, cache attach — goes through shard 0, so the cache
+//     is invalidated by every write and a gather serves exactly the row
+//     the flat graph's store would, at the same wire precision.  Feature
+//     updates are visible to the next gather, before any adoption.
 //
 // CONSISTENT CUT — queries never read shards_[s]->current() directly.
 // adopt() freezes a version VECTOR (one published GraphVersion per
-// shard), refreshes the dirty halo mirrors, and installs the result as
-// an immutable ShardedCut; a shard's publish becomes visible to queries
-// only once a cut containing it is adopted.  Cut ids are monotone, so
-// every query is served from one frozen vector — never a torn mix of
-// old shard A and new shard B state mid-read.
+// shard) and installs it as an immutable ShardedCut; a shard's publish
+// becomes visible to queries only once a cut containing it is adopted.
+// Cut ids are monotone, so every query samples one frozen vector —
+// never a torn mix of old shard A and new shard B topology mid-read.
 #pragma once
 
 #include <atomic>
@@ -49,7 +48,6 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -152,7 +150,7 @@ struct ShardedConfig {
 };
 
 /// Facade-level logical counters (each op counted ONCE, however many
-/// shards it touched) plus the cross-shard instruments.
+/// shards it touched).
 struct ShardedStats {
   std::int64_t ingested_edges = 0;     ///< accepted directed insertions
   std::int64_t duplicate_edges = 0;
@@ -163,10 +161,12 @@ struct ShardedStats {
   std::int64_t feature_updates = 0;
   std::int64_t expired_vertices = 0;
   std::int64_t cut_adoptions = 0;
-  std::int64_t halo_refreshed_rows = 0;  ///< mirror rows refreshed at adoption
-  std::int64_t halo_hits = 0;            ///< remote rows served from a fresh local mirror
-  std::int64_t cross_shard_rows = 0;     ///< remote rows fetched from their owner (dirty)
-  std::int64_t dirty_rows = 0;           ///< currently awaiting halo refresh
+  /// Always 0: the shards share one feature store, so there are no
+  /// mirror rows to refresh.  Kept only because perfbench reads it.
+  std::int64_t halo_refreshed_rows = 0;
+  /// Always 0: no gather fetches a row from another shard's store.
+  /// Kept only because perfbench reads it.
+  std::int64_t cross_shard_rows = 0;
   std::uint64_t cut_id = 0;
 
   std::string to_string() const;
@@ -175,9 +175,10 @@ struct ShardedStats {
 class ShardedStreamingGraph : public ExpiryTarget {
  public:
   /// Partitions `dataset` and builds one StreamingGraph per shard (full
-  /// vertex space, owner-incident edges, full feature copy).  The
-  /// dataset must outlive the facade.  Throws std::invalid_argument for
-  /// num_shards < 1 or a non-symmetric stream config.
+  /// vertex space, owner-incident edges) over one feature store copied
+  /// from dataset.features.  The dataset must outlive the facade.
+  /// Throws std::invalid_argument for num_shards < 1 or a non-symmetric
+  /// stream config.
   ShardedStreamingGraph(const Dataset& dataset, ShardedConfig config);
   ~ShardedStreamingGraph();  ///< detaches the facade's callback gauges
 
@@ -191,17 +192,15 @@ class ShardedStreamingGraph : public ExpiryTarget {
   bool add_edge(VertexId u, VertexId v);
   bool remove_edge(VertexId u, VertexId v);
 
-  /// Broadcast: every shard appends the SAME id (recycling is off, so
-  /// the vertex spaces stay in lockstep).
+  /// Broadcast: every shard adds the SAME id (recycling is off, so the
+  /// vertex spaces stay in lockstep); shard 0 appends the shared row.
   VertexId add_vertex(std::span<const float> features);
-  /// Broadcast retirement: edges retracted and the row zeroed on every
-  /// shard, so no mirror can serve a retracted entity.
+  /// Broadcast retirement: edges retracted on every shard; shard 0
+  /// zeroes the shared row and evicts it from the device cache.
   bool remove_vertex(VertexId v);
 
-  /// Writes the OWNER shard's row (visible to home-shard gathers of
-  /// that owner immediately) and marks the vertex dirty; every other
-  /// shard's mirror catches up at the next adopt().  Until then,
-  /// cross-shard gathers of the vertex fetch the owner's row directly.
+  /// Writes the shared row through shard 0 (which invalidates the
+  /// device cache).  The next gather serves it; no adoption needed.
   bool update_feature(VertexId v, std::span<const float> values);
 
   // ---- cuts ----
@@ -211,43 +210,39 @@ class ShardedStreamingGraph : public ExpiryTarget {
   /// to a flat StreamingGraph publish of the same op sequence.
   std::shared_ptr<const ShardedCut> publish_all();
 
-  /// Freezes the current per-shard version vector, refreshes dirty halo
-  /// mirrors (owner row -> every other shard, skipping dead vertices),
-  /// and installs the result as the new current cut.  Returns the
-  /// installed (or unchanged, when nothing moved) cut.  Serialized
-  /// internally; safe to call from the CutAdopter thread and tests
-  /// concurrently.
+  /// Freezes the current per-shard version vector and installs it as
+  /// the new current cut.  Returns the installed (or unchanged, when no
+  /// shard published since) cut.  Serialized internally; safe to call
+  /// from the CutAdopter thread and tests concurrently.
   std::shared_ptr<const ShardedCut> adopt();
 
   /// The latest adopted cut.  Never null (the constructor adopts cut 1).
   std::shared_ptr<const ShardedCut> current_cut() const;
 
   /// True when some shard has published a version the current cut does
-  /// not contain, or dirty halo rows await a refresh — the CutAdopter's
-  /// poll predicate.
+  /// not contain — the CutAdopter's poll predicate.
   bool cut_stale() const;
 
-  // ---- feature plane ----
+  // ---- feature plane (every call routes through shard 0) ----
 
-  /// Serving gather routed through `home_shard`: pinned rows from that
-  /// shard's cache, the rest from its store, then any still-dirty
-  /// remote row is overwritten straight from its owner's store at the
-  /// owner's wire precision.  Counts halo hits (remote rows whose local
-  /// mirror was fresh) vs cross-shard fetches.
-  StaticFeatureCache::LoadStats gather(int home_shard, std::span<const VertexId> nodes,
-                                       Tensor& out, std::vector<char>& hit_scratch) const;
+  /// Serving gather: pinned rows from the device cache, the rest from
+  /// the shared store at its wire precision — the flat graph's gather.
+  StaticFeatureCache::LoadStats gather(std::span<const VertexId> nodes, Tensor& out,
+                                       std::vector<char>& hit_scratch) const;
 
-  /// On-demand cache re-rank on every shard (the facade analogue of
+  /// Attaches the one device cache (nullptr detaches).  It must be
+  /// built over features().base().
+  void attach_cache(StaticFeatureCache* cache);
+
+  /// On-demand re-rank of the device cache (the facade analogue of
   /// StreamingGraph::rerank_now, used by the serving tier's
   /// traffic-triggered cadence).
-  void rerank_all();
+  void rerank_now();
 
   /// Facade TTL pass: retires streamed-in vertices (broadcast
-  /// remove_vertex) whose feature row is idle on EVERY shard — the
-  /// last-touch is the max across shards, so a vertex read-hot through
-  /// any home shard stays alive.  Ascending id order; same pacing
-  /// contract as StreamingGraph::sweep_expired (the budget is checked
-  /// against the busiest shard's overlay).
+  /// remove_vertex) whose shared feature row is idle.  Ascending id
+  /// order; same pacing contract as StreamingGraph::sweep_expired (the
+  /// budget is checked against the busiest shard's overlay).
   std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire,
                              EdgeId pending_op_budget = 0) override;
 
@@ -259,14 +254,13 @@ class ShardedStreamingGraph : public ExpiryTarget {
   int owner(VertexId v) const { return owners_->owner(v); }
   const Partition& partition() const { return partition_; }
   const Dataset& dataset() const { return *dataset_; }
-  /// The dataset view shard `s` serves (filtered topology, full feature
-  /// copy) — what the serving tier builds shard `s`'s device cache over.
-  const Dataset& shard_dataset(int s) const { return shard_datasets_[static_cast<std::size_t>(s)]; }
+  /// The one feature store every shard serves from.
+  MutableFeatureStore& features() { return *features_; }
+  const MutableFeatureStore& features() const { return *features_; }
   const ShardedConfig& config() const { return config_; }
   Telemetry* telemetry() const override { return config_.stream.telemetry; }
   const char* expiry_scope() const override { return "sharded"; }
   VertexId num_vertices() const { return shards_.front()->num_vertices(); }
-  std::int64_t dirty_rows() const;
   ShardedStats stats() const;
 
  private:
@@ -277,9 +271,11 @@ class ShardedStreamingGraph : public ExpiryTarget {
   ShardedConfig config_;
   Partition partition_;
   std::shared_ptr<const ShardOwnerMap> owners_;
-  /// Per-shard dataset views; StreamingGraph references its dataset, so
-  /// these must live exactly as long as the shards (declared first).
-  std::vector<Dataset> shard_datasets_;
+  std::shared_ptr<MutableFeatureStore> features_;
+  /// Per-shard dataset views (filtered topology only); StreamingGraph
+  /// references its dataset, so these must outlive the shards
+  /// (declared first).
+  std::vector<Dataset> shard_views_;
   std::vector<std::unique_ptr<StreamingGraph>> shards_;
 
   /// Vertex adds/removes exclusive, edge ops + feature updates shared —
@@ -291,9 +287,6 @@ class ShardedStreamingGraph : public ExpiryTarget {
   /// add/remove interleave.
   static constexpr std::size_t kEdgeStripes = 64;
   mutable std::mutex edge_stripes_[kEdgeStripes];
-
-  mutable std::mutex dirty_mutex_;
-  std::unordered_set<VertexId> dirty_;  ///< owner row newer than some mirror
 
   std::mutex adopt_mutex_;  ///< serializes adopt() bodies
   mutable std::mutex cut_mutex_;
@@ -309,17 +302,11 @@ class ShardedStreamingGraph : public ExpiryTarget {
   std::atomic<std::int64_t> feature_updates_{0};
   std::atomic<std::int64_t> expired_vertices_{0};
   std::atomic<std::int64_t> cut_adoptions_{0};
-  std::atomic<std::int64_t> halo_refreshed_rows_{0};
-  mutable std::atomic<std::int64_t> halo_hits_{0};
-  mutable std::atomic<std::int64_t> cross_shard_rows_{0};
 
   // Registry mirrors + tracer/journal; all null when telemetry is off.
   StageTracer* tracer_ = nullptr;
   EventJournal* journal_ = nullptr;
   Counter* m_adoptions_ = nullptr;
-  Counter* m_refreshed_ = nullptr;
-  Counter* m_halo_hits_ = nullptr;
-  Counter* m_cross_rows_ = nullptr;
 };
 
 }  // namespace hyscale

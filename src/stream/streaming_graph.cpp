@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -134,13 +135,15 @@ bool GraphVersion::validate() const {
 
 // ---------------------------------------------------------- StreamingGraph
 
-StreamingGraph::StreamingGraph(const Dataset& dataset, StreamingConfig config)
+StreamingGraph::StreamingGraph(const Dataset& dataset, StreamingConfig config,
+                               std::shared_ptr<MutableFeatureStore> features)
     : dataset_(&dataset),
       config_(config),
       delta_(std::make_shared<const CsrGraph>(dataset.graph), config.num_stripes,
              config.symmetric),
-      features_(dataset.features) {
-  if (dataset.features.rows() != dataset.graph.num_vertices())
+      features_(features != nullptr ? std::move(features)
+                                    : std::make_shared<MutableFeatureStore>(dataset.features)) {
+  if (features_->rows() != dataset.graph.num_vertices())
     throw std::invalid_argument("StreamingGraph: features/graph size mismatch");
   // The overlay merge (and the rebuild equivalence it guarantees)
   // requires sorted base adjacency — what build_csr always produces.
@@ -204,9 +207,9 @@ void StreamingGraph::bind_telemetry() {
   reg.register_callback(name("stream.recyclable_vertices"), this,
                         [this] { return static_cast<double>(delta_.recyclable_vertices()); });
   reg.register_callback(name("featstore.rows"), this,
-                        [this] { return static_cast<double>(features_.rows()); });
+                        [this] { return static_cast<double>(features_->rows()); });
   reg.register_callback(name("featstore.released_rows"), this,
-                        [this] { return static_cast<double>(features_.released_rows()); });
+                        [this] { return static_cast<double>(features_->released_rows()); });
 }
 
 bool StreamingGraph::add_edge(VertexId u, VertexId v) {
@@ -262,12 +265,16 @@ VertexId StreamingGraph::add_vertex(std::span<const float> features) {
     // per-shard compaction schedules.
     id = config_.recycle_ids ? delta_.reclaim_vertex() : VertexId{-1};
     if (id >= 0) {
-      features_.reuse_row(id, features);
+      features_->reuse_row(id, features);
       recycled = true;
     } else {
       // Feature row first: any version published after add_vertices()
-      // sees a vertex whose feature row already exists.
-      const std::int64_t row = features_.append_row(features);
+      // sees a vertex whose feature row already exists.  A shared store
+      // (sharded mode) already holds the row when an earlier shard
+      // added this id.
+      const VertexId next = delta_.num_vertices();
+      const std::int64_t row =
+          features_->rows() > next ? next : features_->append_row(features);
       id = delta_.add_vertices(1);
       if (row != id)
         throw std::logic_error("StreamingGraph: feature rows out of sync with vertex space");
@@ -293,7 +300,7 @@ bool StreamingGraph::remove_vertex(VertexId v) {
     // the retracted entity's features; vertex_mutex_ is still held, so
     // release always happens-before any reclaim/reuse of the id.
     std::lock_guard cache_lock(cache_mutex_);
-    features_.release_row(v);
+    features_->release_row(v);
     if (cache_ != nullptr) {
       const VertexId ids[1] = {v};
       cache_->evict(std::span<const VertexId>(ids, 1));
@@ -315,7 +322,7 @@ bool StreamingGraph::update_feature(VertexId v, std::span<const float> values) {
   // is never repopulated.
   std::lock_guard lock(cache_mutex_);
   if (delta_.is_dead(v)) return false;
-  features_.update_row(v, values);
+  features_->update_row(v, values);
   if (cache_ != nullptr) {
     const VertexId ids[1] = {v};
     cache_->invalidate(std::span<const VertexId>(ids, 1));
@@ -323,20 +330,6 @@ bool StreamingGraph::update_feature(VertexId v, std::span<const float> values) {
   feature_updates_.fetch_add(1, std::memory_order_relaxed);
   if (m_feature_updates_ != nullptr) m_feature_updates_->add(1);
   return true;
-}
-
-void StreamingGraph::refresh_mirror_row(VertexId v, std::span<const float> values) {
-  // Same locking discipline as update_feature (row write + cache
-  // invalidate are one atom against remove_vertex's release+evict), but
-  // no ingest counter and no freshness credit: this is a mirror
-  // catching up to the owner's row, not a new write.
-  std::lock_guard lock(cache_mutex_);
-  if (delta_.is_dead(v)) return;
-  features_.update_row(v, values);
-  if (cache_ != nullptr) {
-    const VertexId ids[1] = {v};
-    cache_->invalidate(std::span<const VertexId>(ids, 1));
-  }
 }
 
 std::shared_ptr<const GraphVersion> StreamingGraph::publish() {
@@ -604,7 +597,7 @@ std::int64_t StreamingGraph::sweep_expired(Seconds ttl, std::int64_t max_retire,
   for (VertexId v = first; v < n && retired < max_retire; ++v) {
     if (pending_op_budget > 0 && delta_.delta_ops() >= pending_op_budget) break;
     if (delta_.is_dead(v)) continue;
-    if (features_.last_touch_ns(v) > horizon_ns) continue;
+    if (features_->last_touch_ns(v) > horizon_ns) continue;
     if (remove_vertex(v)) ++retired;
   }
   expired_vertices_.fetch_add(retired, std::memory_order_relaxed);
@@ -642,28 +635,28 @@ StaticFeatureCache::LoadStats StreamingGraph::gather(std::span<const VertexId> n
   }
   // Two locked passes (cache device rows, then live store rows) instead
   // of a lock acquire per row — this is the serving hot path.
-  if (out.rows() != static_cast<std::int64_t>(nodes.size()) || out.cols() != features_.cols())
-    out.resize(static_cast<std::int64_t>(nodes.size()), features_.cols());
+  if (out.rows() != static_cast<std::int64_t>(nodes.size()) || out.cols() != features_->cols())
+    out.resize(static_cast<std::int64_t>(nodes.size()), features_->cols());
   StaticFeatureCache::LoadStats stats;
   const auto total = static_cast<std::int64_t>(nodes.size());
   if (cache != nullptr) {
     hit_scratch.assign(nodes.size(), 0);
     stats.hits = cache->copy_cached_rows(nodes, hit_scratch, out);
   }
-  features_.gather(nodes, out, cache != nullptr ? &hit_scratch : nullptr);
+  features_->gather(nodes, out, cache != nullptr ? &hit_scratch : nullptr);
   stats.misses = total - stats.hits;
   // Wire accounting at each side's own precision: device hits move the
   // cache's row size (cols+4 at int8), host misses the store's.
   stats.device_bytes = static_cast<double>(stats.hits) *
                        (cache != nullptr ? cache->device_row_wire_bytes() : 0.0);
-  stats.host_bytes = static_cast<double>(stats.misses) * features_.row_wire_bytes();
+  stats.host_bytes = static_cast<double>(stats.misses) * features_->row_wire_bytes();
   if (cache != nullptr) cache->record(stats);
   // LRU read-path touches, batched: one pass re-stamps every gathered
   // streamed-in row so read-hot entities survive TTL sweeps.  The store
   // skips base rows (dataset vertices never expire) and short-circuits
   // to zero locking when the request has no extension rows — the common
   // static-serving case pays nothing.
-  features_.touch_rows(nodes);
+  features_->touch_rows(nodes);
   return stats;
 }
 
@@ -758,24 +751,18 @@ std::optional<std::chrono::steady_clock::time_point> StreamingGraph::take_pendin
 }
 
 std::string StreamStats::to_string() const {
-  std::string out;
-  out += "ingested=" + format_count(static_cast<std::uint64_t>(ingested_edges));
-  out += " dup=" + format_count(static_cast<std::uint64_t>(duplicate_edges));
-  out += " removed=" + format_count(static_cast<std::uint64_t>(removed_edges));
-  out += " vertices+=" + format_count(static_cast<std::uint64_t>(added_vertices));
-  out += " vertices-=" + format_count(static_cast<std::uint64_t>(removed_vertices));
-  out += " recycled=" + format_count(static_cast<std::uint64_t>(recycled_vertices));
-  out += " feat_updates=" + format_count(static_cast<std::uint64_t>(feature_updates));
-  out += " publishes=" + format_count(static_cast<std::uint64_t>(publishes));
-  out += " compactions=" + format_count(static_cast<std::uint64_t>(compactions));
-  out += " annihilated=" + format_count(static_cast<std::uint64_t>(annihilated_ops));
-  out += " expired=" + format_count(static_cast<std::uint64_t>(expired_vertices));
-  out += " overlay=" + format_count(static_cast<std::uint64_t>(overlay_edges));
-  out += "+" + format_count(static_cast<std::uint64_t>(tombstones)) + "t";
-  out += "/" + format_count(static_cast<std::uint64_t>(base_edges));
-  out += " lag_mean=" + format_double(publish_lag_mean * 1e3, 3) + "ms";
-  out += " lag_max=" + format_double(publish_lag_max * 1e3, 3) + "ms";
-  return out;
+  const auto count = [](std::int64_t n) { return format_count(static_cast<std::uint64_t>(n)); };
+  std::ostringstream out;
+  out << "ingested=" << count(ingested_edges) << " dup=" << count(duplicate_edges)
+      << " removed=" << count(removed_edges) << " vertices+=" << count(added_vertices)
+      << " vertices-=" << count(removed_vertices) << " recycled=" << count(recycled_vertices)
+      << " feat_updates=" << count(feature_updates) << " publishes=" << count(publishes)
+      << " compactions=" << count(compactions) << " annihilated=" << count(annihilated_ops)
+      << " expired=" << count(expired_vertices) << " overlay=" << count(overlay_edges) << "+"
+      << count(tombstones) << "t/" << count(base_edges)
+      << " lag_mean=" << format_double(publish_lag_mean * 1e3, 3) << "ms"
+      << " lag_max=" << format_double(publish_lag_max * 1e3, 3) << "ms";
+  return out.str();
 }
 
 }  // namespace hyscale

@@ -202,10 +202,14 @@ struct StreamStats {
 
 class StreamingGraph : public ExpiryTarget {
  public:
-  /// Copies the dataset's topology and features as the initial base.
+  /// Copies the dataset's topology as the initial base.  `features` is
+  /// the feature store to serve from; null builds a private one from
+  /// dataset.features.  The shards of a ShardedStreamingGraph pass one
+  /// shared store, so its rows must match the graph's vertices.
   /// `dataset` must outlive the graph (info/labels are referenced); its
   /// adjacency must be sorted per vertex (build_csr output always is).
-  explicit StreamingGraph(const Dataset& dataset, StreamingConfig config = {});
+  explicit StreamingGraph(const Dataset& dataset, StreamingConfig config = {},
+                          std::shared_ptr<MutableFeatureStore> features = nullptr);
   ~StreamingGraph();  ///< detaches this graph's callback gauges
 
   StreamingGraph(const StreamingGraph&) = delete;
@@ -230,8 +234,10 @@ class StreamingGraph : public ExpiryTarget {
   /// Recycles the id (and feature row) of a fully-compacted deleted
   /// streamed-in vertex when one is available (symmetric config only —
   /// directed ingest cannot prove a retirement scrubbed every
-  /// in-edge), else grows the vertex space.  The vertex becomes
-  /// sample-able after the next publish().
+  /// in-edge), else grows the vertex space.  A new id gets a new row
+  /// only when the store has none yet (a shared store already holds
+  /// the row another shard appended).  The vertex becomes sample-able
+  /// after the next publish().
   VertexId add_vertex(std::span<const float> features);
 
   /// Retracts every live edge of v, marks it dead, zeroes (and for
@@ -247,14 +253,6 @@ class StreamingGraph : public ExpiryTarget {
   /// for embeddings/profiles).  Returns false for dead vertices — a
   /// retracted entity's zeroed row is never repopulated.
   bool update_feature(VertexId v, std::span<const float> values);
-
-  /// Halo-mirror refresh: overwrites v's feature row and invalidates
-  /// any cached device copy WITHOUT counting a feature update or
-  /// touching freshness markers — this is a replica catching up to the
-  /// owner shard's row, not new ingest.  Dead vertices are skipped
-  /// (their zeroed row must stay zeroed).  Only meaningful when this
-  /// graph is a non-owner shard inside a ShardedStreamingGraph.
-  void refresh_mirror_row(VertexId v, std::span<const float> values);
 
   // ---- versions ----
 
@@ -329,8 +327,8 @@ class StreamingGraph : public ExpiryTarget {
 
   // ---- feature access ----
 
-  MutableFeatureStore& features() { return features_; }
-  const MutableFeatureStore& features() const { return features_; }
+  MutableFeatureStore& features() { return *features_; }
+  const MutableFeatureStore& features() const { return *features_; }
 
   /// Serving gather: pinned rows from the attached cache's device copy,
   /// everything else from the feature store.  Returns hit/miss traffic
@@ -357,7 +355,7 @@ class StreamingGraph : public ExpiryTarget {
   /// On-demand re-rank of the attached cache over the CURRENT base —
   /// the fold-independent path (periodic or traffic-triggered callers:
   /// InferenceServer's gathered-rows cadence, a shard facade's
-  /// rerank_all).  Same ranking as the REBASE-time re-rank; no-op when
+  /// rerank_now).  Same ranking as the REBASE-time re-rank; no-op when
   /// no cache is attached.
   void rerank_now();
 
@@ -428,7 +426,7 @@ class StreamingGraph : public ExpiryTarget {
   const Dataset* dataset_;
   StreamingConfig config_;
   DeltaStore delta_;
-  MutableFeatureStore features_;
+  std::shared_ptr<MutableFeatureStore> features_;  ///< never null
 
   mutable std::mutex version_mutex_;  ///< guards base_/base_max_degree_/current_
   std::shared_ptr<const CsrGraph> base_;

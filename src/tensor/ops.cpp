@@ -37,8 +37,8 @@ void scatter_add_rows(const Tensor& src, std::span<const std::int64_t> index, Te
   for (std::size_t i = 0; i < index.size(); ++i) {
     const float* s = src.data() + static_cast<std::int64_t>(i) * cols;
     float* d = dst.data() + index[i] * cols;
-    // 1.0f * s[j] is exact, so the vector axpy is the same rounding
-    // sequence as the old `d[j] += s[j]` loop.
+    // fma(1, s[j], d[j]) rounds s[j] + d[j] once, exactly as
+    // `d[j] += s[j]` does.
     simd::axpy(1.0f, s, d, cols);
   }
 }

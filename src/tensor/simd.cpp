@@ -1,20 +1,22 @@
 // Vector kernel bodies.  Compiled with -ffp-contract=off (CMake source
 // property, in both the library build and perfbench's) so the compiler
-// never contracts a mul + add written out in C++ into an FMA: axpy,
-// dequant and the scalar tails keep two rounding steps on every path.
-// The GEMM fuses on purpose: explicit FMA intrinsics in the vector
-// tiles, std::fma in the NEON tail, and an exact double-precision
-// emulation in the scalar oracle (fma_axpy_scalar), none of which the
-// flag touches.  Every tier runs the same chain of fused multiply-adds
-// (the contract in simd.hpp).
+// never contracts a multiply and an add written out in C++ into an FMA:
+// the plain C++ arithmetic left here (dequant's multiply and the scalar
+// tails) keeps one rounding per operation.  Every multiply-add that
+// fuses does so on purpose and on every tier — axpy and the GEMM alike:
+// explicit FMA intrinsics in the vector bodies, std::fma in the NEON
+// tails, and an exact double-precision emulation in the scalar oracle
+// (axpy_scalar), none of which the flag touches (the contract in
+// simd.hpp).
 //
 // x86-64: AVX2 and AVX-512F bodies carry per-function target attributes
 // (the library itself stays baseline x86-64), guarded at runtime by
-// __builtin_cpu_supports.  Both vector tiers need FMA (the AVX2 GEMM
-// tile is compiled "avx2,fma"); a CPU without it runs the scalar tier.
+// __builtin_cpu_supports.  Both vector tiers need FMA (the AVX2 axpy
+// and GEMM tile are compiled "avx2,fma"); a CPU without it runs the
+// scalar tier.
 //
 // aarch64: NEON is architecturally mandatory, so the bodies dispatch
-// unconditionally (axpy is vmul + vadd, the GEMM's axpy is vfma).
+// unconditionally (axpy and the GEMM's row steps are vfma).
 #include "tensor/simd.hpp"
 
 #include <algorithm>
@@ -53,17 +55,20 @@ Tier best_supported_tier() {
   return best;
 }
 
-// y[0..n) = fma(a, x[0..n), y[0..n)) — the scalar GEMM oracle's step,
-// bit-equal to std::fma but built from plain double arithmetic, because
-// baseline x86-64 has no FMA instruction and std::fma there is a libm
-// call per element (glibc's software fmaf, which a CPU without FMA
-// takes, ran the GEMM 40-70x slower than this loop does).  A float
-// product is exact in double; TwoSum gives the error e of the double
-// sum s exactly; rounding s to odd (the neighbour with an odd last bit
-// when e != 0) keeps the sticky bit, and 53 >= 24 + 2 bits makes the
-// final float rounding a single correct rounding.  Products cannot overflow double, so a NaN e only comes from
-// an inf/NaN operand, where s is already the IEEE answer.
-void fma_axpy_scalar(float a, const float* x, float* y, std::int64_t n) {
+}  // namespace
+
+// y[0..n) = fma(a, x[0..n), y[0..n)) — the scalar axpy, and the step of
+// the scalar GEMM oracle.  Bit-equal to std::fma but built from plain
+// double arithmetic, because baseline x86-64 has no FMA instruction and
+// std::fma there is a libm call per element (glibc's software fmaf,
+// which a CPU without FMA takes, ran the GEMM 40-70x slower than this
+// loop does).  A float product is exact in double; TwoSum gives the
+// error e of the double sum s exactly; rounding s to odd (the neighbour
+// with an odd last bit when e != 0) keeps the sticky bit, and
+// 53 >= 24 + 2 bits makes the final float rounding a single correct
+// rounding.  Products cannot overflow double, so a NaN e only comes
+// from an inf/NaN operand, where s is already the IEEE answer.
+void axpy_scalar(float a, const float* x, float* y, std::int64_t n) {
   const double da = a;
   for (std::int64_t i = 0; i < n; ++i) {
     const double p = da * static_cast<double>(x[i]);
@@ -83,6 +88,8 @@ void fma_axpy_scalar(float a, const float* x, float* y, std::int64_t n) {
     y[i] = static_cast<float>(std::bit_cast<double>((bits - toward_zero) | inexact));
   }
 }
+
+namespace {
 
 // Rows of C = A * B + beta * C, one row at a time through a fused axpy
 // body — the scalar oracle, and the NEON tier's GEMM.
@@ -109,16 +116,21 @@ __attribute__((target("avx2"))) void copy_avx2(const float* src, float* dst,
   for (; i < n; ++i) dst[i] = src[i];
 }
 
-__attribute__((target("avx2"))) void axpy_avx2(float a, const float* x, float* y,
-                                               std::int64_t n) {
+// y[0..n) = fma(a, x[0..n), y[0..n)), eight lanes at a time; the tail
+// is one masked step, so every element gets the same single rounding.
+__attribute__((target("avx2,fma"))) void fma_axpy_avx2(float a, const float* x, float* y,
+                                                       std::int64_t n) {
   const __m256 va = _mm256_set1_ps(a);
   std::int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    // mul then add — two rounding steps per lane, same as the scalar body.
-    const __m256 prod = _mm256_mul_ps(va, _mm256_loadu_ps(x + i));
-    _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), prod));
+    _mm256_storeu_ps(y + i, _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
   }
-  for (; i < n; ++i) y[i] += a * x[i];
+  if (i == n) return;
+  const __m256i tail = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n - i)),
+                                          _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256 sum =
+      _mm256_fmadd_ps(va, _mm256_maskload_ps(x + i, tail), _mm256_maskload_ps(y + i, tail));
+  _mm256_maskstore_ps(y + i, tail, sum);
 }
 
 __attribute__((target("avx2"))) void dequant_avx2(const std::int8_t* q, float scale,
@@ -281,7 +293,7 @@ __attribute__((target("avx512f"))) void tile_avx512(const GemmOperands& op,
         asm("vbroadcastss %1, %0" : "=v"(vs) : "m"(panel.a[s][r]));
 #pragma GCC unroll 2
         for (int v = 0; v < NV; ++v) {
-          // One rounding per step, as in fma_axpy_scalar.
+          // One rounding per step, as in axpy_scalar.
           acc[r][v] = _mm512_fmadd_ps(vs, bv[v], acc[r][v]);
         }
       }
@@ -433,17 +445,6 @@ void copy_neon(const float* src, float* dst, std::int64_t n) {
   for (; i < n; ++i) dst[i] = src[i];
 }
 
-void axpy_neon(float a, const float* x, float* y, std::int64_t n) {
-  const float32x4_t va = vdupq_n_f32(a);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // Explicit vmul + vadd (not vfma): two rounding steps per lane.
-    const float32x4_t prod = vmulq_f32(va, vld1q_f32(x + i));
-    vst1q_f32(y + i, vaddq_f32(vld1q_f32(y + i), prod));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
 void fma_axpy_neon(float a, const float* x, float* y, std::int64_t n) {
   const float32x4_t va = vdupq_n_f32(a);
   std::int64_t i = 0;
@@ -525,10 +526,6 @@ void copy_scalar(const float* src, float* dst, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i];
 }
 
-void axpy_scalar(float a, const float* x, float* y, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-
 void dequant_scalar(const std::int8_t* q, float scale, float* dst, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) dst[i] = static_cast<float>(q[i]) * scale;
 }
@@ -543,7 +540,7 @@ float max_abs_scalar(const float* x, std::int64_t n) {
 }
 
 void gemm_scalar(const GemmOperands& op, std::int64_t r0, std::int64_t r1) {
-  gemm_rows_axpy<fma_axpy_scalar>(op, r0, r1);
+  gemm_rows_axpy<axpy_scalar>(op, r0, r1);
 }
 
 void copy(const float* src, float* dst, std::int64_t n) {
@@ -557,9 +554,9 @@ void copy(const float* src, float* dst, std::int64_t n) {
 
 void axpy(float a, const float* x, float* y, std::int64_t n) {
 #if defined(HYSCALE_SIMD_X86)
-  if (use_vector()) return axpy_avx2(a, x, y, n);
+  if (use_vector()) return fma_axpy_avx2(a, x, y, n);
 #elif defined(HYSCALE_SIMD_NEON)
-  if (use_vector()) return axpy_neon(a, x, y, n);
+  if (use_vector()) return fma_axpy_neon(a, x, y, n);
 #endif
   axpy_scalar(a, x, y, n);
 }

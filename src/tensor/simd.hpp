@@ -14,21 +14,21 @@
 // the tier: "avx512", "avx2", "neon" or "scalar".
 //
 // Bit-identity contract: the vector kernels are written so every lane
-// performs EXACTLY the scalar sequence of IEEE operations — axpy and
-// dequant keep multiply and add as separate roundings, the GEMM runs one
-// fused multiply-add per step on every tier (IEEE 754 fma is as exactly
-// specified as mul then add), reductions use only max (order-independent
-// for finite inputs), and int8->float conversion is exact.  That is what
-// lets the stream-vs-rebuild differential harness keep its bit-identical
+// performs EXACTLY the scalar sequence of IEEE operations — axpy and the
+// GEMM run one fused multiply-add per step on every tier (IEEE 754 fma
+// is as exactly specified as mul then add), dequant is one multiply,
+// reductions use only max (order-independent for finite inputs), and
+// int8->float conversion is exact.  That is what lets the
+// stream-vs-rebuild differential harness keep its bit-identical
 // guarantee on the fp32 path while the kernels are live in production:
 // scalar and SIMD builds of the same gather/GEMM produce the same bits.
 // The vector bodies live in simd.cpp because it is the one translation
-// unit every build compiles with -ffp-contract=off, so the compiler never
-// fuses a mul + add the code writes out separately (axpy, dequant, the
-// scalar tails); the GEMM fuses only through explicit FMA intrinsics,
-// std::fma, and the scalar oracle's exact double-precision fma, which
-// needs no FMA unit.  On x86-64 both vector tiers need FMA: a CPU
-// without it runs the scalar tier.
+// unit every build compiles with -ffp-contract=off, so the compiler
+// never fuses a mul + add the code writes out separately (dequant, the
+// scalar tails); axpy and the GEMM fuse only through explicit FMA
+// intrinsics, std::fma, and the scalar oracle's exact double-precision
+// fma, which needs no FMA unit.  On x86-64 both vector tiers need FMA:
+// a CPU without it runs the scalar tier.
 //
 // Dispatch is per call (one relaxed load + predictable branch), so the
 // test seam force_tier() can cap the tier at runtime without rebuilding
@@ -70,9 +70,10 @@ Tier forced_tier();
 /// dst[0..n) = src[0..n).
 void copy(const float* src, float* dst, std::int64_t n);
 
-/// y[0..n) += a * x[0..n) — row accumulation.  Multiply and add are
-/// separate rounding steps in every lane (no FMA, unlike the GEMM),
-/// matching the scalar kernel bit for bit.
+/// y[0..n) = fma(a, x[0..n), y[0..n)) — row accumulation, one rounding
+/// per element on every tier (the GEMM's step), matching the scalar
+/// kernel bit for bit.  At a = 1 it rounds x + y once, exactly as
+/// `y += x` does.
 void axpy(float a, const float* x, float* y, std::int64_t n);
 
 /// dst[0..n) = float(q[0..n)) * scale — int8 device-row dequantization,

@@ -9,9 +9,9 @@
 //     and sparse steps, -0 kept under beta = 1, sparse row tails and
 //     k crossing the 128-step k-block boundary (once and several times);
 //   * the scalar oracle pinned to a hand-written std::fma chain, a case
-//     where fused and unfused results must differ, and single steps a
-//     double-precision shortcut or a special value could get wrong, on
-//     every tier;
+//     where fused and unfused results must differ (for the GEMM and for
+//     axpy), and single steps a double-precision shortcut or a special
+//     value could get wrong, on every tier;
 //   * int8 device rows: hit/miss value consistency, wire-byte ratio
 //     (>= 3x vs fp32 at feature widths >= 12), and end-to-end logit
 //     exactness against an explicitly round-tripped reference;
@@ -112,19 +112,48 @@ TEST(Simd, CopyBitIdenticalAcrossWidthsAndAlignments) {
 
 TEST(Simd, AxpyBitIdenticalAcrossWidthsAndAlignments) {
   TierGuard guard;
-  for (const std::int64_t n : kWidths) {
-    for (const std::size_t off : kOffsets) {
-      const auto x = random_floats(off + static_cast<std::size_t>(n), 23u + off);
-      const auto y0 = random_floats(static_cast<std::size_t>(n), 29u * off + 7u);
-      std::vector<float> vec = y0;
-      std::vector<float> ref = y0;
-      simd::force_tier(simd::Tier::kBest);
-      simd::axpy(0.773f, x.data() + off, vec.data(), n);
-      simd::axpy_scalar(0.773f, x.data() + off, ref.data(), n);
-      EXPECT_EQ(std::memcmp(vec.data(), ref.data(), ref.size() * sizeof(float)), 0)
-          << "n=" << n << " off=" << off;
+  for (const simd::Tier tier : simd::supported_tiers()) {
+    for (const std::int64_t n : kWidths) {
+      for (const std::size_t off : kOffsets) {
+        const auto x = random_floats(off + static_cast<std::size_t>(n), 23u + off);
+        const auto y0 = random_floats(static_cast<std::size_t>(n), 29u * off + 7u);
+        std::vector<float> vec = y0;
+        std::vector<float> ref = y0;
+        simd::force_tier(tier);
+        simd::axpy(0.773f, x.data() + off, vec.data(), n);
+        simd::axpy_scalar(0.773f, x.data() + off, ref.data(), n);
+        EXPECT_EQ(std::memcmp(vec.data(), ref.data(), ref.size() * sizeof(float)), 0)
+            << "tier " << simd::tier_name(tier) << " n=" << n << " off=" << off;
+      }
     }
   }
+}
+
+// The GemmOracle case below, as an axpy: a = x = 1 + 2^-12 and
+// y = -(1 + 2^-11).  Unfused, the product rounds to 1 + 2^-11 and the
+// sum is 0; fused, it is 2^-24.  Every width in kWidths covers the
+// vector bodies and their tails.
+TEST(Simd, AxpyFusesWhereMulAddWouldNot) {
+  TierGuard guard;
+  const float x = 1.0f + std::ldexp(1.0f, -12);
+  const float y = -(1.0f + std::ldexp(1.0f, -11));
+  volatile float product = x * x;  // rounded on its own, never contracted into an FMA
+  ASSERT_EQ(product + y, 0.0f) << "mul + add must round the product away";
+  for (const simd::Tier tier : simd::supported_tiers()) {
+    simd::force_tier(tier);
+    for (const std::int64_t n : kWidths) {
+      const std::vector<float> xs(static_cast<std::size_t>(n), x);
+      std::vector<float> ys(static_cast<std::size_t>(n), y);
+      simd::axpy(x, xs.data(), ys.data(), n);
+      for (const float v : ys) {
+        ASSERT_EQ(v, std::ldexp(1.0f, -24)) << "tier " << simd::tier_name(tier) << " n=" << n;
+      }
+    }
+  }
+  std::vector<float> ys(3, y);
+  const std::vector<float> xs(3, x);
+  simd::axpy_scalar(x, xs.data(), ys.data(), 3);
+  EXPECT_EQ(ys[2], std::ldexp(1.0f, -24)) << "the scalar oracle fuses too";
 }
 
 TEST(Simd, DequantBitIdenticalAcrossWidthsAndAlignments) {

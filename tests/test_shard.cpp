@@ -1,15 +1,18 @@
 // Tests for the sharded streaming serving tier (src/shard/): owner
-// routing and lockstep vertex spaces across shards, halo mirror
-// refresh at cut adoption, consistent-cut semantics (staleness
-// detection, monotone cut ids, no-op adoption), the background
-// CutAdopter, the facade update driver, and the serving tier's
-// sharded mode (per-shard caches, routed gathers, traffic-triggered
-// cache re-ranks).  Bit-level parity against the flat stack lives in
-// test_shard_differential.cpp.
+// routing and lockstep vertex spaces across shards, the one shared
+// feature plane (one store, one device cache, updates visible before
+// any adoption, no torn rows under concurrent writers),
+// consistent-cut semantics (staleness detection, monotone cut ids,
+// no-op adoption), the background CutAdopter, the facade update driver,
+// and the serving tier's sharded mode (the device cache, gathers,
+// traffic-triggered cache re-ranks).  Bit-level parity against the
+// flat stack lives in test_shard_differential.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -80,18 +83,15 @@ TEST(ShardedGraph, SingleShardDegeneratesToFlatBehaviour) {
   graph.publish_all();
   EXPECT_EQ(graph.current_cut()->degree(0), community().graph.degree(0) + 1);
 
-  // Nothing is remote to a single shard: gathers (with a dirty row in
-  // play) count no halo hits and no cross-shard fetches, and the
-  // partition cuts no edge.
+  // A feature update is served by the next gather, and the partition
+  // cuts no edge.
   ASSERT_TRUE(graph.update_feature(5, std::vector<float>(8, 2.0f)));
   std::vector<VertexId> nodes(static_cast<std::size_t>(graph.num_vertices()));
   for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i] = static_cast<VertexId>(i);
   Tensor out;
   std::vector<char> scratch;
-  graph.gather(0, std::span<const VertexId>(nodes.data(), nodes.size()), out, scratch);
-  const ShardedStats stats = graph.stats();
-  EXPECT_EQ(stats.halo_hits, 0);
-  EXPECT_EQ(stats.cross_shard_rows, 0);
+  graph.gather(std::span<const VertexId>(nodes.data(), nodes.size()), out, scratch);
+  EXPECT_EQ(out.at(5, 0), 2.0f);
   EXPECT_EQ(graph.partition().edge_cut_fraction(community().graph.num_edges()), 0.0);
 }
 
@@ -156,72 +156,167 @@ TEST(ShardedGraph, EdgeOpsRouteToBothEndpointOwners) {
   EXPECT_EQ(stats.rejected_removals, 1);
 }
 
-// ------------------------------------------------------------ halo plane
+// ------------------------------------------------------------ feature plane
 
-TEST(ShardedGraph, DirtyHaloRowsServeOwnerDataUntilAdopted) {
+TEST(ShardedGraph, EveryShardSharesOneFeatureStore) {
+  ShardedStreamingGraph graph(community(), sharded_config(3));
+  for (int s = 0; s < graph.num_shards(); ++s) {
+    EXPECT_EQ(&graph.shard(s).features(), &graph.features()) << "shard " << s;
+  }
+  // A streamed-in vertex gets one row, not one per shard.
+  const std::int64_t rows = graph.features().rows();
+  graph.add_vertex(std::vector<float>(8, 0.5f));
+  EXPECT_EQ(graph.features().rows(), rows + 1);
+}
+
+TEST(ShardedGraph, UpdateIsVisibleToEveryGatherBeforeAnyAdopt) {
   const Dataset& ds = community();
   ShardedStreamingGraph graph(ds, sharded_config(2));
-  // A vertex owned by shard 0, gathered through home shard 1: before the
-  // refresh the row is dirty and must come from the owner's store.
-  VertexId v = 0;
-  while (graph.owner(v) != 0) ++v;
+  // One vertex per owner shard: whichever shard owns the row, the next
+  // gather serves the new values, with no adoption in between.
+  std::vector<VertexId> nodes;
+  for (int s = 0; s < graph.num_shards(); ++s) {
+    VertexId v = 0;
+    while (graph.owner(v) != s) ++v;
+    nodes.push_back(v);
+  }
+  const std::uint64_t cut_before = graph.current_cut()->cut_id();
   std::vector<float> fresh(8);
   for (std::size_t i = 0; i < fresh.size(); ++i) fresh[i] = static_cast<float>(i) + 0.25f;
-  ASSERT_TRUE(graph.update_feature(v, fresh));
-  EXPECT_GT(graph.dirty_rows(), 0);
+  for (const VertexId v : nodes) ASSERT_TRUE(graph.update_feature(v, fresh));
+  EXPECT_FALSE(graph.cut_stale());  // a feature write never stales the cut
 
   Tensor out;
   std::vector<char> scratch;
-  const std::vector<VertexId> nodes = {v};
-  graph.gather(/*home_shard=*/1, std::span<const VertexId>(nodes.data(), nodes.size()), out,
-               scratch);
-  for (std::size_t c = 0; c < fresh.size(); ++c) {
-    EXPECT_FLOAT_EQ(out.at(0, static_cast<std::int64_t>(c)), fresh[c]) << "col " << c;
+  graph.gather(std::span<const VertexId>(nodes.data(), nodes.size()), out, scratch);
+  for (std::size_t r = 0; r < nodes.size(); ++r) {
+    for (std::size_t c = 0; c < fresh.size(); ++c) {
+      EXPECT_EQ(out.at(static_cast<std::int64_t>(r), static_cast<std::int64_t>(c)), fresh[c])
+          << "vertex " << nodes[r] << " col " << c;
+    }
   }
-  const ShardedStats mid = graph.stats();
-  EXPECT_GT(mid.cross_shard_rows, 0);  // dirty remote row fetched from its owner
-
-  // Adoption refreshes every mirror and drains the dirty set; the same
-  // cross-shard gather now hits the local mirror.
-  graph.publish_all();
-  EXPECT_EQ(graph.dirty_rows(), 0);
-  graph.gather(/*home_shard=*/1, std::span<const VertexId>(nodes.data(), nodes.size()), out,
-               scratch);
-  for (std::size_t c = 0; c < fresh.size(); ++c) {
-    EXPECT_FLOAT_EQ(out.at(0, static_cast<std::int64_t>(c)), fresh[c]) << "col " << c;
-  }
-  const ShardedStats after = graph.stats();
-  EXPECT_GT(after.halo_refreshed_rows, 0);
-  EXPECT_GT(after.halo_hits, mid.halo_hits);
+  EXPECT_EQ(graph.current_cut()->cut_id(), cut_before);
 }
 
-TEST(ShardedGraph, GatherIsHomeShardInvariant) {
-  // The routing tier may pick ANY home shard; the assembled feature
-  // block must not depend on the choice (fresh mirrors + dirty-row
-  // patching make every home equivalent).
+// Returns the value a row of constant `c` gathers to through an int8
+// wire: every element quantizes alike, so the row stays constant.
+float int8_round_trip(float c) {
+  MutableFeatureStore store(Tensor(1, 8, c));
+  store.set_transfer_precision(TransferPrecision::kInt8);
+  Tensor out;
+  const VertexId v = 0;
+  store.gather(std::span<const VertexId>(&v, 1), out);
+  return out.at(0, 0);
+}
+
+TEST(ShardedGraph, ConcurrentWritesNeverServeATornRow) {
+  // Writers update, add and remove vertices through the facade while
+  // readers gather and a maintenance thread publishes, adopts and
+  // re-ranks the int8 device cache.  Every write fills its row with one
+  // constant, so a gathered row whose elements differ was torn.
   const Dataset& ds = community();
-  ShardedStreamingGraph graph(ds, sharded_config(3));
-  std::vector<float> row(8, -1.5f);
-  ASSERT_TRUE(graph.update_feature(5, row));  // leave a dirty row in play
-  std::vector<VertexId> nodes;
-  for (VertexId v = 0; v < ds.graph.num_vertices(); v += 3) nodes.push_back(v);
-  Tensor reference;
+  ShardedStreamingGraph graph(ds, sharded_config(2));
+  ServingConfig config;
+  config.cache_capacity_rows = 16;
+  config.transfer_precision = TransferPrecision::kInt8;
+  auto backend = make_sharded_backend(graph, config);
+  ASSERT_NE(backend->cache(), nullptr);
+
+  constexpr int kWriters = 2;
+  constexpr int kOps = 240;
+  const VertexId base = ds.graph.num_vertices();
+  // Start from constant rows, so every row is constant at every instant.
+  for (VertexId v = 0; v < base; ++v) {
+    ASSERT_TRUE(graph.update_feature(v, std::vector<float>(8, static_cast<float>(v % 7) - 3.0f)));
+  }
+  graph.publish_all();
+
+  // last[w] maps each vertex writer w touched to its final constant
+  // (0 for a removed vertex).
+  std::vector<std::vector<std::pair<VertexId, float>>> last(kWriters);
+  std::atomic<int> writers_done{0};
+  std::atomic<std::int64_t> torn{0};
+  std::atomic<std::int64_t> rows_checked{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      std::vector<VertexId> added;
+      std::size_t next_removal = 0;
+      for (int i = 0; i < kOps; ++i) {
+        const float c = static_cast<float>(w * 1000 + i + 1);
+        const std::vector<float> row(8, c);
+        switch (i % 4) {
+          case 0:
+          case 1: {  // writer w owns the base vertices v % kWriters == w
+            const auto v = static_cast<VertexId>((i * kWriters + w) % base);
+            if (graph.update_feature(v, row)) last[w].emplace_back(v, c);
+            break;
+          }
+          case 2: {
+            const VertexId v = graph.add_vertex(row);
+            added.push_back(v);
+            last[w].emplace_back(v, c);
+            break;
+          }
+          default:
+            if (next_removal < added.size() && graph.remove_vertex(added[next_removal])) {
+              last[w].emplace_back(added[next_removal], 0.0f);
+              ++next_removal;
+            }
+        }
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      std::vector<VertexId> nodes(16);
+      std::vector<char> scratch;
+      Tensor out;
+      std::uint64_t state = 7 + static_cast<std::uint64_t>(r);
+      while (writers_done.load() < kWriters) {
+        const auto limit = static_cast<std::uint64_t>(graph.current_cut()->num_vertices());
+        for (auto& v : nodes) v = static_cast<VertexId>(splitmix64(state) % limit);
+        graph.gather(std::span<const VertexId>(nodes.data(), nodes.size()), out, scratch);
+        for (std::int64_t i = 0; i < out.rows(); ++i) {
+          const auto row = out.row(i);
+          for (const float x : row) {
+            if (std::memcmp(&x, &row[0], sizeof(float)) != 0) {
+              torn.fetch_add(1);
+              break;
+            }
+          }
+        }
+        rows_checked.fetch_add(out.rows());
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (writers_done.load() < kWriters) {
+      for (int s = 0; s < graph.num_shards(); ++s) graph.shard(s).publish();
+      graph.adopt();
+      backend->rerank();
+    }
+  });
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_GT(rows_checked.load(), 0);
+  // Quiesced: every written row serves its writer's last constant
+  // through the int8 wire (writers touch disjoint vertices).
+  graph.publish_all();
   std::vector<char> scratch;
-  for (int home = 0; home < graph.num_shards(); ++home) {
-    Tensor out;
-    const ShardedStats before = graph.stats();
-    graph.gather(home, std::span<const VertexId>(nodes.data(), nodes.size()), out, scratch);
-    const ShardedStats after = graph.stats();
-    if (home == 0) reference = out;
-    EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(reference, out), 0.0) << "home " << home;
-    // Every non-home row is accounted exactly once: a fresh-mirror halo
-    // hit or a cross-shard fetch from its owner.
-    const auto non_home = std::count_if(nodes.begin(), nodes.end(),
-                                        [&](VertexId v) { return graph.owner(v) != home; });
-    EXPECT_EQ((after.halo_hits + after.cross_shard_rows) -
-                  (before.halo_hits + before.cross_shard_rows),
-              non_home)
-        << "home " << home;
+  Tensor out;
+  for (int w = 0; w < kWriters; ++w) {
+    std::vector<std::pair<VertexId, float>> final_values;
+    for (const auto& [v, c] : last[w]) {
+      std::erase_if(final_values, [v](const auto& entry) { return entry.first == v; });
+      final_values.emplace_back(v, c);
+    }
+    for (const auto& [v, c] : final_values) {
+      graph.gather(std::span<const VertexId>(&v, 1), out, scratch);
+      EXPECT_EQ(out.at(0, 0), int8_round_trip(c)) << "writer " << w << " vertex " << v;
+    }
   }
 }
 
@@ -231,8 +326,8 @@ TEST(ShardedGraph, CutsAdvanceMonotonicallyAndNoOpWhenQuiet) {
   ShardedStreamingGraph graph(community(), sharded_config(2));
   const auto first = graph.current_cut();
   EXPECT_FALSE(graph.cut_stale());
-  // Quiet adopt: nothing published, nothing dirty — the SAME cut object
-  // stays installed (pointer equality, no counter burn).
+  // Quiet adopt: nothing published — the SAME cut object stays
+  // installed (pointer equality, no counter burn).
   EXPECT_EQ(graph.adopt(), first);
   EXPECT_EQ(graph.current_cut()->cut_id(), first->cut_id());
 
@@ -309,7 +404,6 @@ TEST(ShardedUpdateDriverTest, ReportMatchesFacadeCounters) {
   EXPECT_GT(report.accepted_edges, 0);
   EXPECT_GT(report.publishes, 0);  // cut adoptions from the cadence
   EXPECT_FALSE(graph.cut_stale()); // final publish_all left nothing behind
-  EXPECT_EQ(graph.dirty_rows(), 0);
 }
 
 // ------------------------------------------------------------ serving tier
@@ -344,7 +438,7 @@ TEST(ShardedServing, ServerRoutesAndMatchesDirectForward) {
   EXPECT_GT(server.last_served_version(), 0u);  // cut id, not version id
 }
 
-TEST(ShardedServing, PerShardCachesAttachAndDetach) {
+TEST(ShardedServing, OneDeviceCacheAttachesAndDetaches) {
   const Dataset& ds = community();
   ShardedStreamingGraph graph(ds, sharded_config(2));
   GnnModel model(small_model_config());
@@ -356,14 +450,22 @@ TEST(ShardedServing, PerShardCachesAttachAndDetach) {
   {
     auto backend = make_sharded_backend(graph, config);
     InferenceServer server(*backend, snapshot, config);
-    for (int s = 0; s < graph.num_shards(); ++s) {
-      ASSERT_NE(server.shard_cache(s), nullptr) << "shard " << s;
-    }
-    EXPECT_EQ(server.cache(), nullptr);  // flat cache unused in sharded mode
+    const StaticFeatureCache* cache = server.cache();
+    ASSERT_NE(cache, nullptr);
     (void)server.infer({0, 5, 40});
-    // Invalidation reaches the right shard's cache through the facade.
-    std::vector<float> row(8, 2.0f);
-    ASSERT_TRUE(graph.update_feature(0, row));
+    EXPECT_GT(cache->totals().hits + cache->totals().misses, 0);
+    // The one cache sees every shard's writes through the facade: a
+    // write to a pinned row of any owner refreshes it.
+    std::int64_t writes = 0;
+    for (int s = 0; s < graph.num_shards(); ++s) {
+      VertexId v = 0;
+      while (v < graph.num_vertices() && (graph.owner(v) != s || !cache->cached(v))) ++v;
+      ASSERT_LT(v, graph.num_vertices()) << "no pinned row owned by shard " << s;
+      const std::int64_t before = cache->invalidations();
+      ASSERT_TRUE(graph.update_feature(v, std::vector<float>(8, 2.0f)));
+      writes += cache->invalidations() - before;
+    }
+    EXPECT_EQ(writes, graph.num_shards());
   }
   // Server gone: a feature update must not touch a dangling cache.
   std::vector<float> row(8, 3.0f);
@@ -372,7 +474,7 @@ TEST(ShardedServing, PerShardCachesAttachAndDetach) {
 
 TEST(ShardedServing, TrafficRerankCadenceFiresWithoutFolds) {
   // Satellite: the re-rank cadence is TRAFFIC-driven — no compaction
-  // fold ever runs here, yet the caches re-rank every N gathered rows.
+  // fold ever runs here, yet the cache re-ranks every N gathered rows.
   const Dataset& ds = community();
   ShardedStreamingGraph graph(ds, sharded_config(2));
   GnnModel model(small_model_config());
@@ -387,11 +489,7 @@ TEST(ShardedServing, TrafficRerankCadenceFiresWithoutFolds) {
     (void)server.infer({static_cast<VertexId>(i), static_cast<VertexId>(i + 20)});
   }
   EXPECT_GT(server.traffic_reranks(), 0);
-  std::int64_t cache_reranks = 0;
-  for (int s = 0; s < graph.num_shards(); ++s) {
-    cache_reranks += server.shard_cache(s)->reranks();
-  }
-  EXPECT_GT(cache_reranks, 0);
+  EXPECT_GT(server.cache()->reranks(), 0);
 }
 
 TEST(ShardedServing, StaticModeTrafficRerankUsesAccessCounters) {
@@ -448,7 +546,6 @@ TEST(ShardedServing, SessionLifecycleRunsCleanly) {
   }
   ingest.join();
   EXPECT_GT(update_report.accepted_edges, 0);
-  EXPECT_EQ(session.shards().dirty_rows(), 0);  // final publish_all drained halos
 }
 
 }  // namespace

@@ -16,15 +16,17 @@
 //     same seed — the RNG disciplines are clones),
 //   * full-neighborhood computation graphs match even though the two
 //     samplers use different take-everything fanout bounds,
-//   * feature blocks gathered through EVERY home shard are bitwise
-//     equal to the flat gather — at fp32 and at int8 wire precision
-//     (halo mirrors and owner fetches apply the same per-row rule),
+//   * feature blocks gathered through the facade's one feature plane
+//     are bitwise equal to the flat gather — at fp32 and at int8 wire
+//     precision (the shared store and device cache apply the flat
+//     graph's per-row rule),
 //   * forward logits are exactly equal on shared weights,
 //   * logical edge counters agree between ShardedStats and StreamStats.
 //
-// Cross-shard edges, dirty halo windows, and independently-compacted
-// shard bases are exactly where a sharded overlay can drift from the
-// flat truth; randomized interleavings hunt those corners.
+// Cross-shard edges, feature writes between adoptions, and
+// independently-compacted shard bases are exactly where a sharded
+// overlay can drift from the flat truth; randomized interleavings hunt
+// those corners.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -98,23 +100,18 @@ void verify_cut_vs_flat(const ShardedStreamingGraph& sharded, const ShardedCut& 
   const MiniBatch full_flat = sample_full_overlay(version, seeds, /*num_layers=*/2);
   expect_blocks_equal(full_cut, full_flat);
 
-  // Feature leg: every home-shard route must assemble the exact block
-  // the flat stack serves (wire precision and halo state included).
+  // Feature leg: the shared plane must assemble the exact block the
+  // flat stack serves (wire precision included).
   Tensor x_flat;
   const auto& nodes = full_flat.input_nodes();
   flat.gather(std::span<const VertexId>(nodes.data(), nodes.size()), x_flat);
   std::vector<char> scratch;
-  for (int home = 0; home < sharded.num_shards(); ++home) {
-    Tensor x_cut;
-    sharded.gather(home, std::span<const VertexId>(nodes.data(), nodes.size()), x_cut,
-                   scratch);
-    ASSERT_DOUBLE_EQ(Tensor::max_abs_diff(x_flat, x_cut), 0.0) << "home " << home;
-  }
+  Tensor x_cut;
+  sharded.gather(std::span<const VertexId>(nodes.data(), nodes.size()), x_cut, scratch);
+  ASSERT_DOUBLE_EQ(Tensor::max_abs_diff(x_flat, x_cut), 0.0);
 
   // Model leg: exactly equal logits end to end.
   const Tensor logits_flat = model.forward(full_flat, x_flat);
-  Tensor x_cut;
-  sharded.gather(0, std::span<const VertexId>(nodes.data(), nodes.size()), x_cut, scratch);
   const Tensor logits_cut = model.forward(full_cut, x_cut);
   EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(logits_cut, logits_flat), 0.0);
 }
@@ -125,7 +122,7 @@ struct MixConfig {
   double vertex_add = 0.07;
   double vertex_remove = 0.04;
   double feature = 0.12;
-  double gather_probe = 0.06;  ///< mid-window gather parity, dirty halos live
+  double gather_probe = 0.06;  ///< mid-window gather parity, writes unadopted
   double shard_compact = 0.05; ///< fold ONE shard's base out from under the cut
   // remainder: publish_all + full verification
 };
@@ -143,9 +140,7 @@ void run_sharded_differential(std::uint64_t seed, std::int64_t steps, int num_sh
   StreamingGraph flat(ds, flat_config);
   if (wire != TransferPrecision::kFp32) {
     flat.features().set_transfer_precision(wire);
-    for (int s = 0; s < sharded.num_shards(); ++s) {
-      sharded.shard(s).features().set_transfer_precision(wire);
-    }
+    sharded.features().set_transfer_precision(wire);
   }
   GnnModel model(small_model_config());
   Xoshiro256 rng(seed);
@@ -204,9 +199,8 @@ void run_sharded_differential(std::uint64_t seed, std::int64_t steps, int num_sh
       for (float& x : row) x = static_cast<float>(rng.normal());
       ASSERT_EQ(sharded.update_feature(v, row), flat.update_feature(v, row)) << v;
     } else if (r < c_probe) {
-      // Mid-window gather parity: dirty halo rows are still pending
-      // (no adopt), so remote reads exercise the owner-fetch path and
-      // must STILL match the flat store exactly.
+      // Mid-window gather parity: feature writes since the last adopt
+      // must already be served, matching the flat store exactly.
       std::vector<VertexId> nodes;
       for (int i = 0; i < 6; ++i) {
         nodes.push_back(static_cast<VertexId>(rng.bounded(static_cast<std::uint64_t>(n))));
@@ -214,11 +208,8 @@ void run_sharded_differential(std::uint64_t seed, std::int64_t steps, int num_sh
       Tensor x_flat, x_cut;
       std::vector<char> scratch;
       flat.gather(std::span<const VertexId>(nodes.data(), nodes.size()), x_flat);
-      const auto home = static_cast<int>(
-          rng.bounded(static_cast<std::uint64_t>(sharded.num_shards())));
-      sharded.gather(home, std::span<const VertexId>(nodes.data(), nodes.size()), x_cut,
-                     scratch);
-      ASSERT_DOUBLE_EQ(Tensor::max_abs_diff(x_flat, x_cut), 0.0) << "home " << home;
+      sharded.gather(std::span<const VertexId>(nodes.data(), nodes.size()), x_cut, scratch);
+      ASSERT_DOUBLE_EQ(Tensor::max_abs_diff(x_flat, x_cut), 0.0);
       ++probes;
     } else if (r < c_compact) {
       // Fold one shard's base while the others keep their overlays: the
@@ -253,13 +244,12 @@ void run_sharded_differential(std::uint64_t seed, std::int64_t steps, int num_sh
   EXPECT_EQ(sharded_stats.added_vertices, flat_stats.added_vertices);
   EXPECT_EQ(sharded_stats.removed_vertices, flat_stats.removed_vertices);
   EXPECT_EQ(sharded_stats.feature_updates, flat_stats.feature_updates);
-  EXPECT_EQ(sharded.dirty_rows(), 0);
   // The mix must actually have exercised the machinery.
   EXPECT_GT(adoption_points, 20);
   EXPECT_GT(probes, 10);
   EXPECT_GT(sharded_stats.removed_edges, 0);
   EXPECT_GT(sharded_stats.removed_vertices, 0);
-  EXPECT_GT(sharded_stats.halo_refreshed_rows, 0);
+  EXPECT_GT(sharded_stats.feature_updates, 0);
 }
 
 TEST(ShardDifferential, TwoShardsHashMatchFlatSeed17) {
@@ -268,8 +258,9 @@ TEST(ShardDifferential, TwoShardsHashMatchFlatSeed17) {
 }
 
 TEST(ShardDifferential, TwoShardsBfsInt8WireMatchesFlatSeed91) {
-  // BFS partition concentrates communities per shard (small halo) while
-  // int8 makes every gather byte-comparable through the quantized wire.
+  // BFS partition concentrates communities per shard (few cut edges)
+  // while int8 makes every gather byte-comparable through the quantized
+  // wire.
   run_sharded_differential(/*seed=*/91, /*steps=*/900, /*num_shards=*/2,
                            ShardedConfig::Partitioner::kBfs, TransferPrecision::kInt8);
 }
@@ -288,8 +279,8 @@ TEST(ShardDifferential, FourShardsDeleteHeavyMatchFlatSeed53) {
 }
 
 TEST(ShardDifferential, FourShardsBfsFeatureHeavySeed71) {
-  // Feature-heavy mix: the halo plane carries most of the traffic —
-  // wide dirty windows, frequent refresh sweeps, int8 wire.
+  // Feature-heavy mix: feature writes carry most of the traffic, many
+  // of them gathered before the next adopt, over the int8 wire.
   MixConfig mix;
   mix.insert = 0.22;
   mix.remove = 0.14;
