@@ -1,11 +1,13 @@
 // google-benchmark micro-benches for the substrates: GEMM, feature
 // gather (plain rows and the streaming cache+store path at fp32 vs
 // int8), neighbor sampling, source-sorted edges, gradient all-reduce,
-// and graph partitioning.  These measure the REAL kernels on the host
+// graph partitioning, and the set-up stages: the CSR build and the whole
+// dataset materialisation.  These measure the REAL kernels on the host
 // (wall clock), complementing the simulated-platform harnesses.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
+#include "graph/builder.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generator.hpp"
 #include "graph/partition.hpp"
@@ -236,6 +238,37 @@ void BM_PartitionBfs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PartitionBfs);
+
+// Set-up cost at perfbench's scale: ogbn-products' density at 2^16
+// vertices (directed edge factor |E| / 2|V|, about 12.6).
+RmatParams setup_rmat() {
+  RmatParams p;
+  p.scale = 16;
+  p.edge_factor = dataset_info("ogbn-products").mean_degree() / 2.0;
+  return p;
+}
+
+void BM_BuildCsr(benchmark::State& state) {
+  const auto edges = rmat_edge_list(setup_rmat());
+  const VertexId n = VertexId{1} << setup_rmat().scale;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto copy = edges;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(build_csr(n, std::move(copy)));  // symmetrize + dedup
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(edges.size()));
+}
+BENCHMARK(BM_BuildCsr)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_MaterializeDataset(benchmark::State& state) {
+  MaterializeOptions options;
+  options.target_vertices = VertexId{1} << 16;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(materialize_dataset("ogbn-products", options));
+  }
+}
+BENCHMARK(BM_MaterializeDataset)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace hyscale

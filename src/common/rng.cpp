@@ -1,19 +1,6 @@
 #include "common/rng.hpp"
 
-#include <cmath>
-
 namespace hyscale {
-
-double Xoshiro256::normal() {
-  // Box–Muller; draw until u1 is nonzero to avoid log(0).
-  double u1 = 0.0;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  return radius * std::cos(2.0 * 3.14159265358979323846 * u2);
-}
 
 void Xoshiro256::jump() {
   static constexpr std::uint64_t kJump[] = {0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,

@@ -7,10 +7,19 @@
 // both are tiny, fast, and have well-studied statistical quality.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
 namespace hyscale {
+
+/// Box–Muller: the standard normal that uniforms u1 in (0, 1) and u2 in
+/// [0, 1) map to.  Xoshiro256::normal() and normal_init both go through
+/// it, so a pooled fill gives the bits a loop of normal() calls gives.
+inline double box_muller(double u1, double u2) {
+  const double radius = std::sqrt(-2.0 * std::log(u1));
+  return radius * std::cos(2.0 * 3.14159265358979323846 * u2);
+}
 
 /// splitmix64: used to expand a single 64-bit seed into generator state.
 inline std::uint64_t splitmix64(std::uint64_t& state) {
@@ -61,9 +70,21 @@ class Xoshiro256 {
   /// Uniform float in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
+  /// Uniform in (0, 1): redraws a zero, so log(u) is finite.
+  double uniform_nonzero() {
+    double u = 0.0;
+    do {
+      u = uniform();
+    } while (u <= 0.0);
+    return u;
+  }
+
   /// Standard normal via Box–Muller (no cached second value; simple and
   /// deterministic across platforms).
-  double normal();
+  double normal() {
+    const double u1 = uniform_nonzero();
+    return box_muller(u1, uniform());
+  }
 
   /// Jump function equivalent to 2^128 calls; used to give each worker
   /// thread a decorrelated stream derived from one seed.

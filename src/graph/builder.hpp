@@ -19,6 +19,14 @@ struct EdgeListOptions {
 
 /// Builds a CSR graph over `num_vertices` vertices from an edge list.
 /// Edges referencing out-of-range vertices throw std::invalid_argument.
+///
+/// The output is exactly what sorting every (u, v) pair and, when
+/// deduplicating, dropping repeats would give: each neighbor list is
+/// ascending.  The cost is O(V + E) plus a sort of each neighbor list on
+/// its own: a counting pass sizes every source's bucket, a scatter fills
+/// them, and the buckets are sorted in chunks of equal edge count on
+/// ThreadPool::global().  Because it blocks on that pool, never call it
+/// from inside a task running on the global pool.
 CsrGraph build_csr(VertexId num_vertices,
                    std::vector<std::pair<VertexId, VertexId>> edges,
                    const EdgeListOptions& options = {});

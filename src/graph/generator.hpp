@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "graph/csr.hpp"
 
@@ -25,7 +27,12 @@ struct RmatParams {
   bool symmetrize = true;
 };
 
-/// Deterministic RMAT generator.  Degree distribution is heavy-tailed.
+/// The raw RMAT edge list, before symmetrisation and cleanup: one
+/// (u, v) per requested edge, in draw order.
+std::vector<std::pair<VertexId, VertexId>> rmat_edge_list(const RmatParams& params);
+
+/// Deterministic RMAT generator: build_csr over rmat_edge_list.  Degree
+/// distribution is heavy-tailed.
 CsrGraph generate_rmat(const RmatParams& params);
 
 struct SbmParams {

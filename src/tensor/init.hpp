@@ -1,6 +1,7 @@
 // Deterministic weight initialisers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "tensor/tensor.hpp"
@@ -13,7 +14,16 @@ void xavier_uniform(Tensor& w, std::uint64_t seed);
 /// Uniform fill in [lo, hi).
 void uniform_init(Tensor& w, float lo, float hi, std::uint64_t seed);
 
-/// Standard-normal fill scaled by `stddev`.
+/// normal_init draws this many elements' uniforms before transforming them.
+inline constexpr std::size_t kNormalInitChunk = std::size_t{1} << 16;
+
+/// Standard-normal fill scaled by `stddev`, O(elements).  The result is
+/// bit-identical to filling the elements in order with
+/// `static_cast<float>(rng.normal() * stddev)` from one Xoshiro256(seed).
+/// The calling thread draws the uniforms `kNormalInitChunk` elements at a
+/// time; the Box–Muller transform of a large chunk fans out on
+/// ThreadPool::global(), so never call this from inside a task running on
+/// the global pool.
 void normal_init(Tensor& w, float stddev, std::uint64_t seed);
 
 }  // namespace hyscale

@@ -90,6 +90,45 @@ TEST(Datasets, DensityTracksPaperDataset) {
   EXPECT_LT(ds.graph.mean_degree(), 60.0);
 }
 
+/// FNV-1a over the bytes of every array a materialised dataset holds.
+std::uint64_t dataset_checksum(const Dataset& ds) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 0x100000001b3ULL;
+  };
+  auto mix_vector = [&mix](const auto& v) { mix(v.data(), v.size() * sizeof(v[0])); };
+  mix_vector(ds.graph.indptr());
+  mix_vector(ds.graph.indices());
+  mix(ds.features.data(), ds.features.flat().size() * sizeof(float));
+  mix_vector(ds.labels);
+  mix_vector(ds.train_ids);
+  return h;
+}
+
+TEST(Datasets, MaterializeMatchesParentChecksum) {
+  // The constants were computed by the sort-based CSR build, the
+  // double-compare R-MAT walk and the one-normal()-per-element feature
+  // fill that the O(E) versions replaced: any change to the bytes a seed
+  // materialises fails here.  Seed 101 is the benchmark's held-out seed.
+  struct Case {
+    const char* name;
+    VertexId vertices;
+    std::uint64_t seed;
+    std::uint64_t checksum;
+  };
+  for (const Case& c : {Case{"ogbn-products", VertexId{1} << 16, 1, 0x80518bb450f6e3c8ULL},
+                        Case{"ogbn-products", VertexId{1} << 16, 101, 0x7f6cc6d46206a983ULL},
+                        Case{"ogbn-papers100M", VertexId{1} << 12, 1, 0xd1eed7eb58b00fc4ULL}}) {
+    MaterializeOptions options;
+    options.target_vertices = c.vertices;
+    options.seed = c.seed;
+    EXPECT_EQ(dataset_checksum(materialize_dataset(c.name, options)), c.checksum)
+        << c.name << " at " << c.vertices << " vertices, seed " << c.seed;
+  }
+  EXPECT_EQ(dataset_checksum(make_community_dataset(4, 256, 32, 7)), 0x65904b7d5677d1a3ULL);
+}
+
 TEST(Datasets, CommunityDatasetHasCleanStructure) {
   const Dataset ds = make_community_dataset(4, 64, 16, 7);
   EXPECT_EQ(ds.num_vertices(), 256);

@@ -74,6 +74,87 @@ TEST(Csr, EmptyGraph) {
   EXPECT_EQ(g.max_degree(), 0);
 }
 
+/// The sort-based build build_csr replaced, kept as the oracle: double
+/// the list when symmetrising, drop self loops, sort every pair, drop
+/// repeats, then count.
+CsrGraph sort_oracle_build(VertexId n, std::vector<std::pair<VertexId, VertexId>> edges,
+                           const EdgeListOptions& options) {
+  if (options.symmetrize) {
+    const std::size_t original = edges.size();
+    edges.reserve(original * 2);
+    for (std::size_t i = 0; i < original; ++i) edges.emplace_back(edges[i].second, edges[i].first);
+  }
+  if (options.remove_self_loops) {
+    edges.erase(std::remove_if(edges.begin(), edges.end(),
+                               [](const auto& e) { return e.first == e.second; }),
+                edges.end());
+  }
+  std::sort(edges.begin(), edges.end());
+  if (options.deduplicate) edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  std::vector<EdgeId> indptr(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& e : edges) ++indptr[static_cast<std::size_t>(e.first) + 1];
+  for (std::size_t i = 1; i < indptr.size(); ++i) indptr[i] += indptr[i - 1];
+  std::vector<VertexId> indices;
+  indices.reserve(edges.size());
+  for (const auto& e : edges) indices.push_back(e.second);
+  return CsrGraph(std::move(indptr), std::move(indices));
+}
+
+/// Every EdgeListOptions combination: bit 0 symmetrize, bit 1 remove
+/// self loops, bit 2 deduplicate.
+EdgeListOptions options_from_bits(int bits) {
+  EdgeListOptions options;
+  options.symmetrize = (bits & 1) != 0;
+  options.remove_self_loops = (bits & 2) != 0;
+  options.deduplicate = (bits & 4) != 0;
+  return options;
+}
+
+TEST(Builder, MatchesSortOracle) {
+  Xoshiro256 rng(2024);
+  // Hand-picked degenerate inputs first, then seeded random lists.
+  std::vector<std::pair<VertexId, std::vector<std::pair<VertexId, VertexId>>>> cases = {
+      {0, {}}, {1, {}}, {5, {}}, {1, {{0, 0}, {0, 0}}}, {3, {{2, 2}, {0, 1}, {1, 0}, {0, 1}}}};
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto n = static_cast<VertexId>(1 + rng.bounded(300));
+    const auto m = static_cast<std::size_t>(rng.bounded(4000));
+    // A small id range forces heavy duplicates; every fifth list also
+    // sends most edges through one hub, and every seventh adds self loops.
+    const auto range = static_cast<std::uint64_t>(trial % 3 == 0 ? std::min<VertexId>(n, 6) : n);
+    const auto hub = static_cast<VertexId>(rng.bounded(static_cast<std::uint64_t>(n)));
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    for (std::size_t e = 0; e < m; ++e) {
+      VertexId u = static_cast<VertexId>(rng.bounded(range));
+      VertexId v = static_cast<VertexId>(rng.bounded(range));
+      if (trial % 5 == 0 && rng.bounded(10) < 8) (rng.bounded(2) == 0 ? u : v) = hub;
+      if (trial % 7 == 0 && rng.bounded(4) == 0) v = u;
+      edges.emplace_back(u, v);
+    }
+    cases.emplace_back(n, std::move(edges));
+  }
+  // One list past the parallel grain, so the pooled bucket sort runs too:
+  // an R-MAT-like skew with low ids as hubs.
+  {
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    for (int e = 0; e < 60000; ++e) {
+      const auto u = static_cast<VertexId>(rng.bounded(1 + rng.bounded(2000)));
+      edges.emplace_back(u, static_cast<VertexId>(rng.bounded(2000)));
+    }
+    cases.emplace_back(2000, std::move(edges));
+  }
+
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const auto& [n, edges] = cases[c];
+    for (int bits = 0; bits < 8; ++bits) {
+      const EdgeListOptions options = options_from_bits(bits);
+      const CsrGraph got = build_csr(n, edges, options);
+      const CsrGraph want = sort_oracle_build(n, edges, options);
+      ASSERT_EQ(got.indptr(), want.indptr()) << "case " << c << " options " << bits;
+      ASSERT_EQ(got.indices(), want.indices()) << "case " << c << " options " << bits;
+    }
+  }
+}
+
 TEST(Builder, RemovesSelfLoopsAndDuplicates) {
   const CsrGraph g = build_csr(3, {{0, 0}, {0, 1}, {0, 1}, {1, 0}});
   EXPECT_EQ(g.num_edges(), 2);  // only 0-1 both ways
@@ -184,6 +265,53 @@ TEST(Generator, RmatDegreeSkew) {
   const CsrGraph g = generate_rmat(p);
   // Power-law-ish: the max degree far exceeds the mean.
   EXPECT_GT(static_cast<double>(g.max_degree()), 10.0 * g.mean_degree());
+}
+
+TEST(Generator, RmatIntegerThresholdsMatchDoubleCompare) {
+  // The walk generate_rmat replaced: one double compare chain per level.
+  auto double_compare_rmat = [](const RmatParams& p) {
+    const VertexId n = VertexId{1} << p.scale;
+    const auto target = static_cast<std::size_t>(p.edge_factor * static_cast<double>(n));
+    Xoshiro256 rng(p.seed);
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    for (std::size_t e = 0; e < target; ++e) {
+      VertexId u = 0, v = 0;
+      for (int level = 0; level < p.scale; ++level) {
+        const double r = rng.uniform();
+        u <<= 1;
+        v <<= 1;
+        if (r < p.a) {
+        } else if (r < p.a + p.b) {
+          v |= 1;
+        } else if (r < p.a + p.b + p.c) {
+          u |= 1;
+        } else {
+          u |= 1;
+          v |= 1;
+        }
+      }
+      edges.emplace_back(u, v);
+    }
+    EdgeListOptions options;
+    options.symmetrize = p.symmetrize;
+    return sort_oracle_build(n, std::move(edges), options);
+  };
+  RmatParams dyadic;  // every threshold times 2^53 is a whole number
+  dyadic.a = 0.5;
+  dyadic.b = 0.25;
+  dyadic.c = 0.125;
+  RmatParams defaults;
+  RmatParams directed;
+  directed.symmetrize = false;
+  directed.seed = 101;
+  for (RmatParams p : {dyadic, defaults, directed}) {
+    p.scale = 12;
+    p.edge_factor = 6;
+    const CsrGraph got = generate_rmat(p);
+    const CsrGraph want = double_compare_rmat(p);
+    EXPECT_EQ(got.indptr(), want.indptr()) << "a=" << p.a << " seed=" << p.seed;
+    EXPECT_EQ(got.indices(), want.indices()) << "a=" << p.a << " seed=" << p.seed;
+  }
 }
 
 TEST(Generator, RmatRejectsBadParameters) {

@@ -223,6 +223,7 @@ TEST(ShardedGraph, ConcurrentWritesNeverServeATornRow) {
   ASSERT_NE(backend->cache(), nullptr);
 
   constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
   constexpr int kOps = 240;
   const VertexId base = ds.graph.num_vertices();
   // Start from constant rows, so every row is constant at every instant.
@@ -234,6 +235,9 @@ TEST(ShardedGraph, ConcurrentWritesNeverServeATornRow) {
   // last[w] maps each vertex writer w touched to its final constant
   // (0 for a removed vertex).
   std::vector<std::vector<std::pair<VertexId, float>>> last(kWriters);
+  // Writers start only once every reader has checked one gather, so
+  // rows_checked > 0 does not depend on how the threads get scheduled.
+  std::atomic<int> readers_ready{0};
   std::atomic<int> writers_done{0};
   std::atomic<std::int64_t> torn{0};
   std::atomic<std::int64_t> rows_checked{0};
@@ -242,6 +246,7 @@ TEST(ShardedGraph, ConcurrentWritesNeverServeATornRow) {
     threads.emplace_back([&, w] {
       std::vector<VertexId> added;
       std::size_t next_removal = 0;
+      while (readers_ready.load() < kReaders) std::this_thread::yield();
       for (int i = 0; i < kOps; ++i) {
         const float c = static_cast<float>(w * 1000 + i + 1);
         const std::vector<float> row(8, c);
@@ -268,13 +273,14 @@ TEST(ShardedGraph, ConcurrentWritesNeverServeATornRow) {
       writers_done.fetch_add(1);
     });
   }
-  for (int r = 0; r < 2; ++r) {
+  for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&, r] {
       std::vector<VertexId> nodes(16);
       std::vector<char> scratch;
       Tensor out;
       std::uint64_t state = 7 + static_cast<std::uint64_t>(r);
-      while (writers_done.load() < kWriters) {
+      bool ready = false;
+      while (!ready || writers_done.load() < kWriters) {
         const auto limit = static_cast<std::uint64_t>(graph.current_cut()->num_vertices());
         for (auto& v : nodes) v = static_cast<VertexId>(splitmix64(state) % limit);
         graph.gather(std::span<const VertexId>(nodes.data(), nodes.size()), out, scratch);
@@ -288,6 +294,10 @@ TEST(ShardedGraph, ConcurrentWritesNeverServeATornRow) {
           }
         }
         rows_checked.fetch_add(out.rows());
+        if (!ready) {
+          ready = true;
+          readers_ready.fetch_add(1);
+        }
       }
     });
   }

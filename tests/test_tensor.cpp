@@ -1,12 +1,14 @@
 // Tests for tensor/: Tensor, GEMM (vs. naive reference), ops, init.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
@@ -309,6 +311,25 @@ TEST(Init, NormalStddev) {
   double sum2 = 0.0;
   for (float v : w.flat()) sum2 += static_cast<double>(v) * v;
   EXPECT_NEAR(std::sqrt(sum2 / 40000.0), 0.5, 0.02);
+}
+
+TEST(Init, NormalInitMatchesSequentialNormalStream) {
+  // The pooled fill must give the bits of one normal() call per element,
+  // in order, at every size around the chunk boundary.
+  constexpr std::size_t kChunk = kNormalInitChunk;
+  for (const std::size_t size : {std::size_t{0}, std::size_t{1}, kChunk - 1, kChunk, kChunk + 1,
+                                 3 * kChunk + 5}) {
+    for (const float stddev : {1.0f, 0.37f}) {
+      Tensor w(1, static_cast<std::int64_t>(size));
+      normal_init(w, stddev, 42 + size);
+      Xoshiro256 rng(42 + size);
+      std::vector<std::uint32_t> got, want;
+      for (const float v : w.flat()) got.push_back(std::bit_cast<std::uint32_t>(v));
+      for (std::size_t i = 0; i < size; ++i)
+        want.push_back(std::bit_cast<std::uint32_t>(static_cast<float>(rng.normal() * stddev)));
+      EXPECT_EQ(got, want) << "size " << size << " stddev " << stddev;
+    }
+  }
 }
 
 TEST(Init, Deterministic) {
