@@ -1,10 +1,13 @@
 // google-benchmark micro-benches for the substrates: GEMM, feature
 // gather (plain rows and the streaming cache+store path at fp32 vs
-// int8), neighbor sampling, source-sorted edges, gradient all-reduce,
+// int8), neighbor sampling (static and over a streaming overlay), the
+// streaming publish, source-sorted edges, gradient all-reduce,
 // graph partitioning, and the set-up stages: the CSR build and the whole
 // dataset materialisation.  These measure the REAL kernels on the host
 // (wall clock), complementing the simulated-platform harnesses.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "common/rng.hpp"
 #include "graph/builder.hpp"
@@ -16,6 +19,7 @@
 #include "runtime/sync.hpp"
 #include "sampling/neighbor_sampler.hpp"
 #include "sampling/sorted_edges.hpp"
+#include "stream/overlay_sampler.hpp"
 #include "stream/streaming_graph.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/init.hpp"
@@ -170,24 +174,143 @@ void BM_StreamingGather(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamingGather)->ArgName("int8")->Arg(0)->Arg(1)->UseRealTime();
 
+// The ogbn-products stand-in perfbench serves and trains on: 2^16
+// vertices, materialised once per process.
+const Dataset& products_dataset() {
+  static const Dataset dataset = [] {
+    MaterializeOptions options;
+    options.target_vertices = VertexId{1} << 16;
+    return materialize_dataset("ogbn-products", options);
+  }();
+  return dataset;
+}
+
+/// `count` distinct training seeds, uniformly at random: a partial
+/// Fisher–Yates over `pool` (a copy of the training ids).
+std::vector<VertexId> draw_seeds(std::vector<VertexId>& pool, std::size_t count,
+                                 Xoshiro256& rng) {
+  for (std::size_t i = 0; i < count; ++i)
+    std::swap(pool[i], pool[i + rng.bounded(pool.size() - i)]);
+  return {pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(count)};
+}
+
+/// The two sampling shapes the system runs: the trainer's (fanouts
+/// 25,10; a third of perfbench's 1024 seeds per iteration) and
+/// serving's (fanouts 10,5; 16 seeds, a few 4-seed requests).
+struct SamplingShape {
+  std::vector<int> fanouts;
+  std::size_t seeds;
+  const char* label;
+};
+SamplingShape sampling_shape(std::int64_t arg) {
+  if (arg == 0) return {{25, 10}, 341, "trainer"};
+  return {{10, 5}, 16, "serving"};
+}
+
+/// Shared reporting: sampled edges per batch and time per edge.
+void report_sampling(benchmark::State& state, std::int64_t edges) {
+  state.counters["edges/batch"] =
+      static_cast<double>(edges) / static_cast<double>(state.iterations());
+  state.counters["time/edge"] = benchmark::Counter(
+      static_cast<double>(edges), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+// The static sampler over the 2^16 ogbn-products CSR with fresh random
+// training seeds every iteration (drawing them is in the timed loop; it
+// is a few hundred ns against tens of µs of sampling).  Arg 0 is the
+// trainer's shape, arg 1 serving's — the static reference for
+// BM_OverlaySampling.
 void BM_NeighborSampling(benchmark::State& state) {
-  const CsrGraph& g = bench_graph();
-  NeighborSampler sampler(g, {25, 10}, 7);
-  std::vector<VertexId> seeds;
-  for (VertexId v = 0; v < g.num_vertices() && seeds.size() < 256; ++v) {
-    if (g.degree(v) > 0) seeds.push_back(v);
-  }
+  const Dataset& dataset = products_dataset();
+  const SamplingShape shape = sampling_shape(state.range(0));
+  NeighborSampler sampler(dataset.graph, shape.fanouts, 7);
+  std::vector<VertexId> pool = dataset.train_ids;
+  Xoshiro256 rng(9);
   std::int64_t edges = 0;
   for (auto _ : state) {
-    const MiniBatch batch = sampler.sample(seeds);
+    const MiniBatch batch = sampler.sample(draw_seeds(pool, shape.seeds, rng));
     edges += batch.stats().total_edges();
     benchmark::DoNotOptimize(batch.blocks.front().indices.data());
   }
-  state.SetItemsProcessed(edges);
-  state.counters["edges/batch"] =
-      static_cast<double>(edges) / static_cast<double>(state.iterations());
+  state.SetLabel(shape.label);
+  report_sampling(state, edges);
 }
-BENCHMARK(BM_NeighborSampling);
+BENCHMARK(BM_NeighborSampling)->ArgName("shape")->Arg(0)->Arg(1);
+
+/// Pends about `ops` directed edge ops on `graph` (symmetric, so two per
+/// accepted write): two thirds inserts of random new edges, one third
+/// retractions of random base edges.
+void pend_ops(StreamingGraph& graph, EdgeId ops, Xoshiro256& rng) {
+  const CsrGraph& base = graph.dataset().graph;
+  const auto n = static_cast<std::uint64_t>(base.num_vertices());
+  while (graph.overlay_ops() < ops) {
+    const auto u = static_cast<VertexId>(rng.bounded(n));
+    if (rng.bounded(3) != 0) {
+      graph.add_edge(u, static_cast<VertexId>(rng.bounded(n)));
+    } else if (base.degree(u) > 0) {
+      const auto neighbors = base.neighbors(u);
+      graph.remove_edge(u, neighbors[rng.bounded(neighbors.size())]);
+    }
+  }
+}
+
+// publish() cost with 0, 1k and 4k ops already pending and 1–4 edge
+// writes (2–8 directed ops) since the previous publish: iterations
+// alternate between inserting 1–4 fresh random edges and retracting
+// them again (their cancelled pairs are then annihilated, so the pending
+// count returns to the set level).  Only publish() is timed.
+void BM_Publish(benchmark::State& state) {
+  const Dataset& dataset = products_dataset();
+  StreamingGraph graph(dataset);
+  Xoshiro256 rng(11);
+  pend_ops(graph, state.range(0), rng);
+  graph.publish();
+  const auto n = static_cast<std::uint64_t>(dataset.graph.num_vertices());
+  std::vector<std::pair<VertexId, VertexId>> inserted;
+  for (auto _ : state) {
+    if (inserted.empty()) {
+      const std::uint64_t writes = 1 + rng.bounded(4);
+      while (inserted.size() < writes) {
+        const auto u = static_cast<VertexId>(rng.bounded(n));
+        const auto v = static_cast<VertexId>(rng.bounded(n));
+        if (graph.add_edge(u, v)) inserted.emplace_back(u, v);
+      }
+    } else {
+      for (const auto& [u, v] : inserted) graph.remove_edge(u, v);
+      inserted.clear();
+      graph.annihilate();
+    }
+    const auto begin = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(graph.publish());
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count());
+  }
+  state.counters["pending_ops"] = static_cast<double>(graph.overlay_ops());
+  state.counters["touched"] = static_cast<double>(graph.current()->overlay().touched.size());
+}
+BENCHMARK(BM_Publish)->ArgName("pending")->Arg(0)->Arg(1000)->Arg(4000)->UseManualTime();
+
+// The overlay sampler at the serving shape (fanouts 10,5; 16 fresh
+// random training seeds per iteration) over a version with 0, 1k and 4k
+// pending ops; BM_NeighborSampling/shape:1 is the same sampling over
+// the static CSR.
+void BM_OverlaySampling(benchmark::State& state) {
+  const Dataset& dataset = products_dataset();
+  StreamingGraph graph(dataset);
+  Xoshiro256 rng(13);
+  pend_ops(graph, state.range(0), rng);
+  const SamplingShape shape = sampling_shape(1);
+  OverlaySampler sampler(graph.publish(), shape.fanouts, 7);
+  std::vector<VertexId> pool = dataset.train_ids;
+  std::int64_t edges = 0;
+  for (auto _ : state) {
+    const MiniBatch batch = sampler.sample(draw_seeds(pool, shape.seeds, rng));
+    edges += batch.stats().total_edges();
+    benchmark::DoNotOptimize(batch.blocks.front().indices.data());
+  }
+  report_sampling(state, edges);
+}
+BENCHMARK(BM_OverlaySampling)->ArgName("pending")->Arg(0)->Arg(1000)->Arg(4000);
 
 void BM_SortedEdges(benchmark::State& state) {
   const CsrGraph& g = bench_graph();

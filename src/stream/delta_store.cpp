@@ -21,12 +21,34 @@ void for_each_odd_parity_run(const std::vector<VertexId>& sorted, Fn&& fn) {
   }
 }
 
+/// Appends the spans of slots [lo, hi) of one offset-indexed array pair
+/// to another, re-basing the offsets.
+void append_spans(const std::vector<EdgeId>& offsets, const std::vector<VertexId>& items,
+                  std::size_t lo, std::size_t hi, std::vector<EdgeId>& to_offsets,
+                  std::vector<VertexId>& to_items) {
+  const EdgeId shift = static_cast<EdgeId>(to_items.size()) - offsets[lo];
+  for (std::size_t s = lo + 1; s <= hi; ++s) to_offsets.push_back(offsets[s] + shift);
+  to_items.insert(to_items.end(), items.begin() + offsets[lo], items.begin() + offsets[hi]);
+}
+
+/// Appends slots [lo, hi) of `from` — vertices and both spans — to `to`.
+void append_slots(const DeltaStore::Overlay& from, std::size_t lo, std::size_t hi,
+                  DeltaStore::Overlay& to) {
+  if (lo == hi) return;
+  to.touched.insert(to.touched.end(), from.touched.begin() + static_cast<std::ptrdiff_t>(lo),
+                    from.touched.begin() + static_cast<std::ptrdiff_t>(hi));
+  append_spans(from.insert_offsets, from.inserts, lo, hi, to.insert_offsets, to.inserts);
+  append_spans(from.remove_offsets, from.removes, lo, hi, to.remove_offsets, to.removes);
+}
+
 }  // namespace
 
 DeltaStore::DeltaStore(std::shared_ptr<const CsrGraph> base, std::size_t num_stripes,
                        bool symmetric)
     : base_(std::move(base)),
       stripes_(std::max<std::size_t>(1, num_stripes)),
+      overlay_(std::make_shared<const Overlay>()),
+      dead_sorted_(std::make_shared<const std::vector<VertexId>>()),
       symmetric_(symmetric) {
   if (!base_) throw std::invalid_argument("DeltaStore: null base graph");
   buckets_.resize(static_cast<std::size_t>(base_->num_vertices()));
@@ -37,8 +59,24 @@ DeltaStore::DeltaStore(std::shared_ptr<const CsrGraph> base, std::size_t num_str
 
 bool DeltaStore::base_contains(VertexId u, VertexId v) const {
   if (u >= base_->num_vertices()) return false;
+  // Base adjacency is sorted per vertex (build_csr output; StreamingGraph
+  // rejects any other base).
   const auto neighbors = base_->neighbors(u);
-  return std::find(neighbors.begin(), neighbors.end(), v) != neighbors.end();
+  return std::binary_search(neighbors.begin(), neighbors.end(), v);
+}
+
+void DeltaStore::mark_dirty(Stripe& stripe, VertexId v, Bucket& bucket) {
+  if (bucket.dirty) return;
+  bucket.dirty = true;
+  stripe.dirty.push_back(v);
+}
+
+void DeltaStore::note_append(Stripe& stripe, VertexId v, Bucket& bucket) {
+  if (!bucket.listed) {
+    bucket.listed = true;
+    stripe.touched.push_back(v);
+  }
+  mark_dirty(stripe, v, bucket);
 }
 
 bool DeltaStore::live_unlocked(VertexId u, VertexId v) const {
@@ -55,10 +93,7 @@ bool DeltaStore::edge_op_locked(Stripe& stripe, VertexId u, VertexId v, bool rem
   bucket.neighbors.push_back(v);
   bucket.epochs.push_back(epoch_.load(std::memory_order_relaxed));
   bucket.removes.push_back(remove ? 1 : 0);
-  if (!bucket.listed) {
-    bucket.listed = true;
-    stripe.touched.push_back(u);
-  }
+  note_append(stripe, u, bucket);
   (remove ? delta_removes_ : delta_inserts_).fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -155,10 +190,7 @@ std::int64_t DeltaStore::remove_vertex(VertexId v) {
     b.neighbors.push_back(to);
     b.epochs.push_back(now);
     b.removes.push_back(1);
-    if (!b.listed) {
-      b.listed = true;
-      stripe_for(from).touched.push_back(from);
-    }
+    note_append(stripe_for(from), from, b);
   };
   std::int64_t retracted = 0;
   for (VertexId u : live) {
@@ -180,6 +212,7 @@ std::int64_t DeltaStore::remove_vertex(VertexId v) {
   dead_since_[static_cast<std::size_t>(v)] = now;
   dead_pos_.emplace(v, dead_list_.size());
   dead_list_.push_back(v);
+  dead_changed_ = true;
   // Recycling is only safe when retirement provably scrubbed every
   // reference — guaranteed by symmetric adjacency, not by directed
   // ingest (an undiscovered in-edge would be inherited by the reuser).
@@ -209,6 +242,7 @@ VertexId DeltaStore::reclaim_vertex() {
     dead_pos_[dead_list_[slot]] = slot;
   }
   dead_list_.pop_back();
+  dead_changed_ = true;
   return v;
 }
 
@@ -290,6 +324,9 @@ EdgeId DeltaStore::annihilate_unlocked(Epoch gate) {
     std::vector<VertexId> survivors;
     for (VertexId v : stripe.touched) {
       Bucket& bucket = buckets_[static_cast<std::size_t>(v)];
+      // Erasing matched pairs keeps every neighbour's op parity, so the
+      // bucket's reduction (and the kept overlay) is unchanged: no dirty
+      // mark.
       annihilate_bucket(bucket, gate, dropped_inserts, dropped_removes);
       if (bucket.neighbors.empty()) {
         bucket.listed = false;
@@ -310,43 +347,77 @@ EdgeId DeltaStore::annihilated_ops() const {
   return annihilated_ops_.load(std::memory_order_relaxed);
 }
 
+void DeltaStore::refresh_overlay_unlocked() {
+  std::vector<VertexId> dirty;
+  for (Stripe& stripe : stripes_) {
+    for (VertexId v : stripe.dirty) buckets_[static_cast<std::size_t>(v)].dirty = false;
+    dirty.insert(dirty.end(), stripe.dirty.begin(), stripe.dirty.end());
+    stripe.dirty.clear();
+  }
+  if (dirty.empty()) return;  // the kept overlay is exact: share it as is
+  std::sort(dirty.begin(), dirty.end());
+
+  // One ascending pass: the kept overlay's slots between dirty vertices
+  // are copied block by block, and each dirty vertex's old slot (if
+  // any) is replaced by a fresh reduction of its op log (or dropped
+  // when the ops now cancel out).
+  const Overlay& old = *overlay_;
+  auto next = std::make_shared<Overlay>();
+  next->touched.reserve(old.touched.size() + dirty.size());
+  next->insert_offsets.reserve(old.touched.size() + dirty.size() + 1);
+  next->remove_offsets.reserve(old.touched.size() + dirty.size() + 1);
+  next->inserts.reserve(old.inserts.size());
+  next->removes.reserve(old.removes.size());
+  std::vector<VertexId> ops;
+  std::size_t copied = 0;  // old slots [0, copied) are already merged
+  for (VertexId v : dirty) {
+    const auto found = std::lower_bound(
+        old.touched.begin() + static_cast<std::ptrdiff_t>(copied), old.touched.end(), v);
+    const auto at = static_cast<std::size_t>(found - old.touched.begin());
+    append_slots(old, copied, at, *next);
+    copied = at + (found != old.touched.end() && *found == v ? 1 : 0);
+
+    // Reduce the op log to its net effect: odd parity flips base
+    // membership (base edge -> tombstone, non-base -> insertion); even
+    // parity cancels out.  Processing the sorted copy run by run leaves
+    // each per-vertex span sorted — the property the overlay's
+    // merged-adjacency iteration relies on.
+    const Bucket& bucket = buckets_[static_cast<std::size_t>(v)];
+    ops.assign(bucket.neighbors.begin(), bucket.neighbors.end());
+    std::sort(ops.begin(), ops.end());
+    const std::size_t inserts_before = next->inserts.size();
+    const std::size_t removes_before = next->removes.size();
+    for_each_odd_parity_run(ops, [&](VertexId u) {
+      (base_contains(v, u) ? next->removes : next->inserts).push_back(u);
+    });
+    if (next->inserts.size() == inserts_before && next->removes.size() == removes_before)
+      continue;  // all ops cancelled — no net change for v
+    next->touched.push_back(v);
+    next->insert_offsets.push_back(static_cast<EdgeId>(next->inserts.size()));
+    next->remove_offsets.push_back(static_cast<EdgeId>(next->removes.size()));
+  }
+  append_slots(old, copied, old.touched.size(), *next);
+  overlay_ = std::move(next);
+}
+
 DeltaStore::Snapshot DeltaStore::snapshot(bool advance_epoch) {
   std::unique_lock structure(structure_mutex_);
+  refresh_overlay_unlocked();
+  if (dead_changed_) {
+    auto dead = std::make_shared<std::vector<VertexId>>(dead_list_);
+    std::sort(dead->begin(), dead->end());
+    dead_sorted_ = std::move(dead);
+    dead_changed_ = false;
+  }
   Snapshot snap;
   snap.epoch = epoch_.load(std::memory_order_relaxed);
   last_snapshot_epoch_ = std::max(last_snapshot_epoch_, snap.epoch);
   snap.num_vertices = num_vertices_.load(std::memory_order_relaxed);
-  snap.insert_offsets.push_back(0);
-  snap.remove_offsets.push_back(0);
-  std::vector<VertexId> ops;
-  for (const Stripe& stripe : stripes_) {
-    for (VertexId v : stripe.touched) {
-      const Bucket& bucket = buckets_[static_cast<std::size_t>(v)];
-      if (bucket.neighbors.empty()) continue;
-      // Reduce the op log to its net effect: odd parity flips base
-      // membership (base edge -> tombstone, non-base -> insertion);
-      // even parity cancels out.  Processing the sorted copy run by run
-      // leaves each per-vertex span sorted — the property the overlay's
-      // merged-adjacency iteration relies on.
-      snap.raw_ops += static_cast<EdgeId>(bucket.neighbors.size());
-      ops.assign(bucket.neighbors.begin(), bucket.neighbors.end());
-      std::sort(ops.begin(), ops.end());
-      const std::size_t inserts_before = snap.inserts.size();
-      const std::size_t removes_before = snap.removes.size();
-      for_each_odd_parity_run(ops, [&](VertexId u) {
-        (base_contains(v, u) ? snap.removes : snap.inserts).push_back(u);
-      });
-      if (snap.inserts.size() == inserts_before && snap.removes.size() == removes_before)
-        continue;  // all ops cancelled — no net change for v
-      snap.touched.push_back(v);
-      snap.insert_offsets.push_back(static_cast<EdgeId>(snap.inserts.size()));
-      snap.remove_offsets.push_back(static_cast<EdgeId>(snap.removes.size()));
-    }
-  }
-  snap.num_inserts = static_cast<EdgeId>(snap.inserts.size());
-  snap.num_removes = static_cast<EdgeId>(snap.removes.size());
-  snap.dead = dead_list_;
-  std::sort(snap.dead.begin(), snap.dead.end());
+  snap.raw_ops = delta_ops();
+  snap.num_inserts = static_cast<EdgeId>(overlay_->inserts.size());
+  snap.num_removes = static_cast<EdgeId>(overlay_->removes.size());
+  snap.overlay = overlay_;
+  snap.dead = dead_sorted_;
   if (advance_epoch) epoch_.fetch_add(1, std::memory_order_relaxed);
   return snap;
 }
@@ -362,6 +433,7 @@ void DeltaStore::truncate_unlocked(Epoch epoch) {
       const auto cut = std::upper_bound(bucket.epochs.begin(), bucket.epochs.end(), epoch);
       const auto count = static_cast<std::size_t>(cut - bucket.epochs.begin());
       if (count > 0) {
+        mark_dirty(stripe, v, bucket);
         for (std::size_t i = 0; i < count; ++i) {
           if (bucket.removes[i] != 0) {
             ++dropped_removes;
@@ -406,6 +478,12 @@ void DeltaStore::rebase(std::shared_ptr<const CsrGraph> base, Epoch merged_up_to
   fold_cut_ = 0;
   base_ = std::move(base);
   truncate_unlocked(merged_up_to);
+  // Every kept reduction was taken against the old base: start over
+  // and re-reduce each pending vertex against the new one.
+  overlay_ = std::make_shared<const Overlay>();
+  for (Stripe& stripe : stripes_) {
+    for (VertexId v : stripe.touched) mark_dirty(stripe, v, buckets_[static_cast<std::size_t>(v)]);
+  }
   // Deaths folded by this compaction are fully scrubbed: the merged
   // base isolates the vertex and the truncate above dropped every op
   // that referenced it (all were stamped <= the death epoch).  The id
@@ -450,5 +528,12 @@ bool DeltaStore::has_pending_scrubs() const {
 }
 
 Epoch DeltaStore::epoch() const { return epoch_.load(std::memory_order_relaxed); }
+
+std::vector<VertexId> DeltaStore::pending_targets(VertexId v) const {
+  std::unique_lock structure(structure_mutex_);
+  if (v < 0 || v >= num_vertices_.load(std::memory_order_relaxed))
+    throw std::invalid_argument("DeltaStore::pending_targets: id out of range");
+  return buckets_[static_cast<std::size_t>(v)].neighbors;
+}
 
 }  // namespace hyscale

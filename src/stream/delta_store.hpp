@@ -63,6 +63,9 @@ class DeltaStore {
   /// with `symmetric = false` retired ids are never reused (a pending
   /// directed in-edge is not discoverable from the dead vertex's
   /// bucket and would be inherited by the recycled entity).
+  /// `base` (and every rebase() base) must list each vertex's neighbours
+  /// in ascending order, as build_csr does: membership checks binary-
+  /// search it.
   explicit DeltaStore(std::shared_ptr<const CsrGraph> base, std::size_t num_stripes = 64,
                       bool symmetric = true);
 
@@ -129,7 +132,7 @@ class DeltaStore {
   /// the base and truncate the captured prefix, and an erased
   /// counter-op would resurrect the edge (the bug the lifecycle
   /// property tests pin).  Publish-only snapshots are immune: a
-  /// GraphVersion owns copies of its spans, and un-truncated ops
+  /// GraphVersion holds its own immutable overlay, and un-truncated ops
   /// re-reduce to the same net at the next snapshot.  This standalone
   /// form cannot tell which snapshots feed folds, so it protects every
   /// op stamped at or below the newest snapshot epoch and cancels only
@@ -171,26 +174,38 @@ class DeltaStore {
   /// Whether a begin_fold cut is outstanding (no rebase/abort yet).
   bool fold_in_flight() const;
 
+  /// The pending ops reduced to their net effect: per touched vertex
+  /// (ascending ids, each with a net change) the net insertions (sorted,
+  /// disjoint from base) and net removals (sorted, subset of base
+  /// adjacency), as flat offset-indexed arrays.  Immutable once
+  /// published; snapshots and GraphVersions share it.
+  struct Overlay {
+    std::vector<VertexId> touched;          ///< vertices with a net change, ascending
+    std::vector<EdgeId> insert_offsets{0};  ///< size touched.size() + 1
+    std::vector<VertexId> inserts;          ///< sorted per touched vertex
+    std::vector<EdgeId> remove_offsets{0};  ///< size touched.size() + 1
+    std::vector<VertexId> removes;          ///< sorted per touched vertex
+  };
+
   /// Point-in-time REDUCED view of the pending ops, taken under the
-  /// exclusive lock (single linearisation point): per touched vertex,
-  /// the net insertions (sorted, disjoint from base) and net removals
-  /// (sorted, subset of base adjacency).  Ops that cancelled out
-  /// (insert-then-delete of the same pair) reduce to nothing.  With
+  /// exclusive lock (single linearisation point).  Ops that cancelled
+  /// out (insert-then-delete of the same pair) reduce to nothing.  With
   /// `advance_epoch`, the store epoch is bumped inside the same
   /// critical section, so the snapshot covers exactly the ops stamped
   /// <= its `epoch`.
+  ///
+  /// Cost: the store keeps the overlay of its previous snapshot and
+  /// re-reduces only the vertices whose op log changed since (plus one
+  /// contiguous copy of the overlay when any did); after a rebase every
+  /// pending vertex is re-reduced once against the new base.
   struct Snapshot {
     Epoch epoch = 0;            ///< all covered ops are stamped <= this
     VertexId num_vertices = 0;  ///< vertex space at capture time
     EdgeId raw_ops = 0;         ///< unreduced op records captured (incl. cancelled pairs)
     EdgeId num_inserts = 0;     ///< net inserted directed edges
     EdgeId num_removes = 0;     ///< net tombstoned directed edges
-    std::vector<VertexId> touched;        ///< vertices with a net change
-    std::vector<EdgeId> insert_offsets;   ///< size touched.size() + 1
-    std::vector<VertexId> inserts;        ///< sorted per touched vertex
-    std::vector<EdgeId> remove_offsets;   ///< size touched.size() + 1
-    std::vector<VertexId> removes;        ///< sorted per touched vertex
-    std::vector<VertexId> dead;           ///< dead vertex ids, sorted
+    std::shared_ptr<const Overlay> overlay;             ///< never null
+    std::shared_ptr<const std::vector<VertexId>> dead;  ///< dead vertex ids, sorted; never null
   };
   Snapshot snapshot(bool advance_epoch);
 
@@ -226,6 +241,11 @@ class DeltaStore {
   Epoch epoch() const;
   std::size_t num_stripes() const { return stripes_.size(); }
 
+  /// v's pending op targets in append order, inserts and tombstones
+  /// alike — the raw input of v's reduction.  For tests that check
+  /// snapshot() against a from-scratch reduction.
+  std::vector<VertexId> pending_targets(VertexId v) const;
+
  private:
   /// One vertex's pending op log.  `epochs` and `removes` parallel
   /// `neighbors`; removes[i] != 0 marks op i as a tombstone.
@@ -234,16 +254,25 @@ class DeltaStore {
     std::vector<Epoch> epochs;
     std::vector<std::uint8_t> removes;
     bool listed = false;  ///< already on its stripe's touched list
+    bool dirty = false;   ///< already on its stripe's dirty list
   };
   struct Stripe {
     std::mutex mutex;
     std::vector<VertexId> touched;  ///< vertices of this stripe with pending ops
+    std::vector<VertexId> dirty;    ///< vertices whose op log changed since the last snapshot
   };
 
   Stripe& stripe_for(VertexId v) {
     return stripes_[static_cast<std::size_t>(v) % stripes_.size()];
   }
   bool base_contains(VertexId u, VertexId v) const;
+  /// Records an op appended to v's bucket: lists it as pending and as
+  /// changed since the last snapshot.  Caller holds v's stripe (or the
+  /// exclusive lock).
+  void note_append(Stripe& stripe, VertexId v, Bucket& bucket);
+  /// Queues v for re-reduction at the next snapshot.  Caller holds v's
+  /// stripe (or the exclusive lock).
+  static void mark_dirty(Stripe& stripe, VertexId v, Bucket& bucket);
   /// Current membership of directed edge u -> v (base XOR pending-op
   /// parity).  Caller holds structure_mutex_ and, for shared holders,
   /// u's stripe.
@@ -262,6 +291,9 @@ class DeltaStore {
   /// returns records erased.  Caller holds structure_mutex_ exclusively.
   static VertexId annihilate_bucket(Bucket& bucket, Epoch gate, EdgeId& dropped_inserts,
                                     EdgeId& dropped_removes);
+  /// Merges fresh reductions of every dirty vertex into overlay_ and
+  /// clears the dirty lists.  Caller holds structure_mutex_ exclusively.
+  void refresh_overlay_unlocked();
 
   mutable std::shared_mutex structure_mutex_;  ///< shared: ingest; exclusive: structural ops
   std::shared_ptr<const CsrGraph> base_;       ///< swapped only under the exclusive lock
@@ -269,6 +301,12 @@ class DeltaStore {
   std::vector<Stripe> stripes_;
   std::vector<Epoch> dead_since_;      ///< 0 = alive (epochs start at 1)
   std::vector<VertexId> dead_list_;    ///< all currently-dead ids (unsorted, swap-removed)
+  /// Reduction of every bucket as of the last snapshot; a vertex not on
+  /// a dirty list has its exact current reduction here.
+  std::shared_ptr<const Overlay> overlay_;
+  /// dead_list_ sorted, as of the last snapshot that saw it change.
+  std::shared_ptr<const std::vector<VertexId>> dead_sorted_;
+  bool dead_changed_ = false;  ///< dead_list_ changed since dead_sorted_ was taken
   std::unordered_map<VertexId, std::size_t> dead_pos_;  ///< id -> dead_list_ slot
   std::vector<VertexId> pending_dead_; ///< dead streamed-in ids awaiting a folding compaction
   std::vector<VertexId> free_ids_;     ///< scrubbed ids ready for reclaim_vertex()

@@ -1,6 +1,7 @@
 #include "stream/streaming_graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
@@ -22,34 +23,35 @@ GraphVersion::GraphVersion(std::shared_ptr<const CsrGraph> base, EdgeId base_max
       max_degree_(base_max_degree),
       epoch_(overlay.epoch),
       id_(id),
-      touched_(std::move(overlay.touched)),
-      insert_offsets_(std::move(overlay.insert_offsets)),
-      inserts_(std::move(overlay.inserts)),
-      remove_offsets_(std::move(overlay.remove_offsets)),
-      removes_(std::move(overlay.removes)),
+      overlay_(std::move(overlay.overlay)),
       dead_(std::move(overlay.dead)) {
-  slot_of_.reserve(touched_.size());
-  for (std::size_t s = 0; s < touched_.size(); ++s) {
-    slot_of_.emplace(touched_[s], static_cast<std::int64_t>(s));
+  const std::vector<VertexId>& touched = overlay_->touched;
+  const std::size_t capacity = std::bit_ceil(std::max<std::size_t>(2, 2 * touched.size()));
+  slot_shift_ = static_cast<unsigned>(64 - std::countr_zero(capacity));
+  slots_.resize(capacity);
+  const std::size_t mask = capacity - 1;
+  for (std::size_t s = 0; s < touched.size(); ++s) {
+    const VertexId v = touched[s];
+    std::size_t i = home(v);
+    while (slots_[i].vertex >= 0) i = (i + 1) & mask;
+    slots_[i] = {v, static_cast<std::int64_t>(s)};
     // Live degree is exact for touched vertices; untouched vertices
     // keep their base degree, so max(base max, touched live degrees) is
     // a valid upper bound for full-neighborhood fanouts.
-    max_degree_ = std::max(max_degree_, degree(touched_[s]));
+    max_degree_ = std::max(max_degree_, live_degree(v, static_cast<std::int64_t>(s)));
   }
 }
 
 std::span<const VertexId> GraphVersion::inserted_neighbors(VertexId v) const {
   const std::int64_t s = slot(v);
   if (s < 0) return {};
-  const auto lo = insert_offsets_[static_cast<std::size_t>(s)];
-  return {inserts_.data() + lo, static_cast<std::size_t>(span_size(insert_offsets_, s))};
+  return span_at(overlay_->insert_offsets, overlay_->inserts, s);
 }
 
 std::span<const VertexId> GraphVersion::removed_neighbors(VertexId v) const {
   const std::int64_t s = slot(v);
   if (s < 0) return {};
-  const auto lo = remove_offsets_[static_cast<std::size_t>(s)];
-  return {removes_.data() + lo, static_cast<std::size_t>(span_size(remove_offsets_, s))};
+  return span_at(overlay_->remove_offsets, overlay_->removes, s);
 }
 
 void GraphVersion::append_neighbors(VertexId v, std::vector<VertexId>& out) const {
@@ -59,54 +61,58 @@ void GraphVersion::append_neighbors(VertexId v, std::vector<VertexId>& out) cons
     out.insert(out.end(), base.begin(), base.end());
     return;
   }
-  const auto ins = inserted_neighbors(v);
-  const auto rem = removed_neighbors(v);
-  // Skip-over-tombstone merge: all three spans are sorted (base by
-  // build_csr, the overlay spans by the snapshot reduction), so one
-  // forward pass yields the live adjacency in globally sorted order —
-  // exactly what a from-scratch rebuild would store.
-  std::size_t bi = 0;
+  const auto ins = span_at(overlay_->insert_offsets, overlay_->inserts, s);
+  const auto rem = span_at(overlay_->remove_offsets, overlay_->removes, s);
+  // Tombstones are a subset of base, insertions disjoint from it, and
+  // all three spans are sorted (base by build_csr, the overlay spans by
+  // the snapshot reduction).  So the live adjacency, in the globally
+  // sorted order a from-scratch rebuild would store, is the base copied
+  // in bulk between the (few) overlay entries: each tombstone ends a run
+  // and is skipped, each insertion ends a run and is emitted.
+  out.reserve(out.size() + base.size() - rem.size() + ins.size());
+  auto run = base.begin();
   std::size_t ri = 0;
   std::size_t ii = 0;
-  while (bi < base.size() || ii < ins.size()) {
-    if (bi < base.size()) {
-      while (ri < rem.size() && rem[ri] < base[bi]) ++ri;
-      if (ri < rem.size() && rem[ri] == base[bi]) {
-        ++bi;
-        ++ri;
-        continue;
-      }
-    }
-    if (ii >= ins.size() || (bi < base.size() && base[bi] < ins[ii])) {
-      out.push_back(base[bi++]);
+  while (ri < rem.size() || ii < ins.size()) {
+    const bool tombstone = ii == ins.size() || (ri < rem.size() && rem[ri] < ins[ii]);
+    const VertexId next = tombstone ? rem[ri++] : ins[ii++];
+    const auto end = std::lower_bound(run, base.end(), next);
+    out.insert(out.end(), run, end);
+    if (tombstone) {
+      run = end + 1;
     } else {
-      out.push_back(ins[ii++]);
+      out.push_back(next);
+      run = end;
     }
   }
+  out.insert(out.end(), run, base.end());
 }
 
 bool GraphVersion::alive(VertexId v) const {
-  return !std::binary_search(dead_.begin(), dead_.end(), v);
+  return !std::binary_search(dead_->begin(), dead_->end(), v);
 }
 
 bool GraphVersion::validate() const {
   if (!base_->validate()) return false;
   if (num_vertices_ < base_->num_vertices()) return false;
-  if (insert_offsets_.size() != touched_.size() + 1) return false;
-  if (remove_offsets_.size() != touched_.size() + 1) return false;
-  if (insert_offsets_.front() != 0 || remove_offsets_.front() != 0) return false;
-  if (insert_offsets_.back() != static_cast<EdgeId>(inserts_.size())) return false;
-  if (remove_offsets_.back() != static_cast<EdgeId>(removes_.size())) return false;
-  if (inserted_edges_ != static_cast<EdgeId>(inserts_.size())) return false;
-  if (removed_edges_ != static_cast<EdgeId>(removes_.size())) return false;
-  if (!std::is_sorted(dead_.begin(), dead_.end())) return false;
-  for (std::size_t s = 0; s < touched_.size(); ++s) {
-    const VertexId v = touched_[s];
+  const DeltaStore::Overlay& o = *overlay_;
+  if (o.insert_offsets.size() != o.touched.size() + 1) return false;
+  if (o.remove_offsets.size() != o.touched.size() + 1) return false;
+  if (o.insert_offsets.front() != 0 || o.remove_offsets.front() != 0) return false;
+  if (o.insert_offsets.back() != static_cast<EdgeId>(o.inserts.size())) return false;
+  if (o.remove_offsets.back() != static_cast<EdgeId>(o.removes.size())) return false;
+  if (inserted_edges_ != static_cast<EdgeId>(o.inserts.size())) return false;
+  if (removed_edges_ != static_cast<EdgeId>(o.removes.size())) return false;
+  if (!std::is_sorted(dead_->begin(), dead_->end())) return false;
+  for (std::size_t s = 0; s < o.touched.size(); ++s) {
+    const VertexId v = o.touched[s];
     if (v < 0 || v >= num_vertices_) return false;
-    if (insert_offsets_[s] > insert_offsets_[s + 1]) return false;
-    if (remove_offsets_[s] > remove_offsets_[s + 1]) return false;
-    if (insert_offsets_[s] == insert_offsets_[s + 1] &&
-        remove_offsets_[s] == remove_offsets_[s + 1])
+    if (s > 0 && o.touched[s - 1] >= v) return false;  // ascending, duplicate-free
+    if (slot(v) != static_cast<std::int64_t>(s)) return false;
+    if (o.insert_offsets[s] > o.insert_offsets[s + 1]) return false;
+    if (o.remove_offsets[s] > o.remove_offsets[s + 1]) return false;
+    if (o.insert_offsets[s] == o.insert_offsets[s + 1] &&
+        o.remove_offsets[s] == o.remove_offsets[s + 1])
       return false;  // touched vertices must carry a net change
     const auto base = base_neighbors(v);
     const auto ins = inserted_neighbors(v);
@@ -126,7 +132,7 @@ bool GraphVersion::validate() const {
     }
   }
   // Dead vertices are fully retracted: live degree 0 as of this version.
-  for (VertexId v : dead_) {
+  for (VertexId v : *dead_) {
     if (v < 0 || v >= num_vertices_) return false;
     if (degree(v) != 0) return false;
   }
@@ -145,12 +151,15 @@ StreamingGraph::StreamingGraph(const Dataset& dataset, StreamingConfig config,
                                     : std::make_shared<MutableFeatureStore>(dataset.features)) {
   if (features_->rows() != dataset.graph.num_vertices())
     throw std::invalid_argument("StreamingGraph: features/graph size mismatch");
-  // The overlay merge (and the rebuild equivalence it guarantees)
-  // requires sorted base adjacency — what build_csr always produces.
+  // The overlay merge (and the rebuild equivalence it guarantees) and
+  // the store's binary-search membership check require sorted base
+  // adjacency — what build_csr always produces.
   for (VertexId v = 0; v < dataset.graph.num_vertices(); ++v) {
     const auto neighbors = dataset.graph.neighbors(v);
     if (!std::is_sorted(neighbors.begin(), neighbors.end()))
-      throw std::invalid_argument("StreamingGraph: base adjacency must be sorted per vertex");
+      throw std::invalid_argument(
+          "StreamingGraph: base adjacency must be sorted per vertex (vertex " +
+          std::to_string(v) + " is not)");
   }
   const auto base = delta_.base();
   base_max_degree_ = base->max_degree();
@@ -407,38 +416,34 @@ bool StreamingGraph::compact() {
   // passes interleave freely while the merged CSR is assembled.
   std::shared_ptr<const CsrGraph> merged;
   try {
-    // Per-vertex tombstone/insert spans from the snapshot, so the union
-    // enumeration can drop retracted edges as it walks the base.
-    std::unordered_map<VertexId, std::size_t> slot_of;
-    slot_of.reserve(snap.touched.size());
-    for (std::size_t s = 0; s < snap.touched.size(); ++s) slot_of.emplace(snap.touched[s], s);
-
+    // The overlay's touched vertices ascend, so one cursor walks them in
+    // step with the base and drops each retracted edge as it goes.
+    const DeltaStore::Overlay& overlay = *snap.overlay;
     std::vector<std::pair<VertexId, VertexId>> edges;
     edges.reserve(
         static_cast<std::size_t>(base->num_edges() + snap.num_inserts - snap.num_removes));
+    std::size_t s = 0;
     for (VertexId v = 0; v < base->num_vertices(); ++v) {
-      const auto it = slot_of.find(v);
-      if (it == slot_of.end()) {
+      if (s == overlay.touched.size() || overlay.touched[s] != v) {
         for (VertexId u : base->neighbors(v)) edges.emplace_back(v, u);
         continue;
       }
-      const std::size_t s = it->second;
-      const auto rem_lo = static_cast<std::size_t>(snap.remove_offsets[s]);
-      const auto rem_hi = static_cast<std::size_t>(snap.remove_offsets[s + 1]);
-      std::size_t ri = rem_lo;
+      const auto rem_hi = static_cast<std::size_t>(overlay.remove_offsets[s + 1]);
+      auto ri = static_cast<std::size_t>(overlay.remove_offsets[s]);
       for (VertexId u : base->neighbors(v)) {
-        while (ri < rem_hi && snap.removes[ri] < u) ++ri;
-        if (ri < rem_hi && snap.removes[ri] == u) {
+        while (ri < rem_hi && overlay.removes[ri] < u) ++ri;
+        if (ri < rem_hi && overlay.removes[ri] == u) {
           ++ri;  // tombstoned: dropped from the fresh CSR
           continue;
         }
         edges.emplace_back(v, u);
       }
+      ++s;
     }
-    for (std::size_t s = 0; s < snap.touched.size(); ++s) {
-      const VertexId v = snap.touched[s];
-      for (EdgeId e = snap.insert_offsets[s]; e < snap.insert_offsets[s + 1]; ++e) {
-        edges.emplace_back(v, snap.inserts[static_cast<std::size_t>(e)]);
+    for (s = 0; s < overlay.touched.size(); ++s) {
+      const VertexId v = overlay.touched[s];
+      for (EdgeId e = overlay.insert_offsets[s]; e < overlay.insert_offsets[s + 1]; ++e) {
+        edges.emplace_back(v, overlay.inserts[static_cast<std::size_t>(e)]);
       }
     }
     // The union is duplicate-free by the ingest-time check; dedup stays

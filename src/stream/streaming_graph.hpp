@@ -40,7 +40,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/timer.hpp"
@@ -55,6 +54,13 @@ namespace hyscale {
 
 /// Immutable point-in-time view of the evolving graph.  All methods are
 /// const and safe for concurrent readers.
+///
+/// The overlay is the store's reduced snapshot, shared as is; the only
+/// per-version structure built here is the slot table, a flat
+/// open-addressing index from touched vertex to overlay slot (power-of-
+/// two capacity at least twice the touched count, multiplicative hash,
+/// linear probing), so every overlay lookup is one probe sequence that
+/// usually ends in the first entry it reads.
 class GraphVersion {
  public:
   GraphVersion(std::shared_ptr<const CsrGraph> base, EdgeId base_max_degree,
@@ -70,17 +76,10 @@ class GraphVersion {
   EdgeId base_degree(VertexId v) const {
     return v < base_->num_vertices() ? base_->degree(v) : 0;
   }
-  EdgeId inserted_degree(VertexId v) const {
-    const std::int64_t s = slot(v);
-    return s < 0 ? 0 : span_size(insert_offsets_, s);
-  }
-  EdgeId removed_degree(VertexId v) const {
-    const std::int64_t s = slot(v);
-    return s < 0 ? 0 : span_size(remove_offsets_, s);
-  }
   /// Exact live degree — what a rebuilt CSR would report.
   EdgeId degree(VertexId v) const {
-    return base_degree(v) - removed_degree(v) + inserted_degree(v);
+    const std::int64_t s = slot(v);
+    return s < 0 ? base_degree(v) : live_degree(v, s);
   }
 
   std::span<const VertexId> base_neighbors(VertexId v) const {
@@ -98,13 +97,16 @@ class GraphVersion {
   /// Dead vertices have live degree 0 and zeroed features; sampling
   /// them yields an empty neighborhood rather than an error.
   bool alive(VertexId v) const;
-  std::int64_t num_dead() const { return static_cast<std::int64_t>(dead_.size()); }
+  std::int64_t num_dead() const { return static_cast<std::int64_t>(dead_->size()); }
 
   /// Upper bound on the live max degree (exact for overlay-touched
   /// vertices, base max for the rest); precomputed at publish.
   EdgeId max_degree() const { return max_degree_; }
 
   const CsrGraph& base() const { return *base_; }
+  /// The reduced overlay this version serves (shared with the store's
+  /// snapshot it was built from).
+  const DeltaStore::Overlay& overlay() const { return *overlay_; }
   std::uint64_t id() const { return id_; }
   Epoch epoch() const { return epoch_; }
 
@@ -114,12 +116,36 @@ class GraphVersion {
   bool validate() const;
 
  private:
+  /// One slot-table entry; vertex -1 marks an empty entry.
+  struct SlotEntry {
+    VertexId vertex = -1;
+    std::int64_t slot = -1;
+  };
+  std::size_t home(VertexId v) const {
+    return static_cast<std::size_t>((static_cast<std::uint64_t>(v) * 0x9E3779B97F4A7C15ull) >>
+                                    slot_shift_);
+  }
+  /// v's overlay slot, or -1 when v has no net change.
   std::int64_t slot(VertexId v) const {
-    const auto it = slot_of_.find(v);
-    return it == slot_of_.end() ? -1 : it->second;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(v);; i = (i + 1) & mask) {
+      const SlotEntry& entry = slots_[i];
+      if (entry.vertex == v) return entry.slot;
+      if (entry.vertex < 0) return -1;
+    }
+  }
+  /// Live degree of v, whose overlay slot is s.
+  EdgeId live_degree(VertexId v, std::int64_t s) const {
+    return base_degree(v) - span_size(overlay_->remove_offsets, s) +
+           span_size(overlay_->insert_offsets, s);
   }
   static EdgeId span_size(const std::vector<EdgeId>& offsets, std::int64_t s) {
     return offsets[static_cast<std::size_t>(s) + 1] - offsets[static_cast<std::size_t>(s)];
+  }
+  static std::span<const VertexId> span_at(const std::vector<EdgeId>& offsets,
+                                           const std::vector<VertexId>& items, std::int64_t s) {
+    return {items.data() + offsets[static_cast<std::size_t>(s)],
+            static_cast<std::size_t>(span_size(offsets, s))};
   }
 
   std::shared_ptr<const CsrGraph> base_;
@@ -129,13 +155,10 @@ class GraphVersion {
   EdgeId max_degree_ = 0;
   Epoch epoch_ = 0;
   std::uint64_t id_ = 0;
-  std::vector<VertexId> touched_;
-  std::vector<EdgeId> insert_offsets_;  ///< size touched + 1
-  std::vector<VertexId> inserts_;       ///< sorted per touched vertex
-  std::vector<EdgeId> remove_offsets_;  ///< size touched + 1
-  std::vector<VertexId> removes_;      ///< sorted per touched vertex
-  std::vector<VertexId> dead_;         ///< sorted dead vertex ids
-  std::unordered_map<VertexId, std::int64_t> slot_of_;  ///< vertex -> touched slot
+  std::shared_ptr<const DeltaStore::Overlay> overlay_;
+  std::shared_ptr<const std::vector<VertexId>> dead_;  ///< sorted dead vertex ids
+  std::vector<SlotEntry> slots_;  ///< power-of-two size, at least 2x touched
+  unsigned slot_shift_ = 63;      ///< 64 - log2(slots_.size())
 };
 
 struct StreamingConfig {
@@ -257,8 +280,9 @@ class StreamingGraph : public ExpiryTarget {
   // ---- versions ----
 
   /// Builds an immutable snapshot of base + pending delta (insertions
-  /// and tombstones) and makes it the current version.  O(overlay)
-  /// copy, single atomic swap.
+  /// and tombstones) and makes it the current version.  Re-reduces only
+  /// the vertices with ops since the previous snapshot, then one
+  /// O(touched) copy of the overlay and slot table; single atomic swap.
   std::shared_ptr<const GraphVersion> publish();
 
   /// The latest published version.  Never null; never half-published.

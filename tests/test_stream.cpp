@@ -1,6 +1,8 @@
 // Tests for the streaming dynamic-graph subsystem (src/stream/):
-// delta-store epoch stamping and duplicate rejection, copy-on-publish
-// version linearizability under concurrent ingest AND retraction,
+// delta-store epoch stamping and duplicate rejection, incremental
+// snapshots against a full reduction, the version slot table, rejection
+// of an unsorted base, copy-on-publish version linearizability under
+// concurrent ingest AND retraction,
 // overlay-sampler distribution vs. a rebuilt CSR, tombstone edge cases
 // (double delete, delete-pending, delete-then-reinsert across a
 // compaction boundary, isolated vertices, vertex retirement + id
@@ -12,9 +14,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -94,7 +99,7 @@ TEST(DeltaStore, EpochStampedSnapshotAndPrefixTruncate) {
   store.truncate(first.epoch);
   EXPECT_EQ(store.delta_edges(), 2);
   const DeltaStore::Snapshot second = store.snapshot(false);
-  std::vector<VertexId> remaining(second.inserts);
+  std::vector<VertexId> remaining(second.overlay->inserts);
   std::sort(remaining.begin(), remaining.end());
   EXPECT_EQ(remaining, (std::vector<VertexId>{3, 5}));
 }
@@ -118,6 +123,325 @@ TEST(DeltaStore, RebaseSwapsDuplicateCheckBaseAndTruncates) {
   EXPECT_EQ(store.delta_edges(), 0);
   EXPECT_FALSE(store.add_edge(0, 1));  // now a duplicate of the NEW base
   EXPECT_EQ(store.base().get(), merged.get());
+}
+
+/// Net effect of v's pending ops over `base`: a verbatim copy of the
+/// full-reduction loop DeltaStore::snapshot ran over every touched
+/// vertex before its snapshots became incremental (sort the op targets,
+/// keep odd-length runs, linear base membership).  The incremental
+/// overlay must match it vertex for vertex.
+struct FullReduction {
+  std::vector<VertexId> inserts;
+  std::vector<VertexId> removes;
+};
+
+FullReduction full_reduction(const CsrGraph& base, VertexId v, std::vector<VertexId> ops) {
+  FullReduction net;
+  std::sort(ops.begin(), ops.end());
+  for (std::size_t i = 0; i < ops.size();) {
+    std::size_t j = i;
+    while (j < ops.size() && ops[j] == ops[i]) ++j;
+    if (((j - i) & 1) != 0) {
+      bool in_base = false;
+      if (v < base.num_vertices()) {
+        const auto neighbors = base.neighbors(v);
+        in_base = std::find(neighbors.begin(), neighbors.end(), ops[i]) != neighbors.end();
+      }
+      (in_base ? net.removes : net.inserts).push_back(ops[i]);
+    }
+    i = j;
+  }
+  return net;
+}
+
+std::vector<VertexId> overlay_span(const std::vector<EdgeId>& offsets,
+                                   const std::vector<VertexId>& items, std::size_t s) {
+  return {items.begin() + offsets[s], items.begin() + offsets[s + 1]};
+}
+
+/// Checks `snap` (just taken from `store`) against the full reduction of
+/// every vertex's current op log over the store's current base.
+void expect_full_reduction(const DeltaStore& store, const DeltaStore::Snapshot& snap,
+                           const std::string& where) {
+  const CsrGraph& base = *store.base();
+  const DeltaStore::Overlay& overlay = *snap.overlay;
+  ASSERT_EQ(overlay.insert_offsets.size(), overlay.touched.size() + 1) << where;
+  ASSERT_EQ(overlay.remove_offsets.size(), overlay.touched.size() + 1) << where;
+  EdgeId raw_ops = 0;
+  EdgeId inserts = 0;
+  EdgeId removes = 0;
+  std::size_t s = 0;
+  for (VertexId v = 0; v < snap.num_vertices; ++v) {
+    const std::vector<VertexId> ops = store.pending_targets(v);
+    raw_ops += static_cast<EdgeId>(ops.size());
+    const FullReduction expected = full_reduction(base, v, ops);
+    inserts += static_cast<EdgeId>(expected.inserts.size());
+    removes += static_cast<EdgeId>(expected.removes.size());
+    if (expected.inserts.empty() && expected.removes.empty()) {
+      if (s < overlay.touched.size())
+        ASSERT_NE(overlay.touched[s], v) << where << ": vertex " << v << " has no net change";
+      continue;
+    }
+    ASSERT_LT(s, overlay.touched.size()) << where << ": vertex " << v << " missing";
+    ASSERT_EQ(overlay.touched[s], v) << where << ": touched out of order or missing " << v;
+    EXPECT_EQ(overlay_span(overlay.insert_offsets, overlay.inserts, s), expected.inserts)
+        << where << ": inserts of vertex " << v;
+    EXPECT_EQ(overlay_span(overlay.remove_offsets, overlay.removes, s), expected.removes)
+        << where << ": removes of vertex " << v;
+    ++s;
+  }
+  EXPECT_EQ(s, overlay.touched.size()) << where << ": touched ids past the vertex space";
+  EXPECT_EQ(snap.raw_ops, raw_ops) << where;
+  EXPECT_EQ(snap.num_inserts, inserts) << where;
+  EXPECT_EQ(snap.num_removes, removes) << where;
+}
+
+/// What compact() builds from a cut — base minus the cut's removals plus
+/// its insertions — with the directed edge `moved`, if any, toggled as
+/// well: a base change the cut did not cause.
+std::shared_ptr<const CsrGraph> fold_cut(
+    const CsrGraph& base, const DeltaStore::Snapshot& cut,
+    std::optional<std::pair<VertexId, VertexId>> moved = std::nullopt) {
+  const DeltaStore::Overlay& overlay = *cut.overlay;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 0; v < base.num_vertices(); ++v) {
+    const auto at = std::lower_bound(overlay.touched.begin(), overlay.touched.end(), v);
+    std::vector<VertexId> removed;
+    if (at != overlay.touched.end() && *at == v)
+      removed = overlay_span(overlay.remove_offsets, overlay.removes,
+                             static_cast<std::size_t>(at - overlay.touched.begin()));
+    for (VertexId u : base.neighbors(v)) {
+      if (!std::binary_search(removed.begin(), removed.end(), u)) edges.emplace_back(v, u);
+    }
+  }
+  for (std::size_t s = 0; s < overlay.touched.size(); ++s) {
+    for (VertexId u : overlay_span(overlay.insert_offsets, overlay.inserts, s))
+      edges.emplace_back(overlay.touched[s], u);
+  }
+  if (moved) {
+    const auto at = std::find(edges.begin(), edges.end(), *moved);
+    if (at == edges.end()) {
+      edges.push_back(*moved);
+    } else {
+      edges.erase(at);
+    }
+  }
+  EdgeListOptions options;
+  options.symmetrize = false;
+  options.remove_self_loops = false;
+  return shared_csr(cut.num_vertices, std::move(edges), options);
+}
+
+TEST(DeltaStore, IncrementalSnapshotMatchesFullReduction) {
+  // Two hubs (0 and 1) adjacent to most vertices plus a ring through
+  // the leaves, so ops land on long and short base adjacencies alike.
+  constexpr VertexId kBase = 48;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 2; v < kBase; ++v) {
+    if (v % 3 != 0) edges.emplace_back(0, v);
+    if (v % 2 == 0) edges.emplace_back(1, v);
+    edges.emplace_back(v, v + 1 < kBase ? v + 1 : 2);
+  }
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    DeltaStore store(shared_csr(kBase, edges), /*num_stripes=*/4);
+    Xoshiro256 rng(seed);
+    std::optional<DeltaStore::Snapshot> fold;  // the in-flight fold's cut
+    std::optional<DeltaStore::Snapshot> latest;
+    int snapshots = 0;
+    const auto check = [&](const DeltaStore::Snapshot& snap) {
+      expect_full_reduction(store, snap,
+                            "seed " + std::to_string(seed) + " snapshot " +
+                                std::to_string(snapshots++));
+      latest = snap;
+    };
+    std::uint64_t until_snapshot = 1 + rng.bounded(4);
+    for (int step = 0; step < 300 && !HasFatalFailure(); ++step) {
+      const auto n = static_cast<std::uint64_t>(store.num_vertices());
+      const auto endpoint = [&] {
+        return static_cast<VertexId>(rng.uniform() < 0.3 ? rng.bounded(2) : rng.bounded(n));
+      };
+      const double r = rng.uniform();
+      if (r < 0.55) {
+        const VertexId u = endpoint();
+        const VertexId v = endpoint();
+        if (rng.uniform() < 0.55) {
+          store.add_edge_pair(u, v);
+        } else {
+          store.remove_edge_pair(u, v);
+        }
+      } else if (r < 0.70) {
+        // One pair toggled over and over: long alternating runs.
+        if (store.add_edge_pair(0, 7) == 0) store.remove_edge_pair(0, 7);
+      } else if (r < 0.74) {
+        store.remove_vertex(static_cast<VertexId>(rng.bounded(n)));
+      } else if (r < 0.77) {
+        store.add_vertices(1);
+      } else if (r < 0.81) {
+        store.annihilate();  // gated at the newest snapshot
+      } else if (r < 0.84) {
+        store.annihilate(/*gate=*/0);  // clamped to an in-flight cut
+      } else if (r < 0.89) {
+        if (!fold) {
+          fold = store.snapshot(/*advance_epoch=*/true);
+          check(*fold);
+          store.begin_fold(fold->epoch);
+        }
+      } else if (r < 0.95) {
+        if (fold) {
+          if (rng.uniform() < 0.75) {
+            // Most rebases also move one base edge, at a vertex the cut
+            // left alone but the latest snapshot reduced: the store must
+            // re-reduce against whatever base it installs.
+            std::optional<std::pair<VertexId, VertexId>> moved;
+            const std::vector<VertexId>& cut_touched = fold->overlay->touched;
+            for (VertexId v : latest->overlay->touched) {
+              if (rng.bounded(2) == 0 || v >= fold->num_vertices ||
+                  std::binary_search(cut_touched.begin(), cut_touched.end(), v))
+                continue;
+              moved.emplace(v, v == 0 ? 1 : 0);
+              break;
+            }
+            store.rebase(fold_cut(*store.base(), *fold, moved), fold->epoch);
+          } else {
+            store.abort_fold();
+          }
+          fold.reset();
+        }
+      } else if (!fold && store.epoch() > 1) {
+        store.truncate(store.epoch() - 1);  // drop a prefix with no base change
+      }
+      if (--until_snapshot == 0) {
+        check(store.snapshot(/*advance_epoch=*/rng.uniform() < 0.5));
+        until_snapshot = 1 + rng.bounded(4);
+      }
+    }
+    check(store.snapshot(/*advance_epoch=*/false));
+  }
+}
+
+// ------------------------------------------------------------ GraphVersion
+
+/// The slot table's home entry, copied from GraphVersion so the test
+/// can pick ids that collide.
+std::size_t slot_home(VertexId v, std::size_t capacity) {
+  const auto shift = static_cast<unsigned>(64 - std::countr_zero(capacity));
+  return static_cast<std::size_t>((static_cast<std::uint64_t>(v) * 0x9E3779B97F4A7C15ull) >>
+                                  shift);
+}
+
+std::size_t slot_capacity(std::size_t touched) {
+  return std::bit_ceil(std::max<std::size_t>(2, 2 * touched));
+}
+
+/// Every lookup of a version over a hand-built overlay on `touched`
+/// (over a ring base) agrees with the overlay's own spans.
+void expect_slot_table_matches(const std::vector<VertexId>& touched_ids,
+                               const std::string& where) {
+  constexpr VertexId kVertices = 4096;
+  std::vector<std::pair<VertexId, VertexId>> ring;
+  for (VertexId v = 0; v < kVertices; ++v) ring.emplace_back(v, (v + 1) % kVertices);
+  const auto base = shared_csr(kVertices, ring);
+
+  std::vector<VertexId> touched(touched_ids);
+  std::sort(touched.begin(), touched.end());
+  auto overlay = std::make_shared<DeltaStore::Overlay>();
+  overlay->touched = touched;
+  for (VertexId v : touched) {
+    std::vector<VertexId> ins;
+    for (VertexId k = 0; k <= v % 3; ++k) ins.push_back((v + 2 + k) % kVertices);
+    std::sort(ins.begin(), ins.end());
+    overlay->inserts.insert(overlay->inserts.end(), ins.begin(), ins.end());
+    if (v % 2 == 0) overlay->removes.push_back((v + 1) % kVertices);
+    overlay->insert_offsets.push_back(static_cast<EdgeId>(overlay->inserts.size()));
+    overlay->remove_offsets.push_back(static_cast<EdgeId>(overlay->removes.size()));
+  }
+  DeltaStore::Snapshot snap;
+  snap.num_vertices = kVertices;
+  snap.num_inserts = static_cast<EdgeId>(overlay->inserts.size());
+  snap.num_removes = static_cast<EdgeId>(overlay->removes.size());
+  snap.overlay = overlay;
+  snap.dead = std::make_shared<const std::vector<VertexId>>();
+  const GraphVersion version(base, base->max_degree(), snap, 1);
+  ASSERT_TRUE(version.validate()) << where;
+
+  EdgeId max_degree = base->max_degree();
+  for (VertexId v = 0; v < kVertices; ++v) {
+    const auto at = std::lower_bound(touched.begin(), touched.end(), v);
+    std::vector<VertexId> ins;
+    std::vector<VertexId> rem;
+    if (at != touched.end() && *at == v) {
+      const auto s = static_cast<std::size_t>(at - touched.begin());
+      ins = overlay_span(overlay->insert_offsets, overlay->inserts, s);
+      rem = overlay_span(overlay->remove_offsets, overlay->removes, s);
+    }
+    const auto got_ins = version.inserted_neighbors(v);
+    const auto got_rem = version.removed_neighbors(v);
+    ASSERT_EQ(std::vector<VertexId>(got_ins.begin(), got_ins.end()), ins) << where << " v=" << v;
+    ASSERT_EQ(std::vector<VertexId>(got_rem.begin(), got_rem.end()), rem) << where << " v=" << v;
+    const EdgeId live = base->degree(v) - static_cast<EdgeId>(rem.size()) +
+                        static_cast<EdgeId>(ins.size());
+    ASSERT_EQ(version.degree(v), live) << where << " v=" << v;
+    std::vector<VertexId> adjacency;
+    version.append_neighbors(v, adjacency);
+    ASSERT_EQ(static_cast<EdgeId>(adjacency.size()), live) << where << " v=" << v;
+    ASSERT_TRUE(std::is_sorted(adjacency.begin(), adjacency.end())) << where << " v=" << v;
+    max_degree = std::max(max_degree, live);
+  }
+  EXPECT_EQ(version.max_degree(), max_degree) << where;
+}
+
+TEST(GraphVersion, SlotTableMatchesOverlaySpans) {
+  expect_slot_table_matches({}, "empty overlay");
+  expect_slot_table_matches({2049}, "one touched vertex");
+  // Sizes on both sides of the table's power-of-two growth points.
+  Xoshiro256 rng(5);
+  for (std::size_t count : {2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 256, 1000}) {
+    std::vector<VertexId> ids;
+    std::vector<char> taken(4096, 0);
+    while (ids.size() < count) {
+      const auto v = static_cast<VertexId>(rng.bounded(4096));
+      if (taken[static_cast<std::size_t>(v)] == 0) {
+        taken[static_cast<std::size_t>(v)] = 1;
+        ids.push_back(v);
+      }
+    }
+    expect_slot_table_matches(ids, "random " + std::to_string(count));
+  }
+  // Every id homed on one entry — the last one, so the probe sequence
+  // wraps — or half of them on it and the rest spread.
+  for (std::size_t count : {3, 16, 31}) {
+    const std::size_t capacity = slot_capacity(count);
+    std::vector<VertexId> colliding;
+    std::vector<VertexId> spread;
+    for (VertexId v = 0; v < 4096; ++v) {
+      (slot_home(v, capacity) == capacity - 1 ? colliding : spread).push_back(v);
+    }
+    ASSERT_GE(colliding.size(), count);
+    colliding.resize(count);
+    expect_slot_table_matches(colliding, "colliding " + std::to_string(count));
+    std::vector<VertexId> mixed(colliding.begin(), colliding.begin() + count / 2);
+    for (std::size_t i = 0; mixed.size() < count; i += 7) mixed.push_back(spread[i]);
+    expect_slot_table_matches(mixed, "half colliding " + std::to_string(count));
+  }
+}
+
+TEST(StreamingGraph, RejectsUnsortedBaseAdjacencyNamingTheVertex) {
+  // Vertices 1 and 3 list their neighbours out of order; the merge and
+  // the store's binary-search membership would silently go wrong.
+  Dataset ds;
+  ds.graph = CsrGraph({0, 2, 4, 5, 7}, {1, 2, 3, 0, 0, 2, 1});
+  ds.features.resize(4, 2);
+  ds.labels.assign(4, 0);
+  ds.info.num_vertices = 4;
+  try {
+    StreamingGraph graph(ds);
+    FAIL() << "an unsorted base was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("vertex 1 "), std::string::npos) << error.what();
+  }
+  // The same graph with each list sorted is accepted.
+  ds.graph = CsrGraph({0, 2, 4, 5, 7}, {1, 2, 0, 3, 0, 1, 2});
+  EXPECT_NO_THROW(StreamingGraph graph(ds));
 }
 
 // ---------------------------------------------------------- StreamingGraph
