@@ -515,14 +515,6 @@ LoadReport run_load(InferenceServer& server, const Dataset& dataset,
 
 int run_serve(const ServeOptions& options) {
   const ServingConfig& flags = options.serving;
-  // Static serving applies --precision to the device cache; fail before
-  // training runs, not in the backend constructor minutes later.
-  if (flags.transfer_precision != TransferPrecision::kFp32 &&
-      flags.cache_capacity_rows <= 0) {
-    std::fprintf(stderr, "--precision %s needs --cache-rows > 0 in serve mode\n",
-                 transfer_precision_name(flags.transfer_precision));
-    return 2;
-  }
   const std::optional<Dataset> dataset = load_dataset(options.dataset, options.scale);
   if (!dataset) return 2;
   HyScale system(*dataset, cpu_fpga_platform(2), train_config(options));

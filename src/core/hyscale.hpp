@@ -135,7 +135,10 @@ class HyScale {
                         ExpiryPolicy expiry = {}) {
     const ModelSnapshot snapshot(trainer_.model());
     ServingSession session;
-    session.graph = std::make_unique<StreamingGraph>(*dataset_, streaming);
+    // The store fixes the wire precision for the whole deployment.
+    session.graph = std::make_unique<StreamingGraph>(
+        *dataset_, streaming,
+        std::make_shared<MutableFeatureStore>(dataset_->features, serving.transfer_precision));
     session.backend = make_streaming_backend(*session.graph, serving);
     session.server =
         std::make_unique<InferenceServer>(*session.backend, snapshot, std::move(serving));
@@ -166,7 +169,9 @@ class HyScale {
                                 CutAdopterPolicy adopter = {}, ExpiryPolicy expiry = {}) {
     const ModelSnapshot snapshot(trainer_.model());
     ServingSession session;
-    session.sharded = std::make_unique<ShardedStreamingGraph>(*dataset_, std::move(sharded));
+    session.sharded = std::make_unique<ShardedStreamingGraph>(
+        *dataset_, std::move(sharded),
+        std::make_shared<MutableFeatureStore>(dataset_->features, serving.transfer_precision));
     session.backend = make_sharded_backend(*session.sharded, serving);
     session.server =
         std::make_unique<InferenceServer>(*session.backend, snapshot, std::move(serving));

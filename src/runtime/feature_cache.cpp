@@ -4,21 +4,16 @@
 #include <stdexcept>
 
 #include "graph/reorder.hpp"
-#include "tensor/simd.hpp"
 
 namespace hyscale {
 
-StaticFeatureCache::StaticFeatureCache(const CsrGraph& graph, const Tensor& features,
-                                       std::int64_t capacity_rows,
-                                       TransferPrecision precision)
-    : features_(features), precision_(precision) {
-  if (features.rows() != graph.num_vertices())
+StaticFeatureCache::StaticFeatureCache(const CsrGraph& graph, const MutableFeatureStore& store,
+                                       std::int64_t capacity_rows)
+    : store_(store) {
+  if (store.base_rows() != graph.num_vertices())
     throw std::invalid_argument("StaticFeatureCache: features/graph size mismatch");
   if (capacity_rows < 0)
     throw std::invalid_argument("StaticFeatureCache: negative capacity");
-  if (precision == TransferPrecision::kFp16)
-    throw std::invalid_argument(
-        "StaticFeatureCache: fp16 device rows not implemented (use fp32 or int8)");
   capacity_ = std::min<std::int64_t>(capacity_rows, graph.num_vertices());
   slot_of_.assign(static_cast<std::size_t>(graph.num_vertices()), -1);
   access_ = std::make_unique<std::atomic<std::uint64_t>[]>(
@@ -29,12 +24,7 @@ StaticFeatureCache::StaticFeatureCache(const CsrGraph& graph, const Tensor& feat
       std::make_unique<std::atomic<std::uint64_t>[]>(static_cast<std::size_t>(capacity_));
   for (std::int64_t s = 0; s < capacity_; ++s)
     slot_hits_[static_cast<std::size_t>(s)].store(0, std::memory_order_relaxed);
-  if (precision_ == TransferPrecision::kInt8) {
-    qvalues_.assign(static_cast<std::size_t>(capacity_ * features.cols()), 0);
-    qscales_.assign(static_cast<std::size_t>(capacity_), 1.0f);
-  } else {
-    device_rows_.resize(capacity_, features.cols());
-  }
+  device_rows_.resize(static_cast<std::size_t>(capacity_) * store_.record_bytes());
   // Degree-ordered: PaGraph's "computation-aware" policy caches the
   // vertices most likely to appear in sampled neighborhoods.  rerank()
   // later folds observed traffic into this initial guess.
@@ -48,71 +38,21 @@ StaticFeatureCache::StaticFeatureCache(const CsrGraph& graph, const Tensor& feat
   }
 }
 
-double StaticFeatureCache::device_row_wire_bytes() const {
-  const auto cols = static_cast<double>(features_.cols());
-  return precision_ == TransferPrecision::kInt8 ? cols + 4.0 : cols * 4.0;
-}
-
-void StaticFeatureCache::copy_device_row_unlocked(std::int64_t slot, float* dst) const {
-  const std::int64_t cols = features_.cols();
-  if (precision_ == TransferPrecision::kInt8) {
-    simd::dequant(qvalues_.data() + slot * cols, qscales_[static_cast<std::size_t>(slot)],
-                  dst, cols);
-  } else {
-    simd::copy(device_rows_.row(slot).data(), dst, cols);
-  }
-}
-
-void StaticFeatureCache::fill_slot_unlocked(std::int64_t slot, VertexId v) {
-  const std::int64_t cols = features_.cols();
-  const float* src = features_.row(v).data();
-  if (precision_ == TransferPrecision::kInt8) {
-    const float scale = int8_row_scale(src, cols);
-    qscales_[static_cast<std::size_t>(slot)] = scale;
-    quantize_row_int8(src, cols, scale, qvalues_.data() + slot * cols);
-  } else {
-    simd::copy(src, device_rows_.row(slot).data(), cols);
-  }
-}
-
-void StaticFeatureCache::zero_slot_unlocked(std::int64_t slot) {
-  const std::int64_t cols = features_.cols();
-  if (precision_ == TransferPrecision::kInt8) {
-    std::fill_n(qvalues_.begin() + static_cast<std::ptrdiff_t>(slot * cols), cols,
-                static_cast<std::int8_t>(0));
-    qscales_[static_cast<std::size_t>(slot)] = 1.0f;
-  } else {
-    const auto dst = device_rows_.row(slot);
-    std::fill(dst.begin(), dst.end(), 0.0f);
-  }
-}
-
-StaticFeatureCache::LoadStats StaticFeatureCache::load(const MiniBatch& batch, Tensor& out) {
-  const auto& nodes = batch.input_nodes();
-  out.resize(static_cast<std::int64_t>(nodes.size()), features_.cols());
-
+StaticFeatureCache::LoadStats StaticFeatureCache::gather(std::span<const VertexId> nodes,
+                                                         Tensor& out,
+                                                         std::vector<char>& hit_scratch) {
+  const auto total = static_cast<std::int64_t>(nodes.size());
+  if (out.rows() != total || out.cols() != store_.cols()) out.resize(total, store_.cols());
+  hit_scratch.assign(nodes.size(), 0);
   LoadStats stats;
-  const double host_row_bytes = static_cast<double>(features_.cols()) * 4.0;
-  const double device_row_bytes = device_row_wire_bytes();
-  {
-    std::shared_lock rows(rows_mutex_);
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const VertexId v = nodes[i];
-      bump_access(v);
-      float* dst = out.row(static_cast<std::int64_t>(i)).data();
-      const std::int64_t slot = slot_of_[static_cast<std::size_t>(v)];
-      if (slot >= 0) {
-        copy_device_row_unlocked(slot, dst);
-        slot_hits_[static_cast<std::size_t>(slot)].fetch_add(1, std::memory_order_relaxed);
-        ++stats.hits;
-        stats.device_bytes += device_row_bytes;
-      } else {
-        simd::copy(features_.row(v).data(), dst, features_.cols());
-        ++stats.misses;
-        stats.host_bytes += host_row_bytes;
-      }
-    }
-  }
+  stats.hits = copy_cached_rows(nodes, hit_scratch, out);
+  store_.gather(nodes, out, &hit_scratch);
+  stats.misses = total - stats.hits;
+  // One row format on both sides, so hits and misses move the same
+  // bytes per row.
+  const double row_bytes = store_.row_wire_bytes();
+  stats.device_bytes = static_cast<double>(stats.hits) * row_bytes;
+  stats.host_bytes = static_cast<double>(stats.misses) * row_bytes;
   account(stats);
   return stats;
 }
@@ -127,23 +67,12 @@ std::int64_t StaticFeatureCache::copy_cached_rows(std::span<const VertexId> node
     bump_access(v);
     const std::int64_t slot = slot_of_[static_cast<std::size_t>(v)];
     if (slot < 0) continue;
-    copy_device_row_unlocked(slot, out.row(static_cast<std::int64_t>(i)).data());
+    store_.decode(slot_record(slot), out.row(static_cast<std::int64_t>(i)).data());
     slot_hits_[static_cast<std::size_t>(slot)].fetch_add(1, std::memory_order_relaxed);
     hit[i] = 1;
     ++hits;
   }
   return hits;
-}
-
-bool StaticFeatureCache::copy_if_cached(VertexId v, std::span<float> dst) const {
-  if (v < 0 || static_cast<std::size_t>(v) >= slot_of_.size()) return false;
-  std::shared_lock rows(rows_mutex_);
-  bump_access(v);
-  const std::int64_t slot = slot_of_[static_cast<std::size_t>(v)];
-  if (slot < 0) return false;
-  copy_device_row_unlocked(slot, dst.data());
-  slot_hits_[static_cast<std::size_t>(slot)].fetch_add(1, std::memory_order_relaxed);
-  return true;
 }
 
 std::int64_t StaticFeatureCache::invalidate(std::span<const VertexId> ids) {
@@ -251,6 +180,36 @@ std::int64_t StaticFeatureCache::rerank(std::span<const VertexId> hot) {
     rerank_evicted_rows_ += dropped;
   }
   return admitted;
+}
+
+std::int64_t StaticFeatureCache::rerank_by_traffic(
+    const CsrGraph& graph, const std::function<bool(VertexId)>& excluded) {
+  if (capacity_ == 0) return 0;
+  // Each counter is read once: serving workers keep bumping them, and a
+  // comparator over live counters would not be a strict weak order.
+  struct Candidate {
+    std::uint64_t traffic;
+    EdgeId degree;
+    VertexId v;
+  };
+  const VertexId limit = std::min<VertexId>(trackable_rows(), graph.num_vertices());
+  std::vector<Candidate> candidates;
+  candidates.reserve(static_cast<std::size_t>(std::max<VertexId>(limit, 0)));
+  for (VertexId v = 0; v < limit; ++v) {
+    if (excluded && excluded(v)) continue;
+    candidates.push_back({access_count(v), graph.degree(v), v});
+  }
+  const auto top =
+      std::min<std::size_t>(static_cast<std::size_t>(capacity_), candidates.size());
+  std::partial_sort(candidates.begin(), candidates.begin() + static_cast<std::ptrdiff_t>(top),
+                    candidates.end(), [](const Candidate& a, const Candidate& b) {
+                      if (a.traffic != b.traffic) return a.traffic > b.traffic;
+                      if (a.degree != b.degree) return a.degree > b.degree;
+                      return a.v < b.v;
+                    });
+  std::vector<VertexId> hot(top);
+  for (std::size_t i = 0; i < top; ++i) hot[i] = candidates[i].v;
+  return rerank(hot);
 }
 
 void StaticFeatureCache::account(const LoadStats& stats) {

@@ -10,39 +10,45 @@
 // traffic is all about — and quantifies the skew assumption behind the
 // baseline's analytic hit-rate model.
 //
-// Streaming serving (src/stream/) updates host features in place, so the
-// pinned device rows CAN go stale.  invalidate() is the refresh hook:
-// StreamingGraph::update_feature calls it after every row write, and the
-// since_invalidate() counters report hit traffic accumulated after the
-// most recent refresh — the "is anyone reading stale rows" signal.
-// Deletions go further: StreamingGraph::remove_vertex calls evict() so a
-// retracted entity's pinned row stops hitting entirely instead of being
-// refreshed — the cache must never serve features for deleted vertices.
+// FRESHNESS: the cache is built over a MutableFeatureStore and copies
+// its pinned rows from it.  The store is updated in place under
+// streaming serving, so the pinned device rows CAN go stale.
+// invalidate() is the refresh hook: StreamingGraph::update_feature calls
+// it after every row write, and the since_invalidate() counters report
+// hit traffic accumulated after the most recent refresh — the "is
+// anyone reading stale rows" signal.  Deletions go further:
+// StreamingGraph::remove_vertex calls evict() so a retracted entity's
+// pinned row stops hitting entirely instead of being refreshed — the
+// cache must never serve features for deleted vertices.
 //
 // ADMISSION DRIFT: the initial admission set is the base graph's degree
 // order, but under streaming churn the live hot set walks away from it —
 // folds rewrite degrees, TTL sweeps and deletions evict pinned rows, and
-// the freed slots used to leak (never re-admitted).  rerank() is the
-// correction: every request bumps a per-vertex access counter (and a
-// per-slot hit counter), and StreamingGraph recomputes the hot set from
-// those observed counters plus live degrees at each fold's REBASE,
-// evicting pinned rows that fell out of the set and re-admitting into
-// every free slot.  Access counters halve at each rerank so the next
-// window's traffic dominates the next decision.
+// the freed slots used to leak (never re-admitted).  rerank_by_traffic()
+// is the correction: every request bumps a per-vertex access counter
+// (and a per-slot hit counter), and the hot set is recomputed from
+// those observed counters plus live degrees — at each fold's REBASE
+// (StreamingGraph) and on the serving tier's traffic cadence (every
+// backend) — evicting pinned rows that fell out of the set and
+// re-admitting into every free slot.  Access counters halve at each
+// rerank so the next window's traffic dominates the next decision.
 //
-// TRANSFER PRECISION: with TransferPrecision::kInt8 the device rows are
-// stored as int8 + one fp32 scale per row (tensor/quantize's per-row
-// symmetric scheme — the paper's §VIII PCIe-relief proposal), so a hit
-// moves cols + 4 bytes instead of 4*cols; dequantization is fused into
-// the gather copy (simd::dequant).  Quantization uses the same per-row
-// rule as MutableFeatureStore's int8 wire simulation, so a row served
-// from the device copy is bit-identical to the same row round-tripped
-// through an int8 host fetch — hit/miss composition never changes
-// logits at a given precision.
+// TRANSFER PRECISION: the store fixes it.  The cache keeps its pinned
+// rows packed in the store's record layout ([scale | int8 × cols] at
+// kInt8, cols floats at kFp32) and fills them by copying the store's
+// record bytes — it never quantizes anything itself.  A hit and a miss
+// therefore decode identical bytes, so hit/miss composition never
+// changes logits at a given precision, and an int8 hit moves cols + 4
+// bytes instead of 4*cols.  The packed copy is kept because reading hot
+// rows from one dense plane is cheaper than reading them scattered
+// through the full table.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -50,21 +56,19 @@
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "sampling/minibatch.hpp"
-#include "tensor/quantize.hpp"
+#include "stream/feature_store.hpp"
 #include "tensor/tensor.hpp"
 
 namespace hyscale {
 
 class StaticFeatureCache {
  public:
-  /// Pins the features of the `capacity_rows` highest-degree vertices
-  /// (device copies taken at construction, quantized when `precision`
-  /// is kInt8).  kFp16 storage is not implemented — the knob is
-  /// {fp32, int8} — and throws std::invalid_argument.
-  StaticFeatureCache(const CsrGraph& graph, const Tensor& features,
-                     std::int64_t capacity_rows,
-                     TransferPrecision precision = TransferPrecision::kFp32);
+  /// Pins the `capacity_rows` highest-degree vertices of `graph`,
+  /// copying their records from `store` (whose base rows must be
+  /// graph's vertices; throws std::invalid_argument otherwise or for a
+  /// negative capacity).  `store` must outlive the cache.
+  StaticFeatureCache(const CsrGraph& graph, const MutableFeatureStore& store,
+                     std::int64_t capacity_rows);
 
   struct LoadStats {
     std::int64_t hits = 0;
@@ -78,34 +82,21 @@ class StaticFeatureCache {
     }
   };
 
-  /// Gathers X' for the batch's input vertices — pinned rows from the
-  /// device copy, the rest from the host matrix — while attributing each
-  /// row to cache or host.  Numerically identical to FeatureLoader::load
-  /// as long as the device copies are fresh (see invalidate()) and the
-  /// precision is kFp32 (int8 hits carry the documented quantization
-  /// error).  Safe for concurrent callers (serving workers share one
-  /// cache); each caller must pass its own `out`.
-  LoadStats load(const MiniBatch& batch, Tensor& out);
-
-  /// Copies v's device-resident row into `dst` (size = feature cols) and
-  /// returns true when v is pinned; false otherwise.  The streaming
-  /// gather path uses this so host rows are only ever read under the
-  /// feature store's lock.
-  bool copy_if_cached(VertexId v, std::span<float> dst) const;
-
-  /// Batch variant for the serving hot path: fills out.row(i) and sets
-  /// hit[i] for every pinned nodes[i] under ONE shared lock (instead of
-  /// one acquire per row).  `out` must be pre-sized [nodes, cols]; `hit`
-  /// to nodes.size().  Returns the number of rows served.
-  std::int64_t copy_cached_rows(std::span<const VertexId> nodes, std::vector<char>& hit,
-                                Tensor& out) const;
+  /// The serving gather: pinned rows among `nodes` from the device
+  /// copy, the rest from the store, into `out` ([nodes.size(), cols]),
+  /// attributing each row to cache or host in totals().  Two locked
+  /// passes (device rows, then store rows), not a lock per row.  Ids the
+  /// cache cannot track (streamed-in extension rows) always miss.  Safe
+  /// for concurrent callers (serving workers share one cache); each
+  /// caller passes its own `out` and `hit_scratch` (the per-row hit
+  /// bitmap, resized in place).
+  LoadStats gather(std::span<const VertexId> nodes, Tensor& out,
+                   std::vector<char>& hit_scratch);
 
   /// Refreshes the device copies of the pinned vertices among `ids` from
-  /// the host matrix and resets the since_invalidate() window.  Returns
-  /// the number of rows refreshed; calls that refresh nothing (no pinned
-  /// vertex among `ids`) leave the window and counters untouched.  The
-  /// caller must guarantee no concurrent writer is mutating those host
-  /// rows (StreamingGraph serialises update+invalidate pairs).
+  /// the store and resets the since_invalidate() window.  Returns the
+  /// number of rows refreshed; calls that refresh nothing (no pinned
+  /// vertex among `ids`) leave the window and counters untouched.
   std::int64_t invalidate(std::span<const VertexId> ids);
 
   /// Unpins `ids` entirely: the device copies are zeroed and the
@@ -118,18 +109,23 @@ class StaticFeatureCache {
   /// vertices still in the set keep their slots (no copy — their device
   /// rows stay fresh via invalidate()), pinned vertices that fell out
   /// are evicted, and the freed slots — including slots evict() freed
-  /// earlier — are re-admitted from the front of `hot`, copying (and at
-  /// kInt8, quantizing) from the host matrix.  Out-of-range ids and
-  /// duplicates in `hot` are skipped; at most capacity() ids are
-  /// considered.  Access counters halve afterwards so the next window's
-  /// traffic dominates the next rerank.  Same host-row freshness
-  /// contract as invalidate().  Returns the number of rows admitted.
+  /// earlier — are re-admitted from the front of `hot`, copying the
+  /// store's records.  Out-of-range ids and duplicates in `hot` are
+  /// skipped; at most capacity() ids are considered.  Access counters
+  /// halve afterwards so the next window's traffic dominates the next
+  /// rerank.  Returns the number of rows admitted.
   std::int64_t rerank(std::span<const VertexId> hot);
 
-  /// Folds externally-attributed traffic into totals()/since_invalidate().
-  /// Used by gather paths that consult the cache row-by-row (the
-  /// streaming server) instead of going through load().
-  void record(const LoadStats& stats) { account(stats); }
+  /// The one hot-set ranking every serving mode uses: the trackable
+  /// vertices below graph.num_vertices() that `excluded` does not
+  /// reject, ordered by observed traffic (access_count), then degree in
+  /// `graph` (the cold-start tiebreak: PaGraph's policy), then id — a
+  /// total, deterministic order over one snapshot of the counters —
+  /// and rerank() onto the first capacity() of them.  `excluded` is how
+  /// streaming keeps dead vertices from ever re-entering the cache.
+  /// No-op (returns 0, counts no rerank) at capacity 0.
+  std::int64_t rerank_by_traffic(const CsrGraph& graph,
+                                 const std::function<bool(VertexId)>& excluded = {});
 
   /// Membership check, safe against concurrent evict()/invalidate()/
   /// rerank(): reads the slot table under the rows lock (shared).
@@ -139,13 +135,13 @@ class StaticFeatureCache {
     return slot_of_[static_cast<std::size_t>(v)] >= 0;
   }
   std::int64_t capacity() const { return capacity_; }
-  TransferPrecision precision() const { return precision_; }
-  /// Vertices the cache can pin and count: the host matrix's rows
+  TransferPrecision precision() const { return store_.precision(); }
+  /// Vertices the cache can pin and count: the store's base rows
   /// (streamed-in extension rows are never admitted).
   std::int64_t trackable_rows() const { return static_cast<std::int64_t>(slot_of_.size()); }
-  /// Bytes one cache hit moves on the wire: 4*cols at fp32, cols + 4
-  /// (values + the fp32 scale) at int8.
-  double device_row_wire_bytes() const;
+  /// Bytes one cache hit moves on the wire: the store's row_wire_bytes()
+  /// (4*cols at fp32, cols + 4 — values + the fp32 scale — at int8).
+  double device_row_wire_bytes() const { return store_.row_wire_bytes(); }
 
   /// Requests observed for v (hits AND misses) since the last rerank
   /// decay — the admission signal.  Relaxed read.
@@ -159,7 +155,7 @@ class StaticFeatureCache {
     return slot_hits_[static_cast<std::size_t>(slot)].load(std::memory_order_relaxed);
   }
 
-  /// Cumulative statistics across all load() calls (consistent snapshot).
+  /// Cumulative statistics across all gather() calls (consistent snapshot).
   LoadStats totals() const {
     std::lock_guard<std::mutex> lock(totals_mutex_);
     return totals_;
@@ -199,26 +195,36 @@ class StaticFeatureCache {
 
  private:
   void account(const LoadStats& stats);
-  /// Copies slot's device row into dst (dequantizing at kInt8).  Caller
-  /// holds rows_mutex_ (shared suffices: slot contents are stable under
-  /// shared).
-  void copy_device_row_unlocked(std::int64_t slot, float* dst) const;
-  /// (Re)fills slot from features_.row(v) (quantizing at kInt8).  Caller
-  /// holds rows_mutex_ exclusively.
-  void fill_slot_unlocked(std::int64_t slot, VertexId v);
-  /// Zeroes slot's device payload.  Caller holds rows_mutex_ exclusively.
-  void zero_slot_unlocked(std::int64_t slot);
+  std::byte* slot_record(std::int64_t slot) {
+    return device_rows_.data() + static_cast<std::size_t>(slot) * store_.record_bytes();
+  }
+  const std::byte* slot_record(std::int64_t slot) const {
+    return device_rows_.data() + static_cast<std::size_t>(slot) * store_.record_bytes();
+  }
+  /// Decodes the pinned rows among `nodes` into out and sets hit[i] for
+  /// each, under ONE shared rows lock.  Returns the rows served.
+  std::int64_t copy_cached_rows(std::span<const VertexId> nodes, std::vector<char>& hit,
+                                Tensor& out) const;
+  /// (Re)fills slot with v's store record.  Caller holds rows_mutex_
+  /// exclusively.
+  void fill_slot_unlocked(std::int64_t slot, VertexId v) {
+    store_.copy_record(v, slot_record(slot));
+  }
+  /// Zeroes slot's record, which decodes to a zero row in either
+  /// format.  Caller holds rows_mutex_ exclusively.
+  void zero_slot_unlocked(std::int64_t slot) {
+    std::fill_n(slot_record(slot), store_.record_bytes(), std::byte{0});
+  }
   void bump_access(VertexId v) const {
     access_[static_cast<std::size_t>(v)].fetch_add(1, std::memory_order_relaxed);
   }
 
-  const Tensor& features_;
-  TransferPrecision precision_ = TransferPrecision::kFp32;
+  const MutableFeatureStore& store_;
   std::vector<std::int64_t> slot_of_;  ///< vertex -> device row, -1 when not pinned
   std::vector<VertexId> pinned_;       ///< device row -> vertex, -1 when free
-  Tensor device_rows_;                 ///< [capacity, cols] pinned copies (fp32 mode)
-  std::vector<std::int8_t> qvalues_;   ///< [capacity * cols] pinned copies (int8 mode)
-  std::vector<float> qscales_;         ///< [capacity] per-row scales (int8 mode)
+  /// [capacity] packed copies of the pinned rows, in the store's record
+  /// layout (record_bytes() each).
+  std::vector<std::byte> device_rows_;
   std::int64_t capacity_ = 0;
   /// Per-vertex request counters (admission signal) and per-slot hit
   /// counters.  Relaxed atomics bumped under the shared rows lock.

@@ -1,8 +1,20 @@
 #include "serving/backend.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "obs/metrics.hpp"
 
 namespace hyscale {
+
+void ServingBackend::check_store_precision(const MutableFeatureStore& store,
+                                           const ServingConfig& config) {
+  if (store.precision() == config.transfer_precision) return;
+  throw std::invalid_argument(
+      std::string("ServingBackend: transfer_precision ") +
+      transfer_precision_name(config.transfer_precision) + " differs from the feature store's " +
+      transfer_precision_name(store.precision()) + "; build the store at the serving precision");
+}
 
 void ServingBackend::bind_metrics(MetricsRegistry& registry) {
   const StaticFeatureCache* cache = this->cache();

@@ -44,13 +44,17 @@ struct ServingConfig {
   int num_workers = 2;
   BatchPolicy batch;
   /// Rows pinned by the PaGraph-style static cache; 0 disables it and
-  /// gathers go through a per-worker FeatureLoader.
+  /// every row is gathered from the feature store.
   std::int64_t cache_capacity_rows = 0;
-  /// Feature transfer precision for the gather hot path: device cache
-  /// rows are stored (and streaming host fetches are wire-simulated) at
-  /// this precision.  kInt8 moves ~4x fewer bytes per row at the
-  /// documented per-row quantization error; kFp16 is rejected at
-  /// construction.  Default kFp32 (lossless).
+  /// Feature transfer precision for the gather hot path: the precision
+  /// of the MutableFeatureStore the backend serves from, which stores
+  /// every row in that form (the device cache copies its records).  The
+  /// static backend and HyScale::stream / stream_sharded build their
+  /// store at this precision; a streaming or sharded backend over a
+  /// store built elsewhere throws std::invalid_argument when the two
+  /// differ.  kInt8 moves ~4x fewer bytes per row at the documented
+  /// per-row quantization error; kFp16 is rejected by the store.
+  /// Default kFp32 (lossless).
   TransferPrecision transfer_precision = TransferPrecision::kFp32;
   std::uint64_t seed = 1;
   /// Traffic-triggered cache re-rank cadence, in gathered input rows
@@ -165,6 +169,12 @@ class ServingBackend : public ExpiryTarget {
   /// Freezes the gauges bind_metrics registered.  A backend calls it in
   /// its destructor, while its cache is still alive.
   void unbind_metrics();
+
+  /// The store a streaming or sharded backend serves from was built
+  /// before it, and its precision is the deployment's: throws
+  /// std::invalid_argument when config.transfer_precision differs.
+  static void check_store_precision(const MutableFeatureStore& store,
+                                    const ServingConfig& config);
 
  private:
   MetricsRegistry* registry_ = nullptr;  ///< where bind_metrics registered

@@ -64,18 +64,15 @@ class ShardedBackend final : public ServingBackend {
  public:
   ShardedBackend(ShardedStreamingGraph& sharded, const ServingConfig& config)
       : sharded_(sharded), fanouts_(config.fanouts) {
+    check_store_precision(sharded.features(), config);
     if (config.cache_capacity_rows > 0) {
-      // One device cache over the shared store's base matrix, ranked by
-      // the full dataset's degrees and attached through the facade so
-      // every feature write invalidates it.
+      // One device cache over the shared store, ranked by the full
+      // dataset's degrees and attached through the facade so every
+      // feature write invalidates it.
       cache_ = std::make_unique<StaticFeatureCache>(
-          sharded.dataset().graph, sharded.features().base(), config.cache_capacity_rows,
-          config.transfer_precision);
+          sharded.dataset().graph, sharded.features(), config.cache_capacity_rows);
       sharded.attach_cache(cache_.get());
     }
-    // Host-side wire simulation matches the cache precision, so a row
-    // gathers to the same values whether it hits or misses.
-    sharded.features().set_transfer_precision(config.transfer_precision);
   }
 
   ~ShardedBackend() override {

@@ -6,7 +6,7 @@
 // over that cut (sample_full_sharded when the fanouts are empty).
 // Gathers go through the facade's one feature plane: the store every
 // shard shares, plus the one device cache this backend owns (built over
-// the full dataset graph and the shared base matrix, attached through
+// the full dataset graph and the shared store, attached through
 // the facade for invalidation/eviction, detached when the backend
 // dies).  ExpiryTarget forwards to the facade-wide sweep (broadcast
 // retirement keeps the shards' vertex spaces in lockstep), so one
@@ -22,8 +22,9 @@ namespace hyscale {
 
 class ShardedStreamingGraph;
 
-/// `sharded` (and its dataset) must outlive the backend.  Sets the
-/// shared store's wire precision to config.transfer_precision.
+/// `sharded` (and its dataset) must outlive the backend.  The shared
+/// feature store fixes the wire precision: throws std::invalid_argument
+/// when config.transfer_precision differs from the store's.
 std::unique_ptr<ServingBackend> make_sharded_backend(ShardedStreamingGraph& sharded,
                                                      const ServingConfig& config);
 

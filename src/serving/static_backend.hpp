@@ -2,12 +2,13 @@
 //
 // The snapshot is the dataset itself, so acquire() is free and the
 // freshness id is always 0.  Sampling goes through NeighborSampler (or
-// sample_full when the fanouts are empty); gathers go through one
-// PaGraph-style StaticFeatureCache when configured — which is also
-// where transfer_precision applies, hence the construction-time
-// rejection of a non-fp32 precision with no cache — and a plain
-// FeatureLoader otherwise.  The traffic-cadence re-rank recomputes the
-// cache's hot set with the same traffic-first/degree-tiebreak ranking
+// sample_full when the fanouts are empty).  The backend holds a
+// MutableFeatureStore built from the dataset's features at
+// transfer_precision, so every gathered row — cache hit or miss — is
+// at that precision; gathers go through one PaGraph-style
+// StaticFeatureCache over the store when configured, and straight
+// through the store otherwise.  The traffic-cadence re-rank is the
+// cache's rerank_by_traffic over the dataset graph, the ranking
 // StreamingGraph uses at fold time.
 #pragma once
 
@@ -19,8 +20,7 @@ namespace hyscale {
 
 /// `dataset` must outlive the backend.  Copies what it needs from
 /// `config` (fanouts, cache sizing, precision); throws
-/// std::invalid_argument when transfer_precision != kFp32 without a
-/// cache to apply it to.
+/// std::invalid_argument for kFp16 (the store rejects it).
 std::unique_ptr<ServingBackend> make_static_backend(const Dataset& dataset,
                                                     const ServingConfig& config);
 

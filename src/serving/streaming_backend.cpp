@@ -2,6 +2,7 @@
 
 #include <span>
 
+#include "stream/feature_store.hpp"
 #include "stream/overlay_sampler.hpp"
 #include "stream/streaming_graph.hpp"
 
@@ -62,17 +63,14 @@ class StreamingBackend final : public ServingBackend {
  public:
   StreamingBackend(StreamingGraph& stream, const ServingConfig& config)
       : stream_(stream), fanouts_(config.fanouts) {
+    check_store_precision(stream.features(), config);
     if (config.cache_capacity_rows > 0) {
-      // Built over the streaming feature store's base matrix (stable
-      // address) and attached so update_feature refreshes device rows.
-      cache_ = std::make_unique<StaticFeatureCache>(
-          stream.dataset().graph, stream.features().base(), config.cache_capacity_rows,
-          config.transfer_precision);
+      // Built over the streaming feature store and attached so
+      // update_feature refreshes device rows.
+      cache_ = std::make_unique<StaticFeatureCache>(stream.dataset().graph, stream.features(),
+                                                    config.cache_capacity_rows);
       stream.attach_cache(cache_.get());
     }
-    // Host-side wire simulation matches the cache precision, so a row
-    // gathers to the same values whether it hits or misses.
-    stream.features().set_transfer_precision(config.transfer_precision);
   }
 
   ~StreamingBackend() override {

@@ -5,8 +5,8 @@
 // version until release), sampling goes through an OverlaySampler over
 // that version (sample_full_overlay when the fanouts are empty), and
 // gathers go through StreamingGraph::gather — device cache rows plus
-// live feature store at wire precision.  The backend owns the device
-// cache: built over the store's base matrix, attached to the graph for
+// live feature store at the store's precision.  The backend owns the
+// device cache: built over the store, attached to the graph for
 // update_feature invalidation / remove_vertex eviction, detached when
 // the backend dies.  ExpiryTarget forwards to the graph, so a session
 // facade hangs its TTL ExpirySweeper directly off this backend.
@@ -20,9 +20,9 @@ namespace hyscale {
 
 class StreamingGraph;
 
-/// `stream` (and its dataset) must outlive the backend.  Sets the
-/// feature store's wire precision to config.transfer_precision so a
-/// row gathers to the same values whether it hits or misses the cache.
+/// `stream` (and its dataset) must outlive the backend.  The graph's
+/// feature store fixes the wire precision: throws std::invalid_argument
+/// when config.transfer_precision differs from the store's.
 std::unique_ptr<ServingBackend> make_streaming_backend(StreamingGraph& stream,
                                                        const ServingConfig& config);
 

@@ -44,7 +44,8 @@ CsrGraph filter_owner_incident(const CsrGraph& graph, const std::vector<int>& as
 
 }  // namespace
 
-ShardedStreamingGraph::ShardedStreamingGraph(const Dataset& dataset, ShardedConfig config)
+ShardedStreamingGraph::ShardedStreamingGraph(const Dataset& dataset, ShardedConfig config,
+                                             std::shared_ptr<MutableFeatureStore> features)
     : dataset_(&dataset), config_(std::move(config)) {
   if (config_.num_shards < 1)
     throw std::invalid_argument("ShardedStreamingGraph: num_shards must be >= 1");
@@ -61,7 +62,8 @@ ShardedStreamingGraph::ShardedStreamingGraph(const Dataset& dataset, ShardedConf
 
   // One feature store for every shard: views carry only the filtered
   // topology.
-  features_ = std::make_shared<MutableFeatureStore>(dataset.features);
+  features_ = features != nullptr ? std::move(features)
+                                  : std::make_shared<MutableFeatureStore>(dataset.features);
   shard_views_.reserve(static_cast<std::size_t>(config_.num_shards));
   shards_.reserve(static_cast<std::size_t>(config_.num_shards));
   for (int s = 0; s < config_.num_shards; ++s) {

@@ -175,11 +175,14 @@ struct ShardedStats {
 class ShardedStreamingGraph : public ExpiryTarget {
  public:
   /// Partitions `dataset` and builds one StreamingGraph per shard (full
-  /// vertex space, owner-incident edges) over one feature store copied
-  /// from dataset.features.  The dataset must outlive the facade.
-  /// Throws std::invalid_argument for num_shards < 1 or a non-symmetric
-  /// stream config.
-  ShardedStreamingGraph(const Dataset& dataset, ShardedConfig config);
+  /// vertex space, owner-incident edges) over one shared feature store:
+  /// `features` when given (its precision is the gather's wire
+  /// precision), else a private fp32 one from dataset.features.  The
+  /// dataset must outlive the facade.  Throws std::invalid_argument for
+  /// num_shards < 1, a non-symmetric stream config, or a store whose
+  /// rows do not match the dataset's vertices.
+  ShardedStreamingGraph(const Dataset& dataset, ShardedConfig config,
+                        std::shared_ptr<MutableFeatureStore> features = nullptr);
   ~ShardedStreamingGraph();  ///< detaches the facade's callback gauges
 
   ShardedStreamingGraph(const ShardedStreamingGraph&) = delete;
@@ -231,7 +234,7 @@ class ShardedStreamingGraph : public ExpiryTarget {
                                        std::vector<char>& hit_scratch) const;
 
   /// Attaches the one device cache (nullptr detaches).  It must be
-  /// built over features().base().
+  /// built over features().
   void attach_cache(StaticFeatureCache* cache);
 
   /// On-demand re-rank of the device cache (the facade analogue of

@@ -1,10 +1,26 @@
 // Mutable, growable feature storage for an evolving graph.
 //
-// The base feature matrix (copied from the dataset at construction) is
+// The base feature matrix (encoded from the dataset at construction) is
 // updatable row-in-place; vertices streamed in later get appended rows
 // in an extension area.  A shared_mutex arbitrates gathers (shared)
 // against row updates and appends (exclusive) so serving workers never
 // read a row mid-write — the property the TSan CI job checks.
+//
+// ROW FORMAT: the store's precision is fixed at construction and every
+// row is kept as one record in that form — the bytes a host -> device
+// transfer of the row moves:
+//   kFp32  cols floats (4*cols bytes);
+//   kInt8  [fp32 scale | int8 × cols], padded to a multiple of 4 bytes
+//          so every record's scale stays float-aligned (per-row
+//          symmetric quantization, tensor/quantize's int8_row_scale +
+//          quantize_row_int8 — the paper's §VIII PCIe-relief proposal).
+// Writes encode once (construction, update_row, append_row, reuse_row,
+// release_row); gather() decodes (simd::copy or simd::dequant).  A
+// StaticFeatureCache built over the store copies these records byte for
+// byte, so a row served from the device copy and the same row fetched
+// from the store decode identical bytes.  An int8 store keeps no fp32
+// master copy: what it serves is exactly quantize_roundtrip_int8 of the
+// values written.  kFp16 is rejected (the knob is {fp32, int8}).
 //
 // Deleted vertices release their rows: release_row() zero-fills (so a
 // retracted entity can only ever gather zeros) and, for extension rows,
@@ -17,8 +33,9 @@
 // enforces the memory-safety half of that contract.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <shared_mutex>
 #include <span>
 #include <vector>
@@ -31,17 +48,22 @@ namespace hyscale {
 
 class MutableFeatureStore {
  public:
-  /// Copies `base` (rows = base graph vertices).
-  explicit MutableFeatureStore(const Tensor& base);
+  /// Encodes `base` (rows = base graph vertices) at `precision`, in one
+  /// pass fanned out on the global pool.  Throws std::invalid_argument
+  /// for kFp16.
+  explicit MutableFeatureStore(const Tensor& base,
+                               TransferPrecision precision = TransferPrecision::kFp32);
 
   std::int64_t cols() const { return cols_; }
   std::int64_t base_rows() const { return base_rows_; }
   std::int64_t rows() const;  ///< base + appended
 
-  /// The base matrix; its address is stable for the store's lifetime
-  /// (appends land in the extension area, updates are in place), so a
-  /// StaticFeatureCache may hold a reference to it.
-  const Tensor& base() const { return base_; }
+  TransferPrecision precision() const { return precision_; }
+  /// Bytes of one stored record (see ROW FORMAT above).
+  std::size_t record_bytes() const { return record_bytes_; }
+  /// Bytes one gathered row moves on the wire: 4*cols at fp32, cols + 4
+  /// (values + scale) at int8.
+  double row_wire_bytes() const;
 
   /// Overwrites row v (base or extension).  Throws on range/size
   /// mismatch.
@@ -85,49 +107,44 @@ class MutableFeatureStore {
   /// Current steady-clock timestamp on the last-touch scale.
   static std::int64_t now_ns();
 
-  /// Copies row v into `dst` (size cols()).  Always full-precision —
-  /// this is a host-side read (invalidation refreshes, tests), not the
-  /// wire path.
-  void copy_row(VertexId v, std::span<float> dst) const;
+  /// Copies row v's record (record_bytes() bytes) into `dst` under the
+  /// shared lock — how the device cache fills its packed copies.
+  void copy_record(VertexId v, std::byte* dst) const;
 
-  /// Wire precision applied by gather() — the host -> device transfer
-  /// this store models.  At kInt8 every gathered row is round-tripped
-  /// through per-row symmetric int8 (quantize + dequantize fused, no
-  /// int8 buffer), so gathered features carry exactly the error an int8
-  /// PCIe transfer would; the same per-row rule as the device cache, so
-  /// hit/miss composition never changes logits.  kFp16 is rejected
-  /// (knob is {fp32, int8}).  Default kFp32 (lossless).
-  void set_transfer_precision(TransferPrecision precision);
-  TransferPrecision transfer_precision() const {
-    return precision_.load(std::memory_order_relaxed);
-  }
-  /// Bytes one gathered row moves on the wire at the current precision:
-  /// 4*cols at fp32, cols + 4 (values + scale) at int8.
-  double row_wire_bytes() const;
+  /// Decodes one record of this store's format into `dst` (cols()
+  /// floats).  Touches no store state, so the device cache decodes its
+  /// own copies with it.
+  void decode(const std::byte* record, float* dst) const;
 
   /// Gathers rows `nodes` into `out` ([nodes.size(), cols()]) under one
-  /// shared lock, applying transfer_precision() to every copied row.
-  /// Rows whose `already_filled` flag is set are skipped (the streaming
-  /// gather serves those from the cache's device copy).
+  /// shared lock, decoding every copied record.  Rows whose
+  /// `already_filled` flag is set are skipped (the device cache served
+  /// those from its copy).
   void gather(std::span<const VertexId> nodes, Tensor& out,
               const std::vector<char>* already_filled = nullptr) const;
 
  private:
-  std::span<const float> row_unlocked(VertexId v) const;
+  void encode(const float* src, std::byte* dst) const;
+  /// Row v's record; caller holds the lock and has range-checked v.
+  std::byte* record_unlocked(VertexId v);
+  const std::byte* record_unlocked(VertexId v) const;
+  void check_row(VertexId v) const;
 
-  Tensor base_;
-  std::vector<float> extension_;  ///< appended rows, row-major
-  std::vector<char> released_;    ///< per extension row: awaiting reuse
+  TransferPrecision precision_;
+  std::int64_t cols_ = 0;
+  std::size_t record_bytes_ = 0;
+  /// base_rows_ records.  Allocated uninitialised: the pooled encode
+  /// is the first touch of every page, so page faults spread over the
+  /// pool instead of a serial zero-fill.
+  std::unique_ptr<std::byte[]> base_;
+  std::vector<std::byte> extension_;  ///< appended records
+  std::vector<char> released_;        ///< per extension row: awaiting reuse
   /// Per row (base + extension): last write/read-touch stamp.  Mutable
   /// so the const gather path can batch-refresh it under the lock.
   mutable std::vector<std::int64_t> touch_ns_;
   std::int64_t base_rows_ = 0;
   std::int64_t extension_rows_ = 0;
   std::int64_t released_count_ = 0;
-  std::int64_t cols_ = 0;
-  /// Wire precision for gather(); atomic so the hot path reads it with
-  /// one relaxed load instead of widening the shared-lock section.
-  std::atomic<TransferPrecision> precision_{TransferPrecision::kFp32};
   mutable std::shared_mutex mutex_;
 };
 

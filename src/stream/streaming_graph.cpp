@@ -522,43 +522,17 @@ void StreamingGraph::rerank_now() {
 }
 
 void StreamingGraph::rerank_cache(const CsrGraph& base) {
-  // cache_mutex_ excludes update_feature/remove_vertex, so no host row
+  // cache_mutex_ excludes update_feature/remove_vertex, so no store row
   // the re-admission copies from is mid-write, and the cache pointer
   // cannot be detached underneath the call.
   std::lock_guard lock(cache_mutex_);
   if (cache_ == nullptr || cache_->capacity() == 0) return;
-  // Candidates: base-matrix rows the cache can pin (extension rows are
-  // never admitted), minus dead vertices — a retracted entity must not
+  // Live degrees rank the cold start; a retracted entity must not
   // re-enter the cache no matter how hot its counter was.
-  const VertexId limit = std::min<VertexId>(cache_->trackable_rows(), base.num_vertices());
-  std::vector<VertexId> candidates;
-  candidates.reserve(static_cast<std::size_t>(limit));
-  for (VertexId v = 0; v < limit; ++v) {
-    if (!delta_.is_dead(v)) candidates.push_back(v);
-  }
-  const auto top = std::min<std::size_t>(static_cast<std::size_t>(cache_->capacity()),
-                                         candidates.size());
-  // Observed traffic first, live degree as the cold-start tiebreak (new
-  // caches and freshly-decayed counters fall back to PaGraph's degree
-  // policy), vertex id last so the ranking is total and deterministic.
-  const auto hotter = [&](VertexId a, VertexId b) {
-    const std::uint64_t ca = cache_->access_count(a);
-    const std::uint64_t cb = cache_->access_count(b);
-    if (ca != cb) return ca > cb;
-    const EdgeId da = base.degree(a);
-    const EdgeId db = base.degree(b);
-    if (da != db) return da > db;
-    return a < b;
-  };
-  std::partial_sort(candidates.begin(),
-                    candidates.begin() + static_cast<std::ptrdiff_t>(top), candidates.end(),
-                    hotter);
-  candidates.resize(top);
-  const std::int64_t admitted = cache_->rerank(candidates);
+  const std::int64_t admitted =
+      cache_->rerank_by_traffic(base, [this](VertexId v) { return delta_.is_dead(v); });
   if (m_cache_reranks_ != nullptr) m_cache_reranks_->add(1);
-  if (journal_ != nullptr)
-    journal_->log("rerank", "admitted=" + std::to_string(admitted) +
-                                " candidates=" + std::to_string(top));
+  if (journal_ != nullptr) journal_->log("rerank", "admitted=" + std::to_string(admitted));
 }
 
 EdgeId StreamingGraph::annihilate() {
@@ -638,24 +612,14 @@ StaticFeatureCache::LoadStats StreamingGraph::gather(std::span<const VertexId> n
     std::lock_guard lock(cache_mutex_);
     cache = cache_;
   }
-  // Two locked passes (cache device rows, then live store rows) instead
-  // of a lock acquire per row — this is the serving hot path.
-  if (out.rows() != static_cast<std::int64_t>(nodes.size()) || out.cols() != features_->cols())
-    out.resize(static_cast<std::int64_t>(nodes.size()), features_->cols());
   StaticFeatureCache::LoadStats stats;
-  const auto total = static_cast<std::int64_t>(nodes.size());
   if (cache != nullptr) {
-    hit_scratch.assign(nodes.size(), 0);
-    stats.hits = cache->copy_cached_rows(nodes, hit_scratch, out);
+    stats = cache->gather(nodes, out, hit_scratch);
+  } else {
+    features_->gather(nodes, out);
+    stats.misses = static_cast<std::int64_t>(nodes.size());
+    stats.host_bytes = static_cast<double>(stats.misses) * features_->row_wire_bytes();
   }
-  features_->gather(nodes, out, cache != nullptr ? &hit_scratch : nullptr);
-  stats.misses = total - stats.hits;
-  // Wire accounting at each side's own precision: device hits move the
-  // cache's row size (cols+4 at int8), host misses the store's.
-  stats.device_bytes = static_cast<double>(stats.hits) *
-                       (cache != nullptr ? cache->device_row_wire_bytes() : 0.0);
-  stats.host_bytes = static_cast<double>(stats.misses) * features_->row_wire_bytes();
-  if (cache != nullptr) cache->record(stats);
   // LRU read-path touches, batched: one pass re-stamps every gathered
   // streamed-in row so read-hot entities survive TTL sweeps.  The store
   // skips base rows (dataset vertices never expire) and short-circuits

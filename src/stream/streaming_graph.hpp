@@ -226,7 +226,8 @@ struct StreamStats {
 class StreamingGraph : public ExpiryTarget {
  public:
   /// Copies the dataset's topology as the initial base.  `features` is
-  /// the feature store to serve from; null builds a private one from
+  /// the feature store to serve from, and its precision is the gather's
+  /// wire precision; null builds a private fp32 one from
   /// dataset.features.  The shards of a ShardedStreamingGraph pass one
   /// shared store, so its rows must match the graph's vertices.
   /// `dataset` must outlive the graph (info/labels are referenced); its
@@ -365,15 +366,14 @@ class StreamingGraph : public ExpiryTarget {
   /// Scratch-reusing variant for the serving hot path: `hit_scratch` is
   /// the per-row hit bitmap, resized in place — a worker that passes the
   /// same vector every batch amortises the allocation to zero.  Byte
-  /// accounting follows the active precisions (cache device rows, store
-  /// wire rows), so the hits/misses traffic split reflects what an int8
-  /// transfer actually moves.
+  /// accounting follows the store's precision, so the hits/misses
+  /// traffic split reflects what an int8 transfer actually moves.
   StaticFeatureCache::LoadStats gather(std::span<const VertexId> nodes, Tensor& out,
                                        std::vector<char>& hit_scratch) const;
 
   /// Registers the cache refreshed by update_feature and evicted from
   /// by remove_vertex (pass nullptr to detach).  The cache must be
-  /// built over features().base().
+  /// built over features().
   void attach_cache(StaticFeatureCache* cache);
 
   /// On-demand re-rank of the attached cache over the CURRENT base —
@@ -423,9 +423,9 @@ class StreamingGraph : public ExpiryTarget {
 
  private:
   void bind_telemetry();
-  /// Recomputes the attached cache's hot set from its observed access
-  /// counters (live degrees over `base` as tiebreak, dead vertices
-  /// excluded) and calls StaticFeatureCache::rerank.  Invoked by
+  /// Recomputes the attached cache's hot set with
+  /// StaticFeatureCache::rerank_by_traffic (live degrees over `base` as
+  /// tiebreak, dead vertices excluded).  Invoked by
   /// compact() right after the REBASE installs the merged CSR, under
   /// cache_mutex_ so no update/remove is mid-flight on a host row the
   /// re-admission copies from.

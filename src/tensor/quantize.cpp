@@ -32,15 +32,6 @@ void quantize_row_int8(const float* src, std::int64_t n, float scale, std::int8_
   }
 }
 
-void wire_roundtrip_row_int8(const float* src, float* dst, std::int64_t n) {
-  const float scale = int8_row_scale(src, n);
-  for (std::int64_t j = 0; j < n; ++j) {
-    const float scaled = src[j] / scale;
-    const float q = std::clamp(std::round(scaled), -127.0f, 127.0f);
-    dst[j] = q * scale;
-  }
-}
-
 QuantizedRows quantize_int8(const Tensor& x) {
   QuantizedRows q;
   q.rows = x.rows();

@@ -54,10 +54,9 @@ QuantizedRows quantize_int8(const Tensor& x);
 /// instead of silently discarding the caller's sizing.
 void dequantize_int8(const QuantizedRows& q, Tensor& out);
 
-// ---- per-row primitives (shared by the device cache and the feature
-// store's wire simulation; one quantization rule everywhere, so a row
-// served from a pinned int8 device copy is bit-identical to the same
-// row round-tripped through an int8 host fetch) ----
+// ---- per-row primitives (the int8 MutableFeatureStore encodes every
+// row with these, and quantize_int8 uses the same rule, so a stored row
+// decodes to exactly quantize_roundtrip_int8 of the values written) ----
 
 /// Symmetric per-row scale: max_j |row[j]| / 127, 1 for all-zero rows.
 float int8_row_scale(const float* row, std::int64_t n);
@@ -67,10 +66,6 @@ float int8_row_scale(const float* row, std::int64_t n);
 /// ambient FP rounding mode, unlike std::nearbyint, so quantized values
 /// are identical across threads and platforms.
 void quantize_row_int8(const float* src, std::int64_t n, float scale, std::int8_t* dst);
-
-/// Fused quantize+dequantize of one row (no int8 intermediate): what
-/// the device sees after an int8 wire transfer.  src and dst may alias.
-void wire_roundtrip_row_int8(const float* src, float* dst, std::int64_t n);
 
 /// Round-trips x through int8 quantization in place (what the device
 /// trainer actually sees); returns the max absolute reconstruction error.

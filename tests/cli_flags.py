@@ -13,7 +13,9 @@ table to its contract:
     non-default valid value and exits 0, so a flag dropped from the
     table fails here as "unknown argument";
   * the documented sentinels (--slo-ms 0, --ttl-ms -1, --publish-every
-    0, --rerank-rows 0, --cache-rows 0) are still accepted.
+    0, --rerank-rows 0, --cache-rows 0) are still accepted;
+  * serve --precision int8 --cache-rows 0 runs (static int8 needs no
+    device cache).
 """
 import os
 import re
@@ -139,6 +141,12 @@ SENTINEL_RUN = ["stream"] + DATASET + [
     "--cache-rows", "0",
 ]
 
+# Static int8 serving needs no cache: the store itself holds int8 rows.
+INT8_UNCACHED_RUN = ["serve"] + DATASET + [
+    "--model", "gcn", "--train-epochs", "0", "--checkpoint", "base.ckpt", "--clients", "1",
+    "--requests", "2", "--precision", "int8", "--cache-rows", "0",
+]
+
 failures = []
 
 
@@ -183,7 +191,8 @@ def main():
         proc = run(cli, base, cwd)
         check(proc.returncode == 0, "checkpoint-producing serve run should exit 0", proc)
         for name, args in (("train", TRAIN_RUN), ("serve", SERVE_RUN), ("stream", STREAM_RUN),
-                           ("stream sentinels", SENTINEL_RUN)):
+                           ("stream sentinels", SENTINEL_RUN),
+                           ("serve int8 without a cache", INT8_UNCACHED_RUN)):
             proc = run(cli, args, cwd)
             check(proc.returncode == 0, "%s run with every flag set should exit 0" % name, proc)
 

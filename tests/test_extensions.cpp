@@ -19,12 +19,21 @@ namespace {
 
 Dataset cache_dataset() { return make_community_dataset(3, 64, 8, 17); }
 
+/// One gather of the batch's input rows through `cache`.
+StaticFeatureCache::LoadStats gather_batch(StaticFeatureCache& cache, const MiniBatch& batch,
+                                           Tensor& x) {
+  std::vector<char> scratch;
+  const auto& nodes = batch.input_nodes();
+  return cache.gather(std::span<const VertexId>(nodes.data(), nodes.size()), x, scratch);
+}
+
 TEST(FeatureCache, ZeroCapacityAllMisses) {
   const Dataset ds = cache_dataset();
-  StaticFeatureCache cache(ds.graph, ds.features, 0);
+  const MutableFeatureStore store(ds.features);
+  StaticFeatureCache cache(ds.graph, store, 0);
   NeighborSampler sampler(ds.graph, {4, 4}, 1);
   Tensor x;
-  const auto stats = cache.load(sampler.sample({0, 1, 2, 3}), x);
+  const auto stats = gather_batch(cache, sampler.sample({0, 1, 2, 3}), x);
   EXPECT_EQ(stats.hits, 0);
   EXPECT_GT(stats.misses, 0);
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.0);
@@ -33,21 +42,23 @@ TEST(FeatureCache, ZeroCapacityAllMisses) {
 
 TEST(FeatureCache, FullCapacityAllHits) {
   const Dataset ds = cache_dataset();
-  StaticFeatureCache cache(ds.graph, ds.features, ds.num_vertices());
+  const MutableFeatureStore store(ds.features);
+  StaticFeatureCache cache(ds.graph, store, ds.num_vertices());
   NeighborSampler sampler(ds.graph, {4, 4}, 1);
   Tensor x;
-  const auto stats = cache.load(sampler.sample({0, 1, 2, 3}), x);
+  const auto stats = gather_batch(cache, sampler.sample({0, 1, 2, 3}), x);
   EXPECT_EQ(stats.misses, 0);
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 1.0);
 }
 
 TEST(FeatureCache, LoadIsNumericallyIdenticalToPlainGather) {
   const Dataset ds = cache_dataset();
-  StaticFeatureCache cache(ds.graph, ds.features, 32);
+  const MutableFeatureStore store(ds.features);
+  StaticFeatureCache cache(ds.graph, store, 32);
   NeighborSampler sampler(ds.graph, {4, 4}, 5);
   const MiniBatch batch = sampler.sample({10, 20, 30});
   Tensor cached_out;
-  cache.load(batch, cached_out);
+  gather_batch(cache, batch, cached_out);
   for (std::size_t i = 0; i < batch.input_nodes().size(); ++i) {
     const VertexId v = batch.input_nodes()[i];
     for (std::int64_t j = 0; j < ds.features.cols(); ++j) {
@@ -65,22 +76,24 @@ TEST(FeatureCache, DegreeOrderedCachingBeatsExpectationOnSkewedGraphs) {
   options.target_vertices = 1 << 13;
   options.label_signal = false;
   const Dataset ds = materialize_dataset("ogbn-products", options);
-  StaticFeatureCache cache(ds.graph, ds.features, ds.num_vertices() / 10);
+  const MutableFeatureStore store(ds.features);
+  StaticFeatureCache cache(ds.graph, store, ds.num_vertices() / 10);
   NeighborSampler sampler(ds.graph, {10, 5}, 3);
   std::vector<VertexId> seeds;
   for (VertexId v = 0; v < ds.num_vertices() && seeds.size() < 16; ++v) {
     if (ds.graph.degree(v) > 0) seeds.push_back(v);
   }
   Tensor x;
-  for (int round = 0; round < 5; ++round) cache.load(sampler.sample(seeds), x);
+  for (int round = 0; round < 5; ++round) gather_batch(cache, sampler.sample(seeds), x);
   EXPECT_GT(cache.totals().hit_rate(), 0.25);  // >> 0.1
 }
 
 TEST(FeatureCache, RejectsBadConstruction) {
   const Dataset ds = cache_dataset();
-  Tensor wrong(ds.num_vertices() + 1, 8);
+  const MutableFeatureStore wrong(Tensor(ds.num_vertices() + 1, 8));
+  const MutableFeatureStore store(ds.features);
   EXPECT_THROW(StaticFeatureCache(ds.graph, wrong, 4), std::invalid_argument);
-  EXPECT_THROW(StaticFeatureCache(ds.graph, ds.features, -1), std::invalid_argument);
+  EXPECT_THROW(StaticFeatureCache(ds.graph, store, -1), std::invalid_argument);
 }
 
 // ---------------------------------------------------- ClassificationReport

@@ -12,12 +12,14 @@
 //     where fused and unfused results must differ (for the GEMM and for
 //     axpy), and single steps a double-precision shortcut or a special
 //     value could get wrong, on every tier;
-//   * int8 device rows: hit/miss value consistency, wire-byte ratio
-//     (>= 3x vs fp32 at feature widths >= 12), and end-to-end logit
-//     exactness against an explicitly round-tripped reference;
+//   * int8 rows: every store write path serves exactly the round-tripped
+//     values, a hit and a miss decode identical bytes (streaming and
+//     static), wire-byte ratio (>= 3x vs fp32 at feature widths >= 12),
+//     end-to-end logit exactness against an explicitly round-tripped
+//     reference, and a backend refusing a precision its store lacks;
 //   * adaptive cache re-ranking: observed-traffic admission recovers
 //     the hit rate after churn, and slots freed by evict() are refilled;
-//   * TSan regression: cached()/copy_if_cached() racing
+//   * TSan regression: cached() and gathers racing
 //     evict()/invalidate()/rerank().
 #include <gtest/gtest.h>
 
@@ -485,63 +487,176 @@ TEST(GemmOracle, EveryTierMatchesStdFmaAtHardSteps) {
 TEST(HotPathInt8, WireBytesRatioAtLeastThree) {
   const Dataset& ds = hotpath_dataset();
   ASSERT_GE(ds.features.cols(), 12);  // cols + 4 vs 4 * cols needs cols >= 12
-  StaticFeatureCache fp32(ds.graph, ds.features, 8, TransferPrecision::kFp32);
-  StaticFeatureCache int8(ds.graph, ds.features, 8, TransferPrecision::kInt8);
+  MutableFeatureStore fp32_store(ds.features, TransferPrecision::kFp32);
+  MutableFeatureStore int8_store(ds.features, TransferPrecision::kInt8);
+  StaticFeatureCache fp32(ds.graph, fp32_store, 8);
+  StaticFeatureCache int8(ds.graph, int8_store, 8);
   EXPECT_GE(fp32.device_row_wire_bytes() / int8.device_row_wire_bytes(), 3.0);
 
-  MutableFeatureStore store(ds.features);
-  const double host_fp32 = store.row_wire_bytes();
-  store.set_transfer_precision(TransferPrecision::kInt8);
-  EXPECT_GE(host_fp32 / store.row_wire_bytes(), 3.0);
+  const double host_fp32 = fp32_store.row_wire_bytes();
+  EXPECT_GE(host_fp32 / int8_store.row_wire_bytes(), 3.0);
 }
 
 TEST(HotPathInt8, Fp16DeviceRowsAreRejected) {
-  // The messages are PINNED: operators grep logs for them, and a silent
+  // The message is PINNED: operators grep logs for it, and a silent
   // rewording (or a swapped throw site) would break the runbooks that
-  // tell users which knob to change.
+  // tell users which knob to change.  The store fixes the precision of
+  // every row, so its constructor is the one place fp16 is refused.
   const Dataset& ds = hotpath_dataset();
   try {
-    StaticFeatureCache cache(ds.graph, ds.features, 8, TransferPrecision::kFp16);
-    FAIL() << "fp16 device rows must be rejected";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(),
-                 "StaticFeatureCache: fp16 device rows not implemented (use fp32 or int8)");
-  }
-  MutableFeatureStore store(ds.features);
-  try {
-    store.set_transfer_precision(TransferPrecision::kFp16);
+    MutableFeatureStore store(ds.features, TransferPrecision::kFp16);
     FAIL() << "fp16 wire precision must be rejected";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(),
                  "MutableFeatureStore: fp16 wire precision not implemented (use fp32 or int8)");
   }
-  // A failed set leaves the store on its previous (fp32) precision.
-  EXPECT_DOUBLE_EQ(store.row_wire_bytes(),
-                   static_cast<double>(ds.features.cols()) * sizeof(float));
+}
+
+/// Gathers every vertex of `ds` through a cache of `capacity` rows over
+/// `store`; returns the rows and checks the hit count.
+Tensor gather_all(const Dataset& ds, const MutableFeatureStore& store, std::int64_t capacity) {
+  StaticFeatureCache cache(ds.graph, store, capacity);
+  std::vector<VertexId> all(static_cast<std::size_t>(ds.graph.num_vertices()));
+  for (std::size_t v = 0; v < all.size(); ++v) all[v] = static_cast<VertexId>(v);
+  Tensor out;
+  std::vector<char> scratch;
+  const auto stats = cache.gather(all, out, scratch);
+  EXPECT_EQ(stats.hits, capacity);
+  return out;
 }
 
 TEST(HotPathInt8, CacheHitMatchesHostMissExactly) {
-  // One quantization rule on both sides: a row served from the pinned
-  // int8 device copy must be bit-identical to the same row fetched from
-  // the host through the int8 wire simulation — hit/miss composition
-  // can never change logits.
+  // One row format on both sides: every row served from a full int8
+  // cache (all hits) must be byte-identical to the same row served
+  // through a zero-capacity one (all misses) — hit/miss composition can
+  // never change logits.
   const Dataset& ds = hotpath_dataset();
-  StreamingGraph stream(ds);
-  stream.features().set_transfer_precision(TransferPrecision::kInt8);
-  StaticFeatureCache cache(ds.graph, stream.features().base(), 16, TransferPrecision::kInt8);
-  stream.attach_cache(&cache);
+  const MutableFeatureStore store(ds.features, TransferPrecision::kInt8);
+  const Tensor hits = gather_all(ds, store, ds.graph.num_vertices());
+  const Tensor misses = gather_all(ds, store, 0);
+  ASSERT_EQ(hits.size(), misses.size());
+  EXPECT_EQ(std::memcmp(hits.data(), misses.data(), static_cast<std::size_t>(hits.size()) *
+                                                        sizeof(float)),
+            0);
+}
 
-  const std::int64_t cols = ds.features.cols();
+/// `values` round-tripped through int8: the only thing an int8 store may
+/// ever serve for a row written with them.
+std::vector<float> round_tripped(std::span<const float> values) {
+  Tensor row(1, static_cast<std::int64_t>(values.size()));
+  std::copy(values.begin(), values.end(), row.row(0).begin());
+  quantize_roundtrip_int8(row);
+  return {row.row(0).begin(), row.row(0).end()};
+}
+
+void expect_row_bytes(const MutableFeatureStore& store, VertexId v,
+                      const std::vector<float>& want) {
+  Tensor out;
+  store.gather(std::span<const VertexId>(&v, 1), out);
+  ASSERT_EQ(out.cols(), static_cast<std::int64_t>(want.size()));
+  EXPECT_EQ(std::memcmp(out.row(0).data(), want.data(), want.size() * sizeof(float)), 0)
+      << "v=" << v;
+}
+
+TEST(HotPathInt8, EveryStoreWritePathServesTheRoundTrippedRow) {
+  const Dataset& ds = hotpath_dataset();
+  MutableFeatureStore store(ds.features, TransferPrecision::kInt8);
+  const auto cols = static_cast<std::size_t>(ds.features.cols());
+
+  // Construction: the whole matrix, row by row.
+  Tensor reference = ds.features;
+  quantize_roundtrip_int8(reference);
   for (VertexId v = 0; v < ds.graph.num_vertices(); ++v) {
-    if (!cache.cached(v)) continue;
-    std::vector<float> from_cache(static_cast<std::size_t>(cols));
-    ASSERT_TRUE(cache.copy_if_cached(v, from_cache));
-    std::vector<float> from_wire(static_cast<std::size_t>(cols));
-    wire_roundtrip_row_int8(ds.features.row(v).data(), from_wire.data(), cols);
-    EXPECT_EQ(std::memcmp(from_cache.data(), from_wire.data(), from_wire.size() * sizeof(float)),
-              0)
-        << "v=" << v;
+    const auto row = reference.row(v);
+    expect_row_bytes(store, v, {row.begin(), row.end()});
   }
+
+  const std::vector<float> updated = random_floats(cols, 21);
+  store.update_row(5, updated);
+  expect_row_bytes(store, 5, round_tripped(updated));
+
+  const std::vector<float> appended = random_floats(cols, 22);
+  const VertexId extra = store.append_row(appended);
+  expect_row_bytes(store, extra, round_tripped(appended));
+
+  // release_row writes zeros, on base and extension rows alike.
+  const std::vector<float> zeros(cols, 0.0f);
+  store.release_row(7);
+  expect_row_bytes(store, 7, round_tripped(zeros));
+  store.release_row(extra);
+  expect_row_bytes(store, extra, round_tripped(zeros));
+
+  const std::vector<float> reused = random_floats(cols, 23);
+  store.reuse_row(extra, reused);
+  expect_row_bytes(store, extra, round_tripped(reused));
+}
+
+TEST(HotPathInt8, StaticServerHitsAndMissesServeIdenticalRows) {
+  // Static serving holds an int8 store too, so a miss is as int8 as a
+  // hit: the same rows gathered through an all-hit and an all-miss
+  // backend are byte-identical, and the served logits are a forward
+  // over the round-tripped matrix.
+  const Dataset& ds = hotpath_dataset();
+  GnnModel model(hotpath_model_config());
+  const ModelSnapshot snapshot(model);
+  const std::vector<VertexId> seeds = {0, 17, 40, 65, 95};
+  const MiniBatch mb = sample_full(ds.graph, seeds, model.config().num_layers());
+
+  auto gather_through = [&](std::int64_t cache_rows) {
+    ServingConfig config;
+    config.cache_capacity_rows = cache_rows;
+    config.transfer_precision = TransferPrecision::kInt8;
+    auto backend = make_static_backend(ds, config);
+    auto session = backend->make_session(1, model.config().num_layers());
+    Tensor x;
+    std::vector<char> scratch;
+    session->gather(mb, x, scratch);
+    return x;
+  };
+  const Tensor hits = gather_through(ds.graph.num_vertices());
+  const Tensor misses = gather_through(0);
+  ASSERT_EQ(hits.size(), misses.size());
+  EXPECT_EQ(std::memcmp(hits.data(), misses.data(), static_cast<std::size_t>(hits.size()) *
+                                                        sizeof(float)),
+            0);
+
+  ServingConfig config;  // empty fanouts = full neighborhood (exact)
+  config.num_workers = 1;
+  config.cache_capacity_rows = 48;  // half the graph: hits AND misses
+  config.transfer_precision = TransferPrecision::kInt8;
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
+  const Tensor served = server.infer(seeds).logits;
+  Tensor round_trip = ds.features;
+  quantize_roundtrip_int8(round_trip);
+  FeatureLoader loader(round_trip);
+  Tensor x;
+  loader.load(mb, x);
+  EXPECT_LE(Tensor::max_abs_diff(served, model.forward(mb, x)), 1e-6);
+}
+
+TEST(HotPathInt8, BackendRefusesAPrecisionItsStoreLacks) {
+  // The store decides the precision once; a serving config that
+  // disagrees is a wiring error, not a second knob.
+  const Dataset& ds = hotpath_dataset();
+  ServingConfig config;
+  config.cache_capacity_rows = 8;
+  config.transfer_precision = TransferPrecision::kInt8;
+  StreamingGraph fp32_stream(ds);
+  EXPECT_THROW(make_streaming_backend(fp32_stream, config), std::invalid_argument);
+  ShardedConfig sharded;
+  sharded.num_shards = 2;
+  ShardedStreamingGraph fp32_sharded(ds, sharded);
+  EXPECT_THROW(make_sharded_backend(fp32_sharded, config), std::invalid_argument);
+
+  config.transfer_precision = TransferPrecision::kFp32;
+  StreamingGraph int8_stream(
+      ds, {}, std::make_shared<MutableFeatureStore>(ds.features, TransferPrecision::kInt8));
+  EXPECT_THROW(make_streaming_backend(int8_stream, config), std::invalid_argument);
+  // A matching config builds: the store's precision is the cache's.
+  config.transfer_precision = TransferPrecision::kInt8;
+  auto backend = make_streaming_backend(int8_stream, config);
+  EXPECT_EQ(backend->cache()->precision(), TransferPrecision::kInt8);
 }
 
 TEST(HotPathInt8, ServedLogitsMatchRoundTrippedReferenceWithinTolerance) {
@@ -550,7 +665,7 @@ TEST(HotPathInt8, ServedLogitsMatchRoundTrippedReferenceWithinTolerance) {
   const ModelSnapshot snapshot(model);
 
   auto serve_logits = [&](TransferPrecision precision) {
-    StreamingGraph stream(ds);
+    StreamingGraph stream(ds, {}, std::make_shared<MutableFeatureStore>(ds.features, precision));
     ServingConfig config;  // empty fanouts = full neighborhood (exact)
     config.num_workers = 1;
     config.cache_capacity_rows = 48;  // half the graph: hits AND misses
@@ -618,7 +733,7 @@ void ingest_one_edge(StreamingGraph& stream) {
 TEST(CacheRerank, FoldRecoversHitRateOnShiftedWorkload) {
   const Dataset& ds = hotpath_dataset();
   StreamingGraph stream(ds);
-  StaticFeatureCache cache(ds.graph, stream.features().base(), 16);
+  StaticFeatureCache cache(ds.graph, stream.features(), 16);
   stream.attach_cache(&cache);
 
   // A workload aimed squarely at vertices the degree-ordered admission
@@ -661,7 +776,7 @@ TEST(CacheRerank, FoldRecoversHitRateOnShiftedWorkload) {
 TEST(CacheRerank, SlotsFreedByEvictionAreReadmitted) {
   const Dataset& ds = hotpath_dataset();
   StreamingGraph stream(ds);
-  StaticFeatureCache cache(ds.graph, stream.features().base(), 8);
+  StaticFeatureCache cache(ds.graph, stream.features(), 8);
   stream.attach_cache(&cache);
 
   // Retire a pinned vertex: its slot is freed and — before rerank() —
@@ -699,7 +814,7 @@ TEST(CacheRerank, DisabledConfigKeepsConstructionAdmission) {
   StreamingConfig config;
   config.cache_rerank = false;
   StreamingGraph stream(ds, config);
-  StaticFeatureCache cache(ds.graph, stream.features().base(), 8);
+  StaticFeatureCache cache(ds.graph, stream.features(), 8);
   stream.attach_cache(&cache);
 
   const std::vector<VertexId> targets = uncached_vertices(cache, ds.graph.num_vertices(), 8);
@@ -718,9 +833,10 @@ TEST(CacheRerank, DisabledConfigKeepsConstructionAdmission) {
 TEST(CacheRace, MembershipReadsRaceMutatorsCleanly) {
   // TSan regression: cached() used to read an unsynchronised bitmap
   // while evict()/invalidate() rewrote it.  Readers hammer membership
-  // and row copies while a mutator cycles evict -> invalidate -> rerank.
+  // and row gathers while a mutator cycles evict -> invalidate -> rerank.
   const Dataset& ds = hotpath_dataset();
-  StaticFeatureCache cache(ds.graph, ds.features, 16);
+  const MutableFeatureStore store(ds.features);
+  StaticFeatureCache cache(ds.graph, store, 16);
   const VertexId n = ds.graph.num_vertices();
   std::atomic<bool> stop{false};
   std::atomic<std::int64_t> observed_hits{0};
@@ -728,12 +844,13 @@ TEST(CacheRace, MembershipReadsRaceMutatorsCleanly) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 2; ++t) {
     readers.emplace_back([&, t] {
-      std::vector<float> row(static_cast<std::size_t>(ds.features.cols()));
+      Tensor row;
+      std::vector<char> scratch;
       std::mt19937_64 rng(100u + static_cast<unsigned>(t));
       while (!stop.load(std::memory_order_relaxed)) {
         const VertexId v = static_cast<VertexId>(rng() % static_cast<std::uint64_t>(n));
         if (cache.cached(v)) observed_hits.fetch_add(1, std::memory_order_relaxed);
-        cache.copy_if_cached(v, row);
+        cache.gather(std::span<const VertexId>(&v, 1), row, scratch);
       }
     });
   }

@@ -92,13 +92,13 @@ TEST(Quantize, SharedRowRuleMatchesBulkQuantizer) {
   for (std::int64_t i = 0; i < x.rows(); ++i) {
     const float scale = int8_row_scale(x.row(i).data(), x.cols());
     EXPECT_FLOAT_EQ(scale, q.scales[static_cast<std::size_t>(i)]);
-    // The fused wire round-trip must reproduce quantize+dequantize
-    // exactly — it is what makes cache hits and host misses agree.
-    std::vector<float> fused(static_cast<std::size_t>(x.cols()));
-    wire_roundtrip_row_int8(x.row(i).data(), fused.data(), x.cols());
+    // The per-row quantizer the int8 feature store encodes with must
+    // reproduce the bulk quantizer's values exactly.
+    std::vector<std::int8_t> row(static_cast<std::size_t>(x.cols()));
+    quantize_row_int8(x.row(i).data(), x.cols(), scale, row.data());
     for (std::int64_t j = 0; j < x.cols(); ++j) {
-      const auto qv = q.values[static_cast<std::size_t>(i * x.cols() + j)];
-      EXPECT_FLOAT_EQ(fused[static_cast<std::size_t>(j)], static_cast<float>(qv) * scale);
+      EXPECT_EQ(row[static_cast<std::size_t>(j)],
+                q.values[static_cast<std::size_t>(i * x.cols() + j)]);
     }
   }
 }

@@ -412,11 +412,14 @@ TEST(StaticFeatureCache, ConcurrentLoadsKeepTotalsConsistent) {
   const Dataset& ds = community();
   NeighborSampler sampler(ds.graph, {3, 3}, 4);
   const MiniBatch batch = sampler.sample({0, 10, 20, 30});
-  StaticFeatureCache cache(ds.graph, ds.features, ds.graph.num_vertices() / 2);
+  const MutableFeatureStore store(ds.features);
+  StaticFeatureCache cache(ds.graph, store, ds.graph.num_vertices() / 2);
+  const std::span<const VertexId> nodes(batch.input_nodes().data(), batch.input_nodes().size());
 
   const StaticFeatureCache::LoadStats one = [&] {
     Tensor x;
-    return cache.load(batch, x);
+    std::vector<char> scratch;
+    return cache.gather(nodes, x, scratch);
   }();
   const std::int64_t rows_per_load = one.hits + one.misses;
 
@@ -425,8 +428,9 @@ TEST(StaticFeatureCache, ConcurrentLoadsKeepTotalsConsistent) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      Tensor x;  // per-caller output, per the API contract
-      for (int i = 0; i < kLoads; ++i) cache.load(batch, x);
+      Tensor x;  // per-caller output and scratch, per the API contract
+      std::vector<char> scratch;
+      for (int i = 0; i < kLoads; ++i) cache.gather(nodes, x, scratch);
     });
   }
   for (auto& t : threads) t.join();

@@ -201,8 +201,7 @@ TEST(ShardedGraph, UpdateIsVisibleToEveryGatherBeforeAnyAdopt) {
 // Returns the value a row of constant `c` gathers to through an int8
 // wire: every element quantizes alike, so the row stays constant.
 float int8_round_trip(float c) {
-  MutableFeatureStore store(Tensor(1, 8, c));
-  store.set_transfer_precision(TransferPrecision::kInt8);
+  MutableFeatureStore store(Tensor(1, 8, c), TransferPrecision::kInt8);
   Tensor out;
   const VertexId v = 0;
   store.gather(std::span<const VertexId>(&v, 1), out);
@@ -215,7 +214,9 @@ TEST(ShardedGraph, ConcurrentWritesNeverServeATornRow) {
   // re-ranks the int8 device cache.  Every write fills its row with one
   // constant, so a gathered row whose elements differ was torn.
   const Dataset& ds = community();
-  ShardedStreamingGraph graph(ds, sharded_config(2));
+  ShardedStreamingGraph graph(
+      ds, sharded_config(2),
+      std::make_shared<MutableFeatureStore>(ds.features, TransferPrecision::kInt8));
   ServingConfig config;
   config.cache_capacity_rows = 16;
   config.transfer_precision = TransferPrecision::kInt8;
@@ -450,7 +451,9 @@ TEST(ShardedServing, ServerRoutesAndMatchesDirectForward) {
 
 TEST(ShardedServing, OneDeviceCacheAttachesAndDetaches) {
   const Dataset& ds = community();
-  ShardedStreamingGraph graph(ds, sharded_config(2));
+  ShardedStreamingGraph graph(
+      ds, sharded_config(2),
+      std::make_shared<MutableFeatureStore>(ds.features, TransferPrecision::kInt8));
   GnnModel model(small_model_config());
   const ModelSnapshot snapshot(model);
   ServingConfig config;

@@ -134,14 +134,11 @@ void run_sharded_differential(std::uint64_t seed, std::int64_t steps, int num_sh
   ShardedConfig config;
   config.num_shards = num_shards;
   config.partitioner = partitioner;
-  ShardedStreamingGraph sharded(ds, config);
+  ShardedStreamingGraph sharded(ds, config,
+                                std::make_shared<MutableFeatureStore>(ds.features, wire));
   StreamingConfig flat_config;
   flat_config.recycle_ids = false;  // keep both vertex spaces append-only
-  StreamingGraph flat(ds, flat_config);
-  if (wire != TransferPrecision::kFp32) {
-    flat.features().set_transfer_precision(wire);
-    sharded.features().set_transfer_precision(wire);
-  }
+  StreamingGraph flat(ds, flat_config, std::make_shared<MutableFeatureStore>(ds.features, wire));
   GnnModel model(small_model_config());
   Xoshiro256 rng(seed);
 

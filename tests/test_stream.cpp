@@ -812,28 +812,35 @@ TEST(StreamingServing, CacheInvalidationPreventsStaleFeatures) {
 
 TEST(FeatureCacheInvalidate, RefreshesDeviceRowsAndResetsWindow) {
   const Dataset& ds = community();
-  Tensor features = ds.features;  // mutable host copy
-  StaticFeatureCache cache(ds.graph, features, ds.graph.num_vertices());
+  MutableFeatureStore store(ds.features);
+  StaticFeatureCache cache(ds.graph, store, ds.graph.num_vertices());
 
-  std::vector<float> fresh(static_cast<std::size_t>(features.cols()), 7.5f);
-  std::vector<float> out(static_cast<std::size_t>(features.cols()));
+  std::vector<float> fresh(static_cast<std::size_t>(store.cols()), 7.5f);
   NeighborSampler sampler(ds.graph, {3}, 1);
+  std::vector<char> scratch;
   Tensor x;
-  cache.load(sampler.sample({3}), x);  // pre-invalidation traffic
-  // Host mutation alone leaves the device copy stale…
-  std::copy(fresh.begin(), fresh.end(), features.row(3).begin());
-  ASSERT_TRUE(cache.copy_if_cached(3, out));
-  EXPECT_NE(out[0], 7.5f);
-  // …invalidate refreshes it.
+  const auto gather_batch = [&] {
+    const MiniBatch batch = sampler.sample({3});
+    const auto& nodes = batch.input_nodes();
+    return cache.gather(std::span<const VertexId>(nodes.data(), nodes.size()), x, scratch);
+  };
   const VertexId ids[1] = {3};
-  EXPECT_EQ(cache.invalidate(std::span<const VertexId>(ids, 1)), 1);
-  ASSERT_TRUE(cache.copy_if_cached(3, out));
-  for (float x : out) EXPECT_FLOAT_EQ(x, 7.5f);
-
+  const std::span<const VertexId> row3(ids, 1);
+  Tensor out;
+  gather_batch();  // pre-invalidation traffic
+  // A store write alone leaves the device copy stale…
+  store.update_row(3, fresh);
+  ASSERT_EQ(cache.gather(row3, out, scratch).hits, 1);
+  EXPECT_NE(out.at(0, 0), 7.5f);
+  // …invalidate refreshes it.
+  EXPECT_EQ(cache.invalidate(row3), 1);
   EXPECT_EQ(cache.invalidations(), 1);
   EXPECT_EQ(cache.invalidated_rows(), 1);
   EXPECT_EQ(cache.since_invalidate().hits, 0);  // window reset
-  cache.load(sampler.sample({3}), x);
+  ASSERT_EQ(cache.gather(row3, out, scratch).hits, 1);
+  for (float x : out.row(0)) EXPECT_FLOAT_EQ(x, 7.5f);
+
+  gather_batch();
   EXPECT_GT(cache.since_invalidate().hits, 0);
   EXPECT_GT(cache.totals().hits, cache.since_invalidate().hits);
 }
