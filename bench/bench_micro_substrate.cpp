@@ -130,27 +130,42 @@ void BM_GatherRows(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherRows)->Arg(1 << 10)->Arg(1 << 14);
 
+// The ogbn-products stand-in perfbench serves and trains on: 2^16
+// vertices, materialised once per process.
+const Dataset& products_dataset() {
+  static const Dataset dataset = [] {
+    MaterializeOptions options;
+    options.target_vertices = VertexId{1} << 16;
+    return materialize_dataset("ogbn-products", options);
+  }();
+  return dataset;
+}
+
 // The streaming serving gather (device-cache rows + store miss rows) at
-// one transfer precision: 2^11-vertex ogbn-products, 512 cache rows,
-// uniform random batches of 512, so about a quarter of rows hit.  Arg 0
-// is fp32, arg 1 int8; the store is built at that precision, so int8
-// rows are quantized once, at write time, and every gather only
-// decodes.  `time/row` is ns per row.
+// one transfer precision: ogbn-products, a quarter of the vertices
+// cached, uniform random batches of 512, so about a quarter of rows
+// hit.  Arg `int8` 0 is fp32, 1 int8; the store is built at that
+// precision, so int8 rows are quantized once, at write time, and every
+// gather only decodes.  Arg `table` 0 gathers from 2^11 vertices
+// (0.8 MB fp32, 0.2 MB int8: both fit a 2 MB per-core L2, so the two
+// decodes cost alike), 1 from products_dataset()'s 2^16 (26 MB fp32,
+// ~6.8 MB int8: past L2, where int8's 4x smaller reads can pay).
+// `time/row` is ns per row.
 void BM_StreamingGather(benchmark::State& state) {
-  constexpr std::int64_t kCacheRows = 512;
   constexpr std::size_t kBatch = 512;
   constexpr std::size_t kBatches = 64;
   const TransferPrecision precision =
       state.range(0) != 0 ? TransferPrecision::kInt8 : TransferPrecision::kFp32;
-  static const Dataset dataset = [] {
+  static const Dataset small = [] {
     MaterializeOptions options;
     options.target_vertices = 1 << 11;
     options.label_signal = false;
     return materialize_dataset("ogbn-products", options);
   }();
+  const Dataset& dataset = state.range(1) != 0 ? products_dataset() : small;
   StreamingGraph stream(dataset, {},
                         std::make_shared<MutableFeatureStore>(dataset.features, precision));
-  StaticFeatureCache cache(dataset.graph, stream.features(), kCacheRows);
+  StaticFeatureCache cache(dataset.graph, stream.features(), dataset.graph.num_vertices() / 4);
   stream.attach_cache(&cache);
 
   Xoshiro256 rng(7);
@@ -173,18 +188,10 @@ void BM_StreamingGather(benchmark::State& state) {
   state.counters["hit_rate"] = cache.totals().hit_rate();
   state.counters["miss_B/row"] = stream.features().row_wire_bytes();
 }
-BENCHMARK(BM_StreamingGather)->ArgName("int8")->Arg(0)->Arg(1)->UseRealTime();
-
-// The ogbn-products stand-in perfbench serves and trains on: 2^16
-// vertices, materialised once per process.
-const Dataset& products_dataset() {
-  static const Dataset dataset = [] {
-    MaterializeOptions options;
-    options.target_vertices = VertexId{1} << 16;
-    return materialize_dataset("ogbn-products", options);
-  }();
-  return dataset;
-}
+BENCHMARK(BM_StreamingGather)
+    ->ArgNames({"int8", "table"})
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->UseRealTime();
 
 /// `count` distinct training seeds, uniformly at random: a partial
 /// Fisher–Yates over `pool` (a copy of the training ids).

@@ -1,6 +1,21 @@
-// Unified metrics plane: named counters, gauges, and fixed-bucket
-// histograms behind one registry, so every subsystem reports through a
-// single substrate instead of inventing its own stats struct.
+// Unified metrics plane: callback gauges, counters, gauges and
+// fixed-bucket histograms behind one registry, so every subsystem
+// reports through a single substrate instead of inventing its own stats
+// struct.
+//
+// Count once.  The component that makes an event owns its count (the
+// field its stats() reads) and registers a callback gauge over it
+// (register_count, below, for an atomic count); snapshot() reads the
+// count there, so it exists with telemetry off too.  counter()/gauge()
+// are only for values no component holds (the watchdog's stalls,
+// end-of-run load.*/ingest.* reports, constants).
+// A second owner registering a live name takes the slot over; names are
+// never summed across owners (per-shard components prefix theirs).
+//
+// Detach in the destructor.  An owner calls detach(this) in its
+// destructor, after its last count lands (threaded: after joining);
+// detach runs each callback once more and freezes the value, so
+// exporters that outlive the owner see its final state.
 //
 // Design constraints, in order:
 //   1. The hot path (per-request, per-edge) must afford an increment:
@@ -14,15 +29,11 @@
 //      registration order, and registration order is fixed by wiring
 //      (constructors run in a defined order), so two runs of the same
 //      binary produce field-for-field comparable snapshots.
-//   3. Readers never block writers: snapshot() sums shards with relaxed
-//      loads; it is a point-in-time view, not a linearizable one, which
-//      is all a periodic exporter or a bench record needs.
-//
-// Callback gauges (register_callback) pull a value from a component at
-// snapshot time — overlay size, live tombstones — and MUST be detached
-// (detach(owner)) before the component dies; detach evaluates the
-// callback one last time and freezes that value so late exporters see
-// the final state instead of a dangling pointer.
+//   3. Readers barely touch writers: snapshot() sums shards with relaxed
+//      loads, and callbacks read relaxed atomics or hold their owner's
+//      lock for a few loads; it is a point-in-time view, not a
+//      linearizable one, which is all a periodic exporter or a bench
+//      record needs.
 #pragma once
 
 #include <atomic>
@@ -161,11 +172,13 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  /// A gauge whose value is pulled from `fn` at snapshot time.  `owner`
-  /// keys detachment: detach(owner) evaluates each of that owner's
-  /// callbacks once more and freezes the result, after which `fn` is
-  /// never called again.  Components register in their constructor and
-  /// detach in their destructor.
+  /// A gauge whose value is pulled from `fn` at snapshot time — how a
+  /// component exports a count it owns.  `owner` keys detachment:
+  /// detach(owner) evaluates each of that owner's callbacks once more
+  /// and freezes the result, after which `fn` is never called again.
+  /// Components register in their constructor and detach in their
+  /// destructor.  Registering a name that already exists takes the slot
+  /// over, keeping its snapshot position.
   void register_callback(const std::string& name, const void* owner,
                          std::function<double()> fn);
   void detach(const void* owner);
@@ -192,5 +205,15 @@ class MetricsRegistry {
   std::deque<Callback> callbacks_;
   std::unordered_map<std::string, std::size_t> by_name_;  ///< into entries_
 };
+
+/// Exports a count `owner` keeps in `count` as the callback gauge
+/// `name`, read with a relaxed load at snapshot time.  `count` must
+/// live until owner detaches.
+inline void register_count(MetricsRegistry& registry, const std::string& name,
+                           const void* owner, const std::atomic<std::int64_t>& count) {
+  registry.register_callback(name, owner, [&count] {
+    return static_cast<double>(count.load(std::memory_order_relaxed));
+  });
+}
 
 }  // namespace hyscale

@@ -8,12 +8,14 @@
 // Telemetry before building the serving/streaming session and hands a
 // raw pointer down through the config structs (ServingConfig.telemetry,
 // StreamingConfig.telemetry, ...).  A null pointer everywhere means
-// telemetry off — instruments are never consulted and spans cost one
-// branch — so the hot path pays nothing by default.
+// telemetry off — histograms and spans cost one branch, and counts cost
+// nothing extra — so the hot path pays nothing by default.
 //
-// Components that register snapshot-time callbacks against the
-// registry must registry.detach(this) in their destructor; see
-// obs/metrics.hpp.
+// Every event is counted once, by the component that makes it; the
+// registry reads those counts through snapshot-time callbacks, and each
+// component that registered one calls registry.detach(this) in its
+// destructor, freezing its final values.  The Telemetry must outlive
+// every component it is handed to.  See obs/metrics.hpp.
 #pragma once
 
 #include <cstdint>

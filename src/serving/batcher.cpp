@@ -22,7 +22,7 @@ bool DynamicBatcher::submit(InferenceRequest&& request) {
     if (stopped_ || queue_.size() >= policy_.queue_capacity) return false;
     queued_seeds_ += static_cast<std::int64_t>(request.seeds.size());
     queue_.push_back(std::move(request));
-    publish_depth_locked();
+    peak_depth_ = std::max(peak_depth_, queue_.size());
   }
   // One new request can complete at most one batch, so one worker
   // suffices; all waiting workers are equivalent consumers.
@@ -71,7 +71,6 @@ bool DynamicBatcher::next_batch(std::vector<InferenceRequest>& out) {
       out.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
-    publish_depth_locked();
     lock.unlock();
     // Submitters blocked on a full queue are not waited on a cv (submit
     // fails fast), so only workers need waking — for the case where two
@@ -94,22 +93,9 @@ std::size_t DynamicBatcher::depth() const {
   return queue_.size();
 }
 
-void DynamicBatcher::bind(Telemetry* telemetry) {
+std::size_t DynamicBatcher::peak_depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (telemetry == nullptr) {
-    m_depth_ = m_depth_peak_ = nullptr;
-    return;
-  }
-  m_depth_ = &telemetry->registry().gauge("serving.queue_depth");
-  m_depth_peak_ = &telemetry->registry().gauge("serving.queue_depth_peak");
-  publish_depth_locked();
-}
-
-void DynamicBatcher::publish_depth_locked() {
-  if (m_depth_ == nullptr) return;
-  const auto depth = static_cast<double>(queue_.size());
-  m_depth_->set(depth);
-  m_depth_peak_->set_max(depth);
+  return peak_depth_;
 }
 
 }  // namespace hyscale

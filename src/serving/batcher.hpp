@@ -23,7 +23,6 @@
 
 #include "common/timer.hpp"
 #include "graph/csr.hpp"
-#include "obs/telemetry.hpp"
 #include "tensor/tensor.hpp"
 
 namespace hyscale {
@@ -72,25 +71,19 @@ class DynamicBatcher {
   /// Wakes all waiting workers; queued requests are still handed out.
   void shutdown();
 
-  /// Publishes queue depth (live + peak) into `telemetry`'s registry on
-  /// every submit/dispatch.  nullptr unbinds; the Telemetry must
-  /// outlive the batcher.
-  void bind(Telemetry* telemetry);
-
   std::size_t depth() const;
+  /// High-water mark of depth() since construction.
+  std::size_t peak_depth() const;
   const BatchPolicy& policy() const { return policy_; }
 
  private:
-  void publish_depth_locked();
-
   BatchPolicy policy_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<InferenceRequest> queue_;
   std::int64_t queued_seeds_ = 0;  ///< running sum over queue_ (O(1) dispatch check)
+  std::size_t peak_depth_ = 0;
   bool stopped_ = false;
-  Gauge* m_depth_ = nullptr;       ///< serving.queue_depth
-  Gauge* m_depth_peak_ = nullptr;  ///< serving.queue_depth_peak (high-water)
 };
 
 }  // namespace hyscale

@@ -57,20 +57,47 @@ InferenceServer::InferenceServer(ServingBackend& backend, const ModelSnapshot& s
       backend_(backend),
       batcher_(config_.batch) {
   bind_telemetry();
-  init_workers(snapshot);
+  try {
+    init_workers(snapshot);
+  } catch (...) {
+    // No destructor runs: drop the callbacks over this half-built server.
+    if (config_.telemetry != nullptr) config_.telemetry->registry().detach(this);
+    throw;
+  }
 }
 
 void InferenceServer::bind_telemetry() {
   if (config_.telemetry == nullptr) return;
-  stats_.bind(config_.telemetry);
-  batcher_.bind(config_.telemetry);
   tracer_ = &config_.telemetry->tracer();
   if (config_.telemetry->exemplars().capacity() > 0)
     exemplars_ = &config_.telemetry->exemplars();
   MetricsRegistry& reg = config_.telemetry->registry();
-  m_served_version_ = &reg.gauge("serving.last_served_version");
-  m_model_epoch_ = &reg.gauge("model.epoch");
-  m_model_epoch_->set(1.0);
+  // The serving.* scalars read the one copy the stats, the batcher and
+  // this server keep; the destructor freezes them once the workers
+  // have drained.
+  const auto read = [&](const char* name, auto value) {
+    reg.register_callback(name, this, [value] { return static_cast<double>(value()); });
+  };
+  const auto total = [&](const char* name, auto field) {
+    read(name, [this, field] { return stats_.totals().*field; });
+  };
+  total("serving.requests_completed", &ServingSnapshot::completed_requests);
+  total("serving.requests_rejected", &ServingSnapshot::rejected_requests);
+  total("serving.batches", &ServingSnapshot::completed_batches);
+  total("serving.seeds", &ServingSnapshot::total_seeds);
+  total("serving.batch_requests_total", &ServingSnapshot::batch_requests_total);
+  total("serving.cache_hits", &ServingSnapshot::cache_hits);
+  total("serving.cache_misses", &ServingSnapshot::cache_misses);
+  total("serving.cache_device_bytes", &ServingSnapshot::device_bytes);
+  total("serving.cache_host_bytes", &ServingSnapshot::host_bytes);
+  total("serving.min_batch_requests", &ServingSnapshot::min_batch_requests);
+  total("serving.max_batch_requests", &ServingSnapshot::max_batch_requests);
+  m_latency_ = &reg.histogram("serving.latency_ms");
+  m_queue_wait_ = &reg.histogram("serving.queue_wait_ms");
+  read("serving.queue_depth", [this] { return batcher_.depth(); });
+  read("serving.queue_depth_peak", [this] { return batcher_.peak_depth(); });
+  read("serving.last_served_version", [this] { return last_served_version(); });
+  read("model.epoch", [this] { return model_epoch(); });
   backend_.bind_metrics(reg);
   config_.telemetry->journal().log(
       "serving_start", std::string("backend=") + backend_.name() +
@@ -108,6 +135,7 @@ InferenceServer::~InferenceServer() {
   batcher_.shutdown();
   pool_.reset();     // joins the worker loops after they drain the queue
   workers_.clear();  // sessions die before the backend they came from
+  if (config_.telemetry != nullptr) config_.telemetry->registry().detach(this);
 }
 
 std::optional<std::future<InferenceResult>> InferenceServer::try_submit(
@@ -162,7 +190,6 @@ std::uint64_t InferenceServer::swap_model(const ModelSnapshot& snapshot) {
     epoch = model_epoch_.load(std::memory_order_relaxed) + 1;
     model_epoch_.store(epoch, std::memory_order_release);
   }
-  if (m_model_epoch_ != nullptr) m_model_epoch_->set(static_cast<double>(epoch));
   if (config_.telemetry != nullptr) {
     config_.telemetry->journal().log(
         "model_swap", std::string("backend=") + backend_.name() +
@@ -247,8 +274,6 @@ void InferenceServer::execute_batch(Worker& worker, std::vector<InferenceRequest
              !last_served_version_.compare_exchange_weak(seen, freshness,
                                                          std::memory_order_relaxed)) {
       }
-      if (m_served_version_ != nullptr)
-        m_served_version_->set_max(static_cast<double>(freshness));
     }
     MiniBatch mb = session.sample(combined, batch_stream_seed(config_.seed, combined));
     const std::int64_t sample_end_ns = diag ? StageTracer::now_ns() : 0;
@@ -298,6 +323,10 @@ void InferenceServer::execute_batch(Worker& worker, std::vector<InferenceRequest
       result.batch_requests = static_cast<std::int64_t>(batch.size());
       result.batch_seeds = batch_seeds;
       stats_.record_completion(result.latency, result.queue_wait);
+      if (m_latency_ != nullptr) {
+        m_latency_->observe_seconds(result.latency);
+        m_queue_wait_->observe_seconds(result.queue_wait);
+      }
       request.promise.set_value(std::move(result));
     }
     const std::int64_t reply_end_ns = diag ? StageTracer::now_ns() : 0;

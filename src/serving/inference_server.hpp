@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "obs/telemetry.hpp"
 #include "serving/backend.hpp"
 #include "serving/batcher.hpp"
 #include "serving/model_snapshot.hpp"
@@ -57,8 +58,9 @@ class InferenceServer {
   /// Serves over `backend`, which must outlive the server and serve
   /// only this server; its cache.* gauges are bound to
   /// config.telemetry's registry (if set) and stay registered until the
-  /// BACKEND dies.  The snapshot is consumed at construction (per-worker
-  /// replicas are stamped out immediately).
+  /// BACKEND dies.  The server's own serving.* and model.epoch
+  /// callbacks freeze when the server dies.  The snapshot is consumed
+  /// at construction (per-worker replicas are stamped out immediately).
   InferenceServer(ServingBackend& backend, const ModelSnapshot& snapshot,
                   ServingConfig config = {});
   ~InferenceServer();
@@ -88,6 +90,7 @@ class InferenceServer {
   std::uint64_t model_epoch() const { return model_epoch_.load(std::memory_order_acquire); }
 
   ServingSnapshot stats() const { return stats_.snapshot(); }
+  const DynamicBatcher& batcher() const { return batcher_; }
   const StaticFeatureCache* cache() const { return backend_.cache(); }
   const ServingConfig& config() const { return config_; }
   int num_classes() const { return num_classes_; }
@@ -159,8 +162,8 @@ class InferenceServer {
 
   StageTracer* tracer_ = nullptr;      ///< from config_.telemetry, may be null
   ExemplarRing* exemplars_ = nullptr;  ///< tail-trace ring, null when off
-  Gauge* m_served_version_ = nullptr;  ///< serving.last_served_version
-  Gauge* m_model_epoch_ = nullptr;     ///< model.epoch
+  Histogram* m_latency_ = nullptr;     ///< serving.latency_ms, null when off
+  Histogram* m_queue_wait_ = nullptr;  ///< serving.queue_wait_ms, null when off
 };
 
 }  // namespace hyscale

@@ -47,17 +47,11 @@ void ServingStats::record_completion(Seconds latency, Seconds queue_wait) {
       queue_waits_[j] = queue_wait;
     }
   }
-  if (m_completed_ != nullptr) {
-    m_completed_->add(1);
-    m_latency_->observe_seconds(latency);
-    m_queue_wait_->observe_seconds(queue_wait);
-  }
 }
 
 void ServingStats::record_rejection() {
   std::lock_guard<std::mutex> lock(mutex_);
   ++rejected_;
-  if (m_rejected_ != nullptr) m_rejected_->add(1);
 }
 
 void ServingStats::record_batch(std::int64_t requests, std::int64_t seeds) {
@@ -68,13 +62,6 @@ void ServingStats::record_batch(std::int64_t requests, std::int64_t seeds) {
   min_batch_requests_ =
       batches_ == 1 ? requests : std::min(min_batch_requests_, requests);
   max_batch_requests_ = std::max(max_batch_requests_, requests);
-  if (m_batches_ != nullptr) {
-    m_batches_->add(1);
-    m_batch_requests_->add(requests);
-    m_seeds_->add(seeds);
-    m_min_batch_->set(static_cast<double>(min_batch_requests_));
-    m_max_batch_->set(static_cast<double>(max_batch_requests_));
-  }
 }
 
 void ServingStats::record_gather(const StaticFeatureCache::LoadStats& stats) {
@@ -83,37 +70,6 @@ void ServingStats::record_gather(const StaticFeatureCache::LoadStats& stats) {
   gather_.misses += stats.misses;
   gather_.device_bytes += stats.device_bytes;
   gather_.host_bytes += stats.host_bytes;
-  if (m_cache_hits_ != nullptr) {
-    m_cache_hits_->add(stats.hits);
-    m_cache_misses_->add(stats.misses);
-    m_device_bytes_->set(static_cast<double>(gather_.device_bytes));
-    m_host_bytes_->set(static_cast<double>(gather_.host_bytes));
-  }
-}
-
-void ServingStats::bind(Telemetry* telemetry) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (telemetry == nullptr) {
-    m_completed_ = m_rejected_ = m_batches_ = m_seeds_ = m_batch_requests_ = nullptr;
-    m_cache_hits_ = m_cache_misses_ = nullptr;
-    m_device_bytes_ = m_host_bytes_ = m_min_batch_ = m_max_batch_ = nullptr;
-    m_latency_ = m_queue_wait_ = nullptr;
-    return;
-  }
-  MetricsRegistry& reg = telemetry->registry();
-  m_completed_ = &reg.counter("serving.requests_completed");
-  m_rejected_ = &reg.counter("serving.requests_rejected");
-  m_batches_ = &reg.counter("serving.batches");
-  m_seeds_ = &reg.counter("serving.seeds");
-  m_batch_requests_ = &reg.counter("serving.batch_requests_total");
-  m_cache_hits_ = &reg.counter("serving.cache_hits");
-  m_cache_misses_ = &reg.counter("serving.cache_misses");
-  m_device_bytes_ = &reg.gauge("serving.cache_device_bytes");
-  m_host_bytes_ = &reg.gauge("serving.cache_host_bytes");
-  m_min_batch_ = &reg.gauge("serving.min_batch_requests");
-  m_max_batch_ = &reg.gauge("serving.max_batch_requests");
-  m_latency_ = &reg.histogram("serving.latency_ms");
-  m_queue_wait_ = &reg.histogram("serving.queue_wait_ms");
 }
 
 ServingSnapshot ServingStats::snapshot() const {
@@ -122,33 +78,9 @@ ServingSnapshot ServingStats::snapshot() const {
   ServingSnapshot s;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    s = totals_locked();
     sorted = latencies_;
     sorted_waits = queue_waits_;
-    s.completed_requests = completed_;
-    if (completed_ > 0) {
-      s.latency_mean = latency_sum_ / static_cast<double>(completed_);
-      s.queue_wait_mean = queue_wait_sum_ / static_cast<double>(completed_);
-      s.compute_mean = s.latency_mean - s.queue_wait_mean;
-    }
-    s.latency_max = latency_max_;
-    s.queue_wait_max = queue_wait_max_;
-    s.rejected_requests = rejected_;
-    s.completed_batches = batches_;
-    s.total_seeds = batch_seeds_sum_;
-    s.min_batch_requests = min_batch_requests_;
-    s.max_batch_requests = max_batch_requests_;
-    s.cache_hits = gather_.hits;
-    s.cache_misses = gather_.misses;
-    s.device_bytes = gather_.device_bytes;
-    s.host_bytes = gather_.host_bytes;
-    s.cache_hit_rate = gather_.hit_rate();
-    s.uptime = uptime_.elapsed();
-    if (batches_ > 0) {
-      s.mean_batch_requests =
-          static_cast<double>(batch_requests_sum_) / static_cast<double>(batches_);
-      s.mean_batch_seeds =
-          static_cast<double>(batch_seeds_sum_) / static_cast<double>(batches_);
-    }
   }
   std::sort(sorted.begin(), sorted.end());
   if (!sorted.empty()) {
@@ -161,6 +93,41 @@ ServingSnapshot ServingStats::snapshot() const {
     s.queue_wait_p50 = percentile(sorted_waits, 0.50);
     s.queue_wait_p95 = percentile(sorted_waits, 0.95);
     s.queue_wait_p99 = percentile(sorted_waits, 0.99);
+  }
+  return s;
+}
+
+ServingSnapshot ServingStats::totals() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return totals_locked();
+}
+
+ServingSnapshot ServingStats::totals_locked() const {
+  ServingSnapshot s;
+  s.completed_requests = completed_;
+  if (completed_ > 0) {
+    s.latency_mean = latency_sum_ / static_cast<double>(completed_);
+    s.queue_wait_mean = queue_wait_sum_ / static_cast<double>(completed_);
+    s.compute_mean = s.latency_mean - s.queue_wait_mean;
+  }
+  s.latency_max = latency_max_;
+  s.queue_wait_max = queue_wait_max_;
+  s.rejected_requests = rejected_;
+  s.completed_batches = batches_;
+  s.total_seeds = batch_seeds_sum_;
+  s.batch_requests_total = batch_requests_sum_;
+  s.min_batch_requests = min_batch_requests_;
+  s.max_batch_requests = max_batch_requests_;
+  s.cache_hits = gather_.hits;
+  s.cache_misses = gather_.misses;
+  s.device_bytes = gather_.device_bytes;
+  s.host_bytes = gather_.host_bytes;
+  s.cache_hit_rate = gather_.hit_rate();
+  s.uptime = uptime_.elapsed();
+  if (batches_ > 0) {
+    s.mean_batch_requests =
+        static_cast<double>(batch_requests_sum_) / static_cast<double>(batches_);
+    s.mean_batch_seeds = static_cast<double>(batch_seeds_sum_) / static_cast<double>(batches_);
   }
   if (s.uptime > 0.0) {
     s.qps = static_cast<double>(s.completed_requests) / s.uptime;

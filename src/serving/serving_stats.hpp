@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/timer.hpp"
-#include "obs/telemetry.hpp"
 #include "runtime/feature_cache.hpp"
 
 namespace hyscale {
@@ -51,6 +50,7 @@ struct ServingSnapshot {
   Seconds queue_wait_max = 0.0;
   Seconds compute_mean = 0.0;     ///< latency_mean - queue_wait_mean, per request
 
+  std::int64_t batch_requests_total = 0;  ///< requests summed over micro-batches
   double mean_batch_requests = 0.0;  ///< requests coalesced per micro-batch
   double mean_batch_seeds = 0.0;
   std::int64_t min_batch_requests = 0;
@@ -73,13 +73,10 @@ class ServingStats {
   void record_batch(std::int64_t requests, std::int64_t seeds);
   void record_gather(const StaticFeatureCache::LoadStats& stats);
 
-  /// Mirrors every subsequent record_* into `telemetry`'s registry
-  /// (serving.* counters, latency/queue-wait histograms, batch-shape
-  /// gauges), so the server is instrumented at exactly one choke point.
-  /// Pass nullptr to unbind.  The Telemetry must outlive the stats.
-  void bind(Telemetry* telemetry);
-
   ServingSnapshot snapshot() const;
+  /// snapshot() without the reservoir percentiles (left 0): one lock,
+  /// no copy or sort — what the server's serving.* callbacks read.
+  ServingSnapshot totals() const;
   void reset();
 
   /// Latency/queue-wait samples retained for percentile estimates.
@@ -112,22 +109,7 @@ class ServingStats {
   std::int64_t max_batch_requests_ = 0;
   StaticFeatureCache::LoadStats gather_;
 
-  // Registry mirrors; null until bind().  Instrument operations are
-  // atomic, so mirroring happens inside the record_* critical sections
-  // without extra synchronization cost beyond the increments.
-  Counter* m_completed_ = nullptr;
-  Counter* m_rejected_ = nullptr;
-  Counter* m_batches_ = nullptr;
-  Counter* m_seeds_ = nullptr;
-  Counter* m_batch_requests_ = nullptr;
-  Counter* m_cache_hits_ = nullptr;
-  Counter* m_cache_misses_ = nullptr;
-  Gauge* m_device_bytes_ = nullptr;
-  Gauge* m_host_bytes_ = nullptr;
-  Gauge* m_min_batch_ = nullptr;
-  Gauge* m_max_batch_ = nullptr;
-  Histogram* m_latency_ = nullptr;
-  Histogram* m_queue_wait_ = nullptr;
+  ServingSnapshot totals_locked() const;
 };
 
 }  // namespace hyscale

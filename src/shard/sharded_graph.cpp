@@ -91,7 +91,11 @@ void ShardedStreamingGraph::bind_telemetry() {
   auto& registry = telemetry->registry();
   tracer_ = &telemetry->tracer();
   journal_ = &telemetry->journal();
-  m_adoptions_ = &registry.counter("sharded.cut_adoptions");
+  // Every count is the facade's own atomic, read at snapshot time.
+  const auto count = [&](const char* name, const std::atomic<std::int64_t>& counter) {
+    register_count(registry, name, this, counter);
+  };
+  count("sharded.cut_adoptions", cut_adoptions_);
   registry.gauge("sharded.num_shards").set(static_cast<double>(num_shards()));
   registry.gauge("sharded.edge_cut_fraction")
       .set(partition_.edge_cut_fraction(dataset_->graph.num_edges()));
@@ -100,22 +104,17 @@ void ShardedStreamingGraph::bind_telemetry() {
     const auto cut = current_cut();
     return cut == nullptr ? 0.0 : static_cast<double>(cut->cut_id());
   });
-  // Logical op counters (each op counted ONCE regardless of how many
-  // shards applied it) — the per-shard stream.* counters double-book
+  // Logical op counts: each op counted ONCE regardless of how many
+  // shards applied it — the per-shard stream.* counts double-book
   // cross-shard edges, so record builders must read these instead.
-  const auto logical = [&](const char* name, std::atomic<std::int64_t>& counter) {
-    registry.register_callback(name, this, [&counter] {
-      return static_cast<double>(counter.load(std::memory_order_relaxed));
-    });
-  };
-  logical("sharded.ingested_edges", ingested_edges_);
-  logical("sharded.duplicate_edges", duplicate_edges_);
-  logical("sharded.removed_edges", removed_edges_);
-  logical("sharded.rejected_removals", rejected_removals_);
-  logical("sharded.added_vertices", added_vertices_);
-  logical("sharded.removed_vertices", removed_vertices_);
-  logical("sharded.feature_updates", feature_updates_);
-  logical("sharded.expired_vertices", expired_vertices_);
+  count("sharded.ingested_edges", ingested_edges_);
+  count("sharded.duplicate_edges", duplicate_edges_);
+  count("sharded.removed_edges", removed_edges_);
+  count("sharded.rejected_removals", rejected_removals_);
+  count("sharded.added_vertices", added_vertices_);
+  count("sharded.removed_vertices", removed_vertices_);
+  count("sharded.feature_updates", feature_updates_);
+  count("sharded.expired_vertices", expired_vertices_);
 }
 
 std::mutex& ShardedStreamingGraph::edge_stripe(VertexId u, VertexId v) const {
@@ -245,7 +244,6 @@ std::shared_ptr<const ShardedCut> ShardedStreamingGraph::adopt() {
     current_cut_ = cut;
   }
   cut_adoptions_.fetch_add(1, std::memory_order_relaxed);
-  if (m_adoptions_ != nullptr) m_adoptions_->add(1);
   if (tracer_ != nullptr) {
     tracer_->record(TraceStage::kAdopt, cut->cut_id(), 0, begin_ns, StageTracer::now_ns());
   }

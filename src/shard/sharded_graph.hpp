@@ -306,10 +306,9 @@ class ShardedStreamingGraph : public ExpiryTarget {
   std::atomic<std::int64_t> expired_vertices_{0};
   std::atomic<std::int64_t> cut_adoptions_{0};
 
-  // Registry mirrors + tracer/journal; all null when telemetry is off.
+  // Telemetry handles; null when telemetry is off.
   StageTracer* tracer_ = nullptr;
   EventJournal* journal_ = nullptr;
-  Counter* m_adoptions_ = nullptr;
 };
 
 }  // namespace hyscale

@@ -19,9 +19,9 @@ Compactor::Compactor(StreamingGraph& graph, CompactionPolicy policy)
     // Instruments inherit the graph's shard prefix so per-shard
     // compactors sharing one registry stay distinguishable.
     const std::string& prefix = graph_.config().metric_prefix;
-    m_compactions_ = &reg.counter(prefix + "compactor.folds");
-    m_annihilation_passes_ = &reg.counter(prefix + "compactor.annihilation_passes");
-    m_refused_folds_ = &reg.counter(prefix + "compactor.refused_folds");
+    register_count(reg, prefix + "compactor.folds", this, compactions_);
+    register_count(reg, prefix + "compactor.annihilation_passes", this, annihilation_passes_);
+    register_count(reg, prefix + "compactor.refused_folds", this, refused_folds_);
     // Hint = poll cadence: between maintenance rounds the loop beats
     // once per wakeup, so a heart stale for many multiples of this
     // while busy means the thread is wedged inside a fold.
@@ -30,10 +30,21 @@ Compactor::Compactor(StreamingGraph& graph, CompactionPolicy policy)
         std::max<std::int64_t>(static_cast<std::int64_t>(policy_.poll_interval * 1e9),
                                1'000'000));
   }
-  thread_ = std::thread([this] { loop(); });
+  try {
+    thread_ = std::thread([this] { loop(); });
+  } catch (...) {
+    // No destructor runs: drop the callbacks over this half-built object.
+    if (Telemetry* telemetry = graph_.telemetry(); telemetry != nullptr)
+      telemetry->registry().detach(this);
+    throw;
+  }
 }
 
-Compactor::~Compactor() { stop(); }
+Compactor::~Compactor() {
+  stop();
+  if (Telemetry* telemetry = graph_.telemetry(); telemetry != nullptr)
+    telemetry->registry().detach(this);
+}
 
 void Compactor::stop() {
   {
@@ -104,7 +115,6 @@ void Compactor::loop() {
         // which case the rebase gets the credit).
         if (!folding) {
           annihilation_passes_.fetch_add(1, std::memory_order_relaxed);
-          if (m_annihilation_passes_ != nullptr) m_annihilation_passes_->add(1);
         }
         backoff = 0.0;
         lock.lock();
@@ -129,14 +139,12 @@ void Compactor::loop() {
     if (graph_.compact()) {
       if (heart_ != nullptr) heart_->beat();
       compactions_.fetch_add(1, std::memory_order_relaxed);
-      if (m_compactions_ != nullptr) m_compactions_->add(1);
       backoff = 0.0;
     } else if (should_compact()) {
       // Fold refused while the trigger stays hot (e.g. a long-lived
       // structural race): widen the next wait instead of spinning one
       // refused snapshot per poll tick.
       refused_folds_.fetch_add(1, std::memory_order_relaxed);
-      if (m_refused_folds_ != nullptr) m_refused_folds_->add(1);
       backoff = next_backoff(backoff, policy_);
       if (heart_ != nullptr) heart_->beat();
     } else {

@@ -57,7 +57,9 @@ class Compactor {
   };
 
   /// `graph` must outlive the compactor.  The background thread starts
-  /// immediately and stops (joined) on destruction or stop().
+  /// immediately and stops (joined) on destruction or stop().  With
+  /// telemetry on, compactor.* read the counts below at snapshot time
+  /// until destruction freezes them.
   explicit Compactor(StreamingGraph& graph, CompactionPolicy policy = {});
   ~Compactor();
 
@@ -97,10 +99,6 @@ class Compactor {
 
   StreamingGraph& graph_;
   CompactionPolicy policy_;
-  // Registry mirrors from graph_.telemetry(); null when telemetry off.
-  Counter* m_compactions_ = nullptr;
-  Counter* m_annihilation_passes_ = nullptr;
-  Counter* m_refused_folds_ = nullptr;
   Heartbeat* heart_ = nullptr;  ///< liveness stamp when telemetry on
   std::atomic<std::int64_t> compactions_{0};
   std::atomic<std::int64_t> annihilation_passes_{0};

@@ -22,17 +22,28 @@ ExpirySweeper::ExpirySweeper(ExpiryTarget& target, ExpiryPolicy policy)
         "ExpirySweeper: pending_op_budget must be resolved (>= 0) before construction");
   if (Telemetry* telemetry = target_.telemetry(); telemetry != nullptr) {
     MetricsRegistry& reg = telemetry->registry();
-    m_sweeps_ = &reg.counter("expiry.sweeps");
-    m_retired_ = &reg.counter("expiry.retired");
+    register_count(reg, "expiry.sweeps", this, sweeps_);
+    register_count(reg, "expiry.retired", this, retired_);
     heart_ = &telemetry->heartbeats().register_thread(
         std::string(target_.expiry_scope()) + ".expiry_sweeper",
         std::max<std::int64_t>(static_cast<std::int64_t>(policy_.sweep_interval * 1e9),
                                1'000'000));
   }
-  thread_ = std::thread([this] { loop(); });
+  try {
+    thread_ = std::thread([this] { loop(); });
+  } catch (...) {
+    // No destructor runs: drop the callbacks over this half-built object.
+    if (Telemetry* telemetry = target_.telemetry(); telemetry != nullptr)
+      telemetry->registry().detach(this);
+    throw;
+  }
 }
 
-ExpirySweeper::~ExpirySweeper() { stop(); }
+ExpirySweeper::~ExpirySweeper() {
+  stop();
+  if (Telemetry* telemetry = target_.telemetry(); telemetry != nullptr)
+    telemetry->registry().detach(this);
+}
 
 void ExpirySweeper::stop() {
   {
@@ -58,10 +69,6 @@ void ExpirySweeper::loop() {
     if (heart_ != nullptr) heart_->beat();
     sweeps_.fetch_add(1, std::memory_order_relaxed);
     retired_.fetch_add(swept, std::memory_order_relaxed);
-    if (m_sweeps_ != nullptr) {
-      m_sweeps_->add(1);
-      m_retired_->add(swept);
-    }
     lock.lock();
   }
 }

@@ -32,7 +32,6 @@
 
 namespace hyscale {
 
-class Counter;
 class Heartbeat;
 
 struct ExpiryPolicy {
@@ -76,9 +75,6 @@ class ExpirySweeper {
 
   ExpiryTarget& target_;
   ExpiryPolicy policy_;
-  // Registry mirrors from target_.telemetry(); null when telemetry off.
-  Counter* m_sweeps_ = nullptr;
-  Counter* m_retired_ = nullptr;
   Heartbeat* heart_ = nullptr;  ///< liveness stamp when telemetry on
   std::atomic<std::int64_t> sweeps_{0};
   std::atomic<std::int64_t> retired_{0};

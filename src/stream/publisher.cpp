@@ -17,10 +17,12 @@ Publisher::Publisher(StreamingGraph& graph, PublisherPolicy policy)
     // Instruments inherit the graph's shard prefix so per-shard
     // publishers sharing one registry stay distinguishable.
     const std::string& prefix = graph_.config().metric_prefix;
-    m_publishes_ = &reg.counter(prefix + "publisher.publishes");
-    m_breaches_ = &reg.counter(prefix + "publisher.breaches");
-    m_worst_staleness_ = &reg.gauge(prefix + "publisher.worst_staleness_ms");
-    m_worst_cost_ = &reg.gauge(prefix + "publisher.worst_publish_cost_ms");
+    register_count(reg, prefix + "publisher.publishes", this, publishes_);
+    register_count(reg, prefix + "publisher.breaches", this, breaches_);
+    reg.register_callback(prefix + "publisher.worst_staleness_ms", this,
+                          [this] { return worst_staleness() * 1e3; });
+    reg.register_callback(prefix + "publisher.worst_publish_cost_ms", this,
+                          [this] { return worst_publish_cost() * 1e3; });
     m_staleness_ = &reg.histogram(prefix + "publisher.visible_staleness_ms");
     journal_ = &telemetry->journal();
     telemetry_ = telemetry;
@@ -31,10 +33,19 @@ Publisher::Publisher(StreamingGraph& graph, PublisherPolicy policy)
         std::max<std::int64_t>(static_cast<std::int64_t>(policy_.staleness_budget * 1e9),
                                1'000'000));
   }
-  thread_ = std::thread([this] { loop(); });
+  try {
+    thread_ = std::thread([this] { loop(); });
+  } catch (...) {
+    // No destructor runs: drop the callbacks over this half-built object.
+    if (telemetry_ != nullptr) telemetry_->registry().detach(this);
+    throw;
+  }
 }
 
-Publisher::~Publisher() { stop(); }
+Publisher::~Publisher() {
+  stop();
+  if (telemetry_ != nullptr) telemetry_->registry().detach(this);
+}
 
 void Publisher::stop() {
   {
@@ -107,7 +118,6 @@ void Publisher::loop() {
           std::lock_guard stats(stats_mutex_);
           worst_publish_cost_ = std::max(worst_publish_cost_, took);
         }
-        if (m_worst_cost_ != nullptr) m_worst_cost_->set_max(took * 1e3);
         // start_age can read 0 when a caller-paced publish raced us and
         // already made everything visible; nothing waited, so nothing
         // is accounted.
@@ -117,11 +127,9 @@ void Publisher::loop() {
             std::lock_guard stats(stats_mutex_);
             worst_staleness_ = std::max(worst_staleness_, visible_age);
           }
-          if (m_worst_staleness_ != nullptr) m_worst_staleness_->set_max(visible_age * 1e3);
           if (m_staleness_ != nullptr) m_staleness_->observe_seconds(visible_age);
           if (visible_age > policy_.staleness_budget) {
             breaches_.fetch_add(1, std::memory_order_relaxed);
-            if (m_breaches_ != nullptr) m_breaches_->add(1);
             if (journal_ != nullptr)
               journal_->log("slo_breach",
                             "visible_staleness_ms=" + std::to_string(visible_age * 1e3) +
@@ -133,7 +141,6 @@ void Publisher::loop() {
           }
         }
         publishes_.fetch_add(1, std::memory_order_relaxed);
-        if (m_publishes_ != nullptr) m_publishes_->add(1);
         lock.lock();
         continue;
       }

@@ -82,14 +82,10 @@ class Publisher {
 
   StreamingGraph& graph_;
   PublisherPolicy policy_;
-  // Registry mirrors from graph_.telemetry(); null when telemetry off.
-  Counter* m_publishes_ = nullptr;
-  Counter* m_breaches_ = nullptr;
-  Gauge* m_worst_staleness_ = nullptr;
-  Gauge* m_worst_cost_ = nullptr;
+  // Telemetry handles from graph_.telemetry(); null when telemetry off.
   Histogram* m_staleness_ = nullptr;  ///< completion-time visible staleness
   EventJournal* journal_ = nullptr;
-  Telemetry* telemetry_ = nullptr;  ///< trip channel: a breach escalates
+  Telemetry* telemetry_ = nullptr;  ///< trip channel; publisher.* detach here
   Heartbeat* heart_ = nullptr;      ///< liveness stamp when telemetry on
   std::atomic<std::int64_t> publishes_{0};
   std::atomic<std::int64_t> breaches_{0};

@@ -181,24 +181,29 @@ void StreamingGraph::bind_telemetry() {
   // graphs sharing one registry never collide; the flat single-graph
   // names are the empty-prefix case.
   const auto name = [this](const char* suffix) { return config_.metric_prefix + suffix; };
-  m_ingested_ = &reg.counter(name("stream.ingested_edges"));
-  m_duplicates_ = &reg.counter(name("stream.duplicate_edges"));
-  m_removed_ = &reg.counter(name("stream.removed_edges"));
-  m_rejected_removals_ = &reg.counter(name("stream.rejected_removals"));
-  m_added_vertices_ = &reg.counter(name("stream.added_vertices"));
-  m_removed_vertices_ = &reg.counter(name("stream.removed_vertices"));
-  m_recycled_vertices_ = &reg.counter(name("stream.recycled_vertices"));
-  m_feature_updates_ = &reg.counter(name("stream.feature_updates"));
-  m_publishes_ = &reg.counter(name("stream.publishes"));
-  m_compactions_ = &reg.counter(name("stream.compactions"));
-  m_annihilations_ = &reg.counter(name("stream.annihilations"));
-  m_expired_ = &reg.counter(name("stream.expired_vertices"));
-  m_cache_reranks_ = &reg.counter(name("stream.cache_reranks"));
+  // Event counts are this graph's own atomics (the ones stats()
+  // reads), pulled at snapshot time like the structural state below —
+  // an event is counted once, and counted with telemetry off too.
+  const auto count = [&](const char* suffix, const std::atomic<std::int64_t>& counter) {
+    register_count(reg, name(suffix), this, counter);
+  };
+  count("stream.ingested_edges", ingested_edges_);
+  count("stream.duplicate_edges", duplicate_edges_);
+  count("stream.removed_edges", removed_edges_);
+  count("stream.rejected_removals", rejected_removals_);
+  count("stream.added_vertices", added_vertices_);
+  count("stream.removed_vertices", removed_vertices_);
+  count("stream.recycled_vertices", recycled_vertices_);
+  count("stream.feature_updates", feature_updates_);
+  count("stream.publishes", publishes_);
+  count("stream.compactions", compactions_);
+  count("stream.annihilations", annihilations_);
+  count("stream.expired_vertices", expired_vertices_);
+  count("stream.cache_reranks", cache_reranks_);
   m_publish_lag_ = &reg.histogram(name("stream.publish_lag_ms"));
-  // Structural state is pulled at snapshot time (callback gauges) —
-  // overlay/tombstone/base sizes change on every op and counting them
-  // twice would put a second atomic on the ingest path for nothing.
-  // Detached (values frozen) in the destructor.
+  // Structural state is read from the delta store and the feature
+  // store, which already hold it.  Every callback is detached (values
+  // frozen) in the destructor.
   reg.register_callback(name("stream.overlay_edges"), this,
                         [this] { return static_cast<double>(delta_.delta_edges()); });
   reg.register_callback(name("stream.tombstones"), this,
@@ -232,11 +237,9 @@ bool StreamingGraph::add_edge(VertexId u, VertexId v) {
   }
   if (landed == 0) {
     duplicate_edges_.fetch_add(1, std::memory_order_relaxed);
-    if (m_duplicates_ != nullptr) m_duplicates_->add(1);
     return false;
   }
   ingested_edges_.fetch_add(landed, std::memory_order_relaxed);
-  if (m_ingested_ != nullptr) m_ingested_->add(landed);
   note_pending_ingest();
   return true;
 }
@@ -250,11 +253,9 @@ bool StreamingGraph::remove_edge(VertexId u, VertexId v) {
   }
   if (landed == 0) {
     rejected_removals_.fetch_add(1, std::memory_order_relaxed);
-    if (m_rejected_removals_ != nullptr) m_rejected_removals_->add(1);
     return false;
   }
   removed_edges_.fetch_add(landed, std::memory_order_relaxed);
-  if (m_removed_ != nullptr) m_removed_->add(landed);
   note_pending_ingest();
   return true;
 }
@@ -289,12 +290,8 @@ VertexId StreamingGraph::add_vertex(std::span<const float> features) {
         throw std::logic_error("StreamingGraph: feature rows out of sync with vertex space");
     }
   }
-  if (recycled) {
-    recycled_vertices_.fetch_add(1, std::memory_order_relaxed);
-    if (m_recycled_vertices_ != nullptr) m_recycled_vertices_->add(1);
-  }
+  if (recycled) recycled_vertices_.fetch_add(1, std::memory_order_relaxed);
   added_vertices_.fetch_add(1, std::memory_order_relaxed);
-  if (m_added_vertices_ != nullptr) m_added_vertices_->add(1);
   note_pending_ingest();
   return id;
 }
@@ -315,10 +312,8 @@ bool StreamingGraph::remove_vertex(VertexId v) {
       cache_->evict(std::span<const VertexId>(ids, 1));
     }
     removed_edges_.fetch_add(retracted, std::memory_order_relaxed);
-    if (m_removed_ != nullptr) m_removed_->add(retracted);
   }
   removed_vertices_.fetch_add(1, std::memory_order_relaxed);
-  if (m_removed_vertices_ != nullptr) m_removed_vertices_->add(1);
   note_pending_ingest();
   return true;
 }
@@ -337,7 +332,6 @@ bool StreamingGraph::update_feature(VertexId v, std::span<const float> values) {
     cache_->invalidate(std::span<const VertexId>(ids, 1));
   }
   feature_updates_.fetch_add(1, std::memory_order_relaxed);
-  if (m_feature_updates_ != nullptr) m_feature_updates_->add(1);
   return true;
 }
 
@@ -363,7 +357,6 @@ std::shared_ptr<const GraphVersion> StreamingGraph::publish() {
       static_cast<std::uint64_t>(snapshot.num_inserts + snapshot.num_removes);
   auto version = install_version(std::move(base), base_max, std::move(snapshot), marker);
   publishes_.fetch_add(1, std::memory_order_relaxed);
-  if (m_publishes_ != nullptr) m_publishes_->add(1);
   if (traced)
     tracer_->record(TraceStage::kPublish, version->id(), ops, begin_ns,
                     StageTracer::now_ns());
@@ -501,7 +494,6 @@ bool StreamingGraph::compact() {
     throw;
   }
   compactions_.fetch_add(1, std::memory_order_relaxed);
-  if (m_compactions_ != nullptr) m_compactions_->add(1);
   if (traced)
     tracer_->record(TraceStage::kRebase, fold_ctx,
                     static_cast<std::uint64_t>(merged->num_edges()), phase_begin_ns,
@@ -531,7 +523,7 @@ void StreamingGraph::rerank_cache(const CsrGraph& base) {
   // re-enter the cache no matter how hot its counter was.
   const std::int64_t admitted =
       cache_->rerank_by_traffic(base, [this](VertexId v) { return delta_.is_dead(v); });
-  if (m_cache_reranks_ != nullptr) m_cache_reranks_->add(1);
+  cache_reranks_.fetch_add(1, std::memory_order_relaxed);
   if (journal_ != nullptr) journal_->log("rerank", "admitted=" + std::to_string(admitted));
 }
 
@@ -550,7 +542,6 @@ EdgeId StreamingGraph::annihilate() {
   const EdgeId erased = delta_.annihilate(/*gate=*/0);
   if (erased > 0) {
     annihilations_.fetch_add(1, std::memory_order_relaxed);
-    if (m_annihilations_ != nullptr) m_annihilations_->add(1);
     if (journal_ != nullptr)
       journal_->log("annihilate", "erased_ops=" + std::to_string(erased));
   }
@@ -580,11 +571,8 @@ std::int64_t StreamingGraph::sweep_expired(Seconds ttl, std::int64_t max_retire,
     if (remove_vertex(v)) ++retired;
   }
   expired_vertices_.fetch_add(retired, std::memory_order_relaxed);
-  if (retired > 0) {
-    if (m_expired_ != nullptr) m_expired_->add(retired);
-    if (journal_ != nullptr)
-      journal_->log("ttl_sweep", "retired=" + std::to_string(retired));
-  }
+  if (retired > 0 && journal_ != nullptr)
+    journal_->log("ttl_sweep", "retired=" + std::to_string(retired));
   if (traced)
     tracer_->record(TraceStage::kTtlSweep, static_cast<std::uint64_t>(retired), 0,
                     begin_ns, StageTracer::now_ns());
@@ -665,6 +653,7 @@ StreamStats StreamingGraph::stats() const {
   s.annihilations = annihilations_.load(std::memory_order_relaxed);
   s.annihilated_ops = static_cast<std::int64_t>(delta_.annihilated_ops());
   s.expired_vertices = expired_vertices_.load(std::memory_order_relaxed);
+  s.cache_reranks = cache_reranks_.load(std::memory_order_relaxed);
   s.overlay_edges = delta_.delta_edges();
   s.tombstones = delta_.delta_removes();
   s.base_edges = delta_.base()->num_edges();

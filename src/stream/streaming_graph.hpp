@@ -188,9 +188,9 @@ struct StreamingConfig {
   /// so N shards sharing one Telemetry plane never collide in the
   /// registry.  Empty (default) keeps the flat single-graph names.
   std::string metric_prefix;
-  /// Telemetry plane to report through: stream.* counters and callback
-  /// gauges, publish/fold/annihilate/sweep spans, lifecycle journal
-  /// events.  The background maintenance components (Publisher,
+  /// Telemetry plane to report through: stream.* callback gauges over
+  /// this graph's own counts, publish/fold/annihilate/sweep spans,
+  /// lifecycle journal events.  The background maintenance components (Publisher,
   /// Compactor, ExpirySweeper) and the UpdateGenerator reach the same
   /// plane via StreamingGraph::telemetry().  Null = off (default);
   /// must outlive the graph when set.
@@ -212,6 +212,7 @@ struct StreamStats {
   std::int64_t annihilations = 0;      ///< annihilate() passes that erased ops
   std::int64_t annihilated_ops = 0;    ///< op records erased without a rebuild
   std::int64_t expired_vertices = 0;   ///< entities retired by TTL sweeps
+  std::int64_t cache_reranks = 0;      ///< re-ranks of the attached device cache
   EdgeId overlay_edges = 0;            ///< pending (unmerged) insert ops
   EdgeId tombstones = 0;               ///< pending (unmerged) remove ops
   EdgeId base_edges = 0;
@@ -490,23 +491,11 @@ class StreamingGraph : public ExpiryTarget {
   std::atomic<std::int64_t> compactions_{0};
   std::atomic<std::int64_t> annihilations_{0};
   std::atomic<std::int64_t> expired_vertices_{0};
+  std::atomic<std::int64_t> cache_reranks_{0};
 
-  // Registry mirrors + tracer/journal; all null when telemetry is off.
+  // Telemetry handles; all null when telemetry is off.
   StageTracer* tracer_ = nullptr;
   EventJournal* journal_ = nullptr;
-  Counter* m_ingested_ = nullptr;
-  Counter* m_duplicates_ = nullptr;
-  Counter* m_removed_ = nullptr;
-  Counter* m_rejected_removals_ = nullptr;
-  Counter* m_added_vertices_ = nullptr;
-  Counter* m_removed_vertices_ = nullptr;
-  Counter* m_recycled_vertices_ = nullptr;
-  Counter* m_feature_updates_ = nullptr;
-  Counter* m_publishes_ = nullptr;
-  Counter* m_compactions_ = nullptr;
-  Counter* m_annihilations_ = nullptr;
-  Counter* m_expired_ = nullptr;
-  Counter* m_cache_reranks_ = nullptr;
   Histogram* m_publish_lag_ = nullptr;
 };
 

@@ -151,8 +151,8 @@ UpdateReport UpdateGenerator::run() {
           ? static_cast<double>(report.accepted_edges + report.removed_edges) / report.wall_time
           : 0.0;
   if (Telemetry* telemetry = graph_.telemetry(); telemetry != nullptr) {
-    // Session-level ingest summary; the per-op stream.* counters were
-    // mirrored live by the graph as each op landed.
+    // Session-level ingest summary; the per-op counts are the graph's
+    // own, exported as stream.*.
     MetricsRegistry& reg = telemetry->registry();
     reg.counter("ingest.operations").add(report.operations);
     reg.gauge("ingest.wall_seconds").set(report.wall_time);

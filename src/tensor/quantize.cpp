@@ -24,11 +24,17 @@ float int8_row_scale(const float* row, std::int64_t n) {
 
 void quantize_row_int8(const float* src, std::int64_t n, float scale, std::int8_t* dst) {
   for (std::int64_t j = 0; j < n; ++j) {
-    // std::round (half away from zero) — NOT std::nearbyint, whose
-    // result follows the ambient FP rounding mode and made quantized
-    // logits differ across threads that had touched fesetround.
-    const float scaled = src[j] / scale;
-    dst[j] = static_cast<std::int8_t>(std::clamp(std::round(scaled), -127.0f, 127.0f));
+    // clamp(std::round(x)), half away from zero, with no libm call or
+    // branch so the loop vectorizes: truncate, then step away from zero
+    // by trunc(2·frac) — frac = x - trunc(x) is exact, so this is bit
+    // for bit std::round.  The fabs/min/copysign clamp keeps trunc
+    // int-safe without folding to constants that would split the loop.
+    // Nothing here follows the FP rounding mode (std::nearbyint did).
+    const float x = src[j] / scale;
+    const float clamped = std::copysign(std::min(std::fabs(x), 127.0f), x);
+    const int whole = static_cast<int>(clamped);
+    const float frac = clamped - static_cast<float>(whole);
+    dst[j] = static_cast<std::int8_t>(whole + static_cast<int>(2.0f * frac));
   }
 }
 

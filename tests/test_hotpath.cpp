@@ -828,6 +828,25 @@ TEST(CacheRerank, DisabledConfigKeepsConstructionAdmission) {
   for (const VertexId v : targets) EXPECT_FALSE(cache.cached(v));
 }
 
+TEST(CacheRerank, GraphCountsEveryRerankOfItsCache) {
+  // stream.cache_reranks reads this count; it must move without
+  // telemetry, on the fold-time and the on-demand re-rank alike.
+  const Dataset& ds = hotpath_dataset();
+  StreamingGraph stream(ds);
+  EXPECT_EQ(stream.stats().cache_reranks, 0);
+  stream.rerank_now();  // no cache attached: nothing re-ranked
+  EXPECT_EQ(stream.stats().cache_reranks, 0);
+
+  StaticFeatureCache cache(ds.graph, stream.features(), 8);
+  stream.attach_cache(&cache);
+  ingest_one_edge(stream);
+  ASSERT_TRUE(stream.compact());
+  EXPECT_EQ(stream.stats().cache_reranks, 1);
+  stream.rerank_now();
+  EXPECT_EQ(stream.stats().cache_reranks, 2);
+  EXPECT_EQ(stream.stats().cache_reranks, cache.reranks());
+}
+
 // ------------------------------------------------------------ concurrency
 
 TEST(CacheRace, MembershipReadsRaceMutatorsCleanly) {

@@ -4,15 +4,20 @@
 // under concurrent writers, end-to-end stage reconstruction for a
 // served request (queue -> sample -> gather -> forward -> reply) and a
 // compaction fold (CUT -> BUILD -> REBASE), the lifecycle journal's
-// bounded ring, and the JSON-lines exporter — including a snapshot
-// taken while a fold is parked in flight.
+// bounded ring, the JSON-lines exporter — including a snapshot taken
+// while a fold is parked in flight — and the count-once contract: every
+// exported scalar of a live flat or sharded session equals its
+// component's own count, and freezes at that value on teardown.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -406,6 +411,237 @@ TEST(TelemetryExporter, SnapshotDuringInFlightFoldIsConsistent) {
     EXPECT_EQ(line.back(), '}');
   }
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------------------ count once
+
+/// The scalars a flat HyScale::stream session with a device cache, a
+/// publisher, a compactor and a TTL sweeper exports after an
+/// UpdateGenerator run, in registration order: the order each component
+/// registered them in before the counts moved into the components.
+const std::vector<std::string> kFlatSessionScalars = {
+    "journal.dropped_events",
+    "stream.ingested_edges", "stream.duplicate_edges", "stream.removed_edges",
+    "stream.rejected_removals", "stream.added_vertices", "stream.removed_vertices",
+    "stream.recycled_vertices", "stream.feature_updates", "stream.publishes",
+    "stream.compactions", "stream.annihilations", "stream.expired_vertices",
+    "stream.cache_reranks", "stream.overlay_edges", "stream.tombstones",
+    "stream.base_edges", "stream.dead_vertices", "stream.num_vertices",
+    "stream.version_id", "stream.annihilated_ops", "stream.recyclable_vertices",
+    "featstore.rows", "featstore.released_rows",
+    "serving.requests_completed", "serving.requests_rejected", "serving.batches",
+    "serving.seeds", "serving.batch_requests_total", "serving.cache_hits",
+    "serving.cache_misses", "serving.cache_device_bytes", "serving.cache_host_bytes",
+    "serving.min_batch_requests", "serving.max_batch_requests", "serving.queue_depth",
+    "serving.queue_depth_peak", "serving.last_served_version", "model.epoch",
+    "cache.invalidations", "cache.evictions", "cache.reranks", "cache.readmitted_rows",
+    "cache.rerank_evicted_rows",
+    "compactor.folds", "compactor.annihilation_passes", "compactor.refused_folds",
+    "publisher.publishes", "publisher.breaches", "publisher.worst_staleness_ms",
+    "publisher.worst_publish_cost_ms",
+    "expiry.sweeps", "expiry.retired",
+    "ingest.operations", "ingest.wall_seconds", "ingest.edges_per_second"};
+
+struct CountOnceSetup {
+  ServingConfig serving;
+  CompactionPolicy compaction;
+  PublisherPolicy publisher;
+  ExpiryPolicy expiry;
+  UpdateGeneratorConfig updates;
+};
+
+CountOnceSetup count_once_setup(Telemetry& telemetry) {
+  CountOnceSetup setup;
+  setup.serving.fanouts = {4, 4};
+  setup.serving.num_workers = 2;
+  setup.serving.cache_capacity_rows = 24;
+  setup.serving.cache_rerank_every_rows = 64;
+  setup.serving.telemetry = &telemetry;
+  setup.compaction.max_overlay_edges = 64;
+  setup.publisher.staleness_budget = 2e-3;
+  setup.publisher.poll_floor = 1e-3;
+  setup.expiry.ttl = 0.01;
+  setup.expiry.sweep_interval = 2e-3;
+  // No op-budget pacing: once ingest stops, an overlay parked between
+  // the derived budget (half the fold trigger) and the trigger stops
+  // every sweep pass while the compactor has no reason to fold.
+  setup.expiry.pending_op_budget = 0;
+  setup.updates.operations = 300;
+  setup.updates.vertex_add_fraction = 0.25;
+  setup.updates.edge_delete_fraction = 0.2;
+  setup.updates.feature_update_fraction = 0.1;
+  setup.updates.pacing = 1e-4;
+  return setup;
+}
+
+/// Queries under churn, a model swap, TTL expiry, then stops every
+/// background thread so no count moves while the test reads them.
+template <typename Churn>
+void drive_and_quiesce(HyScale& system, ServingSession& session, Churn churn,
+                       const std::function<std::int64_t()>& expired) {
+  std::thread ingest(churn);
+  for (int i = 0; i < 24; ++i) (void)session.infer({static_cast<VertexId>(i), 40});
+  ingest.join();
+  EXPECT_EQ(session.server->swap_model(ModelSnapshot(system.model())), 2u);
+  for (int i = 0; i < 8; ++i) (void)session.infer({static_cast<VertexId>(i + 50)});
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (expired() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  session.sweeper->stop();
+  if (session.adopter) session.adopter->stop();
+  for (auto& publisher : session.publishers) publisher->stop();
+  for (auto& compactor : session.compactors) compactor->stop();
+}
+
+/// Every stream.*, compactor.*, publisher.*, expiry.*, sharded.* count
+/// and serving.* scalar equals the getter or stats() field of the
+/// component that owns it.
+void expect_counts_agree(const MetricsSnapshot& snap, ServingSession& session) {
+  const auto expect = [&snap](const std::string& name, auto value) {
+    EXPECT_EQ(snap.value(name), static_cast<double>(value)) << name;
+  };
+  for (std::size_t s = 0; s < session.compactors.size(); ++s) {
+    const bool sharded = session.sharded != nullptr;
+    const std::string p = sharded ? "shard" + std::to_string(s) + "." : "";
+    const StreamingGraph& graph =
+        sharded ? session.shards().shard(static_cast<int>(s)) : session.stream();
+    const StreamStats st = graph.stats();
+    expect(p + "stream.ingested_edges", st.ingested_edges);
+    expect(p + "stream.duplicate_edges", st.duplicate_edges);
+    expect(p + "stream.removed_edges", st.removed_edges);
+    expect(p + "stream.rejected_removals", st.rejected_removals);
+    expect(p + "stream.added_vertices", st.added_vertices);
+    expect(p + "stream.removed_vertices", st.removed_vertices);
+    expect(p + "stream.recycled_vertices", st.recycled_vertices);
+    expect(p + "stream.feature_updates", st.feature_updates);
+    expect(p + "stream.publishes", st.publishes);
+    expect(p + "stream.compactions", st.compactions);
+    expect(p + "stream.annihilations", st.annihilations);
+    expect(p + "stream.expired_vertices", st.expired_vertices);
+    expect(p + "stream.cache_reranks", st.cache_reranks);
+    expect(p + "stream.overlay_edges", st.overlay_edges);
+    expect(p + "stream.tombstones", st.tombstones);
+    expect(p + "stream.base_edges", st.base_edges);
+    expect(p + "stream.dead_vertices", st.dead_vertices);
+    expect(p + "stream.num_vertices", graph.num_vertices());
+    expect(p + "stream.version_id", st.version_id);
+    expect(p + "stream.annihilated_ops", st.annihilated_ops);
+    expect(p + "stream.recyclable_vertices", graph.recyclable_vertices());
+
+    const Compactor& compactor = *session.compactors[s];
+    expect(p + "compactor.folds", compactor.compactions());
+    expect(p + "compactor.annihilation_passes", compactor.annihilation_passes());
+    expect(p + "compactor.refused_folds", compactor.refused_folds());
+
+    const Publisher& publisher = *session.publishers[s];
+    expect(p + "publisher.publishes", publisher.publishes());
+    expect(p + "publisher.breaches", publisher.breaches());
+    expect(p + "publisher.worst_staleness_ms", publisher.worst_staleness() * 1e3);
+    expect(p + "publisher.worst_publish_cost_ms", publisher.worst_publish_cost() * 1e3);
+  }
+  if (session.sharded) expect("sharded.cut_adoptions", session.shards().stats().cut_adoptions);
+  expect("expiry.sweeps", session.sweeper->sweeps());
+  expect("expiry.retired", session.sweeper->retired());
+
+  const InferenceServer& server = *session.server;
+  const ServingSnapshot sv = server.stats();
+  expect("serving.requests_completed", sv.completed_requests);
+  expect("serving.requests_rejected", sv.rejected_requests);
+  expect("serving.batches", sv.completed_batches);
+  expect("serving.seeds", sv.total_seeds);
+  expect("serving.batch_requests_total", sv.batch_requests_total);
+  expect("serving.cache_hits", sv.cache_hits);
+  expect("serving.cache_misses", sv.cache_misses);
+  expect("serving.cache_device_bytes", sv.device_bytes);
+  expect("serving.cache_host_bytes", sv.host_bytes);
+  expect("serving.min_batch_requests", sv.min_batch_requests);
+  expect("serving.max_batch_requests", sv.max_batch_requests);
+  expect("serving.queue_depth", server.batcher().depth());
+  expect("serving.queue_depth_peak", server.batcher().peak_depth());
+  expect("serving.last_served_version", server.last_served_version());
+  expect("model.epoch", server.model_epoch());
+
+  // The session did the work each count describes.  Every re-rank of
+  // the flat session's cache is its graph's (fold or server cadence).
+  if (session.sharded == nullptr) {
+    const std::int64_t reranks = session.stream().stats().cache_reranks;
+    EXPECT_GT(reranks, 0);
+    EXPECT_EQ(reranks, server.cache()->reranks());
+  }
+  EXPECT_EQ(sv.completed_requests, 32);
+  EXPECT_GT(sv.cache_hits, 0);
+  EXPECT_EQ(server.model_epoch(), 2u);
+  EXPECT_GT(server.last_served_version(), 0u);
+  EXPECT_GT(session.sweeper->retired(), 0);
+}
+
+/// Tears the session down and expects every component scalar to read
+/// the value it had before: detach froze it.
+void expect_frozen_after_teardown(Telemetry& telemetry, std::optional<ServingSession>& session) {
+  const MetricsSnapshot live = telemetry.registry().snapshot();
+  session.reset();
+  const MetricsSnapshot frozen = telemetry.registry().snapshot();
+  ASSERT_EQ(frozen.scalars().size(), live.scalars().size());
+  for (const auto& [name, value] : live.scalars()) {
+    if (name.rfind("journal.", 0) == 0) continue;  // the telemetry's own, still live
+    EXPECT_EQ(frozen.value(name), value) << name;
+  }
+}
+
+HybridTrainerConfig count_once_train_config() {
+  HybridTrainerConfig config;
+  config.fanouts = {4, 4};
+  return config;
+}
+
+TEST(CountOnce, FlatSessionExportsEachComponentCount) {
+  Telemetry telemetry;
+  HyScale system(community(), cpu_fpga_platform(2), count_once_train_config());
+  CountOnceSetup setup = count_once_setup(telemetry);
+  StreamingConfig streaming;
+  streaming.telemetry = &telemetry;
+  std::optional<ServingSession> session = system.stream(
+      setup.serving, streaming, setup.compaction, setup.publisher, setup.expiry);
+  drive_and_quiesce(
+      system, *session,
+      [&] { (void)UpdateGenerator(session->stream(), setup.updates).run(); },
+      [&] { return session->stream().stats().expired_vertices; });
+
+  const MetricsSnapshot snap = telemetry.registry().snapshot();
+  expect_counts_agree(snap, *session);
+  std::vector<std::string> names;
+  for (const auto& [name, value] : snap.scalars()) names.push_back(name);
+  EXPECT_EQ(names, kFlatSessionScalars);
+  EXPECT_GT(snap.value("stream.ingested_edges"), 0.0);
+  EXPECT_GT(snap.value("stream.expired_vertices"), 0.0);
+  EXPECT_GT(snap.value("publisher.publishes"), 0.0);
+
+  expect_frozen_after_teardown(telemetry, session);
+}
+
+TEST(CountOnce, ShardedSessionExportsEachComponentCount) {
+  Telemetry telemetry;
+  HyScale system(community(), cpu_fpga_platform(2), count_once_train_config());
+  CountOnceSetup setup = count_once_setup(telemetry);
+  ShardedConfig sharded;
+  sharded.num_shards = 2;
+  sharded.stream.telemetry = &telemetry;
+  std::optional<ServingSession> session =
+      system.stream_sharded(sharded, setup.serving, setup.compaction, setup.publisher,
+                            CutAdopterPolicy{}, setup.expiry);
+  ASSERT_EQ(session->publishers.size(), 2u);
+  drive_and_quiesce(
+      system, *session,
+      [&] { (void)ShardedUpdateDriver(session->shards(), setup.updates).run(); },
+      [&] { return session->shards().stats().expired_vertices; });
+
+  const MetricsSnapshot snap = telemetry.registry().snapshot();
+  expect_counts_agree(snap, *session);
+  EXPECT_GT(snap.value("sharded.cut_adoptions"), 1.0);
+  EXPECT_GT(snap.value("shard0.stream.ingested_edges"), 0.0);
+
+  expect_frozen_after_teardown(telemetry, session);
 }
 
 }  // namespace

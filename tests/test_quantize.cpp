@@ -1,10 +1,16 @@
 // Tests for tensor/quantize: the §VIII data-quantization extension.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cfenv>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
+
+#include "common/rng.hpp"
 
 #include "graph/datasets.hpp"
 #include "runtime/hybrid_trainer.hpp"
@@ -83,6 +89,53 @@ TEST(Quantize, RoundingIsIndependentOfFpRoundingMode) {
     }
   }
   std::fesetround(saved);
+}
+
+TEST(Quantize, RowQuantizerMatchesStdRoundOracleBitForBit) {
+  // quantize_row_int8 rounds by truncate-and-step so its loop
+  // vectorizes; on every finite input it must equal the libm oracle
+  // clamp(std::round(x / scale)) it replaced.
+  const auto oracle = [](float x, float scale) {
+    return static_cast<std::int8_t>(std::clamp(std::round(x / scale), -127.0f, 127.0f));
+  };
+  const auto expect_matches = [&](const std::vector<float>& xs, float scale) {
+    std::vector<std::int8_t> got(xs.size());
+    quantize_row_int8(xs.data(), static_cast<std::int64_t>(xs.size()), scale, got.data());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      ASSERT_EQ(got[i], oracle(xs[i], scale)) << "x=" << xs[i] << " scale=" << scale;
+    }
+  };
+
+  // Every half-integer in [-128.5, 128.5], one ulp either side of it,
+  // and both zeros: the rounding and clamping boundaries.
+  std::vector<float> edges = {0.0f, -0.0f};
+  const float inf = std::numeric_limits<float>::infinity();
+  for (int twice = -257; twice <= 257; twice += 2) {
+    const float half = static_cast<float>(twice) * 0.5f;
+    edges.push_back(half);
+    edges.push_back(std::nextafter(half, inf));
+    edges.push_back(std::nextafter(half, -inf));
+  }
+  expect_matches(edges, 1.0f);
+
+  // 10^6 seeded values in rows of 100, each with its own scale: half
+  // drawn over the int8 range and past it, half from random finite bit
+  // patterns (every exponent, subnormals included).
+  Xoshiro256 rng(20250523);
+  std::vector<float> row(100);
+  for (int r = 0; r < 10'000; ++r) {
+    for (float& x : row) {
+      if (rng.bounded(2) == 0) {
+        x = static_cast<float>(rng.uniform(-200.0, 200.0));
+      } else {
+        do {
+          x = std::bit_cast<float>(static_cast<std::uint32_t>(rng()));
+        } while (!std::isfinite(x));
+      }
+    }
+    const float scale = r % 2 == 0 ? 1.0f : int8_row_scale(row.data(), 100);
+    expect_matches(row, scale);
+  }
 }
 
 TEST(Quantize, SharedRowRuleMatchesBulkQuantizer) {

@@ -511,6 +511,39 @@ TEST(ExpirySweeper, BackgroundSweepRetiresIdleEntities) {
   for (VertexId v : streamed) EXPECT_FALSE(version->alive(v)) << v;
 }
 
+// Reproduces a known stall, so it is disabled: run it with
+// --gtest_also_run_disabled_tests.  HyScale::stream derives the op
+// budget as half the fold trigger.  Once ingest stops with the overlay
+// between the two, every sweep pass stops at the budget, the compactor
+// never folds, and nothing idle ever expires.  It passes once expiry
+// drains such an overlay.
+TEST(ExpirySweeper, DISABLED_DerivedBudgetStillRetiresBelowTheFoldTrigger) {
+  StreamingGraph graph(community());
+  Xoshiro256 rng(17);
+  std::vector<VertexId> streamed;
+  for (int i = 0; i < 4; ++i) {
+    streamed.push_back(graph.add_vertex(random_row(rng, graph.features().cols())));
+  }
+  // 5 new edges on the streamed vertices: 10 pending ops, none of them
+  // annihilable, at or over the budget (8) and under the trigger (16).
+  for (VertexId v = 0; v < 5; ++v) ASSERT_TRUE(graph.add_edge(streamed[v % 4], v));
+  CompactionPolicy compaction;
+  compaction.max_overlay_edges = 16;
+  Compactor compactor(graph, compaction);
+  ExpiryPolicy policy;
+  policy.ttl = 0.0;
+  policy.sweep_interval = 1e-3;
+  policy.pending_op_budget = compaction.max_overlay_edges / 2;
+  ExpirySweeper sweeper(graph, policy);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (graph.stats().expired_vertices < 4 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  sweeper.stop();
+  compactor.stop();
+  EXPECT_EQ(graph.stats().expired_vertices, 4);
+}
+
 TEST(ExpirySweeper, RejectsUnusablePolicies) {
   StreamingGraph graph(community());
   ExpiryPolicy disabled;  // default ttl < 0
