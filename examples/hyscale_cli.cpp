@@ -20,7 +20,7 @@
 //        --clients 8 --requests 64 --updates 512 \
 //        [--delete-frac 0.3] [--vertex-delete-frac 0.05] \
 //        [--delete-recent-frac 0.7] [--update-threads 2] \
-//        [--compact-edges N] [--compact-ratio R] [--no-annihilate] \
+//        [--compact-edges N] [--compact-ratio R] \
 //        [--slo-ms 5] [--ttl-ms 50] [--sweep-ms 10] [--publish-every N]
 //
 // Each mode parses its flags from one table (stream's extends serve's)
@@ -581,7 +581,7 @@ void stream_usage(const char* argv0) {
       "          [--updates U] [--update-threads T] [--publish-every P]\n"
       "          [--vertex-add-frac F] [--feature-update-frac F]\n"
       "          [--delete-frac F] [--vertex-delete-frac F] [--delete-recent-frac F]\n"
-      "          [--compact-edges E] [--compact-ratio R] [--no-annihilate]\n"
+      "          [--compact-edges E] [--compact-ratio R]\n"
       "          [--slo-ms MS] [--ttl-ms MS] [--sweep-ms MS]\n"
       "          [--shards N] [--partitioner hash|bfs] [--rerank-rows R]\n"
       "          [--metrics-out FILE|-] [--metrics-interval-ms MS] [--trace]\n"
@@ -589,7 +589,7 @@ void stream_usage(const char* argv0) {
       "\n"
       "lifecycle: --slo-ms bounds staleness (background publisher; 0 = caller-paced\n"
       "via --publish-every), --ttl-ms retires streamed-in entities idle that long\n"
-      "(swept every --sweep-ms), --no-annihilate disables in-place tombstone GC.\n"
+      "(swept every --sweep-ms).\n"
       "sharding: --shards N > 1 splits the evolving graph into N partition-routed\n"
       "shards (--partitioner picks the base assignment) with per-shard compaction\n"
       "and publishing; queries sample a consistent cross-shard cut, and --ttl-ms\n"
@@ -615,7 +615,6 @@ FlagTable stream_flags(StreamOptions& o) {
           real("--delete-recent-frac", u.delete_recent_fraction),
           count<EdgeId>("--compact-edges", o.compaction.max_overlay_edges, 1),
           real("--compact-ratio", o.compaction.max_overlay_ratio),
-          set_to("--no-annihilate", o.compaction.annihilate_first, false),
           real("--slo-ms", o.publisher.staleness_budget, 1e-3),  // <= 0 disables
           real("--ttl-ms", o.expiry.ttl, 1e-3),                   // < 0: no TTL
           real("--sweep-ms", o.expiry.sweep_interval, 1e-3),
@@ -649,11 +648,7 @@ int run_stream(const StreamOptions& options) {
   const ServingConfig serving = serving_config(serve, telemetry.get());
   StreamingConfig streaming = options.streaming;
   streaming.telemetry = telemetry.get();
-  PublisherPolicy publisher = options.publisher;
-  // A tiny --slo-ms (sub-poll-floor budgets are legitimate for breach
-  // demos) must not trip the poll_floor <= budget precondition.
-  if (publisher.staleness_budget > 0.0)
-    publisher.poll_floor = std::min(publisher.poll_floor, publisher.staleness_budget / 2.0);
+  const PublisherPolicy& publisher = options.publisher;
   const ExpiryPolicy& expiry = options.expiry;
   const int shards = options.sharded.num_shards;
   const char* partitioner =

@@ -128,8 +128,8 @@ class HyScale {
   /// dropping tombstoned edges and recycling deleted streamed-in ids —
   /// into fresh CSRs only when the overlay really needs it; and, when
   /// `expiry.enabled()`, the ExpirySweeper retires streamed-in
-  /// entities idle past their TTL, paced against the compaction
-  /// trigger.
+  /// entities idle past their TTL, yielding while a fold is in
+  /// flight.
   ServingSession stream(ServingConfig serving = {}, StreamingConfig streaming = {},
                         CompactionPolicy compaction = {}, PublisherPolicy publisher = {},
                         ExpiryPolicy expiry = {}) {
@@ -145,13 +145,10 @@ class HyScale {
     session.compactors.push_back(std::make_unique<Compactor>(*session.graph, compaction));
     if (publisher.staleness_budget > 0.0)
       session.publishers.push_back(std::make_unique<Publisher>(*session.graph, publisher));
-    if (expiry.enabled()) {
-      if (expiry.pending_op_budget == ExpiryPolicy::kDeriveFromCompaction)
-        expiry.pending_op_budget = compaction.max_overlay_edges / 2;
-      // Paced through the backend seam — same target as the sharded
-      // variant, so TTL wiring is written once.
+    // Paced through the backend seam — same target as the sharded
+    // variant, so TTL wiring is written once.
+    if (expiry.enabled())
       session.sweeper = std::make_unique<ExpirySweeper>(*session.backend, expiry);
-    }
     return session;
   }
 
@@ -183,11 +180,8 @@ class HyScale {
             std::make_unique<Publisher>(session.sharded->shard(s), publisher));
     }
     session.adopter = std::make_unique<CutAdopter>(*session.sharded, adopter);
-    if (expiry.enabled()) {
-      if (expiry.pending_op_budget == ExpiryPolicy::kDeriveFromCompaction)
-        expiry.pending_op_budget = compaction.max_overlay_edges / 2;
+    if (expiry.enabled())
       session.sweeper = std::make_unique<ExpirySweeper>(*session.backend, expiry);
-    }
     return session;
   }
 

@@ -158,8 +158,7 @@ class ServingBackend : public ExpiryTarget {
   // ExpiryTarget: defaults for backends with nothing to expire (the
   // static dataset doesn't age).  Streaming/sharded backends forward to
   // their graph so session facades hang ONE sweeper off the seam.
-  std::int64_t sweep_expired(Seconds /*ttl*/, std::int64_t /*max_retire*/,
-                             EdgeId /*pending_op_budget*/) override {
+  std::int64_t sweep_expired(Seconds /*ttl*/, std::int64_t /*max_retire*/) override {
     return 0;
   }
   Telemetry* telemetry() const override { return nullptr; }

@@ -97,9 +97,8 @@ class ShardedBackend final : public ServingBackend {
   // ExpiryTarget: forward to the facade's facade-wide sweep — broadcast
   // retirement keeps every shard's vertex space in lockstep, which is
   // exactly why per-shard sweepers would be wrong here.
-  std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire,
-                             EdgeId pending_op_budget) override {
-    return sharded_.sweep_expired(ttl, max_retire, pending_op_budget);
+  std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire) override {
+    return sharded_.sweep_expired(ttl, max_retire);
   }
   Telemetry* telemetry() const override { return sharded_.telemetry(); }
   const char* expiry_scope() const override { return sharded_.expiry_scope(); }

@@ -95,9 +95,8 @@ class StreamingBackend final : public ServingBackend {
   // ExpiryTarget: forward to the graph so one sweeper paces TTL expiry
   // through the seam (keeps the flat stack's "stream.*" instrument
   // names).
-  std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire,
-                             EdgeId pending_op_budget) override {
-    return stream_.sweep_expired(ttl, max_retire, pending_op_budget);
+  std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire) override {
+    return stream_.sweep_expired(ttl, max_retire);
   }
   Telemetry* telemetry() const override { return stream_.telemetry(); }
   const char* expiry_scope() const override { return stream_.expiry_scope(); }

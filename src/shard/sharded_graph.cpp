@@ -49,10 +49,6 @@ ShardedStreamingGraph::ShardedStreamingGraph(const Dataset& dataset, ShardedConf
     : dataset_(&dataset), config_(std::move(config)) {
   if (config_.num_shards < 1)
     throw std::invalid_argument("ShardedStreamingGraph: num_shards must be >= 1");
-  if (!config_.stream.symmetric)
-    throw std::invalid_argument(
-        "ShardedStreamingGraph: per-shard graphs must be symmetric (edge routing "
-        "relies on both directions landing in both endpoint owners)");
 
   partition_ = config_.partitioner == ShardedConfig::Partitioner::kBfs
                    ? partition_bfs(dataset.graph, config_.num_shards, config_.partition_seed)
@@ -276,8 +272,9 @@ void ShardedStreamingGraph::attach_cache(StaticFeatureCache* cache) {
 
 void ShardedStreamingGraph::rerank_now() { shards_.front()->rerank_now(); }
 
-std::int64_t ShardedStreamingGraph::sweep_expired(Seconds ttl, std::int64_t max_retire,
-                                                  EdgeId pending_op_budget) {
+std::int64_t ShardedStreamingGraph::sweep_expired(Seconds ttl, std::int64_t max_retire) {
+  if (ttl < 0.0)
+    throw std::invalid_argument("ShardedStreamingGraph::sweep_expired: negative ttl");
   if (max_retire <= 0) return 0;
   const auto ttl_ns = static_cast<std::int64_t>(ttl * 1e9);
   const std::int64_t now = MutableFeatureStore::now_ns();
@@ -285,13 +282,11 @@ std::int64_t ShardedStreamingGraph::sweep_expired(Seconds ttl, std::int64_t max_
   const VertexId n = num_vertices();
   std::int64_t retired = 0;
   for (VertexId v = first_streamed; v < n && retired < max_retire; ++v) {
-    if (pending_op_budget > 0) {
-      EdgeId busiest = 0;
-      for (const auto& shard : shards_)
-        busiest = std::max(busiest, shard->overlay_ops());
-      if (busiest >= pending_op_budget) break;
-    }
     if (now - features_->last_touch_ns(v) <= ttl_ns) continue;
+    // Yield while any shard folds; the next pass resumes here.
+    if (std::any_of(shards_.begin(), shards_.end(),
+                    [](const auto& shard) { return shard->fold_in_flight(); }))
+      break;
     if (remove_vertex(v)) {
       ++retired;
       expired_vertices_.fetch_add(1, std::memory_order_relaxed);

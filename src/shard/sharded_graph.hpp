@@ -142,10 +142,9 @@ struct ShardedConfig {
   Partitioner partitioner = Partitioner::kHash;
   /// Seeds both the base partitioner and the streamed-in owner hash.
   std::uint64_t partition_seed = 17;
-  /// Template for every per-shard StreamingGraph.  `symmetric` must stay
-  /// true (edge routing relies on both directions landing in both
-  /// endpoint owners); `recycle_ids` is forced off and `metric_prefix`
-  /// is overwritten with "shard<i>." per shard.
+  /// Template for every per-shard StreamingGraph.  `recycle_ids` is
+  /// forced off and `metric_prefix` is overwritten with "shard<i>." per
+  /// shard.
   StreamingConfig stream;
 };
 
@@ -179,8 +178,8 @@ class ShardedStreamingGraph : public ExpiryTarget {
   /// `features` when given (its precision is the gather's wire
   /// precision), else a private fp32 one from dataset.features.  The
   /// dataset must outlive the facade.  Throws std::invalid_argument for
-  /// num_shards < 1, a non-symmetric stream config, or a store whose
-  /// rows do not match the dataset's vertices.
+  /// num_shards < 1 or a store whose rows do not match the dataset's
+  /// vertices.
   ShardedStreamingGraph(const Dataset& dataset, ShardedConfig config,
                         std::shared_ptr<MutableFeatureStore> features = nullptr);
   ~ShardedStreamingGraph();  ///< detaches the facade's callback gauges
@@ -244,10 +243,9 @@ class ShardedStreamingGraph : public ExpiryTarget {
 
   /// Facade TTL pass: retires streamed-in vertices (broadcast
   /// remove_vertex) whose shared feature row is idle.  Ascending id
-  /// order; same pacing contract as StreamingGraph::sweep_expired (the
-  /// budget is checked against the busiest shard's overlay).
-  std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire,
-                             EdgeId pending_op_budget = 0) override;
+  /// order; same contract as StreamingGraph::sweep_expired, with the
+  /// pass yielding while ANY shard has a fold in flight.
+  std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire) override;
 
   // ---- accessors ----
 

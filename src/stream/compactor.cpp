@@ -73,7 +73,7 @@ Compactor::Maintenance Compactor::decide() const {
   // fold instead of paying an exclusive no-op bucket scan.  A
   // scrub-driven trigger needs the fold regardless (the free pool
   // refills only on rebase).
-  if (op_pressure && policy_.annihilate_first && graph_.overlay_tombstones() > 0)
+  if (op_pressure && graph_.overlay_tombstones() > 0)
     return Maintenance::kAnnihilate;
   // A fold is already in flight (its O(base) build runs off-lock, so
   // this loop keeps running meanwhile): its rebase will clear the

@@ -37,10 +37,6 @@ struct CompactionPolicy {
   EdgeId max_overlay_edges = 1 << 15;  ///< absolute trigger (insert + tombstone ops)
   double max_overlay_ratio = 0.25;     ///< ops/base edge-count trigger
   Seconds poll_interval = 2e-3;
-  /// Run the in-place annihilation pass before resorting to a full
-  /// rebuild.  Off reproduces the fold-only behaviour (kept as a bench
-  /// comparison point).
-  bool annihilate_first = true;
   /// Extra wait added after a refused fold doubles per failure up to
   /// this cap and resets on the next success or idle tick.
   Seconds max_backoff = 64e-3;
@@ -52,8 +48,8 @@ class Compactor {
   enum class Maintenance {
     kNone,        ///< overlay under both thresholds, no pending scrubs
     kAnnihilate,  ///< over threshold with tombstones pending — try the in-place pass first
-    kFold,        ///< over threshold and nothing cancellable (no tombstones, scrub-driven,
-                  ///< or annihilation disabled / insufficient)
+    kFold,        ///< over threshold and nothing cancellable (no tombstones,
+                  ///< scrub-driven, or annihilation insufficient)
   };
 
   /// `graph` must outlive the compactor.  The background thread starts
@@ -71,10 +67,10 @@ class Compactor {
   /// Whether the policy would trigger right now (also used by tests).
   bool should_compact() const { return decide() != Maintenance::kNone; }
 
-  /// The action the loop would take right now: annihilate suffices as a
-  /// first resort whenever it is enabled; a fold is demanded only when
-  /// annihilation is off — or, inside the loop, when a pass just ran
-  /// and the overlay is still over threshold.  While a fold is already
+  /// The action the loop would take right now: annihilation is the
+  /// first resort whenever tombstones are pending; a fold is demanded
+  /// only when there are none — or, inside the loop, when a pass just
+  /// ran and the overlay is still over threshold.  While a fold is already
   /// in flight (off-lock build), kFold is never returned: the pending
   /// rebase will clear the pressure, so the loop annihilates (gated)
   /// or waits instead of stacking refused folds and backoff.

@@ -17,9 +17,6 @@ ExpirySweeper::ExpirySweeper(ExpiryTarget& target, ExpiryPolicy policy)
     throw std::invalid_argument("ExpirySweeper: sweep_interval must be positive");
   if (policy_.max_retire_per_sweep <= 0)
     throw std::invalid_argument("ExpirySweeper: max_retire_per_sweep must be positive");
-  if (policy_.pending_op_budget < 0)
-    throw std::invalid_argument(
-        "ExpirySweeper: pending_op_budget must be resolved (>= 0) before construction");
   if (Telemetry* telemetry = target_.telemetry(); telemetry != nullptr) {
     MetricsRegistry& reg = telemetry->registry();
     register_count(reg, "expiry.sweeps", this, sweeps_);
@@ -64,8 +61,7 @@ void ExpirySweeper::loop() {
     if (heart_ != nullptr) heart_->idle_exit();
     if (stop_) break;
     lock.unlock();
-    const std::int64_t swept = target_.sweep_expired(policy_.ttl, policy_.max_retire_per_sweep,
-                                                     policy_.pending_op_budget);
+    const std::int64_t swept = target_.sweep_expired(policy_.ttl, policy_.max_retire_per_sweep);
     if (heart_ != nullptr) heart_->beat();
     sweeps_.fetch_add(1, std::memory_order_relaxed);
     retired_.fetch_add(swept, std::memory_order_relaxed);

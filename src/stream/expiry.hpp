@@ -14,11 +14,12 @@
 //
 // A retirement is a tombstone burst (every live incident edge is
 // retracted), so an unpaced sweep over a large idle population would
-// stampede the compactor into back-to-back rebuilds.  Two pacing knobs
-// prevent that: `max_retire_per_sweep` caps the burst per pass, and
-// `pending_op_budget` stops a pass early once the overlay already
-// holds that many ops — the sweep yields to the compactor/annihilator
-// and picks the survivors up next interval.
+// stampede the compactor into back-to-back rebuilds.  Two rules pace
+// it: `max_retire_per_sweep` caps the burst per pass, and a pass yields
+// while a fold is in flight — it stops at the first candidate it
+// reaches then and picks the survivors up next interval, after the
+// fold's rebase (or abort) has cleared the flag.  Nothing else holds a
+// pass back, so idle entities always expire once folding stops.
 #pragma once
 
 #include <atomic>
@@ -35,8 +36,6 @@ namespace hyscale {
 class Heartbeat;
 
 struct ExpiryPolicy {
-  static constexpr EdgeId kDeriveFromCompaction = -1;
-
   /// Idle budget: a streamed-in vertex untouched for longer than this
   /// is retired.  < 0 disables TTL eviction (HyScale::stream skips
   /// the sweeper); 0 expires everything idle at sweep time (tests).
@@ -44,11 +43,6 @@ struct ExpiryPolicy {
   Seconds sweep_interval = 10e-3;
   /// Tombstone-burst pacing: retirements per sweep pass.
   std::int64_t max_retire_per_sweep = 64;
-  /// Stop a pass once the overlay holds this many pending ops, so a
-  /// sweep never pushes the compaction trigger into a rebuild storm.
-  /// 0 = no op-budget pacing; kDeriveFromCompaction lets
-  /// HyScale::stream substitute half the compaction threshold.
-  EdgeId pending_op_budget = kDeriveFromCompaction;
 
   bool enabled() const { return ttl >= 0.0; }
 };

@@ -14,7 +14,6 @@
 #include <cstdint>
 
 #include "common/timer.hpp"
-#include "graph/csr.hpp"
 
 namespace hyscale {
 
@@ -25,11 +24,11 @@ class ExpiryTarget {
   virtual ~ExpiryTarget() = default;
 
   /// One paced TTL pass: retire up to `max_retire` streamed-in vertices
-  /// idle past `ttl`, stopping early once `pending_op_budget` (> 0)
-  /// pending ops are queued so retirement bursts never stampede the
-  /// compaction trigger.  Returns the number of vertices retired.
-  virtual std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire,
-                                     EdgeId pending_op_budget) = 0;
+  /// idle past `ttl`, stopping at the first candidate reached while a
+  /// fold is in flight, so a retirement burst never piles onto an
+  /// overlay the compactor is already draining.  Returns the number of
+  /// vertices retired.
+  virtual std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire) = 0;
 
   /// Telemetry plane the sweeper registers its instruments on; null =
   /// telemetry off.

@@ -10,8 +10,6 @@ Publisher::Publisher(StreamingGraph& graph, PublisherPolicy policy)
     : graph_(graph), policy_(policy) {
   if (policy_.staleness_budget <= 0.0)
     throw std::invalid_argument("Publisher: staleness_budget must be positive");
-  if (policy_.poll_floor <= 0.0 || policy_.poll_floor > policy_.staleness_budget)
-    throw std::invalid_argument("Publisher: poll_floor must be in (0, staleness_budget]");
   if (Telemetry* telemetry = graph_.telemetry(); telemetry != nullptr) {
     MetricsRegistry& reg = telemetry->registry();
     // Instruments inherit the graph's shard prefix so per-shard
@@ -85,6 +83,10 @@ void Publisher::loop() {
   // early is always correct, it just publishes slightly smaller
   // batches.
   const Seconds deadline = policy_.staleness_budget * 0.75;
+  // Scheduling resolution: once the remaining slack is within this,
+  // publish rather than sleep again.  Capped at half the budget, so a
+  // budget under 400 µs still keeps the floor inside its window.
+  const Seconds poll_floor = std::min(2e-4, policy_.staleness_budget / 2.0);
   while (!stop_) {
     const Seconds age = graph_.pending_staleness();
     // Start-early margin: aim to START the publish this far before the
@@ -92,15 +94,15 @@ void Publisher::loop() {
     // past that the publisher degenerates into publish-per-op without
     // being able to honour the budget anyway.
     const Seconds margin =
-        std::min(std::max(policy_.poll_floor, cost_high + wake_late_high), deadline * 0.8);
+        std::min(std::max(poll_floor, cost_high + wake_late_high), deadline * 0.8);
     Seconds wait;
     if (age <= 0.0) {
       // Nothing pending: idle short enough that an op landing right
       // after this check is still detected with the margin to spare.
-      wait = std::max(policy_.poll_floor, (deadline - margin) * 0.5);
+      wait = std::max(poll_floor, (deadline - margin) * 0.5);
     } else {
       const Seconds slack = deadline - margin - age;
-      if (slack <= policy_.poll_floor) {
+      if (slack <= poll_floor) {
         lock.unlock();
         // The SLO is about VISIBILITY: an op is stale until publish()
         // RETURNS, so staleness is sampled at completion — the age the
@@ -146,7 +148,7 @@ void Publisher::loop() {
       }
       // Halve the remaining slack each wakeup: O(log) checks per cycle
       // and a fresh burst is still re-sampled with margin to spare.
-      wait = std::max(policy_.poll_floor, slack * 0.5);
+      wait = std::max(poll_floor, slack * 0.5);
     }
     Timer slept;
     if (heart_ != nullptr) heart_->idle_enter();

@@ -11,7 +11,7 @@
 // empty versions, so a quiet graph stays on its current version.
 //
 // The scheduler halves the remaining slack between checks (down to
-// `poll_floor`), so each publish cycle costs O(log(budget/floor))
+// min(200 µs, budget/2)), so each publish cycle costs O(log(budget/floor))
 // wakeups instead of a busy poll, and a burst arriving mid-sleep is
 // still caught with slack to spare.  Because the op only becomes
 // visible when publish() RETURNS — and the loop only regains control
@@ -46,9 +46,6 @@ struct PublisherPolicy {
   /// queries.  <= 0 disables the background publisher (caller-paced
   /// publishing only) — HyScale::stream skips construction entirely.
   Seconds staleness_budget = 5e-3;
-  /// Scheduling resolution: once the remaining slack is within this,
-  /// publish rather than sleep again.
-  Seconds poll_floor = 2e-4;
 };
 
 class Publisher {

@@ -145,8 +145,7 @@ StreamingGraph::StreamingGraph(const Dataset& dataset, StreamingConfig config,
                                std::shared_ptr<MutableFeatureStore> features)
     : dataset_(&dataset),
       config_(config),
-      delta_(std::make_shared<const CsrGraph>(dataset.graph), config.num_stripes,
-             config.symmetric),
+      delta_(std::make_shared<const CsrGraph>(dataset.graph), config.num_stripes),
       features_(features != nullptr ? std::move(features)
                                     : std::make_shared<MutableFeatureStore>(dataset.features)) {
   if (features_->rows() != dataset.graph.num_vertices())
@@ -227,14 +226,9 @@ void StreamingGraph::bind_telemetry() {
 }
 
 bool StreamingGraph::add_edge(VertexId u, VertexId v) {
-  std::int64_t landed;
-  if (config_.symmetric) {
-    // Both directions under both stripes: no snapshot (or racing
-    // removal) ever observes a half-inserted undirected edge.
-    landed = delta_.add_edge_pair(u, v);
-  } else {
-    landed = delta_.add_edge(u, v) ? 1 : 0;
-  }
+  // Both directions under both stripes: no snapshot (or racing removal)
+  // ever observes a half-inserted undirected edge.
+  const std::int64_t landed = delta_.add_edge_pair(u, v);
   if (landed == 0) {
     duplicate_edges_.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -245,12 +239,7 @@ bool StreamingGraph::add_edge(VertexId u, VertexId v) {
 }
 
 bool StreamingGraph::remove_edge(VertexId u, VertexId v) {
-  std::int64_t landed;
-  if (config_.symmetric) {
-    landed = delta_.remove_edge_pair(u, v);
-  } else {
-    landed = delta_.remove_edge(u, v) ? 1 : 0;
-  }
+  const std::int64_t landed = delta_.remove_edge_pair(u, v);
   if (landed == 0) {
     rejected_removals_.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -551,8 +540,7 @@ EdgeId StreamingGraph::annihilate() {
   return erased;
 }
 
-std::int64_t StreamingGraph::sweep_expired(Seconds ttl, std::int64_t max_retire,
-                                           EdgeId pending_op_budget) {
+std::int64_t StreamingGraph::sweep_expired(Seconds ttl, std::int64_t max_retire) {
   if (ttl < 0.0) throw std::invalid_argument("StreamingGraph::sweep_expired: negative ttl");
   if (max_retire <= 0) return 0;
   // Stamp the cutoff once: entities touched DURING the sweep compare
@@ -565,9 +553,11 @@ std::int64_t StreamingGraph::sweep_expired(Seconds ttl, std::int64_t max_retire,
   std::int64_t retired = 0;
   const VertexId n = num_vertices();
   for (VertexId v = first; v < n && retired < max_retire; ++v) {
-    if (pending_op_budget > 0 && delta_.delta_ops() >= pending_op_budget) break;
     if (delta_.is_dead(v)) continue;
     if (features_->last_touch_ns(v) > horizon_ns) continue;
+    // Yield to an in-flight fold; its rebase or abort clears the flag,
+    // so the next pass resumes here.
+    if (fold_in_flight()) break;
     if (remove_vertex(v)) ++retired;
   }
   expired_vertices_.fetch_add(retired, std::memory_order_relaxed);

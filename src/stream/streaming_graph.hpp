@@ -162,9 +162,6 @@ class GraphVersion {
 };
 
 struct StreamingConfig {
-  /// Insert/remove both directions of every edge (datasets here are
-  /// undirected).
-  bool symmetric = true;
   std::size_t num_stripes = 64;
   /// Re-rank the attached StaticFeatureCache's admission set at every
   /// fold's REBASE: the hot set is recomputed from the cache's observed
@@ -242,14 +239,14 @@ class StreamingGraph : public ExpiryTarget {
 
   // ---- ingest (thread-safe, lock-striped) ----
 
-  /// Inserts edge {u, v} (both directions when config.symmetric).
+  /// Inserts undirected edge {u, v} (both directions, atomically).
   /// Returns false for self loops, edges already live, and dead
   /// endpoints.  The edge becomes visible to samplers at the next
   /// publish().  Re-inserting a previously deleted edge is valid and
   /// cancels the tombstone.
   bool add_edge(VertexId u, VertexId v);
 
-  /// Retracts edge {u, v} (both directions when config.symmetric).
+  /// Retracts undirected edge {u, v} (both directions, atomically).
   /// Returns false when the edge is not currently live — double
   /// deletes are rejected, not crashed on.  Deleting a pending
   /// (unpublished) insertion is valid.
@@ -257,9 +254,8 @@ class StreamingGraph : public ExpiryTarget {
 
   /// Adds one vertex with the given feature row; returns its id.
   /// Recycles the id (and feature row) of a fully-compacted deleted
-  /// streamed-in vertex when one is available (symmetric config only —
-  /// directed ingest cannot prove a retirement scrubbed every
-  /// in-edge), else grows the vertex space.  A new id gets a new row
+  /// streamed-in vertex when one is available (and config.recycle_ids),
+  /// else grows the vertex space.  A new id gets a new row
   /// only when the store has none yet (a shared store already holds
   /// the row another shard appended).  The vertex becomes sample-able
   /// after the next publish().
@@ -304,10 +300,10 @@ class StreamingGraph : public ExpiryTarget {
   ///      fold in flight (DeltaStore::begin_fold pins the cut so
   ///      annihilation cannot erase a pair straddling it);
   ///   2. BUILD (off-lock): enumerate base-minus-tombstones plus
-  ///      insertions and build the merged CSR — publishes, ingest,
-  ///      gated annihilation passes, sweeps all interleave freely, so
-  ///      the publisher's staleness bound no longer carries a fold
-  ///      stall;
+  ///      insertions and build the merged CSR — publishes, ingest and
+  ///      gated annihilation passes interleave freely, so the
+  ///      publisher's staleness bound carries no fold stall; TTL
+  ///      sweeps yield until the rebase (sweep_expired);
   ///   3. REBASE (locked): re-validate the cut against the store
   ///      (rebase throws if the frontier moved), swap-then-truncate,
   ///      republish everything pending, clear the in-flight flag.
@@ -338,13 +334,14 @@ class StreamingGraph : public ExpiryTarget {
   /// streamed-in vertices whose feature row was last touched more than
   /// `ttl` seconds ago, scanning ids in ascending order (deterministic
   /// — the differential harness's shadow expiry mirrors it).  Dataset
-  /// vertices never expire; dead vertices are skipped.  When
-  /// `pending_op_budget` > 0 the sweep stops as soon as the overlay
-  /// holds that many ops, so a retirement burst paces itself against
-  /// the compaction trigger instead of stampeding rebuilds.  Returns
-  /// the number of vertices retired.
-  std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire,
-                             EdgeId pending_op_budget = 0) override;
+  /// vertices never expire; dead vertices are skipped.  The pass stops
+  /// at the first candidate it reaches while a fold is in flight, so a
+  /// retirement burst never piles onto an overlay the compactor is
+  /// already draining; the rebase (or abort) clears the flag and the
+  /// next pass resumes.
+  /// Throws std::invalid_argument for ttl < 0.  Returns the number of
+  /// vertices retired.
+  std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire) override;
 
   /// Age of the oldest accepted-but-unpublished op, 0 when everything
   /// ingested is already visible — the signal the SLO publisher closes

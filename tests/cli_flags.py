@@ -51,7 +51,7 @@ teardown.
           [--updates U] [--update-threads T] [--publish-every P]
           [--vertex-add-frac F] [--feature-update-frac F]
           [--delete-frac F] [--vertex-delete-frac F] [--delete-recent-frac F]
-          [--compact-edges E] [--compact-ratio R] [--no-annihilate]
+          [--compact-edges E] [--compact-ratio R]
           [--slo-ms MS] [--ttl-ms MS] [--sweep-ms MS]
           [--shards N] [--partitioner hash|bfs] [--rerank-rows R]
           [--metrics-out FILE|-] [--metrics-interval-ms MS] [--trace]
@@ -59,7 +59,7 @@ teardown.
 
 lifecycle: --slo-ms bounds staleness (background publisher; 0 = caller-paced
 via --publish-every), --ttl-ms retires streamed-in entities idle that long
-(swept every --sweep-ms), --no-annihilate disables in-place tombstone GC.
+(swept every --sweep-ms).
 sharding: --shards N > 1 splits the evolving graph into N partition-routed
 shards (--partitioner picks the base assignment) with per-shard compaction
 and publishing; queries sample a consistent cross-shard cut, and --ttl-ms
@@ -130,7 +130,7 @@ STREAM_RUN = ["stream"] + SERVE_COMMON + [
     "--vertex-add-frac", "0.1", "--feature-update-frac", "0.2",
     "--delete-frac", "0.1", "--vertex-delete-frac", "0.05",
     "--delete-recent-frac", "0.5", "--compact-edges", "64",
-    "--compact-ratio", "0.5", "--no-annihilate", "--slo-ms", "3",
+    "--compact-ratio", "0.5", "--slo-ms", "3",
     "--ttl-ms", "40", "--sweep-ms", "5", "--shards", "2",
     "--partitioner", "bfs", "--rerank-rows", "16", "--cache-rerank", "off",
 ]

@@ -236,7 +236,6 @@ TEST(ShardedExpiry, BackendSweeperRetiresFacadeWideWithPacing) {
   policy.ttl = 0.0;  // everything idle at sweep time expires
   policy.sweep_interval = 1e-3;
   policy.max_retire_per_sweep = 2;  // force pacing across passes
-  policy.pending_op_budget = 0;
   ExpirySweeper sweeper(*backend, policy);
 
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);

@@ -310,7 +310,6 @@ TEST(Watchdog, NoFalsePositivesOverHealthyMultiSecondRun) {
   ExpiryPolicy expiry;
   expiry.ttl = 1.0;
   expiry.sweep_interval = 5e-3;
-  expiry.pending_op_budget = 0;
   ExpirySweeper sweeper(graph, expiry);
 
   GnnModel model(small_model_config());

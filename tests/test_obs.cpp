@@ -459,13 +459,8 @@ CountOnceSetup count_once_setup(Telemetry& telemetry) {
   setup.serving.telemetry = &telemetry;
   setup.compaction.max_overlay_edges = 64;
   setup.publisher.staleness_budget = 2e-3;
-  setup.publisher.poll_floor = 1e-3;
   setup.expiry.ttl = 0.01;
   setup.expiry.sweep_interval = 2e-3;
-  // No op-budget pacing: once ingest stops, an overlay parked between
-  // the derived budget (half the fold trigger) and the trigger stops
-  // every sweep pass while the compactor has no reason to fold.
-  setup.expiry.pending_op_budget = 0;
   setup.updates.operations = 300;
   setup.updates.vertex_add_fraction = 0.25;
   setup.updates.edge_delete_fraction = 0.2;

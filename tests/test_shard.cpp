@@ -48,9 +48,6 @@ ShardedConfig sharded_config(int shards,
 TEST(ShardedGraph, RejectsDegenerateConfigs) {
   EXPECT_THROW(ShardedStreamingGraph(community(), sharded_config(0)),
                std::invalid_argument);
-  ShardedConfig asymmetric = sharded_config(2);
-  asymmetric.stream.symmetric = false;
-  EXPECT_THROW(ShardedStreamingGraph(community(), asymmetric), std::invalid_argument);
 }
 
 TEST(ShardedGraph, OwnerShardHoldsCompleteAdjacency) {
@@ -118,6 +115,20 @@ TEST(ShardedGraph, VertexSpacesStayInLockstep) {
   graph.publish_all();
   EXPECT_FALSE(graph.current_cut()->alive(a));
   EXPECT_TRUE(graph.current_cut()->alive(b));
+}
+
+TEST(ShardedGraph, NegativeTtlSweepThrowsAndRetiresNothing) {
+  // Same contract as the flat graph: a negative TTL is a caller error,
+  // not "everything is idle".
+  ShardedStreamingGraph graph(community(), sharded_config(2));
+  const std::vector<float> row(8, 0.5f);
+  std::vector<VertexId> streamed;
+  for (int i = 0; i < 3; ++i) streamed.push_back(graph.add_vertex(row));
+  EXPECT_THROW(graph.sweep_expired(/*ttl=*/-1.0, /*max_retire=*/64), std::invalid_argument);
+  EXPECT_EQ(graph.stats().expired_vertices, 0);
+  EXPECT_EQ(graph.stats().removed_vertices, 0);
+  const auto cut = graph.publish_all();
+  for (VertexId v : streamed) EXPECT_TRUE(cut->alive(v)) << v;
 }
 
 TEST(ShardedGraph, EdgeOpsRouteToBothEndpointOwners) {
@@ -537,7 +548,6 @@ TEST(ShardedServing, SessionLifecycleRunsCleanly) {
   serving.num_workers = 2;
   PublisherPolicy publisher;
   publisher.staleness_budget = 0.002;
-  publisher.poll_floor = 0.001;
   CutAdopterPolicy adopter;
   adopter.poll_interval = 0.001;
   ServingSession session =

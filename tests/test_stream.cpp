@@ -1014,46 +1014,34 @@ TEST(Tombstones, StreamedVertexIdIsRecycledAfterCompaction) {
   EXPECT_EQ(graph.add_vertex(row), 42);
 }
 
-TEST(Tombstones, AsymmetricRemoveVertexRetractsOnlyLiveDirections) {
-  // Directed (asymmetric) ingest: retiring a vertex with a one-way
-  // pending out-edge must not tombstone the non-existent reverse — a
-  // tombstone for a non-edge would reduce to a phantom insertion.
-  StreamingConfig config;
-  config.symmetric = false;
+TEST(DeltaStore, DirectedRemoveVertexRetractsOnlyLiveDirections) {
+  // Directed ingest (symmetric = false): retiring a vertex with a
+  // one-way pending out-edge must not tombstone the non-existent
+  // reverse — a tombstone for a non-edge would reduce to a phantom
+  // insertion.
   const Dataset ds = two_component_dataset();
-  StreamingGraph graph(ds, config);
-  ASSERT_TRUE(graph.add_edge(5, 7));  // directed 5 -> 7 only
-  ASSERT_TRUE(graph.remove_vertex(5));
-  const auto version = graph.publish();
+  DeltaStore store(std::make_shared<const CsrGraph>(ds.graph), 4, /*symmetric=*/false);
+  ASSERT_TRUE(store.add_edge(5, 7));  // directed 5 -> 7 only
   // Retracted: out-edges 5->4, 5->6, 5->7 plus live reverses 4->5, 6->5.
-  EXPECT_EQ(graph.stats().removed_edges, 5);
-  EXPECT_EQ(version->degree(5), 0);
-  EXPECT_EQ(version->degree(7), 2);  // ring neighbors 6, 8 — no phantom 7->5
-  std::vector<VertexId> live;
-  version->append_neighbors(7, live);
-  EXPECT_EQ(live, (std::vector<VertexId>{6, 8}));
-  EXPECT_EQ(version->num_edges(), ds.graph.num_edges() + 1 - 5);
-  EXPECT_TRUE(version->validate());
-  ASSERT_TRUE(graph.compact());
-  EXPECT_TRUE(graph.current()->validate());
-  EXPECT_EQ(graph.current()->num_edges(), ds.graph.num_edges() + 1 - 5);
+  EXPECT_EQ(store.remove_vertex(5), 5);
+  const DeltaStore::Snapshot snap = store.snapshot(/*advance_epoch=*/false);
+  EXPECT_EQ(snap.num_inserts, 0);  // 5->7 cancelled, no phantom 7->5
+  EXPECT_EQ(snap.num_removes, 4);
 
   // A dangling directed in-edge of a dead vertex stays retractable —
   // removals are decided by membership, not endpoint liveness.
-  ASSERT_TRUE(graph.add_edge(8, 10));          // directed, not a ring edge
-  ASSERT_TRUE(graph.remove_vertex(10));        // 8 -> 10 is not discoverable from 10
-  EXPECT_TRUE(graph.remove_edge(8, 10));       // ...but cleanup is still possible
-  EXPECT_FALSE(graph.remove_edge(8, 10));
-  EXPECT_FALSE(graph.add_edge(8, 10));         // re-insert to a dead vertex stays rejected
+  ASSERT_TRUE(store.add_edge(8, 10));          // directed, not a ring edge
+  ASSERT_EQ(store.remove_vertex(10), 4);       // 8 -> 10 is not discoverable from 10
+  EXPECT_TRUE(store.remove_edge(8, 10));       // ...but cleanup is still possible
+  EXPECT_FALSE(store.remove_edge(8, 10));
+  EXPECT_FALSE(store.add_edge(8, 10));         // re-insert to a dead vertex stays rejected
 
   // Directed ingest cannot prove a retirement scrubbed every in-edge,
-  // so ids are never recycled in asymmetric mode.
-  std::vector<float> row(8, 1.0f);
-  const VertexId streamed = graph.add_vertex(row);
-  ASSERT_TRUE(graph.remove_vertex(streamed));
-  EXPECT_FALSE(graph.has_pending_scrubs());
-  ASSERT_TRUE(graph.compact());
-  EXPECT_EQ(graph.add_vertex(row), streamed + 1);  // fresh id, no reuse
+  // so ids are never recycled.
+  const VertexId streamed = store.add_vertices(1);
+  ASSERT_EQ(store.remove_vertex(streamed), 0);
+  EXPECT_FALSE(store.has_pending_scrubs());
+  EXPECT_EQ(store.reclaim_vertex(), -1);
 }
 
 TEST(Tombstones, DeadVertexRefusesFeatureUpdates) {

@@ -471,19 +471,50 @@ TEST(Expiry, MaxRetirePerSweepPacesTombstoneBursts) {
   for (VertexId v : streamed) EXPECT_FALSE(version->alive(v)) << v;
 }
 
-TEST(Expiry, PendingOpBudgetYieldsToCompactionPressure) {
+TEST(Expiry, PassYieldsWhileAFoldIsInFlightAndResumesAfterTheRebase) {
+  // A pass stops at the first candidate it reaches while a fold is in
+  // flight; the rebase clears the flag, and the next pass retires every
+  // idle vertex — pending ops alone never hold a pass back.
   StreamingGraph graph(community());
   Xoshiro256 rng(13);
   for (int i = 0; i < 4; ++i) graph.add_vertex(random_row(rng, graph.features().cols()));
   const auto [u, v] = absent_edge(*graph.current());
-  ASSERT_TRUE(graph.add_edge(u, v));  // 2 pending ops
-  // Overlay already at/over the budget: the sweep defers entirely.
-  EXPECT_EQ(graph.sweep_expired(0.0, 64, /*pending_op_budget=*/2), 0);
+  ASSERT_TRUE(graph.add_edge(u, v));  // something for the fold to merge
+
+  FoldPark park(graph);
+  park.start();
+  EXPECT_EQ(graph.sweep_expired(0.0, 64), 0);
   EXPECT_EQ(graph.stats().expired_vertices, 0);
-  // With headroom the sweep stops as soon as the budget is crossed
-  // mid-pass (each retirement here adds no ops — isolated vertices —
-  // so all four go; the budget re-check is per victim).
-  EXPECT_EQ(graph.sweep_expired(0.0, 64, /*pending_op_budget=*/1000), 4);
+  EXPECT_TRUE(park.finish());
+  EXPECT_FALSE(graph.fold_in_flight());
+  EXPECT_EQ(graph.sweep_expired(0.0, 64), 4);
+  EXPECT_EQ(graph.stats().expired_vertices, 4);
+}
+
+TEST(Expiry, ShardedPassYieldsWhileAnyShardFolds) {
+  // The facade's pass yields while ANY shard's fold is in flight, and
+  // resumes once that shard has rebased.
+  ShardedConfig config;
+  config.num_shards = 2;
+  ShardedStreamingGraph sharded(community(), config);
+  Xoshiro256 rng(14);
+  std::vector<VertexId> streamed;
+  for (int i = 0; i < 3; ++i) {
+    streamed.push_back(sharded.add_vertex(random_row(rng, sharded.features().cols())));
+  }
+  ASSERT_TRUE(sharded.add_edge(streamed[0], streamed[1]));
+  int folding = 0;
+  while (sharded.shard(folding).overlay_ops() == 0) ++folding;
+
+  FoldPark park(sharded.shard(folding));
+  park.start();
+  EXPECT_EQ(sharded.sweep_expired(0.0, 64), 0);
+  EXPECT_EQ(sharded.stats().expired_vertices, 0);
+  EXPECT_TRUE(park.finish());
+  EXPECT_EQ(sharded.sweep_expired(0.0, 64), 3);
+  EXPECT_EQ(sharded.stats().expired_vertices, 3);
+  const auto cut = sharded.publish_all();
+  for (VertexId v : streamed) EXPECT_FALSE(cut->alive(v)) << v;
 }
 
 TEST(ExpirySweeper, BackgroundSweepRetiresIdleEntities) {
@@ -497,7 +528,6 @@ TEST(ExpirySweeper, BackgroundSweepRetiresIdleEntities) {
   policy.ttl = 0.0;
   policy.sweep_interval = 1e-3;
   policy.max_retire_per_sweep = 2;
-  policy.pending_op_budget = 0;
   ExpirySweeper sweeper(graph, policy);
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (graph.stats().expired_vertices < 4 && std::chrono::steady_clock::now() < deadline) {
@@ -511,13 +541,10 @@ TEST(ExpirySweeper, BackgroundSweepRetiresIdleEntities) {
   for (VertexId v : streamed) EXPECT_FALSE(version->alive(v)) << v;
 }
 
-// Reproduces a known stall, so it is disabled: run it with
-// --gtest_also_run_disabled_tests.  HyScale::stream derives the op
-// budget as half the fold trigger.  Once ingest stops with the overlay
-// between the two, every sweep pass stops at the budget, the compactor
-// never folds, and nothing idle ever expires.  It passes once expiry
-// drains such an overlay.
-TEST(ExpirySweeper, DISABLED_DerivedBudgetStillRetiresBelowTheFoldTrigger) {
+// Ingest has stopped with the overlay under the fold trigger, so the
+// compactor has no reason to fold.  Sweeps must still retire every idle
+// vertex: a pass yields only to a fold in flight, never to pending ops.
+TEST(ExpirySweeper, RetiresIdleEntitiesWhileTheOverlaySitsBelowTheFoldTrigger) {
   StreamingGraph graph(community());
   Xoshiro256 rng(17);
   std::vector<VertexId> streamed;
@@ -525,7 +552,7 @@ TEST(ExpirySweeper, DISABLED_DerivedBudgetStillRetiresBelowTheFoldTrigger) {
     streamed.push_back(graph.add_vertex(random_row(rng, graph.features().cols())));
   }
   // 5 new edges on the streamed vertices: 10 pending ops, none of them
-  // annihilable, at or over the budget (8) and under the trigger (16).
+  // annihilable, under the trigger (16).
   for (VertexId v = 0; v < 5; ++v) ASSERT_TRUE(graph.add_edge(streamed[v % 4], v));
   CompactionPolicy compaction;
   compaction.max_overlay_edges = 16;
@@ -533,7 +560,6 @@ TEST(ExpirySweeper, DISABLED_DerivedBudgetStillRetiresBelowTheFoldTrigger) {
   ExpiryPolicy policy;
   policy.ttl = 0.0;
   policy.sweep_interval = 1e-3;
-  policy.pending_op_budget = compaction.max_overlay_edges / 2;
   ExpirySweeper sweeper(graph, policy);
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
   while (graph.stats().expired_vertices < 4 && std::chrono::steady_clock::now() < deadline) {
@@ -548,12 +574,8 @@ TEST(ExpirySweeper, RejectsUnusablePolicies) {
   StreamingGraph graph(community());
   ExpiryPolicy disabled;  // default ttl < 0
   EXPECT_THROW(ExpirySweeper(graph, disabled), std::invalid_argument);
-  ExpiryPolicy unresolved;
-  unresolved.ttl = 0.010;  // pending_op_budget left at kDeriveFromCompaction
-  EXPECT_THROW(ExpirySweeper(graph, unresolved), std::invalid_argument);
   ExpiryPolicy bad_interval;
   bad_interval.ttl = 0.010;
-  bad_interval.pending_op_budget = 0;
   bad_interval.sweep_interval = 0.0;
   EXPECT_THROW(ExpirySweeper(graph, bad_interval), std::invalid_argument);
 }
@@ -722,10 +744,6 @@ TEST(Publisher, RejectsUnusablePolicies) {
   PublisherPolicy disabled;
   disabled.staleness_budget = 0.0;
   EXPECT_THROW(Publisher(graph, disabled), std::invalid_argument);
-  PublisherPolicy inverted;
-  inverted.staleness_budget = 1e-3;
-  inverted.poll_floor = 2e-3;
-  EXPECT_THROW(Publisher(graph, inverted), std::invalid_argument);
 }
 
 TEST(Publisher, DrivesGeneratorVisibilityAsTheDefault) {
@@ -779,25 +797,9 @@ TEST(Compactor, AnnihilationResolvesCancelledChurnWithoutRebuild) {
   EXPECT_EQ(graph.publish()->num_edges(), community().graph.num_edges());
 }
 
-TEST(Compactor, FoldOnlyPolicyStillDemandsRebuild) {
-  StreamingGraph graph(community());
-  CompactionPolicy policy;
-  policy.max_overlay_edges = 8;
-  policy.max_overlay_ratio = 1e9;
-  policy.annihilate_first = false;
-  Compactor compactor(graph, policy);
-  compactor.stop();  // decide() only
-  const auto [u, v] = absent_edge(*graph.current());
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(graph.add_edge(u, v));
-    ASSERT_TRUE(graph.remove_edge(u, v));
-  }
-  EXPECT_EQ(compactor.decide(), Compactor::Maintenance::kFold);
-}
-
 TEST(Compactor, InsertOnlyOverlayGoesStraightToFold) {
-  // No tombstones -> nothing cancellable: even with annihilate_first
-  // on (the default), an insert-only overlay skips the no-op pass.
+  // No tombstones -> nothing cancellable: an insert-only overlay skips
+  // the no-op annihilation pass.
   StreamingGraph graph(community());
   CompactionPolicy policy;
   policy.max_overlay_edges = 8;
@@ -849,30 +851,27 @@ TEST(Compactor, DecideNeverDemandsSecondFoldWhileOneIsInFlight) {
   // refused_folds + backoff growth).  The gated annihilation pass is
   // still offered when there is something it could cancel.
   StreamingGraph graph(community());
-  CompactionPolicy fold_only;
-  fold_only.max_overlay_edges = 2;
-  fold_only.max_overlay_ratio = 1e9;
-  fold_only.annihilate_first = false;
-  Compactor compactor(graph, fold_only);
+  CompactionPolicy policy;
+  policy.max_overlay_edges = 2;
+  policy.max_overlay_ratio = 1e9;
+  Compactor compactor(graph, policy);
   compactor.stop();  // decide() only
 
+  // Insert-only overlay over the trigger: nothing to cancel, so kFold.
   const auto [u1, v1] = absent_edge(*graph.current());
   ASSERT_TRUE(graph.add_edge(u1, v1));
-  ASSERT_GE(graph.overlay_ops(), fold_only.max_overlay_edges);
+  ASSERT_GE(graph.overlay_ops(), policy.max_overlay_edges);
+  ASSERT_EQ(graph.overlay_tombstones(), 0);
   EXPECT_EQ(compactor.decide(), Compactor::Maintenance::kFold);
 
   FoldPark park(graph);
   park.start();
   EXPECT_EQ(compactor.decide(), Compactor::Maintenance::kNone);  // fold already running
 
-  // Tombstones pending mid-build: an annihilate-first policy still
-  // offers the (cut-gated) in-place pass.
-  CompactionPolicy annihilating = fold_only;
-  annihilating.annihilate_first = true;
-  Compactor annihilator(graph, annihilating);
-  annihilator.stop();
+  // Tombstones pending mid-build: the (cut-gated) in-place pass is
+  // still offered.
   ASSERT_TRUE(graph.remove_edge(u1, v1));
-  EXPECT_EQ(annihilator.decide(), Compactor::Maintenance::kAnnihilate);
+  EXPECT_EQ(compactor.decide(), Compactor::Maintenance::kAnnihilate);
 
   EXPECT_TRUE(park.finish());
   EXPECT_EQ(graph.stats().compactions, 1);
@@ -986,8 +985,6 @@ TEST(ServingSession, LifecycleThreadsServeChurnEndToEnd) {
   ServingSession session = system.stream(serving, {}, compaction, publisher, expiry);
   ASSERT_NE(session.publisher(), nullptr);
   ASSERT_NE(session.sweeper, nullptr);
-  // kDeriveFromCompaction resolved against the compaction trigger.
-  EXPECT_EQ(session.sweeper->policy().pending_op_budget, compaction.max_overlay_edges / 2);
 
   UpdateGeneratorConfig updates;
   updates.operations = 200;
