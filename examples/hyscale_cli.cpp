@@ -660,9 +660,8 @@ int run_stream(const StreamOptions& options) {
   if (shards > 1) {
     ShardedConfig sharded = options.sharded;
     sharded.stream = streaming;
-    // One facade-wide TTL sweeper, paced through the ServingBackend
-    // seam — retirement broadcasts to every shard so the vertex spaces
-    // stay in lockstep.
+    // One facade-wide TTL sweeper over the sharded graph — retirement
+    // broadcasts to every shard so the vertex spaces stay in lockstep.
     session = system.stream_sharded(sharded, serving, options.compaction, publisher, {}, expiry);
     const Partition& partition = session.shards().partition();
     std::printf("\nsharded streaming %s: %d shards (%s partition, imbalance %.3f, "

@@ -1,7 +1,7 @@
 // Deterministic, fast pseudo-random number generation.
 //
 // All stochastic components (graph generators, neighbor samplers, weight
-// initialisers, dropout) draw from these generators so that every
+// initialisers) draw from these generators so that every
 // experiment in the repository is bit-reproducible from a seed.  We use
 // splitmix64 for seeding and xoshiro256** as the workhorse generator —
 // both are tiny, fast, and have well-studied statistical quality.

@@ -47,7 +47,6 @@
 #include "runtime/task_mapper.hpp"
 #include "runtime/trace.hpp"
 #include "sampling/neighbor_sampler.hpp"
-#include "sampling/saint_sampler.hpp"
 #include "sampling/sorted_edges.hpp"
 #include "serving/serving.hpp"
 #include "shard/shard.hpp"
@@ -65,7 +64,7 @@ inline constexpr const char* kVersion = "1.0.0";
 /// per-shard compactors (annihilate-then-fold; exactly one in flat
 /// mode), SLO publishers (staleness budget, on by default), the
 /// CutAdopter folding per-shard publishes into consistent cuts (sharded
-/// only), and ONE TTL expiry sweeper paced through the backend (opt-in;
+/// only), and ONE TTL expiry sweeper over the graph (opt-in;
 /// facade-wide in sharded mode, so retirement keeps every shard's
 /// vertex space in lockstep).  A static session has only the backend
 /// and the server.
@@ -145,10 +144,8 @@ class HyScale {
     session.compactors.push_back(std::make_unique<Compactor>(*session.graph, compaction));
     if (publisher.staleness_budget > 0.0)
       session.publishers.push_back(std::make_unique<Publisher>(*session.graph, publisher));
-    // Paced through the backend seam — same target as the sharded
-    // variant, so TTL wiring is written once.
     if (expiry.enabled())
-      session.sweeper = std::make_unique<ExpirySweeper>(*session.backend, expiry);
+      session.sweeper = std::make_unique<ExpirySweeper>(*session.graph, expiry);
     return session;
   }
 
@@ -158,7 +155,7 @@ class HyScale {
   /// Publisher, while a CutAdopter folds the shards' independent
   /// publishes into consistent cross-shard cuts for the server.  When
   /// `expiry.enabled()`, ONE ExpirySweeper paces TTL retirement through
-  /// the backend's facade-wide sweep — broadcast retirement keeps the
+  /// the facade-wide sweep — broadcast retirement keeps the
   /// shards' vertex spaces in lockstep (the reason per-shard sweepers
   /// would be wrong, and why sharded TTL used to be caller-paced).
   ServingSession stream_sharded(ShardedConfig sharded = {}, ServingConfig serving = {},
@@ -181,7 +178,7 @@ class HyScale {
     }
     session.adopter = std::make_unique<CutAdopter>(*session.sharded, adopter);
     if (expiry.enabled())
-      session.sweeper = std::make_unique<ExpirySweeper>(*session.backend, expiry);
+      session.sweeper = std::make_unique<ExpirySweeper>(*session.sharded, expiry);
     return session;
   }
 

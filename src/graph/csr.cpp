@@ -38,19 +38,4 @@ bool CsrGraph::validate() const {
   return true;
 }
 
-CsrGraph CsrGraph::transpose() const {
-  const VertexId n = num_vertices();
-  std::vector<EdgeId> out_ptr(static_cast<std::size_t>(n) + 1, 0);
-  for (VertexId dst : indices_) ++out_ptr[static_cast<std::size_t>(dst) + 1];
-  for (std::size_t i = 1; i < out_ptr.size(); ++i) out_ptr[i] += out_ptr[i - 1];
-  std::vector<VertexId> out_idx(indices_.size());
-  std::vector<EdgeId> cursor(out_ptr.begin(), out_ptr.end() - 1);
-  for (VertexId src = 0; src < n; ++src) {
-    for (VertexId dst : neighbors(src)) {
-      out_idx[static_cast<std::size_t>(cursor[static_cast<std::size_t>(dst)]++)] = src;
-    }
-  }
-  return CsrGraph(std::move(out_ptr), std::move(out_idx));
-}
-
 }  // namespace hyscale

@@ -54,10 +54,6 @@ class CsrGraph {
   /// and by the binary loader.
   bool validate() const;
 
-  /// Returns the reverse (transpose) graph.  For symmetric graphs this is
-  /// a copy; needed to compute in-degrees on directed generators.
-  CsrGraph transpose() const;
-
  private:
   std::vector<EdgeId> indptr_;
   std::vector<VertexId> indices_;

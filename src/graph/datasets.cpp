@@ -29,6 +29,8 @@ const DatasetInfo& dataset_info(const std::string& name) {
 
 namespace {
 
+constexpr double kTrainFraction = 0.1;
+
 int scale_for_vertices(VertexId target) {
   int scale = 1;
   while ((VertexId{1} << scale) < target && scale < 30) ++scale;
@@ -74,11 +76,11 @@ Dataset materialize_dataset(const std::string& name, const MaterializeOptions& o
     }
   }
 
-  // Train split: uniform sample of `train_fraction` vertices.
-  const auto want = static_cast<std::size_t>(options.train_fraction * static_cast<double>(n));
+  // Train split: uniform sample of `kTrainFraction` vertices.
+  const auto want = static_cast<std::size_t>(kTrainFraction * static_cast<double>(n));
   ds.train_ids.reserve(want);
   for (VertexId v = 0; v < n; ++v) {
-    if (rng.uniform() < options.train_fraction) ds.train_ids.push_back(v);
+    if (rng.uniform() < kTrainFraction) ds.train_ids.push_back(v);
   }
   if (ds.train_ids.empty()) ds.train_ids.push_back(0);
   return ds;

@@ -65,7 +65,6 @@ struct MaterializeOptions {
   /// Approximate number of materialised vertices (rounded to a power of
   /// two by the RMAT generator).  The paper-scale counts stay in `info`.
   VertexId target_vertices = 1 << 14;
-  double train_fraction = 0.1;
   std::uint64_t seed = 42;
   /// When true, features carry class-correlated signal so training
   /// converges; when false, features are pure noise (faster, for

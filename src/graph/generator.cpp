@@ -85,43 +85,4 @@ CsrGraph generate_sbm(const SbmParams& params) {
   return build_csr(n, std::move(edges));
 }
 
-CsrGraph generate_erdos_renyi(VertexId num_vertices, double p, std::uint64_t seed) {
-  if (p < 0.0 || p > 1.0) throw std::invalid_argument("generate_erdos_renyi: p not in [0,1]");
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  if (p > 0.0 && num_vertices > 1) {
-    Xoshiro256 rng(seed);
-    const double log_1mp = std::log(1.0 - p);
-    // Geometric skipping over the upper triangle, O(E) expected time.
-    const auto total = static_cast<std::uint64_t>(num_vertices) *
-                       static_cast<std::uint64_t>(num_vertices - 1) / 2;
-    std::uint64_t position = 0;
-    auto advance = [&]() -> bool {
-      if (p >= 1.0) {
-        ++position;
-        return position <= total;
-      }
-      const double r = std::max(rng.uniform(), 1e-300);
-      position += 1 + static_cast<std::uint64_t>(std::floor(std::log(r) / log_1mp));
-      return position <= total;
-    };
-    while (advance()) {
-      // Decode linear index `position-1` in the strictly-upper triangle.
-      const std::uint64_t k = position - 1;
-      // Row search: u such that offset(u) <= k < offset(u+1) where
-      // offset(u) = u*n - u*(u+1)/2. Solve quadratically then correct.
-      const double nd = static_cast<double>(num_vertices);
-      double u_guess = nd - 0.5 - std::sqrt((nd - 0.5) * (nd - 0.5) - 2.0 * static_cast<double>(k));
-      auto u = static_cast<std::uint64_t>(std::max(0.0, std::floor(u_guess)));
-      auto offset = [&](std::uint64_t row) {
-        return row * static_cast<std::uint64_t>(num_vertices) - row * (row + 1) / 2;
-      };
-      while (u + 1 < static_cast<std::uint64_t>(num_vertices) && offset(u + 1) <= k) ++u;
-      while (u > 0 && offset(u) > k) --u;
-      const std::uint64_t v = u + 1 + (k - offset(u));
-      edges.emplace_back(static_cast<VertexId>(u), static_cast<VertexId>(v));
-    }
-  }
-  return build_csr(num_vertices, std::move(edges));
-}
-
 }  // namespace hyscale

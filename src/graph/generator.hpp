@@ -7,8 +7,7 @@
 //     distribution that stresses neighbor sampling and feature gather the
 //     same way web/citation graphs do (Graph500 uses the same model);
 //   * a planted-partition (SBM) generator gives label-correlated
-//     community structure so GNN convergence tests have real signal;
-//   * Erdős–Rényi is kept as a degenerate control for property tests.
+//     community structure so GNN convergence tests have real signal.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +46,5 @@ struct SbmParams {
 /// Block of vertex v is v / vertices_per_block — used as its class label
 /// by the dataset layer.
 CsrGraph generate_sbm(const SbmParams& params);
-
-/// Erdős–Rényi G(n, p) via geometric skipping (O(E) not O(n^2)).
-CsrGraph generate_erdos_renyi(VertexId num_vertices, double p, std::uint64_t seed);
 
 }  // namespace hyscale

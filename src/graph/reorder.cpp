@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
 
 namespace hyscale {
 
@@ -13,41 +12,6 @@ std::vector<VertexId> degree_order(const CsrGraph& graph) {
     return graph.degree(a) > graph.degree(b);
   });
   return perm;
-}
-
-std::vector<VertexId> invert_permutation(const std::vector<VertexId>& perm) {
-  std::vector<VertexId> inv(perm.size(), VertexId{-1});
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    const VertexId old_id = perm[i];
-    if (old_id < 0 || static_cast<std::size_t>(old_id) >= perm.size() ||
-        inv[static_cast<std::size_t>(old_id)] != -1)
-      throw std::invalid_argument("invert_permutation: not a permutation");
-    inv[static_cast<std::size_t>(old_id)] = static_cast<VertexId>(i);
-  }
-  return inv;
-}
-
-CsrGraph apply_permutation(const CsrGraph& graph, const std::vector<VertexId>& perm) {
-  if (perm.size() != static_cast<std::size_t>(graph.num_vertices()))
-    throw std::invalid_argument("apply_permutation: size mismatch");
-  const std::vector<VertexId> inv = invert_permutation(perm);
-  const VertexId n = graph.num_vertices();
-  std::vector<EdgeId> indptr(static_cast<std::size_t>(n) + 1, 0);
-  for (VertexId new_id = 0; new_id < n; ++new_id) {
-    indptr[static_cast<std::size_t>(new_id) + 1] =
-        indptr[static_cast<std::size_t>(new_id)] + graph.degree(perm[static_cast<std::size_t>(new_id)]);
-  }
-  std::vector<VertexId> indices(static_cast<std::size_t>(graph.num_edges()));
-  for (VertexId new_id = 0; new_id < n; ++new_id) {
-    EdgeId cursor = indptr[static_cast<std::size_t>(new_id)];
-    std::vector<VertexId> remapped;
-    for (VertexId old_neighbor : graph.neighbors(perm[static_cast<std::size_t>(new_id)])) {
-      remapped.push_back(inv[static_cast<std::size_t>(old_neighbor)]);
-    }
-    std::sort(remapped.begin(), remapped.end());
-    for (VertexId nb : remapped) indices[static_cast<std::size_t>(cursor++)] = nb;
-  }
-  return CsrGraph(std::move(indptr), std::move(indices));
 }
 
 }  // namespace hyscale

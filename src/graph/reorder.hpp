@@ -17,10 +17,4 @@ namespace hyscale {
 /// degree (stable for ties).
 std::vector<VertexId> degree_order(const CsrGraph& graph);
 
-/// Inverse of a permutation: inv[old_id] = new_id.
-std::vector<VertexId> invert_permutation(const std::vector<VertexId>& perm);
-
-/// Relabels the graph under `perm` (perm[new] = old).
-CsrGraph apply_permutation(const CsrGraph& graph, const std::vector<VertexId>& perm);
-
 }  // namespace hyscale

@@ -4,39 +4,6 @@
 
 namespace hyscale {
 
-ClassificationReport classification_report(const Tensor& logits, std::span<const int> labels) {
-  if (static_cast<std::int64_t>(labels.size()) != logits.rows())
-    throw std::invalid_argument("classification_report: label count mismatch");
-  ClassificationReport report;
-  const std::int64_t classes = logits.cols();
-  report.per_class.assign(static_cast<std::size_t>(classes), ClassStats{});
-  if (logits.rows() == 0) return report;
-
-  std::int64_t correct = 0;
-  for (std::int64_t i = 0; i < logits.rows(); ++i) {
-    const int label = labels[static_cast<std::size_t>(i)];
-    if (label < 0 || label >= classes)
-      throw std::invalid_argument("classification_report: label out of range");
-    const float* row = logits.data() + i * classes;
-    std::int64_t predicted = 0;
-    for (std::int64_t j = 1; j < classes; ++j) {
-      if (row[j] > row[predicted]) predicted = j;
-    }
-    if (predicted == label) {
-      ++correct;
-      ++report.per_class[static_cast<std::size_t>(label)].true_positive;
-    } else {
-      ++report.per_class[static_cast<std::size_t>(predicted)].false_positive;
-      ++report.per_class[static_cast<std::size_t>(label)].false_negative;
-    }
-  }
-  report.accuracy = static_cast<double>(correct) / static_cast<double>(logits.rows());
-  double f1_sum = 0.0;
-  for (const ClassStats& stats : report.per_class) f1_sum += stats.f1();
-  report.macro_f1 = f1_sum / static_cast<double>(classes);
-  return report;
-}
-
 double accuracy(const Tensor& logits, std::span<const int> labels) {
   if (static_cast<std::int64_t>(labels.size()) != logits.rows())
     throw std::invalid_argument("accuracy: label count mismatch");

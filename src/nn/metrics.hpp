@@ -1,9 +1,7 @@
-// Classification metrics: accuracy, per-class precision/recall/F1 and
-// the macro-F1 the OGB leaderboards report alongside accuracy.
+// Classification accuracy of a batch of logits against its labels.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -11,33 +9,5 @@ namespace hyscale {
 
 /// Fraction of rows whose argmax equals the label.
 double accuracy(const Tensor& logits, std::span<const int> labels);
-
-struct ClassStats {
-  std::int64_t true_positive = 0;
-  std::int64_t false_positive = 0;
-  std::int64_t false_negative = 0;
-
-  double precision() const {
-    const std::int64_t denom = true_positive + false_positive;
-    return denom == 0 ? 0.0 : static_cast<double>(true_positive) / static_cast<double>(denom);
-  }
-  double recall() const {
-    const std::int64_t denom = true_positive + false_negative;
-    return denom == 0 ? 0.0 : static_cast<double>(true_positive) / static_cast<double>(denom);
-  }
-  double f1() const {
-    const double p = precision(), r = recall();
-    return p + r == 0.0 ? 0.0 : 2.0 * p * r / (p + r);
-  }
-};
-
-struct ClassificationReport {
-  double accuracy = 0.0;
-  double macro_f1 = 0.0;  ///< unweighted mean of per-class F1
-  std::vector<ClassStats> per_class;
-};
-
-/// Full report from logits; `num_classes` defaults to logits.cols().
-ClassificationReport classification_report(const Tensor& logits, std::span<const int> labels);
 
 }  // namespace hyscale

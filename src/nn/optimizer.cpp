@@ -1,69 +1,19 @@
 #include "nn/optimizer.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace hyscale {
 
-SgdOptimizer::SgdOptimizer(double lr, double momentum, double weight_decay)
-    : lr_(lr), momentum_(momentum), weight_decay_(weight_decay) {
+SgdOptimizer::SgdOptimizer(double lr) : lr_(lr) {
   if (lr <= 0.0) throw std::invalid_argument("SgdOptimizer: lr must be positive");
 }
 
 void SgdOptimizer::step(const std::vector<Param*>& params) {
-  if (velocity_.size() < params.size()) velocity_.resize(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    Param& p = *params[i];
-    Tensor& vel = velocity_[i];
-    if (vel.rows() != p.value.rows() || vel.cols() != p.value.cols())
-      vel.resize(p.value.rows(), p.value.cols());
-    float* value = p.value.data();
-    const float* grad = p.grad.data();
-    float* v = vel.data();
-    const std::int64_t n = p.value.size();
-    for (std::int64_t j = 0; j < n; ++j) {
-      const double g = grad[j] + weight_decay_ * value[j];
-      const double vj = momentum_ * v[j] + g;
-      v[j] = static_cast<float>(vj);
-      value[j] -= static_cast<float>(lr_ * vj);
-    }
-  }
-}
-
-AdamOptimizer::AdamOptimizer(double lr, double beta1, double beta2, double epsilon)
-    : lr_(lr), beta1_(beta1), beta2_(beta2), epsilon_(epsilon) {
-  if (lr <= 0.0) throw std::invalid_argument("AdamOptimizer: lr must be positive");
-}
-
-void AdamOptimizer::step(const std::vector<Param*>& params) {
-  if (m_.size() < params.size()) {
-    m_.resize(params.size());
-    v_.resize(params.size());
-  }
-  ++t_;
-  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    Param& p = *params[i];
-    Tensor& m = m_[i];
-    Tensor& v = v_[i];
-    if (m.rows() != p.value.rows() || m.cols() != p.value.cols()) {
-      m.resize(p.value.rows(), p.value.cols());
-      v.resize(p.value.rows(), p.value.cols());
-    }
-    float* value = p.value.data();
-    const float* grad = p.grad.data();
-    float* pm = m.data();
-    float* pv = v.data();
-    const std::int64_t n = p.value.size();
-    for (std::int64_t j = 0; j < n; ++j) {
-      const double g = grad[j];
-      pm[j] = static_cast<float>(beta1_ * pm[j] + (1.0 - beta1_) * g);
-      pv[j] = static_cast<float>(beta2_ * pv[j] + (1.0 - beta2_) * g * g);
-      const double m_hat = pm[j] / bias1;
-      const double v_hat = pv[j] / bias2;
-      value[j] -= static_cast<float>(lr_ * m_hat / (std::sqrt(v_hat) + epsilon_));
-    }
+  for (Param* p : params) {
+    float* value = p->value.data();
+    const float* grad = p->grad.data();
+    const std::int64_t n = p->value.size();
+    for (std::int64_t j = 0; j < n; ++j) value[j] -= static_cast<float>(lr_ * grad[j]);
   }
 }
 

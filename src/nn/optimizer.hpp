@@ -1,45 +1,23 @@
-// Optimizers over Param sets.  Synchronous SGD (§II-B) averages
+// Plain SGD over Param sets.  Synchronous SGD (§II-B) averages
 // gradients across trainers *before* stepping, so the optimizer only
 // ever sees one (averaged) gradient per parameter per iteration —
 // identical to single-device large-batch training.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "nn/param.hpp"
 
 namespace hyscale {
 
-class Optimizer {
+class SgdOptimizer {
  public:
-  virtual ~Optimizer() = default;
+  explicit SgdOptimizer(double lr);
   /// Applies one update using each param's current .grad.
-  virtual void step(const std::vector<Param*>& params) = 0;
-};
-
-class SgdOptimizer final : public Optimizer {
- public:
-  explicit SgdOptimizer(double lr, double momentum = 0.0, double weight_decay = 0.0);
-  void step(const std::vector<Param*>& params) override;
+  void step(const std::vector<Param*>& params);
 
  private:
   double lr_;
-  double momentum_;
-  double weight_decay_;
-  std::vector<Tensor> velocity_;  ///< lazily sized per param
-};
-
-class AdamOptimizer final : public Optimizer {
- public:
-  explicit AdamOptimizer(double lr, double beta1 = 0.9, double beta2 = 0.999,
-                         double epsilon = 1e-8);
-  void step(const std::vector<Param*>& params) override;
-
- private:
-  double lr_, beta1_, beta2_, epsilon_;
-  std::int64_t t_ = 0;
-  std::vector<Tensor> m_, v_;
 };
 
 }  // namespace hyscale

@@ -9,6 +9,9 @@ namespace hyscale {
 
 namespace {
 
+constexpr std::size_t kMaxJournalEvents = 256;  ///< newest events included per dump
+constexpr std::size_t kMaxExemplars = 8;        ///< slowest traces included per dump
+
 // Same non-finite policy as the exporter: JSON has no inf/nan.
 void append_number(std::string& out, double v) {
   if (!std::isfinite(v)) v = 0.0;
@@ -138,8 +141,7 @@ std::string FlightRecorder::render(const std::string& reason) const {
   // is unaffected and the record still shows recent causes.
   std::vector<JournalEvent> events = telemetry_.journal().events();
   const std::size_t skip =
-      events.size() > config_.max_journal_events ? events.size() - config_.max_journal_events
-                                                 : 0;
+      events.size() > kMaxJournalEvents ? events.size() - kMaxJournalEvents : 0;
   out += ",\"journal\":{\"dropped\":";
   append_int(out, telemetry_.journal().dropped());
   out += ",\"events\":[";
@@ -189,7 +191,7 @@ std::string FlightRecorder::render(const std::string& reason) const {
   first = true;
   std::size_t emitted = 0;
   for (const RequestTrace& trace : ring.slowest()) {
-    if (emitted++ >= config_.max_exemplars) break;
+    if (emitted++ >= kMaxExemplars) break;
     if (!first) out += ',';
     first = false;
     out += "{\"request_id\":";

@@ -36,9 +36,7 @@ namespace hyscale {
 class Telemetry;
 
 struct FlightRecorderConfig {
-  std::string path;                    ///< output file; "-" = stderr, empty disables dumps
-  std::size_t max_journal_events = 256;  ///< newest events included per dump
-  std::size_t max_exemplars = 8;       ///< slowest traces included per dump
+  std::string path;  ///< output file; "-" = stderr, empty disables dumps
   bool dump_on_teardown = true;
   std::int64_t min_dump_gap_ns = 100'000'000;  ///< trip rate limit (100 ms)
 };

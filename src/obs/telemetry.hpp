@@ -33,11 +33,7 @@
 namespace hyscale {
 
 struct TelemetryConfig {
-  bool tracing = true;                 ///< allocate + fill trace rings
-  std::size_t trace_ring_capacity = 4096;  ///< spans retained per thread
-  std::size_t trace_max_threads = 64;
-  std::size_t journal_capacity = 1024;
-  std::size_t exemplar_capacity = 16;  ///< slowest-request traces retained; 0 disables
+  bool tracing = true;  ///< allocate + fill trace rings
 };
 
 /// One escalation: a watchdog stall, a publisher SLO breach, or an
@@ -50,9 +46,9 @@ struct TripRecord {
 class Telemetry {
  public:
   explicit Telemetry(TelemetryConfig config = {})
-      : tracer_(config.tracing, config.trace_ring_capacity, config.trace_max_threads),
-        journal_(config.journal_capacity),
-        exemplars_(config.exemplar_capacity) {
+      : tracer_(config.tracing, kTraceRingCapacity, kTraceMaxThreads),
+        journal_(kJournalCapacity),
+        exemplars_(kExemplarCapacity) {
     // Journal overflow is otherwise silent; surfacing the drop count as
     // a registry instrument puts it in every exporter snapshot line and
     // every flight record.  Registered first so it precedes all
@@ -104,6 +100,10 @@ class Telemetry {
   }
 
  private:
+  static constexpr std::size_t kTraceRingCapacity = 4096;  ///< spans retained per thread
+  static constexpr std::size_t kTraceMaxThreads = 64;
+  static constexpr std::size_t kJournalCapacity = 1024;
+  static constexpr std::size_t kExemplarCapacity = 16;  ///< slowest-request traces retained
   static constexpr std::size_t kMaxTrips = 64;
 
   MetricsRegistry registry_;

@@ -7,6 +7,11 @@
 #include "obs/trace.hpp"
 
 namespace hyscale {
+namespace {
+
+constexpr double kStallMultiplier = 8.0;  ///< threshold = multiplier x interval_hint
+
+}  // namespace
 
 void Heartbeat::beat() {
   last_beat_ns_.store(StageTracer::now_ns());
@@ -90,7 +95,7 @@ void Watchdog::sweep() {
     }
     const std::int64_t threshold =
         std::max(config_.min_stall_ns,
-                 static_cast<std::int64_t>(config_.stall_multiplier *
+                 static_cast<std::int64_t>(kStallMultiplier *
                                            static_cast<double>(h.interval_hint_ns)));
     const std::int64_t age = now - h.last_beat_ns;
     if (age <= threshold) {

@@ -11,7 +11,7 @@
 // stuck on the rebase endpoint, a worker deadlocked in gather.
 //
 // False-positive calibration: a heart is flagged only when
-//   age > max(min_stall, stall_multiplier x interval_hint)
+//   age > max(min_stall, 8 x interval_hint)
 // where interval_hint is the longest gap the thread expects between
 // beats while busy.  With the defaults (250 ms floor, 8x multiplier)
 // the bound is at least an order of magnitude above the worst
@@ -106,7 +106,6 @@ class HeartbeatRegistry {
 
 struct WatchdogConfig {
   std::int64_t check_interval_ns = 20'000'000;  ///< 20 ms between sweeps
-  double stall_multiplier = 8.0;  ///< threshold = multiplier x interval_hint
   std::int64_t min_stall_ns = 250'000'000;  ///< 250 ms floor under the threshold
 };
 

@@ -34,6 +34,9 @@ DrmEngine::DrmEngine(DrmConfig config) : config_(config) {
 
 namespace {
 
+/// Granularity of sampling-fraction moves.
+constexpr double kSampleFractionStep = 0.125;
+
 // The five quantities Algorithm 1 sorts (line 2): TSC, TSA, TLoad, TTC,
 // and the bundled T_Accel = max(TTran, TTA).
 struct Entry {
@@ -126,7 +129,7 @@ DrmAction DrmEngine::balance_sampling_work(const StageTimes& /*times*/,
                                            WorkloadAssignment& workload, bool toward_accel) {
   DrmAction action;
   action.kind = DrmAction::Kind::kBalanceSampling;
-  const double delta = toward_accel ? config_.sample_fraction_step : -config_.sample_fraction_step;
+  const double delta = toward_accel ? kSampleFractionStep : -kSampleFractionStep;
   const double before = workload.accel_sample_fraction;
   workload.accel_sample_fraction = std::clamp(before + delta, 0.0, 1.0);
   action.sample_fraction_delta = workload.accel_sample_fraction - before;

@@ -27,8 +27,6 @@ struct DrmConfig {
   std::int64_t batch_granularity = 16;
   /// Threads moved per balance_thread step.
   int thread_step = 2;
-  /// Granularity of sampling-fraction moves.
-  double sample_fraction_step = 0.125;
   /// Whether any accelerator can sample (enables the TSA dimension).
   bool accel_sampling_available = false;
 };

@@ -45,7 +45,6 @@ struct HybridTrainerConfig {
   bool hybrid = true;  ///< CPU trainer participates (vs pure offload)
   bool drm = true;     ///< dynamic resource management at runtime
   PipelineMode pipeline = PipelineMode::kTwoStagePrefetch;  ///< TFP when two-stage
-  bool accel_sampling = true;  ///< allow Sampler instances on accelerators
   /// Seed the workload from the §V performance model (the paper's
   /// compile-time mapping).  When false, a heuristic split (half a
   /// trainer's batch on the CPU, 1/4-1/4-1/2 threads) stands in for an
@@ -69,17 +68,6 @@ struct HybridTrainerConfig {
   // PCIe hop.  int8 additionally round-trips the real accelerator
   // features through quantization so the numeric effect is genuine.
   TransferPrecision transfer_precision = TransferPrecision::kFp32;
-
-  // ---- Simulation overheads — the effects the paper's model does NOT
-  // capture and blames for its 5-14% error (§VI-C): kernel-launch set-up
-  // and pipeline flushing.
-  Seconds launch_overhead = 150e-6;        ///< per iteration, per accelerator
-  Seconds flush_overhead_fraction = 0.04;  ///< fraction of propagation lost to flush
-  /// Per-iteration cost of the stage barriers and DONE/ACK handshake
-  /// (§III-C sets a barrier at the end of every pipeline stage); applied
-  /// to the whole iteration, also outside the analytic model.
-  double barrier_overhead_fraction = 0.05;
-  Seconds barrier_latency = 100e-6;
 
   // ---- Bookkeeping.
   int trajectory_cap = 512;  ///< iteration records kept per epoch

@@ -6,6 +6,13 @@
 #include "common/log.hpp"
 
 namespace hyscale {
+namespace {
+
+/// Candidate CPU shares of one extra trainer's worth of work,
+/// in 1/16ths of per_trainer_batch (0 .. 16).
+constexpr int kMaxCpuShare16ths = 16;
+
+}  // namespace
 
 WorkloadAssignment initial_task_mapping(const PerformanceModel& model,
                                         const TaskMapperOptions& options) {
@@ -26,7 +33,7 @@ WorkloadAssignment initial_task_mapping(const PerformanceModel& model,
   // The hybrid system adds a CPU trainer carrying up to one extra
   // trainer's worth of seeds on top of `per_trainer_batch` per
   // accelerator; accelerator-only mapping is cpu_share = 0.
-  const int max_share = options.hybrid ? options.max_cpu_share_16ths : 0;
+  const int max_share = options.hybrid ? kMaxCpuShare16ths : 0;
   for (int share16 = 0; share16 <= max_share; ++share16) {
     for (const auto& threads : thread_presets) {
       WorkloadAssignment candidate;

@@ -17,9 +17,6 @@ struct TaskMapperOptions {
   std::int64_t per_trainer_batch = 1024;  ///< the paper's default mini-batch size
   bool hybrid = true;                      ///< allow a CPU trainer at all
   PipelineMode mode = PipelineMode::kTwoStagePrefetch;
-  /// Candidate CPU shares of one extra trainer's worth of work,
-  /// in 1/16ths of per_trainer_batch (0 .. 16).
-  int max_cpu_share_16ths = 16;
 };
 
 /// Returns the best initial WorkloadAssignment for the platform described

@@ -6,6 +6,12 @@
 #include "nn/checkpoint.hpp"
 
 namespace hyscale {
+namespace {
+
+/// The accuracy gain that counts as an improvement for early stopping.
+constexpr double kMinDelta = 1e-3;
+
+}  // namespace
 
 TrainingSession::TrainingSession(HybridTrainer& trainer, SessionConfig config)
     : trainer_(trainer), config_(std::move(config)) {
@@ -24,7 +30,7 @@ SessionResult TrainingSession::run() {
 
     const double acc = trainer_.evaluate_accuracy(config_.eval_seeds);
     log_message(LogLevel::kInfo, "session", "epoch ", epoch, " accuracy ", acc);
-    if (acc > result.best_accuracy + config_.min_delta) {
+    if (acc > result.best_accuracy + kMinDelta) {
       result.best_accuracy = acc;
       result.best_epoch = epoch;
       stale_epochs = 0;

@@ -17,9 +17,8 @@ namespace hyscale {
 struct SessionConfig {
   int max_epochs = 20;
   /// Stop after this many epochs without improving train accuracy by at
-  /// least `min_delta`; 0 disables early stopping.
+  /// least 1e-3; 0 disables early stopping.
   int patience = 5;
-  double min_delta = 1e-3;
   /// When non-empty, best-model parameters are checkpointed here.
   std::string checkpoint_path;
   /// When non-empty, per-epoch CSV metrics are written here at the end.

@@ -11,8 +11,8 @@
 //
 // ServingBackend captures exactly that contract plus the lifecycle
 // around it (cache ownership and cache.* gauge registration, the
-// traffic-cadence re-rank hook, TTL expiry forwarding, the mode label
-// journal events and benches key on), so InferenceServer — and every
+// traffic-cadence re-rank hook, the mode label journal events and
+// benches key on), so InferenceServer — and every
 // future consumer: the wire/snapshot plane (ROADMAP item 2), model
 // refresh loops (item 4), per-shard replication (item 1b) — is written
 // once against this interface instead of three times against concrete
@@ -29,7 +29,6 @@
 #include "runtime/feature_cache.hpp"
 #include "sampling/minibatch.hpp"
 #include "serving/batcher.hpp"
-#include "stream/expiry_target.hpp"
 
 namespace hyscale {
 
@@ -112,13 +111,14 @@ class BackendSession {
 /// A serving data plane: everything mode-specific the InferenceServer
 /// needs, behind one interface.  Backends own the device caches they
 /// build (attaching them to their graphs for invalidation/eviction and
-/// detaching on destruction) and implement ExpiryTarget so one
-/// ExpirySweeper paces TTL retirement over whichever graph is behind
-/// the seam.  A backend serves one InferenceServer at a time and must
-/// outlive it: the caller owns the backend (ServingSession holds it
-/// beside the server) and the server only borrows it.
-class ServingBackend : public ExpiryTarget {
+/// detaching on destruction).  A backend serves one InferenceServer at
+/// a time and must outlive it: the caller owns the backend
+/// (ServingSession holds it beside the server) and the server only
+/// borrows it.
+class ServingBackend {
  public:
+  virtual ~ServingBackend() = default;
+
   /// Mode label: "static", "streaming", or "sharded" — the `backend=`
   /// tag on journal events and the stable name dashboards key on.
   virtual const char* name() const = 0;
@@ -154,15 +154,6 @@ class ServingBackend : public ExpiryTarget {
   /// registry is a no-op; `registry` must outlive the backend once
   /// bound.
   void bind_metrics(MetricsRegistry& registry);
-
-  // ExpiryTarget: defaults for backends with nothing to expire (the
-  // static dataset doesn't age).  Streaming/sharded backends forward to
-  // their graph so session facades hang ONE sweeper off the seam.
-  std::int64_t sweep_expired(Seconds /*ttl*/, std::int64_t /*max_retire*/) override {
-    return 0;
-  }
-  Telemetry* telemetry() const override { return nullptr; }
-  const char* expiry_scope() const override { return name(); }
 
  protected:
   /// Freezes the gauges bind_metrics registered.  A backend calls it in

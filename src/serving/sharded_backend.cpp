@@ -94,15 +94,6 @@ class ShardedBackend final : public ServingBackend {
 
   void rerank() override { sharded_.rerank_now(); }
 
-  // ExpiryTarget: forward to the facade's facade-wide sweep — broadcast
-  // retirement keeps every shard's vertex space in lockstep, which is
-  // exactly why per-shard sweepers would be wrong here.
-  std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire) override {
-    return sharded_.sweep_expired(ttl, max_retire);
-  }
-  Telemetry* telemetry() const override { return sharded_.telemetry(); }
-  const char* expiry_scope() const override { return sharded_.expiry_scope(); }
-
  private:
   ShardedStreamingGraph& sharded_;
   std::vector<int> fanouts_;

@@ -8,10 +8,7 @@
 // shard shares, plus the one device cache this backend owns (built over
 // the full dataset graph and the shared store, attached through
 // the facade for invalidation/eviction, detached when the backend
-// dies).  ExpiryTarget forwards to the facade-wide sweep (broadcast
-// retirement keeps the shards' vertex spaces in lockstep), so one
-// ExpirySweeper over this backend paces expiry for the whole
-// deployment.
+// dies).
 #pragma once
 
 #include <memory>

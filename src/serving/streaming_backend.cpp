@@ -92,15 +92,6 @@ class StreamingBackend final : public ServingBackend {
 
   void rerank() override { stream_.rerank_now(); }
 
-  // ExpiryTarget: forward to the graph so one sweeper paces TTL expiry
-  // through the seam (keeps the flat stack's "stream.*" instrument
-  // names).
-  std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire) override {
-    return stream_.sweep_expired(ttl, max_retire);
-  }
-  Telemetry* telemetry() const override { return stream_.telemetry(); }
-  const char* expiry_scope() const override { return stream_.expiry_scope(); }
-
  private:
   StreamingGraph& stream_;
   std::vector<int> fanouts_;

@@ -8,8 +8,7 @@
 // live feature store at the store's precision.  The backend owns the
 // device cache: built over the store, attached to the graph for
 // update_feature invalidation / remove_vertex eviction, detached when
-// the backend dies.  ExpiryTarget forwards to the graph, so a session
-// facade hangs its TTL ExpirySweeper directly off this backend.
+// the backend dies.
 #pragma once
 
 #include <memory>

@@ -7,10 +7,9 @@
 // (remove_vertex) streamed-in vertices whose feature row has not been
 // touched (appended/updated/reused, per
 // MutableFeatureStore::last_touch_ns) for longer than the TTL.  The
-// target is any ExpiryTarget: a flat StreamingGraph, the
+// target is any ExpiryTarget: a flat StreamingGraph or the
 // ShardedStreamingGraph facade (whose pass retires facade-wide, keeping
-// the shards' vertex spaces in lockstep), or a ServingBackend
-// forwarding to whichever it serves.
+// the shards' vertex spaces in lockstep).
 //
 // A retirement is a tombstone burst (every live incident edge is
 // retracted), so an unpaced sweep over a large idle population would

@@ -6,9 +6,8 @@
 // lockstep), so a per-shard sweeper would be wrong, and no sweeper at
 // all meant nothing expired.  This tiny interface is the fix: anything
 // that can retire idle streamed-in vertices under the standard pacing
-// contract — a flat StreamingGraph, the ShardedStreamingGraph facade,
-// or a ServingBackend forwarding to whichever of those it serves —
-// can sit behind one background ExpirySweeper.
+// contract — a flat StreamingGraph or the ShardedStreamingGraph facade
+// — can sit behind one background ExpirySweeper.
 #pragma once
 
 #include <cstdint>

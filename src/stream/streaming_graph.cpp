@@ -145,7 +145,7 @@ StreamingGraph::StreamingGraph(const Dataset& dataset, StreamingConfig config,
                                std::shared_ptr<MutableFeatureStore> features)
     : dataset_(&dataset),
       config_(config),
-      delta_(std::make_shared<const CsrGraph>(dataset.graph), config.num_stripes),
+      delta_(std::make_shared<const CsrGraph>(dataset.graph)),
       features_(features != nullptr ? std::move(features)
                                     : std::make_shared<MutableFeatureStore>(dataset.features)) {
   if (features_->rows() != dataset.graph.num_vertices())

@@ -162,7 +162,6 @@ class GraphVersion {
 };
 
 struct StreamingConfig {
-  std::size_t num_stripes = 64;
   /// Re-rank the attached StaticFeatureCache's admission set at every
   /// fold's REBASE: the hot set is recomputed from the cache's observed
   /// per-vertex access counters with the merged base's live degrees as

@@ -17,8 +17,6 @@ UpdateGenerator::UpdateGenerator(StreamingGraph& graph, UpdateGeneratorConfig co
   if (config_.operations < 0) throw std::invalid_argument("UpdateGenerator: negative operations");
   if (config_.num_threads < 1)
     throw std::invalid_argument("UpdateGenerator: num_threads must be >= 1");
-  if (config_.edges_per_op < 1)
-    throw std::invalid_argument("UpdateGenerator: edges_per_op must be >= 1");
   const double fractions = config_.vertex_add_fraction + config_.vertex_delete_fraction +
                            config_.feature_update_fraction + config_.edge_delete_fraction;
   if (config_.vertex_add_fraction < 0.0 || config_.vertex_delete_fraction < 0.0 ||
@@ -69,7 +67,7 @@ UpdateReport UpdateGenerator::run() {
       if (kind < add_cut) {
         for (float& x : row) x = static_cast<float>(rng.normal());
         const VertexId v = graph_.add_vertex(row);
-        for (int e = 0; e < config_.edges_per_new_vertex; ++e) {
+        for (int e = 0; e < kEdgesPerNewVertex; ++e) {
           graph_.add_edge(v, static_cast<VertexId>(rng.bounded(static_cast<std::uint64_t>(n))));
         }
       } else if (kind < vdel_cut) {
@@ -102,7 +100,7 @@ UpdateReport UpdateGenerator::run() {
           }
         }
       } else {
-        for (int e = 0; e < config_.edges_per_op; ++e) {
+        for (int e = 0; e < kEdgesPerOp; ++e) {
           const auto u = static_cast<VertexId>(rng.bounded(static_cast<std::uint64_t>(n)));
           const auto v = static_cast<VertexId>(rng.bounded(static_cast<std::uint64_t>(n)));
           if (graph_.add_edge(u, v)) note_insert(u, v);

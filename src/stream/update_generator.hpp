@@ -28,6 +28,11 @@
 
 namespace hyscale {
 
+/// Edge insertions per edge op, in UpdateGenerator and ShardedUpdateDriver.
+inline constexpr int kEdgesPerOp = 1;
+/// Attachment edges for a streamed-in vertex.
+inline constexpr int kEdgesPerNewVertex = 3;
+
 struct UpdateGeneratorConfig {
   std::int64_t operations = 1024;     ///< total ops across all threads
   int num_threads = 1;
@@ -48,8 +53,6 @@ struct UpdateGeneratorConfig {
   /// insert/tombstone-pair pattern the annihilation pass GCs without a
   /// rebuild (CLI: --delete-recent-frac).
   double delete_recent_fraction = 0.0;
-  int edges_per_op = 1;               ///< edge insertions per edge op
-  int edges_per_new_vertex = 3;       ///< attachment edges for a streamed-in vertex
   /// Fixed publish cadence in ATTEMPTED ops (accepted AND rejected, so
   /// rejection storms cannot starve visibility).  0 — the default —
   /// leaves mid-run publishing to the session's SLO Publisher; run()

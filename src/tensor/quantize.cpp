@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+#include <vector>
 
 #include "tensor/simd.hpp"
 
@@ -38,40 +38,16 @@ void quantize_row_int8(const float* src, std::int64_t n, float scale, std::int8_
   }
 }
 
-QuantizedRows quantize_int8(const Tensor& x) {
-  QuantizedRows q;
-  q.rows = x.rows();
-  q.cols = x.cols();
-  q.values.resize(static_cast<std::size_t>(x.size()));
-  q.scales.resize(static_cast<std::size_t>(x.rows()));
-  for (std::int64_t i = 0; i < x.rows(); ++i) {
-    const float* row = x.data() + i * x.cols();
-    const float scale = int8_row_scale(row, x.cols());
-    q.scales[static_cast<std::size_t>(i)] = scale;
-    quantize_row_int8(row, x.cols(), scale, q.values.data() + i * x.cols());
-  }
-  return q;
-}
-
-void dequantize_int8(const QuantizedRows& q, Tensor& out) {
-  if (out.rows() != q.rows || out.cols() != q.cols) {
-    if (!out.empty())
-      throw std::invalid_argument("dequantize_int8: pre-sized out has the wrong shape");
-    out.resize(q.rows, q.cols);
-  }
-  for (std::int64_t i = 0; i < q.rows; ++i) {
-    simd::dequant(q.values.data() + i * q.cols, q.scales[static_cast<std::size_t>(i)],
-                  out.data() + i * q.cols, q.cols);
-  }
-}
-
 double quantize_roundtrip_int8(Tensor& x) {
-  const QuantizedRows q = quantize_int8(x);
-  Tensor reconstructed;
-  dequantize_int8(q, reconstructed);
-  const double error = Tensor::max_abs_diff(x, reconstructed);
-  x = std::move(reconstructed);
-  return error;
+  const Tensor original = x;
+  std::vector<std::int8_t> values(static_cast<std::size_t>(x.cols()));
+  for (std::int64_t i = 0; i < x.rows(); ++i) {
+    float* row = x.data() + i * x.cols();
+    const float scale = int8_row_scale(row, x.cols());
+    quantize_row_int8(row, x.cols(), scale, values.data());
+    simd::dequant(values.data(), scale, row, x.cols());
+  }
+  return Tensor::max_abs_diff(original, x);
 }
 
 }  // namespace hyscale

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -32,31 +31,10 @@ inline double wire_bytes_per_element(TransferPrecision precision) {
   return static_cast<double>(static_cast<int>(precision));
 }
 
-/// Per-row symmetric int8 quantization: q[i,j] = round(x[i,j]/scale[i]),
-/// scale[i] = max_j |x[i,j]| / 127.
-struct QuantizedRows {
-  std::int64_t rows = 0;
-  std::int64_t cols = 0;
-  std::vector<std::int8_t> values;
-  std::vector<float> scales;  ///< one per row
-
-  double wire_bytes() const {
-    return static_cast<double>(values.size()) + static_cast<double>(scales.size()) * 4.0;
-  }
-};
-
-QuantizedRows quantize_int8(const Tensor& x);
-
-/// Reconstructs the float matrix.  A pre-sized `out` of the right shape
-/// is written in place (no reallocation — the fused hot path dequants
-/// into a pre-allocated batch tensor); an empty `out` is resized; a
-/// non-empty `out` of the WRONG shape throws std::invalid_argument
-/// instead of silently discarding the caller's sizing.
-void dequantize_int8(const QuantizedRows& q, Tensor& out);
-
-// ---- per-row primitives (the int8 MutableFeatureStore encodes every
-// row with these, and quantize_int8 uses the same rule, so a stored row
-// decodes to exactly quantize_roundtrip_int8 of the values written) ----
+// ---- per-row int8 primitives: the one int8 row format.  The int8
+// MutableFeatureStore encodes every row with these, and
+// quantize_roundtrip_int8 applies them row by row, so a stored row decodes
+// to exactly quantize_roundtrip_int8 of the values written ----
 
 /// Symmetric per-row scale: max_j |row[j]| / 127, 1 for all-zero rows.
 float int8_row_scale(const float* row, std::int64_t n);
@@ -68,7 +46,9 @@ float int8_row_scale(const float* row, std::int64_t n);
 void quantize_row_int8(const float* src, std::int64_t n, float scale, std::int8_t* dst);
 
 /// Round-trips x through int8 quantization in place (what the device
-/// trainer actually sees); returns the max absolute reconstruction error.
+/// trainer actually sees), one row at a time: row scale, quantize, then
+/// simd::dequant.  Returns the max absolute reconstruction error,
+/// Tensor::max_abs_diff of the input and the result.
 double quantize_roundtrip_int8(Tensor& x);
 
 }  // namespace hyscale

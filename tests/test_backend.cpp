@@ -11,9 +11,9 @@
 // a batch — every served result matches exactly one of the staged
 // epochs' oracles (run under TSan via the sanitizer presets).
 //
-// Expiry leg: the backend is an ExpiryTarget, so ONE ExpirySweeper
-// paces facade-wide TTL retirement in sharded mode — bursts capped by
-// max_retire_per_sweep, shard vertex spaces in lockstep afterwards.
+// Expiry leg: ONE ExpirySweeper over the sharded facade, beside the
+// backend serving it, paces facade-wide TTL retirement — bursts capped
+// by max_retire_per_sweep, shard vertex spaces in lockstep afterwards.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -205,14 +205,13 @@ TEST(ModelHotSwap, ConcurrentTrafficNeverTearsABatch) {
   EXPECT_EQ(server.model_epoch(), 17u);  // construction epoch + 16 swaps
 }
 
-// ------------------------------------------------- sharded TTL via backend
+// ------------------------------------------------------------ sharded TTL
 
-TEST(ShardedExpiry, BackendSweeperRetiresFacadeWideWithPacing) {
-  // ROADMAP 1(d): TTL expiry in sharded mode used to be caller-paced
-  // because a per-shard sweeper would let vertex spaces drift.  The
-  // backend seam closes it — the ShardedBackend forwards sweep_expired
-  // to the facade's broadcast retirement, so ONE sweeper serves the
-  // whole deployment.
+TEST(ShardedExpiry, OneSweeperRetiresFacadeWideWithPacing) {
+  // TTL expiry in sharded mode used to be caller-paced because a
+  // per-shard sweeper would let vertex spaces drift.  The facade's
+  // sweep_expired retires by broadcast, so ONE sweeper over the facade
+  // serves the whole deployment, as HyScale::stream_sharded wires it.
   const Dataset& ds = community();
   ShardedConfig sharded_config;
   sharded_config.num_shards = 3;
@@ -230,13 +229,12 @@ TEST(ShardedExpiry, BackendSweeperRetiresFacadeWideWithPacing) {
   ServingConfig serving;
   serving.num_workers = 1;
   auto backend = make_sharded_backend(sharded, serving);
-  EXPECT_STREQ(backend->expiry_scope(), "sharded");
 
   ExpiryPolicy policy;
   policy.ttl = 0.0;  // everything idle at sweep time expires
   policy.sweep_interval = 1e-3;
   policy.max_retire_per_sweep = 2;  // force pacing across passes
-  ExpirySweeper sweeper(*backend, policy);
+  ExpirySweeper sweeper(sharded, policy);
 
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (sweeper.retired() < kStreamedIn && std::chrono::steady_clock::now() < deadline) {

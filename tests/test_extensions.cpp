@@ -1,13 +1,16 @@
-// Tests for the extension modules: static feature cache, classification
-// report, chrome-trace export.
+// Tests for the extension modules: static feature cache and the Fig. 7
+// chrome-trace export.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include "graph/datasets.hpp"
-#include "nn/metrics.hpp"
 #include "runtime/feature_cache.hpp"
 #include "runtime/trace.hpp"
 #include "sampling/neighbor_sampler.hpp"
@@ -96,54 +99,6 @@ TEST(FeatureCache, RejectsBadConstruction) {
   EXPECT_THROW(StaticFeatureCache(ds.graph, store, -1), std::invalid_argument);
 }
 
-// ---------------------------------------------------- ClassificationReport
-
-TEST(Metrics, ReportOnHandComputedExample) {
-  // 4 samples, 2 classes. logits -> predictions {1, 0, 1, 1},
-  // labels {1, 0, 0, 1}: class0: tp=1 fp=0 fn=1; class1: tp=2 fp=1 fn=0.
-  Tensor logits(4, 2, 0.0f);
-  logits.at(0, 1) = 1.0f;
-  logits.at(1, 0) = 1.0f;
-  logits.at(2, 1) = 1.0f;
-  logits.at(3, 1) = 1.0f;
-  const std::vector<int> labels = {1, 0, 0, 1};
-  const ClassificationReport report = classification_report(logits, labels);
-  EXPECT_DOUBLE_EQ(report.accuracy, 0.75);
-  ASSERT_EQ(report.per_class.size(), 2u);
-  EXPECT_DOUBLE_EQ(report.per_class[0].precision(), 1.0);
-  EXPECT_DOUBLE_EQ(report.per_class[0].recall(), 0.5);
-  EXPECT_NEAR(report.per_class[0].f1(), 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(report.per_class[1].precision(), 2.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(report.per_class[1].recall(), 1.0);
-  EXPECT_NEAR(report.per_class[1].f1(), 0.8, 1e-12);
-  EXPECT_NEAR(report.macro_f1, (2.0 / 3.0 + 0.8) / 2.0, 1e-12);
-}
-
-TEST(Metrics, ReportMatchesAccuracyFunction) {
-  Tensor logits(50, 5);
-  for (std::int64_t i = 0; i < logits.size(); ++i)
-    logits.data()[i] = static_cast<float>((i * 37 % 11) - 5);
-  std::vector<int> labels(50);
-  for (std::size_t i = 0; i < 50; ++i) labels[i] = static_cast<int>(i % 5);
-  const ClassificationReport report = classification_report(logits, labels);
-  EXPECT_DOUBLE_EQ(report.accuracy, accuracy(logits, labels));
-}
-
-TEST(Metrics, ReportRejectsBadLabels) {
-  Tensor logits(1, 3, 0.0f);
-  EXPECT_THROW(classification_report(logits, std::vector<int>{5}), std::invalid_argument);
-  EXPECT_THROW(classification_report(logits, std::vector<int>{0, 1}), std::invalid_argument);
-}
-
-TEST(Metrics, EmptyClassHasZeroF1NotNan) {
-  Tensor logits(2, 3, 0.0f);
-  logits.at(0, 0) = 1.0f;
-  logits.at(1, 0) = 1.0f;
-  const ClassificationReport report = classification_report(logits, std::vector<int>{0, 0});
-  EXPECT_DOUBLE_EQ(report.per_class[2].f1(), 0.0);
-  EXPECT_FALSE(std::isnan(report.macro_f1));
-}
-
 // -------------------------------------------------------------- ChromeTrace
 
 EpochReport small_report() {
@@ -170,11 +125,47 @@ TEST(ChromeTrace, ContainsOneEventPerStagePerIteration) {
   EXPECT_EQ(events, report.trajectory.size() * 4);
 }
 
+/// (start, end) in µs of every event in `trace`, keyed by (name,
+/// iteration).  to_chrome_trace writes one event per line.
+std::map<std::pair<std::string, long>, std::pair<double, double>> trace_spans(
+    const std::string& trace) {
+  const auto field = [](const std::string& line, const std::string& key) {
+    return line.substr(line.find(key) + key.size());
+  };
+  std::map<std::pair<std::string, long>, std::pair<double, double>> spans;
+  std::istringstream lines(trace);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"ph\": \"X\"") == std::string::npos) continue;
+    const std::string name = field(line, "\"name\": \"");
+    const double ts = std::stod(field(line, "\"ts\": "));
+    const double dur = std::stod(field(line, "\"dur\": "));
+    const long iteration = std::stol(field(line, "\"iteration\": "));
+    spans[{name.substr(0, name.find('"')), iteration}] = {ts, ts + dur};
+  }
+  return spans;
+}
+
 TEST(ChromeTrace, SequentialModeSerialisesStages) {
+  // Fig. 7: under the two-stage feature prefetch, iteration i+1's
+  // Sampling starts while iteration i's GNNPropagation+Sync still runs;
+  // without the pipeline it starts no earlier than that end (to the
+  // trace's printed 1 ns resolution, rounded twice in an end).
   const EpochReport report = small_report();
+  ASSERT_GE(report.trajectory.size(), 2u);
   const std::string two = to_chrome_trace(report, PipelineMode::kTwoStagePrefetch);
   const std::string seq = to_chrome_trace(report, PipelineMode::kSequential);
   EXPECT_NE(two, seq);
+  const auto pipelined = trace_spans(two);
+  const auto serial = trace_spans(seq);
+  for (std::size_t k = 1; k < report.trajectory.size(); ++k) {
+    const long prev = report.trajectory[k - 1].iteration;
+    const long next = report.trajectory[k].iteration;
+    SCOPED_TRACE(testing::Message() << "iterations " << prev << " -> " << next);
+    EXPECT_LT(pipelined.at({"Sampling", next}).first,
+              pipelined.at({"GNNPropagation+Sync", prev}).second);
+    EXPECT_GE(serial.at({"Sampling", next}).first,
+              serial.at({"GNNPropagation+Sync", prev}).second - 2e-3);
+  }
 }
 
 TEST(ChromeTrace, WritesFile) {

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -16,6 +15,7 @@
 #include "runtime/hybrid_trainer.hpp"
 #include "tensor/init.hpp"
 #include "tensor/quantize.hpp"
+#include "tensor/simd.hpp"
 
 namespace hyscale {
 namespace {
@@ -46,22 +46,13 @@ TEST(Quantize, ZeroRowsSurviveExactly) {
 }
 
 TEST(Quantize, ExtremesMapToFullRange) {
-  Tensor x(1, 2);
-  x.at(0, 0) = 127.0f;
-  x.at(0, 1) = -127.0f;
-  const QuantizedRows q = quantize_int8(x);
-  EXPECT_EQ(q.values[0], 127);
-  EXPECT_EQ(q.values[1], -127);
-  EXPECT_FLOAT_EQ(q.scales[0], 1.0f);
-}
-
-TEST(Quantize, WireBytesAreElementPlusScales) {
-  Tensor x(10, 16);
-  uniform_init(x, -1, 1, 2);
-  const QuantizedRows q = quantize_int8(x);
-  EXPECT_DOUBLE_EQ(q.wire_bytes(), 10.0 * 16.0 + 10.0 * 4.0);
-  // 4x smaller than fp32 (minus scale overhead).
-  EXPECT_LT(q.wire_bytes(), x.size() * 4.0 / 3.0);
+  const float row[2] = {127.0f, -127.0f};
+  const float scale = int8_row_scale(row, 2);
+  EXPECT_FLOAT_EQ(scale, 1.0f);
+  std::int8_t q[2] = {};
+  quantize_row_int8(row, 2, scale, q);
+  EXPECT_EQ(q[0], 127);
+  EXPECT_EQ(q[1], -127);
 }
 
 TEST(Quantize, PrecisionNamesAndWireBytes) {
@@ -138,43 +129,35 @@ TEST(Quantize, RowQuantizerMatchesStdRoundOracleBitForBit) {
   }
 }
 
-TEST(Quantize, SharedRowRuleMatchesBulkQuantizer) {
-  Tensor x(4, 17);
-  uniform_init(x, -3.0f, 3.0f, 7);
-  const QuantizedRows q = quantize_int8(x);
-  for (std::int64_t i = 0; i < x.rows(); ++i) {
-    const float scale = int8_row_scale(x.row(i).data(), x.cols());
-    EXPECT_FLOAT_EQ(scale, q.scales[static_cast<std::size_t>(i)]);
-    // The per-row quantizer the int8 feature store encodes with must
-    // reproduce the bulk quantizer's values exactly.
-    std::vector<std::int8_t> row(static_cast<std::size_t>(x.cols()));
-    quantize_row_int8(x.row(i).data(), x.cols(), scale, row.data());
-    for (std::int64_t j = 0; j < x.cols(); ++j) {
-      EXPECT_EQ(row[static_cast<std::size_t>(j)],
-                q.values[static_cast<std::size_t>(i * x.cols() + j)]);
+TEST(Quantize, RoundTripIsTheRowPrimitivesInPlace) {
+  // quantize_roundtrip_int8 is the int8 store's oracle: each row must
+  // decode to simd::dequant(quantize_row_int8(row, int8_row_scale(row)))
+  // bit for bit, written over x's own storage, and the error it returns
+  // must be Tensor::max_abs_diff of the input and the result.  Odd widths
+  // cover the vector bodies and their tails; row 1 is all zero.
+  for (const std::int64_t cols : {1, 17, 100}) {
+    Tensor x(4, cols);
+    uniform_init(x, -3.0f, 3.0f, 7 + static_cast<std::uint64_t>(cols));
+    for (float& v : x.row(1)) v = 0.0f;
+    const Tensor original = x;
+    const float* storage = x.flat().data();
+    const double error = quantize_roundtrip_int8(x);
+    EXPECT_EQ(x.flat().data(), storage);
+    EXPECT_EQ(error, Tensor::max_abs_diff(original, x));
+    for (std::int64_t i = 0; i < x.rows(); ++i) {
+      const float* row = original.row(i).data();
+      const float scale = int8_row_scale(row, cols);
+      std::vector<std::int8_t> q(static_cast<std::size_t>(cols));
+      std::vector<float> expected(static_cast<std::size_t>(cols));
+      quantize_row_int8(row, cols, scale, q.data());
+      simd::dequant(q.data(), scale, expected.data(), cols);
+      for (std::int64_t j = 0; j < cols; ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(x.at(i, j)),
+                  std::bit_cast<std::uint32_t>(expected[static_cast<std::size_t>(j)]))
+            << "cols=" << cols << " i=" << i << " j=" << j;
+      }
     }
   }
-}
-
-TEST(Quantize, DequantizeHonorsPresizedDestination) {
-  Tensor x(5, 8);
-  uniform_init(x, -2.0f, 2.0f, 3);
-  const QuantizedRows q = quantize_int8(x);
-
-  Tensor presized(5, 8, 42.0f);
-  const float* storage = presized.flat().data();
-  dequantize_int8(q, presized);
-  // Written in place: same storage, no reallocation, values overwritten.
-  EXPECT_EQ(presized.flat().data(), storage);
-  EXPECT_LT(Tensor::max_abs_diff(presized, x), 2.0f / 127.0f + 1e-6f);
-
-  Tensor empty;
-  dequantize_int8(q, empty);  // empty destinations are resized, as before
-  EXPECT_EQ(empty.rows(), 5);
-  EXPECT_EQ(empty.cols(), 8);
-
-  Tensor wrong(3, 8, 0.0f);  // regression: was silently resized away
-  EXPECT_THROW(dequantize_int8(q, wrong), std::invalid_argument);
 }
 
 TEST(Quantize, Int8TransfersShrinkTransferStage) {

@@ -1,5 +1,5 @@
-// Tests for sampling/: neighbor sampler, mini-batch invariants, SAINT
-// sampler, source-sorted edge blocks.
+// Tests for sampling/: neighbor sampler, mini-batch invariants and
+// source-sorted edge blocks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include "graph/generator.hpp"
 #include "sampling/minibatch.hpp"
 #include "sampling/neighbor_sampler.hpp"
-#include "sampling/saint_sampler.hpp"
 #include "sampling/sorted_edges.hpp"
 
 namespace hyscale {
@@ -245,46 +244,6 @@ TEST(NeighborSampler, GoldenDrawSequence) {
     EXPECT_EQ(fingerprint(sampler.sample(seeds)), c.after_reseed);
   }
   EXPECT_EQ(fingerprint(sample_full(g, seeds, 2)), 17193893263695318164ULL);
-}
-
-TEST(SaintSampler, InducedSubgraphEdgesExistInParent) {
-  const CsrGraph g = test_graph();
-  SaintConfig config;
-  config.num_roots = 32;
-  config.walk_length = 3;
-  SaintRandomWalkSampler sampler(g, config);
-  const Subgraph sub = sampler.sample();
-  EXPECT_GT(sub.num_nodes(), 0);
-  EXPECT_TRUE(sub.adjacency.validate());
-  for (VertexId local = 0; local < sub.adjacency.num_vertices(); ++local) {
-    const VertexId global = sub.nodes[static_cast<std::size_t>(local)];
-    const auto parent_neighbors = g.neighbors(global);
-    for (VertexId nb_local : sub.adjacency.neighbors(local)) {
-      const VertexId nb_global = sub.nodes[static_cast<std::size_t>(nb_local)];
-      EXPECT_TRUE(
-          std::binary_search(parent_neighbors.begin(), parent_neighbors.end(), nb_global));
-    }
-  }
-}
-
-TEST(SaintSampler, DeterministicThenAdvances) {
-  const CsrGraph g = test_graph();
-  SaintConfig config;
-  config.num_roots = 16;
-  SaintRandomWalkSampler a(g, config), b(g, config);
-  EXPECT_EQ(a.sample().nodes, b.sample().nodes);
-  // Second draw differs from the first.
-  SaintRandomWalkSampler c(g, config);
-  const auto first = c.sample().nodes;
-  const auto second = c.sample().nodes;
-  EXPECT_NE(first, second);
-}
-
-TEST(SaintSampler, RejectsBadConfig) {
-  const CsrGraph g = test_graph();
-  SaintConfig bad;
-  bad.num_roots = 0;
-  EXPECT_THROW(SaintRandomWalkSampler(g, bad), std::invalid_argument);
 }
 
 TEST(SortedEdges, SortedBySourceWithCorrectCounts) {

@@ -183,15 +183,6 @@ TEST(Ops, GatherRows) {
   EXPECT_FLOAT_EQ(out.at(2, 0), 3.0f);
 }
 
-TEST(Ops, ScatterAddAccumulates) {
-  Tensor src(3, 2, 1.0f);
-  Tensor dst(2, 2, 0.0f);
-  const std::vector<std::int64_t> index = {0, 0, 1};
-  scatter_add_rows(src, index, dst);
-  EXPECT_FLOAT_EQ(dst.at(0, 0), 2.0f);
-  EXPECT_FLOAT_EQ(dst.at(1, 0), 1.0f);
-}
-
 TEST(Ops, ReluForwardBackward) {
   Tensor x(1, 4);
   x.at(0, 0) = -1.0f;
@@ -239,59 +230,6 @@ TEST(Ops, ReluBackwardBitIdenticalToScalarDefinition) {
     EXPECT_EQ(std::memcmp(&dx.flat()[i], &expected, sizeof(float)), 0)
         << "i=" << i << " x=" << px[i] << " dy=" << pdy[i] << " dx=" << dx.flat()[i];
   }
-}
-
-TEST(Ops, DropoutKeepsExpectedValue) {
-  Tensor x(100, 100, 1.0f);
-  Tensor mask;
-  dropout_forward(x, mask, 0.7, 99);
-  double sum = 0.0;
-  for (float v : x.flat()) sum += v;
-  // Inverted dropout preserves the mean.
-  EXPECT_NEAR(sum / 10000.0, 1.0, 0.05);
-  // Backward scales gradients by the same mask.
-  Tensor grad(100, 100, 1.0f);
-  dropout_backward(mask, grad);
-  EXPECT_LT(Tensor::max_abs_diff(grad, x), 1e-6);
-}
-
-TEST(Ops, DropoutKeepProbOneIsIdentity) {
-  Tensor x(3, 3, 2.0f), mask;
-  dropout_forward(x, mask, 1.0, 1);
-  for (float v : x.flat()) EXPECT_FLOAT_EQ(v, 2.0f);
-}
-
-TEST(Ops, DropoutRejectsBadProb) {
-  Tensor x(1, 1), mask;
-  EXPECT_THROW(dropout_forward(x, mask, 0.0, 1), std::invalid_argument);
-  EXPECT_THROW(dropout_forward(x, mask, 1.5, 1), std::invalid_argument);
-}
-
-TEST(Ops, ConcatAndSplitRoundTrip) {
-  const Tensor a = random_tensor(5, 3, 4);
-  const Tensor b = random_tensor(5, 2, 5);
-  Tensor cat;
-  concat_cols(a, b, cat);
-  ASSERT_EQ(cat.cols(), 5);
-  Tensor da, db;
-  split_cols(cat, 3, da, db);
-  EXPECT_LT(Tensor::max_abs_diff(da, a), 1e-7);
-  EXPECT_LT(Tensor::max_abs_diff(db, b), 1e-7);
-}
-
-TEST(Ops, ScaleRows) {
-  Tensor x(2, 2, 1.0f);
-  const std::vector<float> scale = {2.0f, 3.0f};
-  Tensor y;
-  scale_rows(x, scale, y);
-  EXPECT_FLOAT_EQ(y.at(0, 0), 2.0f);
-  EXPECT_FLOAT_EQ(y.at(1, 1), 3.0f);
-}
-
-TEST(Ops, AxpyAccumulates) {
-  Tensor x(1, 3, 1.0f), y(1, 3, 2.0f);
-  axpy(0.5f, x, y);
-  EXPECT_FLOAT_EQ(y.at(0, 0), 2.5f);
 }
 
 TEST(Init, XavierBoundsRespectFanInOut) {
