@@ -1,6 +1,5 @@
 #include "obs/flightrec.hpp"
 
-#include <cmath>
 #include <cstdio>
 
 #include "obs/telemetry.hpp"
@@ -12,32 +11,12 @@ namespace {
 constexpr std::size_t kMaxJournalEvents = 256;  ///< newest events included per dump
 constexpr std::size_t kMaxExemplars = 8;        ///< slowest traces included per dump
 
-// Same non-finite policy as the exporter: JSON has no inf/nan.
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  out += buf;
-}
-
-void append_int(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out += buf;
-}
-
-void append_string(std::string& out, const std::string& s) {
-  out += '"';
-  out += json_escape(s);
-  out += '"';
-}
-
 void append_stage(std::string& out, const char* key, const StageSpanView& span) {
   out += '"';
   out += key;
   out += "\":";
   if (span.present) {
-    append_number(out, span.ms());
+    append_json_number(out, span.ms());
   } else {
     out += "null";
   }
@@ -89,9 +68,9 @@ bool FlightRecorder::dump(const std::string& reason) {
 std::string FlightRecorder::render(const std::string& reason) const {
   const std::int64_t now = StageTracer::now_ns();
   std::string out = "{\"type\":\"flight_record\",\"reason\":";
-  append_string(out, reason);
+  append_json_string(out, reason);
   out += ",\"t_ns\":";
-  append_int(out, now);
+  append_json_int(out, now);
 
   out += ",\"trips\":[";
   bool first = true;
@@ -99,43 +78,16 @@ std::string FlightRecorder::render(const std::string& reason) const {
     if (!first) out += ',';
     first = false;
     out += "{\"t_ns\":";
-    append_int(out, trip.t_ns);
+    append_json_int(out, trip.t_ns);
     out += ",\"reason\":";
-    append_string(out, trip.reason);
+    append_json_string(out, trip.reason);
     out += '}';
   }
   out += "],\"suppressed_trips\":";
-  append_int(out, suppressed());
+  append_json_int(out, suppressed());
 
-  const MetricsSnapshot snap = telemetry_.registry().snapshot();
-  out += ",\"metrics\":{";
-  first = true;
-  for (const auto& [name, value] : snap.scalars()) {
-    if (!first) out += ',';
-    first = false;
-    append_string(out, name);
-    out += ':';
-    append_number(out, value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& view : snap.histograms()) {
-    if (!first) out += ',';
-    first = false;
-    append_string(out, view.name);
-    out += ":{\"count\":";
-    append_int(out, view.count);
-    out += ",\"mean_ms\":";
-    append_number(out, view.mean_ms());
-    out += ",\"p50_ms\":";
-    append_number(out, view.percentile_ms(0.50));
-    out += ",\"p99_ms\":";
-    append_number(out, view.percentile_ms(0.99));
-    out += ",\"max_ms\":";
-    append_number(out, view.max_ms);
-    out += '}';
-  }
-  out += '}';
+  out += ',';
+  append_metrics_json(out, telemetry_.registry().snapshot());
 
   // Newest journal events, non-consuming: the exporter's drain cadence
   // is unaffected and the record still shows recent causes.
@@ -143,18 +95,18 @@ std::string FlightRecorder::render(const std::string& reason) const {
   const std::size_t skip =
       events.size() > kMaxJournalEvents ? events.size() - kMaxJournalEvents : 0;
   out += ",\"journal\":{\"dropped\":";
-  append_int(out, telemetry_.journal().dropped());
+  append_json_int(out, telemetry_.journal().dropped());
   out += ",\"events\":[";
   first = true;
   for (std::size_t i = skip; i < events.size(); ++i) {
     if (!first) out += ',';
     first = false;
     out += "{\"t_ns\":";
-    append_int(out, events[i].t_ns);
+    append_json_int(out, events[i].t_ns);
     out += ",\"kind\":";
-    append_string(out, events[i].kind);
+    append_json_string(out, events[i].kind);
     out += ",\"detail\":";
-    append_string(out, events[i].detail);
+    append_json_string(out, events[i].detail);
     out += '}';
   }
   out += "]}";
@@ -165,13 +117,13 @@ std::string FlightRecorder::render(const std::string& reason) const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":";
-    append_string(out, h.name);
+    append_json_string(out, h.name);
     out += ",\"age_ms\":";
-    append_number(out, h.beats > 0 ? static_cast<double>(now - h.last_beat_ns) * 1e-6 : -1.0);
+    append_json_number(out, h.beats > 0 ? static_cast<double>(now - h.last_beat_ns) * 1e-6 : -1.0);
     out += ",\"interval_hint_ms\":";
-    append_number(out, static_cast<double>(h.interval_hint_ns) * 1e-6);
+    append_json_number(out, static_cast<double>(h.interval_hint_ns) * 1e-6);
     out += ",\"beats\":";
-    append_int(out, h.beats);
+    append_json_int(out, h.beats);
     out += ",\"idle\":";
     out += h.idle ? "true" : "false";
     out += ",\"retired\":";
@@ -182,11 +134,11 @@ std::string FlightRecorder::render(const std::string& reason) const {
 
   const ExemplarRing& ring = telemetry_.exemplars();
   out += ",\"exemplars\":{\"offered\":";
-  append_int(out, ring.offered());
+  append_json_int(out, ring.offered());
   out += ",\"admitted\":";
-  append_int(out, ring.admitted());
+  append_json_int(out, ring.admitted());
   out += ",\"threshold_ms\":";
-  append_number(out, static_cast<double>(ring.threshold_ns()) * 1e-6);
+  append_json_number(out, static_cast<double>(ring.threshold_ns()) * 1e-6);
   out += ",\"slowest\":[";
   first = true;
   std::size_t emitted = 0;
@@ -195,17 +147,17 @@ std::string FlightRecorder::render(const std::string& reason) const {
     if (!first) out += ',';
     first = false;
     out += "{\"request_id\":";
-    append_int(out, static_cast<std::int64_t>(trace.request_id));
+    append_json_int(out, static_cast<std::int64_t>(trace.request_id));
     out += ",\"batch_id\":";
-    append_int(out, static_cast<std::int64_t>(trace.batch_id));
+    append_json_int(out, static_cast<std::int64_t>(trace.batch_id));
     out += ",\"total_ms\":";
-    append_number(out, trace.total_ms());
+    append_json_number(out, trace.total_ms());
     out += ",\"complete\":";
     out += trace.complete() ? "true" : "false";
     out += ",\"batch_requests\":";
-    append_int(out, trace.batch_requests);
+    append_json_int(out, trace.batch_requests);
     out += ",\"batch_seeds\":";
-    append_int(out, trace.batch_seeds);
+    append_json_int(out, trace.batch_seeds);
     out += ",\"stages\":{";
     append_stage(out, "queue_ms", trace.queue);
     out += ',';
@@ -221,11 +173,11 @@ std::string FlightRecorder::render(const std::string& reason) const {
   out += "]}";
 
   out += ",\"trace\":{\"recorded\":";
-  append_int(out, telemetry_.tracer().recorded());
+  append_json_int(out, telemetry_.tracer().recorded());
   out += ",\"retained\":";
-  append_int(out, static_cast<std::int64_t>(telemetry_.tracer().collect().size()));
+  append_json_int(out, static_cast<std::int64_t>(telemetry_.tracer().collect().size()));
   out += ",\"dropped\":";
-  append_int(out, telemetry_.tracer().dropped());
+  append_json_int(out, telemetry_.tracer().dropped());
   out += "}}";
   return out;
 }

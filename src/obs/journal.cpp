@@ -1,6 +1,5 @@
 #include "obs/journal.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -58,24 +57,57 @@ std::string json_escape(const std::string& raw) {
   return out;
 }
 
-namespace {
-
-// JSON has no inf/nan; non-finite values (an empty histogram's mean)
-// export as 0 so every line stays loadable.
-void append_number(std::string& out, double v) {
+void append_json_number(std::string& out, double v) {
   if (!std::isfinite(v)) v = 0.0;
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.10g", v);
   out += buf;
 }
 
-void append_int(std::string& out, std::int64_t v) {
+void append_json_int(std::string& out, std::int64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
   out += buf;
 }
 
-}  // namespace
+void append_json_string(std::string& out, const std::string& s) {
+  out += '"';
+  out += json_escape(s);
+  out += '"';
+}
+
+void append_metrics_json(std::string& out, const MetricsSnapshot& snap) {
+  out += "\"metrics\":{";
+  bool first = true;
+  for (const auto& [name, value] : snap.scalars()) {
+    if (!first) out += ',';
+    first = false;
+    append_json_string(out, name);
+    out += ':';
+    append_json_number(out, value);
+  }
+  out += "},\"histograms\":{";
+  first = true;
+  for (const auto& view : snap.histograms()) {
+    if (!first) out += ',';
+    first = false;
+    append_json_string(out, view.name);
+    out += ":{\"count\":";
+    append_json_int(out, view.count);
+    out += ",\"mean_ms\":";
+    append_json_number(out, view.mean_ms());
+    out += ",\"p50_ms\":";
+    append_json_number(out, view.percentile_ms(0.50));
+    out += ",\"p95_ms\":";
+    append_json_number(out, view.percentile_ms(0.95));
+    out += ",\"p99_ms\":";
+    append_json_number(out, view.percentile_ms(0.99));
+    out += ",\"max_ms\":";
+    append_json_number(out, view.max_ms);
+    out += '}';
+  }
+  out += '}';
+}
 
 TelemetryExporter::TelemetryExporter(Telemetry& telemetry, ExporterConfig config)
     : telemetry_(telemetry), config_(std::move(config)) {
@@ -88,44 +120,27 @@ TelemetryExporter::TelemetryExporter(Telemetry& telemetry, ExporterConfig config
     owns_file_ = true;
   }
   if (config_.interval_ms > 0) {
-    heart_ = &telemetry_.heartbeats().register_thread(
+    Heartbeat& heart = telemetry_.heartbeats().register_thread(
         "obs.exporter", static_cast<std::int64_t>(config_.interval_ms) * 1'000'000);
-    thread_ = std::thread([this] { loop(); });
+    thread_.start(&heart, [this] {
+      while (thread_.sleep(static_cast<double>(config_.interval_ms) * 1e-3)) {
+        flush("periodic");
+        thread_.beat();
+      }
+    });
   }
 }
 
 TelemetryExporter::~TelemetryExporter() { stop(); }
 
 void TelemetryExporter::stop() {
-  {
-    std::lock_guard lock(wake_mutex_);
-    if (stopped_) return;
-    stop_requested_ = true;
-    stopped_ = true;
-  }
-  wake_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
+  if (stopped_.exchange(true)) return;
+  thread_.stop();
   flush("final");
   if (owns_file_ && file_ != nullptr) {
     std::fclose(static_cast<std::FILE*>(file_));
     file_ = nullptr;
   }
-}
-
-void TelemetryExporter::loop() {
-  std::unique_lock lock(wake_mutex_);
-  while (!stop_requested_) {
-    if (heart_ != nullptr) heart_->idle_enter();
-    wake_cv_.wait_for(lock, std::chrono::milliseconds(config_.interval_ms),
-                      [this] { return stop_requested_; });
-    if (heart_ != nullptr) heart_->idle_exit();
-    if (stop_requested_) break;
-    lock.unlock();
-    flush("periodic");
-    if (heart_ != nullptr) heart_->beat();
-    lock.lock();
-  }
-  if (heart_ != nullptr) heart_->retire();
 }
 
 void TelemetryExporter::flush(const std::string& reason) {
@@ -153,60 +168,31 @@ std::int64_t TelemetryExporter::lines_written() const {
 
 std::string TelemetryExporter::event_line(const JournalEvent& event) {
   std::string out = "{\"type\":\"event\",\"t_ns\":";
-  append_int(out, event.t_ns);
-  out += ",\"kind\":\"";
-  out += json_escape(event.kind);
-  out += "\",\"detail\":\"";
-  out += json_escape(event.detail);
-  out += "\"}";
+  append_json_int(out, event.t_ns);
+  out += ",\"kind\":";
+  append_json_string(out, event.kind);
+  out += ",\"detail\":";
+  append_json_string(out, event.detail);
+  out += '}';
   return out;
 }
 
 std::string TelemetryExporter::snapshot_line(const std::string& reason) {
   const MetricsSnapshot snap = telemetry_.registry().snapshot();
-  std::string out = "{\"type\":\"snapshot\",\"reason\":\"";
-  out += json_escape(reason);
-  out += "\",\"t_ns\":";
-  append_int(out, StageTracer::now_ns());
-  out += ",\"metrics\":{";
-  bool first = true;
-  for (const auto& [name, value] : snap.scalars()) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(name);
-    out += "\":";
-    append_number(out, value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& view : snap.histograms()) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(view.name);
-    out += "\":{\"count\":";
-    append_int(out, view.count);
-    out += ",\"mean_ms\":";
-    append_number(out, view.mean_ms());
-    out += ",\"p50_ms\":";
-    append_number(out, view.percentile_ms(0.50));
-    out += ",\"p95_ms\":";
-    append_number(out, view.percentile_ms(0.95));
-    out += ",\"p99_ms\":";
-    append_number(out, view.percentile_ms(0.99));
-    out += ",\"max_ms\":";
-    append_number(out, view.max_ms);
-    out += '}';
-  }
-  out += "},\"trace\":{\"recorded\":";
-  append_int(out, telemetry_.tracer().recorded());
+  std::string out = "{\"type\":\"snapshot\",\"reason\":";
+  append_json_string(out, reason);
+  out += ",\"t_ns\":";
+  append_json_int(out, StageTracer::now_ns());
+  out += ',';
+  append_metrics_json(out, snap);
+  out += ",\"trace\":{\"recorded\":";
+  append_json_int(out, telemetry_.tracer().recorded());
   out += ",\"retained\":";
-  append_int(out, static_cast<std::int64_t>(telemetry_.tracer().collect().size()));
+  append_json_int(out, static_cast<std::int64_t>(telemetry_.tracer().collect().size()));
   out += ",\"dropped\":";
-  append_int(out, telemetry_.tracer().dropped());
+  append_json_int(out, telemetry_.tracer().dropped());
   out += ",\"journal_dropped\":";
-  append_int(out, telemetry_.journal().dropped());
+  append_json_int(out, telemetry_.journal().dropped());
   out += "}}";
   return out;
 }

@@ -13,19 +13,20 @@
 // or stderr; CI parses it back with `json.loads` per line.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include "obs/watchdog.hpp"
 
 namespace hyscale {
 
 class Telemetry;
-class Heartbeat;
+class MetricsSnapshot;
 
 /// One discrete lifecycle occurrence.  `detail` is free text (it is
 /// JSON-escaped on export, so any content is safe).
@@ -59,6 +60,16 @@ class EventJournal {
 /// Minimal JSON string escaping for exporter output.
 std::string json_escape(const std::string& raw);
 
+// The JSON writers the exporter and the flight recorder share.  JSON
+// has no inf/nan, so a non-finite number (an empty histogram's mean) is
+// written as 0 and every record stays loadable.
+void append_json_number(std::string& out, double v);
+void append_json_int(std::string& out, std::int64_t v);
+void append_json_string(std::string& out, const std::string& s);
+/// Appends `"metrics":{name:value,...},"histograms":{name:{count,
+/// mean_ms,p50_ms,p95_ms,p99_ms,max_ms},...}` for one registry snapshot.
+void append_metrics_json(std::string& out, const MetricsSnapshot& snap);
+
 struct ExporterConfig {
   std::string path;        ///< output file; empty = stderr
   int interval_ms = 0;     ///< 0 = no periodic thread, final dump only
@@ -80,24 +91,18 @@ class TelemetryExporter {
   std::int64_t lines_written() const;
 
  private:
-  void loop();
   void write_line(const std::string& line);
   std::string snapshot_line(const std::string& reason);
   std::string event_line(const JournalEvent& event);
 
   Telemetry& telemetry_;
   ExporterConfig config_;
-  Heartbeat* heart_ = nullptr;  ///< liveness stamp for the periodic thread
   mutable std::mutex io_mutex_;
   void* file_ = nullptr;  ///< FILE*; stderr when config_.path is empty
   bool owns_file_ = false;
   std::int64_t lines_ = 0;
-
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;
-  bool stop_requested_ = false;
-  bool stopped_ = false;
-  std::thread thread_;
+  std::atomic<bool> stopped_{false};
+  LifecycleThread thread_;  ///< the periodic thread; keep last
 };
 
 }  // namespace hyscale

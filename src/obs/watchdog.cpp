@@ -50,14 +50,29 @@ std::size_t HeartbeatRegistry::size() const {
   return hearts_.size();
 }
 
-Watchdog::Watchdog(Telemetry& telemetry, WatchdogConfig config)
-    : telemetry_(telemetry), config_(config) {
-  thread_ = std::thread([this] { loop(); });
+void LifecycleThread::start(Heartbeat* heart, std::function<void()> body) {
+  heart_ = heart;
+  thread_ = std::thread([this, body = std::move(body)] {
+    body();
+    if (heart_ != nullptr) heart_->retire();
+  });
 }
 
-Watchdog::~Watchdog() { stop(); }
+bool LifecycleThread::sleep(Seconds duration) {
+  std::unique_lock lock(mutex_);
+  if (stop_) return false;
+  if (heart_ != nullptr) heart_->idle_enter();
+  cv_.wait_for(lock, std::chrono::duration<double>(duration), [this] { return stop_; });
+  if (heart_ != nullptr) heart_->idle_exit();
+  return !stop_;
+}
 
-void Watchdog::stop() {
+bool LifecycleThread::stopping() const {
+  std::lock_guard lock(mutex_);
+  return stop_;
+}
+
+void LifecycleThread::stop() {
   {
     std::lock_guard lock(mutex_);
     if (stop_) return;
@@ -67,16 +82,11 @@ void Watchdog::stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-void Watchdog::loop() {
-  std::unique_lock lock(mutex_);
-  while (!stop_) {
-    cv_.wait_for(lock, std::chrono::nanoseconds(config_.check_interval_ns),
-                 [this] { return stop_; });
-    if (stop_) break;
-    lock.unlock();
-    sweep();
-    lock.lock();
-  }
+Watchdog::Watchdog(Telemetry& telemetry, WatchdogConfig config)
+    : telemetry_(telemetry), config_(config) {
+  thread_.start(nullptr, [this] {
+    while (thread_.sleep(static_cast<double>(config_.check_interval_ns) * 1e-9)) sweep();
+  });
 }
 
 void Watchdog::sweep() {

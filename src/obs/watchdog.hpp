@@ -26,6 +26,13 @@
 // Telemetry::trip() — which the FlightRecorder turns into a post-mortem
 // dump.  Recovery (the heart beats again) is journaled too, and the
 // same heart can trip again on a later episode.
+//
+// LifecycleThread is the one loop primitive every background component
+// (Compactor, Publisher, ExpirySweeper, CutAdopter, Watchdog,
+// TelemetryExporter) runs on: it owns the thread, the stop request, the
+// interruptible sleep (which brackets the wait with idle_enter /
+// idle_exit) and the heart's retirement when the loop returns — one
+// mutex/condition-variable handshake, written once.
 #pragma once
 
 #include <atomic>
@@ -33,11 +40,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
+
+#include "common/timer.hpp"
 
 namespace hyscale {
 
@@ -104,6 +114,46 @@ class HeartbeatRegistry {
   std::deque<Heartbeat> hearts_;
 };
 
+/// One background loop's thread.  The owner calls start() as the last
+/// step of its constructor; the body loops on sleep(), which returns
+/// false once stop() was requested, and beats between units of work.
+/// When the body returns the heart is retired, so a stopped loop never
+/// reads as a stalled one.  Declare it as the owner's LAST member: it
+/// is then destroyed (stopped and joined) before anything its body
+/// touches.
+class LifecycleThread {
+ public:
+  LifecycleThread() = default;
+  ~LifecycleThread() { stop(); }
+
+  LifecycleThread(const LifecycleThread&) = delete;
+  LifecycleThread& operator=(const LifecycleThread&) = delete;
+
+  /// Runs `body` on a new thread.  `heart` is null when telemetry is
+  /// off; sleep() and beat() then only wait and do nothing.
+  void start(Heartbeat* heart, std::function<void()> body);
+  /// Waits `duration` or until stop(), with the heart idle meanwhile.
+  /// Returns false — at once, without waiting, if stop() came first —
+  /// once stop() was requested.
+  bool sleep(Seconds duration);
+  /// Whether stop() was requested (for a loop that re-checks its work
+  /// without sleeping).
+  bool stopping() const;
+  void beat() {
+    if (heart_ != nullptr) heart_->beat();
+  }
+  /// Requests the stop, wakes the body and joins it.  Idempotent: only
+  /// the first call joins.
+  void stop();
+
+ private:
+  Heartbeat* heart_ = nullptr;
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+  std::thread thread_;
+};
+
 struct WatchdogConfig {
   std::int64_t check_interval_ns = 20'000'000;  ///< 20 ms between sweeps
   std::int64_t min_stall_ns = 250'000'000;  ///< 250 ms floor under the threshold
@@ -115,19 +165,17 @@ class Watchdog {
   /// immediately and sweeps telemetry.heartbeats() every
   /// check_interval.
   explicit Watchdog(Telemetry& telemetry, WatchdogConfig config = {});
-  ~Watchdog();
 
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  void stop();
+  void stop() { thread_.stop(); }
   /// Stall episodes detected so far (transitions into stalled, not
   /// sweeps spent stalled).
   std::int64_t stalls() const { return stalls_.load(std::memory_order_relaxed); }
   std::int64_t sweeps() const { return sweeps_.load(std::memory_order_relaxed); }
 
  private:
-  void loop();
   void sweep();
 
   Telemetry& telemetry_;
@@ -135,11 +183,7 @@ class Watchdog {
   std::atomic<std::int64_t> stalls_{0};
   std::atomic<std::int64_t> sweeps_{0};
   std::unordered_set<std::string> stalled_;  ///< loop-thread only
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
+  LifecycleThread thread_;                   ///< keep last
 };
 
 }  // namespace hyscale

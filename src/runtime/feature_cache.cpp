@@ -20,10 +20,6 @@ StaticFeatureCache::StaticFeatureCache(const CsrGraph& graph, const MutableFeatu
       static_cast<std::size_t>(graph.num_vertices()));
   for (std::int64_t v = 0; v < graph.num_vertices(); ++v)
     access_[static_cast<std::size_t>(v)].store(0, std::memory_order_relaxed);
-  slot_hits_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(static_cast<std::size_t>(capacity_));
-  for (std::int64_t s = 0; s < capacity_; ++s)
-    slot_hits_[static_cast<std::size_t>(s)].store(0, std::memory_order_relaxed);
   device_rows_.resize(static_cast<std::size_t>(capacity_) * store_.record_bytes());
   // Degree-ordered: PaGraph's "computation-aware" policy caches the
   // vertices most likely to appear in sampled neighborhoods.  rerank()
@@ -68,7 +64,6 @@ std::int64_t StaticFeatureCache::copy_cached_rows(std::span<const VertexId> node
     const std::int64_t slot = slot_of_[static_cast<std::size_t>(v)];
     if (slot < 0) continue;
     store_.decode(slot_record(slot), out.row(static_cast<std::int64_t>(i)).data());
-    slot_hits_[static_cast<std::size_t>(slot)].fetch_add(1, std::memory_order_relaxed);
     hit[i] = 1;
     ++hits;
   }
@@ -163,7 +158,6 @@ std::int64_t StaticFeatureCache::rerank(std::span<const VertexId> hot) {
       slot_of_[static_cast<std::size_t>(v)] = slot;
       pinned_[static_cast<std::size_t>(slot)] = v;
       fill_slot_unlocked(slot, v);
-      slot_hits_[static_cast<std::size_t>(slot)].store(0, std::memory_order_relaxed);
       ++admitted;
     }
     // Decay: halve the access counters so the next rerank is dominated

@@ -25,8 +25,8 @@
 // order, but under streaming churn the live hot set walks away from it —
 // folds rewrite degrees, TTL sweeps and deletions evict pinned rows, and
 // the freed slots used to leak (never re-admitted).  rerank_by_traffic()
-// is the correction: every request bumps a per-vertex access counter
-// (and a per-slot hit counter), and the hot set is recomputed from
+// is the correction: every request bumps a per-vertex access counter,
+// and the hot set is recomputed from
 // those observed counters plus live degrees — at each fold's REBASE
 // (StreamingGraph) and on the serving tier's traffic cadence (every
 // backend) — evicting pinned rows that fell out of the set and
@@ -41,7 +41,12 @@
 // changes logits at a given precision, and an int8 hit moves cols + 4
 // bytes instead of 4*cols.  The packed copy is kept because reading hot
 // rows from one dense plane is cheaper than reading them scattered
-// through the full table.
+// through the full table: a cache that tracked membership only and read
+// hits from the store ran perfbench's churn-int8 at 32.54 against 30.87
+// cpu_us_per_seed (higher in 8 of 10 pairs) and churn-sharded at 37.03
+// against 35.36, for 8 MB less RSS on static-read — the 1.7 MB int8
+// copy of 16,384 hot rows fits a 2 MB L2, the 6.8 MB store does not
+// (ROADMAP, "Do not retry blind").
 #pragma once
 
 #include <algorithm>
@@ -139,20 +144,12 @@ class StaticFeatureCache {
   /// Vertices the cache can pin and count: the store's base rows
   /// (streamed-in extension rows are never admitted).
   std::int64_t trackable_rows() const { return static_cast<std::int64_t>(slot_of_.size()); }
-  /// Bytes one cache hit moves on the wire: the store's row_wire_bytes()
-  /// (4*cols at fp32, cols + 4 — values + the fp32 scale — at int8).
-  double device_row_wire_bytes() const { return store_.row_wire_bytes(); }
 
   /// Requests observed for v (hits AND misses) since the last rerank
   /// decay — the admission signal.  Relaxed read.
   std::uint64_t access_count(VertexId v) const {
     if (v < 0 || static_cast<std::size_t>(v) >= slot_of_.size()) return 0;
     return access_[static_cast<std::size_t>(v)].load(std::memory_order_relaxed);
-  }
-  /// Hits served by device slot `slot` since it was last (re)admitted.
-  std::uint64_t slot_hit_count(std::int64_t slot) const {
-    if (slot < 0 || slot >= capacity_) return 0;
-    return slot_hits_[static_cast<std::size_t>(slot)].load(std::memory_order_relaxed);
   }
 
   /// Cumulative statistics across all gather() calls (consistent snapshot).
@@ -226,10 +223,9 @@ class StaticFeatureCache {
   /// layout (record_bytes() each).
   std::vector<std::byte> device_rows_;
   std::int64_t capacity_ = 0;
-  /// Per-vertex request counters (admission signal) and per-slot hit
-  /// counters.  Relaxed atomics bumped under the shared rows lock.
+  /// Per-vertex request counters (admission signal).  Relaxed atomics
+  /// bumped under the shared rows lock.
   std::unique_ptr<std::atomic<std::uint64_t>[]> access_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> slot_hits_;
   mutable std::shared_mutex rows_mutex_;  ///< device rows + slot tables
   mutable std::mutex totals_mutex_;
   LoadStats totals_;

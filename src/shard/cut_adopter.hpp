@@ -13,10 +13,7 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 
 #include "common/timer.hpp"
 #include "shard/sharded_graph.hpp"
@@ -33,12 +30,11 @@ class CutAdopter {
   /// `graph` must outlive the adopter.  The background thread starts
   /// immediately and stops (joined) on destruction or stop().
   explicit CutAdopter(ShardedStreamingGraph& graph, CutAdopterPolicy policy = {});
-  ~CutAdopter();
 
   CutAdopter(const CutAdopter&) = delete;
   CutAdopter& operator=(const CutAdopter&) = delete;
 
-  void stop();
+  void stop() { thread_.stop(); }
 
   /// Cuts this thread installed (adoptions triggered elsewhere — e.g. a
   /// caller's publish_all — are not counted here; the facade's
@@ -47,16 +43,10 @@ class CutAdopter {
   const CutAdopterPolicy& policy() const { return policy_; }
 
  private:
-  void loop();
-
   ShardedStreamingGraph& graph_;
   CutAdopterPolicy policy_;
-  Heartbeat* heart_ = nullptr;  ///< liveness stamp when telemetry on
   std::atomic<std::int64_t> adoptions_{0};
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;  ///< keep last: starts in the constructor's tail
+  LifecycleThread thread_;  ///< keep last: starts in the constructor's tail
 };
 
 }  // namespace hyscale

@@ -156,6 +156,7 @@ bool ShardedStreamingGraph::remove_edge(VertexId u, VertexId v) {
 }
 
 VertexId ShardedStreamingGraph::add_vertex(std::span<const float> features) {
+  features_->validate_row(features);  // before the broadcast changes any shard
   std::unique_lock topology(topology_mutex_);
   VertexId id = -1;
   for (auto& shard : shards_) {

@@ -196,6 +196,7 @@ class ShardedStreamingGraph : public ExpiryTarget {
 
   /// Broadcast: every shard adds the SAME id (recycling is off, so the
   /// vertex spaces stay in lockstep); shard 0 appends the shared row.
+  /// A row the store rejects throws before any shard changes.
   VertexId add_vertex(std::span<const float> features);
   /// Broadcast retirement: edges retracted on every shard; shard 0
   /// zeroes the shared row and evicts it from the device cache.

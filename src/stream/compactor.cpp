@@ -1,7 +1,6 @@
 #include "stream/compactor.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 namespace hyscale {
@@ -14,6 +13,7 @@ Compactor::Compactor(StreamingGraph& graph, CompactionPolicy policy)
     throw std::invalid_argument("Compactor: max_overlay_ratio must be positive");
   if (policy_.max_backoff < 0.0)
     throw std::invalid_argument("Compactor: max_backoff must be non-negative");
+  Heartbeat* heart = nullptr;  // liveness stamp when telemetry on
   if (Telemetry* telemetry = graph_.telemetry(); telemetry != nullptr) {
     MetricsRegistry& reg = telemetry->registry();
     // Instruments inherit the graph's shard prefix so per-shard
@@ -25,13 +25,13 @@ Compactor::Compactor(StreamingGraph& graph, CompactionPolicy policy)
     // Hint = poll cadence: between maintenance rounds the loop beats
     // once per wakeup, so a heart stale for many multiples of this
     // while busy means the thread is wedged inside a fold.
-    heart_ = &telemetry->heartbeats().register_thread(
+    heart = &telemetry->heartbeats().register_thread(
         prefix + "stream.compactor",
         std::max<std::int64_t>(static_cast<std::int64_t>(policy_.poll_interval * 1e9),
                                1'000'000));
   }
   try {
-    thread_ = std::thread([this] { loop(); });
+    thread_.start(heart, [this] { loop(); });
   } catch (...) {
     // No destructor runs: drop the callbacks over this half-built object.
     if (Telemetry* telemetry = graph_.telemetry(); telemetry != nullptr)
@@ -44,16 +44,6 @@ Compactor::~Compactor() {
   stop();
   if (Telemetry* telemetry = graph_.telemetry(); telemetry != nullptr)
     telemetry->registry().detach(this);
-}
-
-void Compactor::stop() {
-  {
-    std::lock_guard lock(mutex_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
 }
 
 Compactor::Maintenance Compactor::decide() const {
@@ -78,8 +68,8 @@ Compactor::Maintenance Compactor::decide() const {
   // A fold is already in flight (its O(base) build runs off-lock, so
   // this loop keeps running meanwhile): its rebase will clear the
   // pressure, and starting a second fold would only be refused.  The
-  // gated annihilation above is still worthwhile — it erases pairs
-  // cancelled entirely after the in-flight cut.
+  // annihilation above is still worthwhile — it erases pairs cancelled
+  // entirely after the in-flight cut.
   if (graph_.fold_in_flight()) return Maintenance::kNone;
   return Maintenance::kFold;
 }
@@ -91,22 +81,15 @@ Seconds Compactor::next_backoff(Seconds current, const CompactionPolicy& policy)
 
 void Compactor::loop() {
   Seconds backoff = 0.0;
-  std::unique_lock lock(mutex_);
-  while (!stop_) {
-    if (heart_ != nullptr) heart_->idle_enter();
-    cv_.wait_for(lock, std::chrono::duration<double>(policy_.poll_interval + backoff),
-                 [this] { return stop_; });
-    if (heart_ != nullptr) heart_->idle_exit();
-    if (stop_) break;
+  while (thread_.sleep(policy_.poll_interval + backoff)) {
     const Maintenance action = decide();
     if (action == Maintenance::kNone) {
       backoff = 0.0;
       continue;
     }
-    lock.unlock();
     if (action == Maintenance::kAnnihilate) {
       const EdgeId erased = graph_.annihilate();
-      if (heart_ != nullptr) heart_->beat();
+      thread_.beat();
       const Maintenance after = decide();
       const bool folding = graph_.fold_in_flight();
       if (after == Maintenance::kNone) {
@@ -117,7 +100,6 @@ void Compactor::loop() {
           annihilation_passes_.fetch_add(1, std::memory_order_relaxed);
         }
         backoff = 0.0;
-        lock.lock();
         continue;
       }
       if (after == Maintenance::kAnnihilate && folding) {
@@ -127,7 +109,6 @@ void Compactor::loop() {
         // it is pinned) also widens the wait: a long build should not
         // be punctuated by a fruitless exclusive bucket scan per tick.
         backoff = erased > 0 ? 0.0 : next_backoff(backoff, policy_);
-        lock.lock();
         continue;
       }
       // Pressure remains and no fold is in flight: escalate to the
@@ -137,7 +118,6 @@ void Compactor::loop() {
     // compact() stops beating without going idle, which is exactly the
     // signature the watchdog flags.
     if (graph_.compact()) {
-      if (heart_ != nullptr) heart_->beat();
       compactions_.fetch_add(1, std::memory_order_relaxed);
       backoff = 0.0;
     } else if (should_compact()) {
@@ -146,14 +126,11 @@ void Compactor::loop() {
       // refused snapshot per poll tick.
       refused_folds_.fetch_add(1, std::memory_order_relaxed);
       backoff = next_backoff(backoff, policy_);
-      if (heart_ != nullptr) heart_->beat();
     } else {
       backoff = 0.0;
-      if (heart_ != nullptr) heart_->beat();
     }
-    lock.lock();
+    thread_.beat();
   }
-  if (heart_ != nullptr) heart_->retire();
 }
 
 }  // namespace hyscale

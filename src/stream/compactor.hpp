@@ -23,10 +23,7 @@
 // instead of busy-retrying every poll tick.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 
 #include "common/timer.hpp"
 #include "stream/streaming_graph.hpp"
@@ -62,7 +59,7 @@ class Compactor {
   Compactor(const Compactor&) = delete;
   Compactor& operator=(const Compactor&) = delete;
 
-  void stop();
+  void stop() { thread_.stop(); }
 
   /// Whether the policy would trigger right now (also used by tests).
   bool should_compact() const { return decide() != Maintenance::kNone; }
@@ -72,8 +69,9 @@ class Compactor {
   /// only when there are none — or, inside the loop, when a pass just
   /// ran and the overlay is still over threshold.  While a fold is already
   /// in flight (off-lock build), kFold is never returned: the pending
-  /// rebase will clear the pressure, so the loop annihilates (gated)
-  /// or waits instead of stacking refused folds and backoff.
+  /// rebase will clear the pressure, so the loop annihilates (the
+  /// store keeps the ops at or below the fold's cut) or waits instead
+  /// of stacking refused folds and backoff.
   Maintenance decide() const;
 
   /// Pure backoff schedule: the extra wait after one more refused fold.
@@ -95,14 +93,10 @@ class Compactor {
 
   StreamingGraph& graph_;
   CompactionPolicy policy_;
-  Heartbeat* heart_ = nullptr;  ///< liveness stamp when telemetry on
   std::atomic<std::int64_t> compactions_{0};
   std::atomic<std::int64_t> annihilation_passes_{0};
   std::atomic<std::int64_t> refused_folds_{0};
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;  ///< keep last: starts in the constructor's tail
+  LifecycleThread thread_;  ///< keep last: starts in the constructor's tail
 };
 
 }  // namespace hyscale

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/sanitizer.hpp"
+
 namespace hyscale {
 
 namespace {
@@ -43,19 +45,19 @@ void append_slots(const DeltaStore::Overlay& from, std::size_t lo, std::size_t h
 
 }  // namespace
 
-DeltaStore::DeltaStore(std::shared_ptr<const CsrGraph> base, std::size_t num_stripes,
-                       bool symmetric)
+DeltaStore::DeltaStore(std::shared_ptr<const CsrGraph> base, std::size_t num_stripes)
     : base_(std::move(base)),
       stripes_(std::max<std::size_t>(1, num_stripes)),
       overlay_(std::make_shared<const Overlay>()),
-      dead_sorted_(std::make_shared<const std::vector<VertexId>>()),
-      symmetric_(symmetric) {
+      dead_sorted_(std::make_shared<const std::vector<VertexId>>()) {
   if (!base_) throw std::invalid_argument("DeltaStore: null base graph");
   buckets_.resize(static_cast<std::size_t>(base_->num_vertices()));
   dead_since_.resize(static_cast<std::size_t>(base_->num_vertices()), 0);
   reclaim_floor_ = base_->num_vertices();
   num_vertices_.store(base_->num_vertices(), std::memory_order_relaxed);
 }
+
+DeltaStore::~DeltaStore() { forget_mutexes({&structure_mutex_}); }
 
 bool DeltaStore::base_contains(VertexId u, VertexId v) const {
   if (u >= base_->num_vertices()) return false;
@@ -103,23 +105,6 @@ void DeltaStore::check_range_unlocked(VertexId u, VertexId v) const {
   if (u < 0 || u >= n || v < 0 || v >= n)
     throw std::invalid_argument("DeltaStore: edge endpoint out of range");
 }
-
-bool DeltaStore::edge_op(VertexId u, VertexId v, bool remove) {
-  if (u == v) return false;
-  std::shared_lock structure(structure_mutex_);
-  check_range_unlocked(u, v);
-  // Inserts require live endpoints; removals are decided by membership
-  // alone, so a dangling directed in-edge of a dead vertex (possible
-  // only under asymmetric ingest) stays retractable.
-  if (!remove && (dead_unlocked(u) || dead_unlocked(v))) return false;
-  Stripe& stripe = stripe_for(u);
-  std::lock_guard stripe_lock(stripe.mutex);
-  return edge_op_locked(stripe, u, v, remove);
-}
-
-bool DeltaStore::add_edge(VertexId u, VertexId v) { return edge_op(u, v, /*remove=*/false); }
-
-bool DeltaStore::remove_edge(VertexId u, VertexId v) { return edge_op(u, v, /*remove=*/true); }
 
 int DeltaStore::edge_pair_op(VertexId u, VertexId v, bool remove) {
   if (u == v) return 0;
@@ -197,11 +182,9 @@ std::int64_t DeltaStore::remove_vertex(VertexId v) {
     append(v, u);
     ++retracted;
     // The reverse direction is retracted only when it actually exists:
-    // over an asymmetric base (or directed ingest) u -> v may not be
-    // live, and a tombstone for a non-edge would reduce to a phantom
-    // INSERT at the next snapshot.  In-edges of v with no live v -> u
-    // counterpart are not discoverable from v's adjacency and stay —
-    // symmetric deployments (every dataset here) never have any.
+    // over a hand-built base that lists an edge one way, u -> v may not
+    // be live, and a tombstone for a non-edge would reduce to a phantom
+    // INSERT at the next snapshot.
     if (live_unlocked(u, v)) {
       append(u, v);
       ++retracted;
@@ -213,10 +196,10 @@ std::int64_t DeltaStore::remove_vertex(VertexId v) {
   dead_pos_.emplace(v, dead_list_.size());
   dead_list_.push_back(v);
   dead_changed_ = true;
-  // Recycling is only safe when retirement provably scrubbed every
-  // reference — guaranteed by symmetric adjacency, not by directed
-  // ingest (an undiscovered in-edge would be inherited by the reuser).
-  if (symmetric_ && v >= reclaim_floor_) pending_dead_.push_back(v);
+  // A streamed-in vertex has no base adjacency and every op on it
+  // landed in both directions, so the retractions above scrubbed every
+  // reference to it: once a fold covers them, the id can be reused.
+  if (v >= reclaim_floor_) pending_dead_.push_back(v);
   return retracted;
 }
 
@@ -246,14 +229,14 @@ VertexId DeltaStore::reclaim_vertex() {
   return v;
 }
 
-VertexId DeltaStore::annihilate_bucket(Bucket& bucket, Epoch gate, EdgeId& dropped_inserts,
-                                       EdgeId& dropped_removes) {
-  // Eligible suffix: ops stamped strictly after the newest snapshot.
-  // Stamps are nondecreasing per bucket, so the suffix is contiguous.
-  const auto cut = std::upper_bound(bucket.epochs.begin(), bucket.epochs.end(), gate);
+void DeltaStore::annihilate_bucket(Bucket& bucket, Epoch keep_up_to, EdgeId& dropped_inserts,
+                                   EdgeId& dropped_removes) {
+  // Eligible suffix: ops stamped strictly after `keep_up_to`.  Stamps
+  // are nondecreasing per bucket, so the suffix is contiguous.
+  const auto cut = std::upper_bound(bucket.epochs.begin(), bucket.epochs.end(), keep_up_to);
   const auto start = static_cast<std::size_t>(cut - bucket.epochs.begin());
   const std::size_t size = bucket.neighbors.size();
-  if (start >= size) return 0;
+  if (start >= size) return;
 
   // Per-neighbor occurrence counts within the suffix.  Ops of one pair
   // alternate, so an even-length run reduces to nothing and an
@@ -276,27 +259,41 @@ VertexId DeltaStore::annihilate_bucket(Bucket& bucket, Epoch gate, EdgeId& dropp
       (bucket.removes[i] != 0 ? dropped_removes : dropped_inserts) += 1;
     }
   }
-  const auto erased = static_cast<VertexId>(size - write);
   bucket.neighbors.resize(write);
   bucket.epochs.resize(write);
   bucket.removes.resize(write);
-  return erased;
 }
 
 EdgeId DeltaStore::annihilate() {
   std::unique_lock structure(structure_mutex_);
-  return annihilate_unlocked(last_snapshot_epoch_);
-}
-
-EdgeId DeltaStore::annihilate(Epoch gate) {
-  std::unique_lock structure(structure_mutex_);
   // An in-flight fold owns the prefix at or below its cut: the merged
   // base being built off-lock already contains those ops, so erasing
-  // one here would desynchronise the rebase.  Clamp whatever the caller
-  // passed — gate 0 is only an "erase everything matched" license when
-  // no cut is outstanding.
-  if (fold_in_flight_) gate = std::max(gate, fold_cut_);
-  return annihilate_unlocked(gate);
+  // one here would desynchronise the rebase.  With no fold in flight
+  // every matched pair is erasable.
+  const Epoch keep_up_to = fold_in_flight_ ? fold_cut_ : 0;
+  EdgeId dropped_inserts = 0;
+  EdgeId dropped_removes = 0;
+  for (Stripe& stripe : stripes_) {
+    std::vector<VertexId> survivors;
+    for (VertexId v : stripe.touched) {
+      Bucket& bucket = buckets_[static_cast<std::size_t>(v)];
+      // Erasing matched pairs keeps every neighbour's op parity, so the
+      // bucket's reduction (and the kept overlay) is unchanged: no dirty
+      // mark.
+      annihilate_bucket(bucket, keep_up_to, dropped_inserts, dropped_removes);
+      if (bucket.neighbors.empty()) {
+        bucket.listed = false;
+      } else {
+        survivors.push_back(v);
+      }
+    }
+    stripe.touched = std::move(survivors);
+  }
+  delta_inserts_.fetch_sub(dropped_inserts, std::memory_order_relaxed);
+  delta_removes_.fetch_sub(dropped_removes, std::memory_order_relaxed);
+  const EdgeId erased = dropped_inserts + dropped_removes;
+  annihilated_ops_.fetch_add(erased, std::memory_order_relaxed);
+  return erased;
 }
 
 void DeltaStore::begin_fold(Epoch cut) {
@@ -315,32 +312,6 @@ void DeltaStore::abort_fold() {
 bool DeltaStore::fold_in_flight() const {
   std::shared_lock structure(structure_mutex_);
   return fold_in_flight_;
-}
-
-EdgeId DeltaStore::annihilate_unlocked(Epoch gate) {
-  EdgeId dropped_inserts = 0;
-  EdgeId dropped_removes = 0;
-  for (Stripe& stripe : stripes_) {
-    std::vector<VertexId> survivors;
-    for (VertexId v : stripe.touched) {
-      Bucket& bucket = buckets_[static_cast<std::size_t>(v)];
-      // Erasing matched pairs keeps every neighbour's op parity, so the
-      // bucket's reduction (and the kept overlay) is unchanged: no dirty
-      // mark.
-      annihilate_bucket(bucket, gate, dropped_inserts, dropped_removes);
-      if (bucket.neighbors.empty()) {
-        bucket.listed = false;
-      } else {
-        survivors.push_back(v);
-      }
-    }
-    stripe.touched = std::move(survivors);
-  }
-  delta_inserts_.fetch_sub(dropped_inserts, std::memory_order_relaxed);
-  delta_removes_.fetch_sub(dropped_removes, std::memory_order_relaxed);
-  const EdgeId erased = dropped_inserts + dropped_removes;
-  annihilated_ops_.fetch_add(erased, std::memory_order_relaxed);
-  return erased;
 }
 
 EdgeId DeltaStore::annihilated_ops() const {
@@ -411,7 +382,6 @@ DeltaStore::Snapshot DeltaStore::snapshot(bool advance_epoch) {
   }
   Snapshot snap;
   snap.epoch = epoch_.load(std::memory_order_relaxed);
-  last_snapshot_epoch_ = std::max(last_snapshot_epoch_, snap.epoch);
   snap.num_vertices = num_vertices_.load(std::memory_order_relaxed);
   snap.raw_ops = delta_ops();
   snap.num_inserts = static_cast<EdgeId>(overlay_->inserts.size());
@@ -457,11 +427,6 @@ void DeltaStore::truncate_unlocked(Epoch epoch) {
   }
   delta_inserts_.fetch_sub(dropped_inserts, std::memory_order_relaxed);
   delta_removes_.fetch_sub(dropped_removes, std::memory_order_relaxed);
-}
-
-void DeltaStore::truncate(Epoch epoch) {
-  std::unique_lock structure(structure_mutex_);
-  truncate_unlocked(epoch);
 }
 
 void DeltaStore::rebase(std::shared_ptr<const CsrGraph> base, Epoch merged_up_to) {

@@ -5,15 +5,16 @@
 // immutable base CSR keeps serving readers.  Each accepted mutation is
 // an epoch-stamped, signed OP appended to the owning vertex's bucket:
 // (+, v) inserts a directed edge, (−, v) retracts one (a tombstone).
-// Ops are append-only — a deletion never erases the insertion it
-// cancels, it counter-records it — which is what makes deletions safe
-// against an in-flight compaction: a snapshot at epoch E captures
-// exactly the op prefix stamped <= E, the compactor folds that prefix
-// into a fresh base, and the surviving suffix (stamped > E) applies
-// identically against old base + prefix or the merged base.  Erasing a
-// captured record instead would silently resurrect (or re-lose) the
-// edge after the rebase — the classic delete-racing-compaction bug the
-// differential tests pin down.
+// Edges arrive as undirected pairs (add_edge_pair / remove_edge_pair),
+// one op per direction.  Ops are append-only — a deletion never erases
+// the insertion it cancels, it counter-records it — which is what makes
+// deletions safe against an in-flight compaction: a snapshot at epoch E
+// captures exactly the op prefix stamped <= E, the compactor folds that
+// prefix into a fresh base, and the surviving suffix (stamped > E)
+// applies identically against old base + prefix or the merged base.
+// Erasing a captured record instead would silently resurrect (or
+// re-lose) the edge after the rebase — the classic
+// delete-racing-compaction bug the differential tests pin down.
 //
 // Ingest-time validation keeps per-pair ops strictly alternating: an
 // insert is accepted only when the directed edge is currently dead
@@ -25,18 +26,19 @@
 //
 // Vertex deletions (remove_vertex) retract every live incident edge in
 // both directions inside one exclusive section and mark the id dead;
-// dead ids reject further edge ops.  After a compaction has folded the
-// death (merged_up_to >= death epoch), streamed-in ids become
-// recyclable: reclaim_vertex() hands them back so add_vertex can reuse
-// the feature row instead of growing the extension area forever.
+// dead ids reject further edge ops.  A streamed-in vertex has no base
+// adjacency and every op on it landed in both directions, so its
+// retirement scrubs every reference.  After a compaction has folded the
+// death (merged_up_to >= death epoch), such ids become recyclable:
+// reclaim_vertex() hands them back so add_vertex can reuse the feature
+// row instead of growing the extension area forever.
 //
 // Synchronisation model: a shared_mutex arbitrates between ingest
 // (shared + per-stripe mutex) and structural operations — snapshot,
-// truncate, rebase, add_vertices, remove_vertex, reclaim_vertex — which
-// take it exclusively.  Pair operations (add_edge_pair /
-// remove_edge_pair) hold BOTH endpoint stripes for the whole pair, so
-// concurrent add/remove races on the same undirected edge can never
-// leave it half-present.
+// annihilate, rebase, add_vertices, remove_vertex, reclaim_vertex —
+// which take it exclusively.  Pair operations hold BOTH endpoint
+// stripes for the whole pair, so concurrent add/remove races on the
+// same undirected edge can never leave it half-present.
 #pragma once
 
 #include <atomic>
@@ -57,47 +59,28 @@ using Epoch = std::uint64_t;
 
 class DeltaStore {
  public:
-  /// `symmetric` declares that callers keep the adjacency symmetric
-  /// (pair ops only).  Only then does remove_vertex provably scrub
-  /// every reference to the dead id, so id recycling is gated on it:
-  /// with `symmetric = false` retired ids are never reused (a pending
-  /// directed in-edge is not discoverable from the dead vertex's
-  /// bucket and would be inherited by the recycled entity).
   /// `base` (and every rebase() base) must list each vertex's neighbours
   /// in ascending order, as build_csr does: membership checks binary-
   /// search it.
-  explicit DeltaStore(std::shared_ptr<const CsrGraph> base, std::size_t num_stripes = 64,
-                      bool symmetric = true);
+  explicit DeltaStore(std::shared_ptr<const CsrGraph> base, std::size_t num_stripes = 64);
+
+  ~DeltaStore();  ///< retires structure_mutex_ for ThreadSanitizer (common/sanitizer.hpp)
 
   DeltaStore(const DeltaStore&) = delete;
   DeltaStore& operator=(const DeltaStore&) = delete;
 
-  /// Appends an insert op (u -> v) stamped with the current epoch.
-  /// Returns false — and leaves the store untouched — when the edge is
-  /// a self loop, currently live (in base and not tombstoned, or
-  /// pending in the delta), or either endpoint is dead.  Throws on
-  /// out-of-range ids.
-  bool add_edge(VertexId u, VertexId v);
-
-  /// Appends a remove op (tombstone) for directed edge u -> v.  Returns
-  /// false when the edge is not currently live (double delete, never
-  /// existed).  Removing a pending (unpublished) insertion is valid:
-  /// the counter-op cancels it at the next reduction.  Unlike inserts,
-  /// removals do NOT require live endpoints — retracting a dangling
-  /// directed in-edge of a dead vertex is cleanup, not mutation.
-  bool remove_edge(VertexId u, VertexId v);
-
-  /// Inserts BOTH directions of undirected edge {u, v} while holding
-  /// both endpoint stripes, so a concurrent remove_edge_pair (or an
-  /// exclusive snapshot) can never observe the pair half-inserted.
-  /// Returns the number of directed edges that landed: 0
-  /// (live/self-loop/dead endpoint) or 2 (1 only if the base itself is
-  /// asymmetric, which no dataset here produces).
+  /// Inserts BOTH directions of undirected edge {u, v}, stamped with
+  /// the current epoch, while holding both endpoint stripes, so a
+  /// concurrent remove_edge_pair (or an exclusive snapshot) can never
+  /// observe the pair half-inserted.  Returns the number of directed
+  /// edges that landed: 0 (live/self-loop/dead endpoint) or 2 (1 only
+  /// when the base lists the edge in one direction, which no dataset
+  /// here does).  Throws on out-of-range ids.
   int add_edge_pair(VertexId u, VertexId v);
 
   /// Tombstones BOTH directions of undirected edge {u, v} under both
   /// stripes.  Returns 0 (not live / dead endpoint) or 2 (1 only over
-  /// an asymmetric base).
+  /// a one-directional base edge).
   int remove_edge_pair(VertexId u, VertexId v);
 
   /// Extends the vertex space by `count` empty vertices; returns the
@@ -106,12 +89,12 @@ class DeltaStore {
   VertexId add_vertices(std::int64_t count);
 
   /// Retracts every live edge incident to v — each live out-edge plus
-  /// its reverse when that direction is itself live (always, over a
-  /// symmetric base) — and marks v dead: further edge ops touching v
-  /// are rejected and v's live out-degree is 0 from the next snapshot
-  /// on.  Returns the number of directed removals appended, or -1 when
-  /// v is already dead.  Throws on out-of-range ids.  Exclusive
-  /// (structural) operation.
+  /// its reverse when that direction is itself live (always, unless a
+  /// hand-built base lists an edge one way) — and marks v dead: further
+  /// edge ops touching v are rejected and v's live out-degree is 0 from
+  /// the next snapshot on.  Returns the number of directed removals
+  /// appended, or -1 when v is already dead.  Throws on out-of-range
+  /// ids.  Exclusive (structural) operation.
   std::int64_t remove_vertex(VertexId v);
 
   /// Whether v has been retired by remove_vertex (false for ids out of
@@ -126,41 +109,28 @@ class DeltaStore {
   VertexId reclaim_vertex();
 
   /// In-place tombstone GC: erases matched insert/tombstone pairs that
-  /// reduce to nothing, WITHOUT a CSR rebuild.  Erasure is dangerous
-  /// exactly when a pair straddles an IN-FLIGHT compaction cut — the
-  /// fold's snapshot captured the insert, rebase will merge it into
-  /// the base and truncate the captured prefix, and an erased
-  /// counter-op would resurrect the edge (the bug the lifecycle
-  /// property tests pin).  Publish-only snapshots are immune: a
-  /// GraphVersion holds its own immutable overlay, and un-truncated ops
-  /// re-reduce to the same net at the next snapshot.  This standalone
-  /// form cannot tell which snapshots feed folds, so it protects every
-  /// op stamped at or below the newest snapshot epoch and cancels only
-  /// within the unsnapshotted suffix.  Per neighbor, an even-length
-  /// eligible run vanishes entirely and an odd-length run keeps its
-  /// last op, so per-pair alternation, the membership parity, and
-  /// epoch monotonicity are all preserved.  Returns the number of op
-  /// records erased (equal counts of inserts and tombstones).
-  /// Exclusive (structural) operation.
+  /// reduce to nothing, WITHOUT a CSR rebuild.  Per neighbor, an
+  /// even-length run vanishes entirely and an odd-length run keeps its
+  /// last op, so per-pair alternation, the membership parity, and epoch
+  /// monotonicity are all preserved.  Every matched pair is erasable
+  /// except while a fold is in flight (begin_fold): then ops stamped at
+  /// or below the fold's cut are kept — the fold's snapshot captured
+  /// them, rebase will merge them into the base and truncate them, and
+  /// an erased counter-op would resurrect (or re-lose) the edge.
+  /// Publish-only snapshots need no such guard: a GraphVersion holds
+  /// its own immutable overlay, and the surviving ops re-reduce to the
+  /// same net at the next snapshot.  Returns the number of op records
+  /// erased (equal counts of inserts and tombstones).  Exclusive
+  /// (structural) operation.
   EdgeId annihilate();
-
-  /// Expert form: protects only ops stamped <= `gate`.  Pass 0 to make
-  /// every matched pair erasable — ONLY valid when no fold cut is
-  /// outstanding.  When a fold IS in flight (begin_fold), the store
-  /// clamps the gate to the fold's cut regardless of what the caller
-  /// passes: the fold's snapshot captured the prefix, rebase will merge
-  /// it into the base, and erasing a pair straddling the cut would
-  /// resurrect (or re-lose) the edge after the rebase.
-  EdgeId annihilate(Epoch gate);
 
   /// Cumulative op records erased by annihilate().
   EdgeId annihilated_ops() const;
 
   /// Declares an off-lock fold in flight over the op prefix stamped
   /// <= `cut` (the epoch of the snapshot the fold is building from).
-  /// Until the matching rebase() or abort_fold(), every annihilate()
-  /// call — whatever gate it passes — refuses to erase ops at or below
-  /// the cut, so a cancelled pair straddling the cut survives for the
+  /// Until the matching rebase() or abort_fold(), annihilate() refuses
+  /// to erase ops at or below the cut, so a cancelled pair straddling the cut survives for the
   /// rebase to truncate.  At most one fold may be in flight; a second
   /// begin_fold throws std::logic_error.
   void begin_fold(Epoch cut);
@@ -208,11 +178,6 @@ class DeltaStore {
     std::shared_ptr<const std::vector<VertexId>> dead;  ///< dead vertex ids, sorted; never null
   };
   Snapshot snapshot(bool advance_epoch);
-
-  /// Removes every pending op stamped <= `epoch`.  Within a bucket,
-  /// stamps are nondecreasing (appends happen in epoch order), so the
-  /// removed ops always form a prefix.
-  void truncate(Epoch epoch);
 
   /// Compaction install: atomically replaces the base (which now has
   /// every op stamped <= `merged_up_to` applied — insertions added,
@@ -279,18 +244,20 @@ class DeltaStore {
   bool live_unlocked(VertexId u, VertexId v) const;
   /// Caller holds structure_mutex_ (shared suffices) AND u's stripe.
   bool edge_op_locked(Stripe& stripe, VertexId u, VertexId v, bool remove);
-  bool edge_op(VertexId u, VertexId v, bool remove);
   int edge_pair_op(VertexId u, VertexId v, bool remove);
   void check_range_unlocked(VertexId u, VertexId v) const;
   bool dead_unlocked(VertexId v) const {
     return dead_since_[static_cast<std::size_t>(v)] != 0;
   }
+  /// Removes every pending op stamped <= `epoch`.  Within a bucket,
+  /// stamps are nondecreasing (appends happen in epoch order), so the
+  /// removed ops always form a prefix.
   void truncate_unlocked(Epoch epoch);
-  EdgeId annihilate_unlocked(Epoch gate);
-  /// Erases cancelled pairs among ops stamped > `gate` in one bucket;
-  /// returns records erased.  Caller holds structure_mutex_ exclusively.
-  static VertexId annihilate_bucket(Bucket& bucket, Epoch gate, EdgeId& dropped_inserts,
-                                    EdgeId& dropped_removes);
+  /// Erases cancelled pairs among ops stamped > `keep_up_to` in one
+  /// bucket, adding them to the dropped counts.  Caller holds
+  /// structure_mutex_ exclusively.
+  static void annihilate_bucket(Bucket& bucket, Epoch keep_up_to, EdgeId& dropped_inserts,
+                                EdgeId& dropped_removes);
   /// Merges fresh reductions of every dirty vertex into overlay_ and
   /// clears the dirty lists.  Caller holds structure_mutex_ exclusively.
   void refresh_overlay_unlocked();
@@ -311,10 +278,6 @@ class DeltaStore {
   std::vector<VertexId> pending_dead_; ///< dead streamed-in ids awaiting a folding compaction
   std::vector<VertexId> free_ids_;     ///< scrubbed ids ready for reclaim_vertex()
   VertexId reclaim_floor_ = 0;         ///< ids below this (dataset vertices) never recycle
-  bool symmetric_ = true;              ///< adjacency kept symmetric -> recycling is safe
-  /// Newest epoch any snapshot has covered; ops stamped above it were
-  /// never captured, which is what makes annihilate() safe.
-  Epoch last_snapshot_epoch_ = 0;
   bool fold_in_flight_ = false;  ///< begin_fold cut outstanding (guarded by structure_mutex_)
   Epoch fold_cut_ = 0;           ///< in-flight fold's snapshot epoch — annihilation floor
   std::atomic<EdgeId> annihilated_ops_{0};

@@ -22,17 +22,13 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 
 #include "common/timer.hpp"
+#include "obs/watchdog.hpp"
 #include "stream/expiry_target.hpp"
 
 namespace hyscale {
-
-class Heartbeat;
 
 struct ExpiryPolicy {
   /// Idle budget: a streamed-in vertex untouched for longer than this
@@ -57,24 +53,18 @@ class ExpirySweeper {
   ExpirySweeper(const ExpirySweeper&) = delete;
   ExpirySweeper& operator=(const ExpirySweeper&) = delete;
 
-  void stop();
+  void stop() { thread_.stop(); }
 
   std::int64_t sweeps() const { return sweeps_.load(std::memory_order_relaxed); }
   std::int64_t retired() const { return retired_.load(std::memory_order_relaxed); }
   const ExpiryPolicy& policy() const { return policy_; }
 
  private:
-  void loop();
-
   ExpiryTarget& target_;
   ExpiryPolicy policy_;
-  Heartbeat* heart_ = nullptr;  ///< liveness stamp when telemetry on
   std::atomic<std::int64_t> sweeps_{0};
   std::atomic<std::int64_t> retired_{0};
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;  ///< keep last: starts in the constructor's tail
+  LifecycleThread thread_;  ///< keep last: starts in the constructor's tail
 };
 
 }  // namespace hyscale

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
@@ -102,9 +103,15 @@ const std::byte* MutableFeatureStore::record_unlocked(VertexId v) const {
   return const_cast<MutableFeatureStore*>(this)->record_unlocked(v);
 }
 
-void MutableFeatureStore::update_row(VertexId v, std::span<const float> values) {
+void MutableFeatureStore::validate_row(std::span<const float> values) const {
   if (static_cast<std::int64_t>(values.size()) != cols_)
-    throw std::invalid_argument("MutableFeatureStore::update_row: wrong row length");
+    throw std::invalid_argument("MutableFeatureStore: wrong row length");
+  if (!std::all_of(values.begin(), values.end(), [](float x) { return std::isfinite(x); }))
+    throw std::invalid_argument("MutableFeatureStore: non-finite feature value");
+}
+
+void MutableFeatureStore::update_row(VertexId v, std::span<const float> values) {
+  validate_row(values);
   std::unique_lock lock(mutex_);
   check_row(v);
   encode(values.data(), record_unlocked(v));
@@ -112,8 +119,7 @@ void MutableFeatureStore::update_row(VertexId v, std::span<const float> values) 
 }
 
 std::int64_t MutableFeatureStore::append_row(std::span<const float> values) {
-  if (static_cast<std::int64_t>(values.size()) != cols_)
-    throw std::invalid_argument("MutableFeatureStore::append_row: wrong row length");
+  validate_row(values);
   std::unique_lock lock(mutex_);
   extension_.resize(extension_.size() + record_bytes_);
   encode(values.data(), extension_.data() + extension_.size() - record_bytes_);
@@ -138,8 +144,7 @@ void MutableFeatureStore::release_row(VertexId v) {
 }
 
 void MutableFeatureStore::reuse_row(VertexId v, std::span<const float> values) {
-  if (static_cast<std::int64_t>(values.size()) != cols_)
-    throw std::invalid_argument("MutableFeatureStore::reuse_row: wrong row length");
+  validate_row(values);
   std::unique_lock lock(mutex_);
   if (v < base_rows_ || v >= base_rows_ + extension_rows_)
     throw std::logic_error("MutableFeatureStore::reuse_row: not an extension row");

@@ -65,11 +65,18 @@ class MutableFeatureStore {
   /// (values + scale) at int8.
   double row_wire_bytes() const;
 
-  /// Overwrites row v (base or extension).  Throws on range/size
-  /// mismatch.
+  /// Throws std::invalid_argument unless `values` is a row this store
+  /// accepts: cols() values, every one finite.  Every row write checks
+  /// it first; callers that change other state before the write call it
+  /// up front.
+  void validate_row(std::span<const float> values) const;
+
+  /// Overwrites row v (base or extension).  Throws on an out-of-range v
+  /// or a row validate_row() rejects.
   void update_row(VertexId v, std::span<const float> values);
 
   /// Appends one extension row; returns its row index (== old rows()).
+  /// Throws on a row validate_row() rejects.
   std::int64_t append_row(std::span<const float> values);
 
   /// Reclaims row v for a deleted vertex: zero-fills it so gathers of

@@ -1,7 +1,6 @@
 #include "stream/publisher.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 namespace hyscale {
@@ -10,6 +9,7 @@ Publisher::Publisher(StreamingGraph& graph, PublisherPolicy policy)
     : graph_(graph), policy_(policy) {
   if (policy_.staleness_budget <= 0.0)
     throw std::invalid_argument("Publisher: staleness_budget must be positive");
+  Heartbeat* heart = nullptr;  // liveness stamp when telemetry on
   if (Telemetry* telemetry = graph_.telemetry(); telemetry != nullptr) {
     MetricsRegistry& reg = telemetry->registry();
     // Instruments inherit the graph's shard prefix so per-shard
@@ -26,13 +26,13 @@ Publisher::Publisher(StreamingGraph& graph, PublisherPolicy policy)
     telemetry_ = telemetry;
     // Busy time is one publish; the budget is the natural hint (floored
     // so a sub-ms budget does not make the 250 ms stall floor moot).
-    heart_ = &telemetry->heartbeats().register_thread(
+    heart = &telemetry->heartbeats().register_thread(
         prefix + "stream.publisher",
         std::max<std::int64_t>(static_cast<std::int64_t>(policy_.staleness_budget * 1e9),
                                1'000'000));
   }
   try {
-    thread_ = std::thread([this] { loop(); });
+    thread_.start(heart, [this] { loop(); });
   } catch (...) {
     // No destructor runs: drop the callbacks over this half-built object.
     if (telemetry_ != nullptr) telemetry_->registry().detach(this);
@@ -43,16 +43,6 @@ Publisher::Publisher(StreamingGraph& graph, PublisherPolicy policy)
 Publisher::~Publisher() {
   stop();
   if (telemetry_ != nullptr) telemetry_->registry().detach(this);
-}
-
-void Publisher::stop() {
-  {
-    std::lock_guard lock(mutex_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
 }
 
 Seconds Publisher::worst_staleness() const {
@@ -66,7 +56,6 @@ Seconds Publisher::worst_publish_cost() const {
 }
 
 void Publisher::loop() {
-  std::unique_lock lock(mutex_);
   // Decaying high-waters, loop-thread only.  The op becomes visible
   // when publish() RETURNS and the loop only regains control when the
   // scheduler actually wakes it, so the deadline must be undercut by
@@ -87,7 +76,7 @@ void Publisher::loop() {
   // publish rather than sleep again.  Capped at half the budget, so a
   // budget under 400 µs still keeps the floor inside its window.
   const Seconds poll_floor = std::min(2e-4, policy_.staleness_budget / 2.0);
-  while (!stop_) {
+  while (!thread_.stopping()) {
     const Seconds age = graph_.pending_staleness();
     // Start-early margin: aim to START the publish this far before the
     // deadline so it COMPLETES by it.  Clamped to 80% of the deadline —
@@ -103,7 +92,6 @@ void Publisher::loop() {
     } else {
       const Seconds slack = deadline - margin - age;
       if (slack <= poll_floor) {
-        lock.unlock();
         // The SLO is about VISIBILITY: an op is stale until publish()
         // RETURNS, so staleness is sampled at completion — the age the
         // oldest op had reached when the publish started, plus the
@@ -143,7 +131,6 @@ void Publisher::loop() {
           }
         }
         publishes_.fetch_add(1, std::memory_order_relaxed);
-        lock.lock();
         continue;
       }
       // Halve the remaining slack each wakeup: O(log) checks per cycle
@@ -151,14 +138,11 @@ void Publisher::loop() {
       wait = std::max(poll_floor, slack * 0.5);
     }
     Timer slept;
-    if (heart_ != nullptr) heart_->idle_enter();
-    cv_.wait_for(lock, std::chrono::duration<double>(wait), [this] { return stop_; });
-    if (heart_ != nullptr) heart_->idle_exit();
+    thread_.sleep(wait);
     // How late past the requested wait the wakeup actually fired; a
     // stop() wake can come early, in which case only the decay applies.
     wake_late_high = std::max(wake_late_high * 0.9, slept.elapsed() - wait);
   }
-  if (heart_ != nullptr) heart_->retire();
 }
 
 }  // namespace hyscale

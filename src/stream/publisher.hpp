@@ -31,10 +31,8 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <thread>
 
 #include "common/timer.hpp"
 #include "stream/streaming_graph.hpp"
@@ -58,7 +56,7 @@ class Publisher {
   Publisher(const Publisher&) = delete;
   Publisher& operator=(const Publisher&) = delete;
 
-  void stop();
+  void stop() { thread_.stop(); }
 
   std::int64_t publishes() const { return publishes_.load(std::memory_order_relaxed); }
   /// Worst visibility staleness measured at publish COMPLETION: the
@@ -83,16 +81,12 @@ class Publisher {
   Histogram* m_staleness_ = nullptr;  ///< completion-time visible staleness
   EventJournal* journal_ = nullptr;
   Telemetry* telemetry_ = nullptr;  ///< trip channel; publisher.* detach here
-  Heartbeat* heart_ = nullptr;      ///< liveness stamp when telemetry on
   std::atomic<std::int64_t> publishes_{0};
   std::atomic<std::int64_t> breaches_{0};
   mutable std::mutex stats_mutex_;
   Seconds worst_staleness_ = 0.0;
   Seconds worst_publish_cost_ = 0.0;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;  ///< keep last: starts in the constructor's tail
+  LifecycleThread thread_;  ///< keep last: starts in the constructor's tail
 };
 
 }  // namespace hyscale

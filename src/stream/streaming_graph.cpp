@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/sanitizer.hpp"
 #include "common/strutil.hpp"
 #include "graph/builder.hpp"
 
@@ -169,6 +170,8 @@ StreamingGraph::StreamingGraph(const Dataset& dataset, StreamingConfig config,
 
 StreamingGraph::~StreamingGraph() {
   if (config_.telemetry != nullptr) config_.telemetry->registry().detach(this);
+  forget_mutexes({&version_mutex_, &maintenance_mutex_, &vertex_mutex_, &hook_mutex_,
+                  &cache_mutex_, &lag_mutex_});
 }
 
 void StreamingGraph::bind_telemetry() {
@@ -250,6 +253,9 @@ bool StreamingGraph::remove_edge(VertexId u, VertexId v) {
 }
 
 VertexId StreamingGraph::add_vertex(std::span<const float> features) {
+  // Before any id is reclaimed or allocated: a rejected row must leave
+  // the vertex space and the free pool as they were.
+  features_->validate_row(features);
   VertexId id;
   bool recycled = false;
   {
@@ -313,6 +319,7 @@ bool StreamingGraph::update_feature(VertexId v, std::span<const float> values) {
   // against remove_vertex's release+evict, so the dead check below can
   // never interleave with a retraction: a retracted entity's zeroed row
   // is never repopulated.
+  features_->validate_row(values);
   std::lock_guard lock(cache_mutex_);
   if (delta_.is_dead(v)) return false;
   features_->update_row(v, values);
@@ -394,8 +401,8 @@ bool StreamingGraph::compact() {
   }
 
   // ---- 2. BUILD (off-lock, O(base)): `base` and `snap` are private
-  // immutable copies, so publishes, ingest and gated annihilation
-  // passes interleave freely while the merged CSR is assembled.
+  // immutable copies, so publishes, ingest and annihilation passes
+  // (which keep the ops at or below the cut) interleave freely while the merged CSR is assembled.
   std::shared_ptr<const CsrGraph> merged;
   try {
     // The overlay's touched vertices ascend, so one cursor walks them in
@@ -519,16 +526,15 @@ void StreamingGraph::rerank_cache(const CsrGraph& base) {
 EdgeId StreamingGraph::annihilate() {
   // maintenance_mutex_ excludes compact()'s cut and rebase endpoints,
   // but NOT its off-lock build: when a fold is in flight the store
-  // clamps the pass to ops stamped after the fold's cut, so a pair the
+  // keeps every op stamped at or below the fold's cut, so a pair the
   // fold captured is never erased out from under its rebase.  With no
-  // fold in flight every matched pair is erasable (gate 0), including
-  // pairs older than published snapshots — a GraphVersion owns copies
-  // of its spans, and the net reduction of the surviving ops is
-  // unchanged.
+  // fold in flight every matched pair is erasable, including pairs
+  // older than published snapshots — a GraphVersion owns copies of its
+  // spans, and the net reduction of the surviving ops is unchanged.
   const bool traced = tracer_ != nullptr && tracer_->enabled();
   const std::int64_t begin_ns = traced ? StageTracer::now_ns() : 0;
   std::lock_guard maintenance(maintenance_mutex_);
-  const EdgeId erased = delta_.annihilate(/*gate=*/0);
+  const EdgeId erased = delta_.annihilate();
   if (erased > 0) {
     annihilations_.fetch_add(1, std::memory_order_relaxed);
     if (journal_ != nullptr)

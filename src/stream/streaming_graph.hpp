@@ -257,7 +257,9 @@ class StreamingGraph : public ExpiryTarget {
   /// else grows the vertex space.  A new id gets a new row
   /// only when the store has none yet (a shared store already holds
   /// the row another shard appended).  The vertex becomes sample-able
-  /// after the next publish().
+  /// after the next publish().  A row of the wrong length or with a
+  /// non-finite value throws std::invalid_argument before any id, row
+  /// or counter changes.
   VertexId add_vertex(std::span<const float> features);
 
   /// Retracts every live edge of v, marks it dead, zeroes (and for
@@ -271,7 +273,9 @@ class StreamingGraph : public ExpiryTarget {
   /// StaticFeatureCache so the new values are served immediately
   /// (features are NOT versioned — freshness beats snapshot isolation
   /// for embeddings/profiles).  Returns false for dead vertices — a
-  /// retracted entity's zeroed row is never repopulated.
+  /// retracted entity's zeroed row is never repopulated.  Throws
+  /// std::invalid_argument, changing nothing, on a row the store
+  /// rejects (MutableFeatureStore::validate_row).
   bool update_feature(VertexId v, std::span<const float> values);
 
   // ---- versions ----
@@ -300,7 +304,7 @@ class StreamingGraph : public ExpiryTarget {
   ///      annihilation cannot erase a pair straddling it);
   ///   2. BUILD (off-lock): enumerate base-minus-tombstones plus
   ///      insertions and build the merged CSR — publishes, ingest and
-  ///      gated annihilation passes interleave freely, so the
+  ///      annihilation passes (kept off the cut) interleave freely, so the
   ///      publisher's staleness bound carries no fold stall; TTL
   ///      sweeps yield until the rebase (sweep_expired);
   ///   3. REBASE (locked): re-validate the cut against the store
@@ -323,9 +327,9 @@ class StreamingGraph : public ExpiryTarget {
   /// net overlay is unchanged).  The compactor runs this as its first
   /// resort so delete-heavy churn stops forcing full CSR rebuilds
   /// whose only effect is truncation.  Safe to run while a fold's
-  /// off-lock build is in flight: the store clamps the pass to ops
-  /// stamped after the fold's cut, so a pair the fold captured is
-  /// never erased out from under its rebase.  Returns op records
+  /// off-lock build is in flight: the store keeps every op stamped at
+  /// or below the fold's cut, so a pair the fold captured is never
+  /// erased out from under its rebase.  Returns op records
   /// erased.
   EdgeId annihilate();
 

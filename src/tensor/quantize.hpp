@@ -42,7 +42,9 @@ float int8_row_scale(const float* row, std::int64_t n);
 /// Quantizes one row: dst[j] = clamp(round(src[j]/scale), -127, 127)
 /// with round-half-AWAY-from-zero (std::round) — independent of the
 /// ambient FP rounding mode, unlike std::nearbyint, so quantized values
-/// are identical across threads and platforms.
+/// are identical across threads and platforms.  Every src[j] must be
+/// finite: a NaN or ±inf reaches the int cast, which is undefined
+/// behaviour (MutableFeatureStore rejects such rows before encoding).
 void quantize_row_int8(const float* src, std::int64_t n, float scale, std::int8_t* dst);
 
 /// Round-trips x through int8 quantization in place (what the device

@@ -348,6 +348,89 @@ TEST(Watchdog, NoFalsePositivesOverHealthyMultiSecondRun) {
   EXPECT_GE(telemetry.heartbeats().size(), 5u);
 }
 
+TEST(Watchdog, StoppedExpirySweeperDoesNotReadAsAStall) {
+  // A stopped loop must retire its heart: a heart left busy with a
+  // stale beat is exactly what a wedged thread looks like, so a
+  // watchdog that outlives the sweeper would raise a false stall.
+  Telemetry telemetry;
+  StreamingConfig config;
+  config.telemetry = &telemetry;
+  StreamingGraph graph(community(), config);
+  ExpiryPolicy expiry;
+  expiry.ttl = 1.0;
+  expiry.sweep_interval = 1e-3;
+  ExpirySweeper sweeper(graph, expiry);
+  wait_until([&] { return sweeper.sweeps() >= 2; });
+  sweeper.stop();
+
+  WatchdogConfig wcfg;
+  wcfg.check_interval_ns = 5'000'000;  // sweep every 5 ms
+  wcfg.min_stall_ns = 20'000'000;      // flag after 20 ms of busy silence
+  Watchdog watchdog(telemetry, wcfg);
+  wait_until([&] { return watchdog.sweeps() >= 20; });  // ~100 ms, 5x the floor
+  watchdog.stop();
+
+  EXPECT_GE(watchdog.sweeps(), 20);
+  EXPECT_EQ(watchdog.stalls(), 0);
+  for (const TripRecord& trip : telemetry.trips())
+    EXPECT_NE(trip.reason, "watchdog_stall:stream.expiry_sweeper");
+  const auto views = telemetry.heartbeats().views();
+  ASSERT_EQ(views.size(), 1u);
+  EXPECT_EQ(views.front().name, "stream.expiry_sweeper");
+  EXPECT_TRUE(views.front().retired);
+}
+
+TEST(Watchdog, EveryLifecycleHeartIsRetiredAfterStop) {
+  const std::string jsonl_path = "diagnosis_retire_metrics.jsonl";
+  Telemetry flat_telemetry;
+  Telemetry sharded_telemetry;
+  StreamingConfig flat_config;
+  flat_config.telemetry = &flat_telemetry;
+  StreamingGraph graph(community(), flat_config);
+  ShardedConfig sharded_config;
+  sharded_config.num_shards = 2;
+  sharded_config.stream.telemetry = &sharded_telemetry;
+  ShardedStreamingGraph sharded(community(), sharded_config);
+
+  CompactionPolicy compaction;
+  compaction.poll_interval = 1e-3;
+  ExpiryPolicy expiry;
+  expiry.ttl = 1.0;
+  expiry.sweep_interval = 1e-3;
+  Compactor compactor(graph, compaction);
+  Publisher publisher(graph);
+  ExpirySweeper sweeper(graph, expiry);
+  ExpirySweeper sharded_sweeper(sharded, expiry);
+  CutAdopter adopter(sharded);
+  TelemetryExporter exporter(flat_telemetry, {jsonl_path, /*interval_ms=*/2});
+
+  const auto all_beating = [](const Telemetry& telemetry) {
+    for (const auto& h : telemetry.heartbeats().views())
+      if (h.beats == 0) return false;
+    return true;
+  };
+  wait_until([&] { return all_beating(flat_telemetry) && all_beating(sharded_telemetry); });
+
+  compactor.stop();
+  publisher.stop();
+  sweeper.stop();
+  sharded_sweeper.stop();
+  adopter.stop();
+  exporter.stop();
+  std::set<std::string> names;
+  for (const Telemetry* telemetry : {&flat_telemetry, &sharded_telemetry}) {
+    for (const auto& h : telemetry->heartbeats().views()) {
+      EXPECT_GT(h.beats, 0) << h.name;
+      EXPECT_TRUE(h.retired) << h.name << " still reads live after stop()";
+      names.insert(h.name);
+    }
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"stream.compactor", "stream.publisher",
+                                          "stream.expiry_sweeper", "sharded.expiry_sweeper",
+                                          "sharded.adopter", "obs.exporter"}));
+  std::remove(jsonl_path.c_str());
+}
+
 // --------------------------------------------------------- flight recorder
 
 TEST(FlightRecorder, TripDumpsRateLimitAndExplicitDumpDoesNot) {

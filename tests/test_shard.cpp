@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -115,6 +116,22 @@ TEST(ShardedGraph, VertexSpacesStayInLockstep) {
   graph.publish_all();
   EXPECT_FALSE(graph.current_cut()->alive(a));
   EXPECT_TRUE(graph.current_cut()->alive(b));
+}
+
+TEST(ShardedGraph, RejectedRowChangesNoShard) {
+  ShardedStreamingGraph graph(community(), sharded_config(3));
+  const VertexId before = graph.num_vertices();
+  std::vector<float> row(8, 0.5f);
+  row[2] = std::numeric_limits<float>::infinity();
+  EXPECT_THROW(graph.add_vertex(row), std::invalid_argument);
+  EXPECT_THROW(graph.add_vertex(std::vector<float>(7, 0.5f)), std::invalid_argument);
+  EXPECT_THROW(graph.update_feature(0, row), std::invalid_argument);
+  EXPECT_EQ(graph.num_vertices(), before);
+  for (int s = 0; s < graph.num_shards(); ++s) {
+    EXPECT_EQ(graph.shard(s).num_vertices(), before) << "shard " << s;
+  }
+  EXPECT_EQ(graph.features().rows(), before);
+  EXPECT_EQ(graph.add_vertex(std::vector<float>(8, 0.5f)), before);
 }
 
 TEST(ShardedGraph, NegativeTtlSweepThrowsAndRetiresNothing) {

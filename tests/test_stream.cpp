@@ -17,6 +17,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -75,33 +76,34 @@ const Dataset& community() {
 TEST(DeltaStore, RejectsSelfLoopsAndDuplicates) {
   auto base = shared_csr(4, {{0, 1}});  // symmetrized: 0-1
   DeltaStore store(base);
-  EXPECT_FALSE(store.add_edge(2, 2));    // self loop
-  EXPECT_FALSE(store.add_edge(0, 1));    // already in base
-  EXPECT_TRUE(store.add_edge(0, 2));
-  EXPECT_FALSE(store.add_edge(0, 2));    // already pending
-  EXPECT_TRUE(store.add_edge(2, 0));     // reverse direction is distinct
+  EXPECT_EQ(store.add_edge_pair(2, 2), 0);  // self loop
+  EXPECT_EQ(store.add_edge_pair(0, 1), 0);  // already in base
+  EXPECT_EQ(store.add_edge_pair(1, 0), 0);  // ...in either orientation
+  EXPECT_EQ(store.add_edge_pair(0, 2), 2);  // both directions land
+  EXPECT_EQ(store.add_edge_pair(2, 0), 0);  // already pending
   EXPECT_EQ(store.delta_edges(), 2);
-  EXPECT_THROW(store.add_edge(0, 99), std::invalid_argument);
+  EXPECT_THROW(store.add_edge_pair(0, 99), std::invalid_argument);
 }
 
 TEST(DeltaStore, EpochStampedSnapshotAndPrefixTruncate) {
   auto base = shared_csr(6, {});
   DeltaStore store(base);
-  ASSERT_TRUE(store.add_edge(0, 1));
-  ASSERT_TRUE(store.add_edge(0, 2));
+  ASSERT_EQ(store.add_edge_pair(0, 1), 2);
+  ASSERT_EQ(store.add_edge_pair(0, 2), 2);
   const DeltaStore::Snapshot first = store.snapshot(/*advance_epoch=*/true);
-  EXPECT_EQ(first.num_inserts, 2);
+  EXPECT_EQ(first.num_inserts, 4);
   EXPECT_EQ(first.num_removes, 0);
 
-  // Edges after the cut carry the advanced epoch and survive truncation.
-  ASSERT_TRUE(store.add_edge(0, 3));
-  ASSERT_TRUE(store.add_edge(4, 5));
-  store.truncate(first.epoch);
-  EXPECT_EQ(store.delta_edges(), 2);
+  // Edges after the cut carry the advanced epoch and survive the
+  // rebase's truncation of the folded prefix.
+  ASSERT_EQ(store.add_edge_pair(0, 3), 2);
+  ASSERT_EQ(store.add_edge_pair(4, 5), 2);
+  store.rebase(shared_csr(6, {{0, 1}, {0, 2}}), first.epoch);
+  EXPECT_EQ(store.delta_edges(), 4);
   const DeltaStore::Snapshot second = store.snapshot(false);
   std::vector<VertexId> remaining(second.overlay->inserts);
   std::sort(remaining.begin(), remaining.end());
-  EXPECT_EQ(remaining, (std::vector<VertexId>{3, 5}));
+  EXPECT_EQ(remaining, (std::vector<VertexId>{0, 3, 4, 5}));
 }
 
 TEST(DeltaStore, AddVerticesExtendsSpace) {
@@ -110,18 +112,18 @@ TEST(DeltaStore, AddVerticesExtendsSpace) {
   const VertexId first = store.add_vertices(2);
   EXPECT_EQ(first, 3);
   EXPECT_EQ(store.num_vertices(), 5);
-  EXPECT_TRUE(store.add_edge(4, 0));  // new vertex can receive edges
+  EXPECT_EQ(store.add_edge_pair(4, 0), 2);  // new vertex can receive edges
 }
 
 TEST(DeltaStore, RebaseSwapsDuplicateCheckBaseAndTruncates) {
   auto base = shared_csr(4, {});
   DeltaStore store(base);
-  ASSERT_TRUE(store.add_edge(0, 1));
+  ASSERT_EQ(store.add_edge_pair(0, 1), 2);
   const DeltaStore::Snapshot snap = store.snapshot(true);
   auto merged = shared_csr(4, {{0, 1}});
   store.rebase(merged, snap.epoch);
   EXPECT_EQ(store.delta_edges(), 0);
-  EXPECT_FALSE(store.add_edge(0, 1));  // now a duplicate of the NEW base
+  EXPECT_EQ(store.add_edge_pair(0, 1), 0);  // now a duplicate of the NEW base
   EXPECT_EQ(store.base().get(), merged.get());
 }
 
@@ -276,10 +278,8 @@ TEST(DeltaStore, IncrementalSnapshotMatchesFullReduction) {
         store.remove_vertex(static_cast<VertexId>(rng.bounded(n)));
       } else if (r < 0.77) {
         store.add_vertices(1);
-      } else if (r < 0.81) {
-        store.annihilate();  // gated at the newest snapshot
       } else if (r < 0.84) {
-        store.annihilate(/*gate=*/0);  // clamped to an in-flight cut
+        store.annihilate();  // keeps the ops at or below an in-flight cut
       } else if (r < 0.89) {
         if (!fold) {
           fold = store.snapshot(/*advance_epoch=*/true);
@@ -308,7 +308,8 @@ TEST(DeltaStore, IncrementalSnapshotMatchesFullReduction) {
           fold.reset();
         }
       } else if (!fold && store.epoch() > 1) {
-        store.truncate(store.epoch() - 1);  // drop a prefix with no base change
+        // A rebase that moves no base edge: drops a prefix only.
+        store.rebase(store.base(), store.epoch() - 1);
       }
       if (--until_snapshot == 0) {
         check(store.snapshot(/*advance_epoch=*/rng.uniform() < 0.5));
@@ -1014,34 +1015,78 @@ TEST(Tombstones, StreamedVertexIdIsRecycledAfterCompaction) {
   EXPECT_EQ(graph.add_vertex(row), 42);
 }
 
-TEST(DeltaStore, DirectedRemoveVertexRetractsOnlyLiveDirections) {
-  // Directed ingest (symmetric = false): retiring a vertex with a
-  // one-way pending out-edge must not tombstone the non-existent
-  // reverse — a tombstone for a non-edge would reduce to a phantom
-  // insertion.
+TEST(Tombstones, RejectedRowLeavesTheRecycledIdInThePool) {
+  // A row the store rejects must throw before add_vertex reclaims an
+  // id: otherwise the id leaves the free pool, stays alive with no
+  // owner, and the next add grows the space instead of reusing it.
+  StreamingGraph graph(two_component_dataset());
+  const std::vector<float> row(8, 1.0f);
+  const VertexId v = graph.add_vertex(row);
+  ASSERT_TRUE(graph.remove_vertex(v));
+  ASSERT_TRUE(graph.compact());
+  ASSERT_EQ(graph.recyclable_vertices(), 1);
+
+  const std::vector<float> short_row(7, 1.0f);
+  EXPECT_THROW(graph.add_vertex(short_row), std::invalid_argument);
+  std::vector<float> nan_row(8, 1.0f);
+  nan_row[3] = std::nanf("");
+  EXPECT_THROW(graph.add_vertex(nan_row), std::invalid_argument);
+  EXPECT_EQ(graph.recyclable_vertices(), 1);
+  EXPECT_EQ(graph.num_vertices(), v + 1);
+  EXPECT_EQ(graph.stats().added_vertices, 1);
+  EXPECT_EQ(graph.add_vertex(row), v);  // the id is still reused
+  EXPECT_EQ(graph.stats().recycled_vertices, 1);
+}
+
+TEST(StreamingGraph, NonFiniteRowsAreRejectedAtBothPrecisions) {
+  // A non-finite value has no int8 encoding (the quantizer's int cast
+  // is undefined for it), and at fp32 it would poison every logit that
+  // reads the row: both precisions reject it before any state changes.
   const Dataset ds = two_component_dataset();
-  DeltaStore store(std::make_shared<const CsrGraph>(ds.graph), 4, /*symmetric=*/false);
-  ASSERT_TRUE(store.add_edge(5, 7));  // directed 5 -> 7 only
+  for (const TransferPrecision precision : {TransferPrecision::kFp32, TransferPrecision::kInt8}) {
+    SCOPED_TRACE(precision == TransferPrecision::kInt8 ? "int8" : "fp32");
+    auto store = std::make_shared<MutableFeatureStore>(ds.features, precision);
+    StreamingGraph graph(ds, {}, store);
+    const VertexId nodes[1] = {3};
+    Tensor before;
+    graph.gather(std::span<const VertexId>(nodes, 1), before);
+    for (const float bad : {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), std::nanf("")}) {
+      std::vector<float> row(8, 0.5f);
+      row[5] = bad;
+      EXPECT_THROW(graph.update_feature(3, row), std::invalid_argument);
+      EXPECT_THROW(graph.add_vertex(row), std::invalid_argument);
+      EXPECT_THROW(store->update_row(3, row), std::invalid_argument);
+      EXPECT_THROW(store->append_row(row), std::invalid_argument);
+    }
+    EXPECT_THROW(graph.update_feature(3, std::vector<float>(9, 0.5f)), std::invalid_argument);
+    EXPECT_EQ(graph.num_vertices(), 40);
+    EXPECT_EQ(store->rows(), 40);
+    EXPECT_EQ(graph.stats().feature_updates, 0);
+    Tensor after;
+    graph.gather(std::span<const VertexId>(nodes, 1), after);
+    EXPECT_EQ(Tensor::max_abs_diff(after, before), 0.0);
+  }
+}
+
+TEST(DeltaStore, DirectedRemoveVertexRetractsOnlyLiveDirections) {
+  // A hand-built base may list an edge one way only (5 -> 7 here):
+  // retiring 5 must not tombstone the non-existent reverse — a
+  // tombstone for a non-edge would reduce to a phantom insertion.
+  EdgeListOptions one_way;
+  one_way.symmetrize = false;
+  DeltaStore store(
+      shared_csr(10, {{4, 5}, {5, 4}, {5, 6}, {6, 5}, {5, 7}, {8, 9}, {9, 8}}, one_way), 4);
   // Retracted: out-edges 5->4, 5->6, 5->7 plus live reverses 4->5, 6->5.
   EXPECT_EQ(store.remove_vertex(5), 5);
   const DeltaStore::Snapshot snap = store.snapshot(/*advance_epoch=*/false);
-  EXPECT_EQ(snap.num_inserts, 0);  // 5->7 cancelled, no phantom 7->5
-  EXPECT_EQ(snap.num_removes, 4);
+  EXPECT_EQ(snap.num_inserts, 0);  // no phantom 7->5
+  EXPECT_EQ(snap.num_removes, 5);
 
-  // A dangling directed in-edge of a dead vertex stays retractable —
-  // removals are decided by membership, not endpoint liveness.
-  ASSERT_TRUE(store.add_edge(8, 10));          // directed, not a ring edge
-  ASSERT_EQ(store.remove_vertex(10), 4);       // 8 -> 10 is not discoverable from 10
-  EXPECT_TRUE(store.remove_edge(8, 10));       // ...but cleanup is still possible
-  EXPECT_FALSE(store.remove_edge(8, 10));
-  EXPECT_FALSE(store.add_edge(8, 10));         // re-insert to a dead vertex stays rejected
-
-  // Directed ingest cannot prove a retirement scrubbed every in-edge,
-  // so ids are never recycled.
-  const VertexId streamed = store.add_vertices(1);
-  ASSERT_EQ(store.remove_vertex(streamed), 0);
-  EXPECT_FALSE(store.has_pending_scrubs());
-  EXPECT_EQ(store.reclaim_vertex(), -1);
+  // Re-insert to a dead vertex stays rejected, from either endpoint.
+  EXPECT_EQ(store.add_edge_pair(5, 7), 0);
+  EXPECT_EQ(store.add_edge_pair(8, 5), 0);
+  EXPECT_EQ(store.delta_edges(), 0);
 }
 
 TEST(Tombstones, DeadVertexRefusesFeatureUpdates) {

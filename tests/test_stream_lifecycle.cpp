@@ -2,7 +2,7 @@
 // (including the annihilation-vs-in-flight-snapshot safety properties —
 // a cancelled pair straddling a compaction cut must never be erased, or
 // the fold resurrects the edge), the NON-BLOCKING fold state machine
-// (publishes, ingest and gated annihilation interleaving with a parked
+// (publishes, ingest and cut-gated annihilation interleaving with a parked
 // off-lock CSR build; a second fold refused, not blocked), TTL eviction
 // sweeps and their tombstone-burst pacing (including read-path gather
 // touches), the SLO-driven background Publisher and its completion-time
@@ -188,37 +188,47 @@ TEST(Annihilation, PairAcrossPublishStaysCorrectThroughCompaction) {
   EXPECT_TRUE(graph.current()->validate());
 }
 
-TEST(Annihilation, DeltaStoreRefusesPairStraddlingSnapshotCut) {
-  // DeltaStore-level safety property: after a snapshot (a potential
-  // compaction cut) captures the insert, the standalone annihilate()
-  // must NOT erase the insert/tombstone pair — the fold merges the
-  // captured insert into the base, and an erased tombstone would
-  // resurrect the edge.
+TEST(Annihilation, DeltaStoreErasesPairStraddlingPublishOnlySnapshot) {
+  // The only annihilation gate is an in-flight fold's cut.  A
+  // publish-only snapshot needs none: it owns an immutable overlay,
+  // and the surviving ops re-reduce to the same net — so a pair whose
+  // insert that snapshot captured is erased, and the next snapshot's
+  // overlay is unchanged.
   auto base = std::make_shared<const CsrGraph>(
       build_csr(4, {{0, 1}, {1, 0}, {1, 2}, {2, 1}}, {}));
   DeltaStore store(base, 4);
 
-  ASSERT_TRUE(store.add_edge(0, 3));
-  ASSERT_TRUE(store.add_edge(3, 0));
-  const DeltaStore::Snapshot cut = store.snapshot(/*advance_epoch=*/true);
-  EXPECT_EQ(cut.num_inserts, 2);
-  ASSERT_TRUE(store.remove_edge(0, 3));
-  ASSERT_TRUE(store.remove_edge(3, 0));
+  ASSERT_EQ(store.add_edge_pair(0, 3), 2);
+  ASSERT_EQ(store.add_edge_pair(1, 3), 2);  // unmatched: must survive
+  const DeltaStore::Snapshot published = store.snapshot(/*advance_epoch=*/true);
+  EXPECT_EQ(published.num_inserts, 4);
+  ASSERT_EQ(store.remove_edge_pair(0, 3), 2);
+  const DeltaStore::Snapshot before = store.snapshot(/*advance_epoch=*/false);
+  EXPECT_EQ(before.num_inserts, 2);
+  EXPECT_EQ(before.num_removes, 0);
 
-  // The tombstones are the whole unsnapshotted suffix: odd per-pair
-  // runs, nothing to cancel.
-  EXPECT_EQ(store.annihilate(), 0);
-  EXPECT_EQ(store.delta_removes(), 2);
+  EXPECT_EQ(store.annihilate(), 4);
+  EXPECT_EQ(store.delta_removes(), 0);
+  EXPECT_EQ(store.delta_edges(), 2);
+  EXPECT_EQ(store.annihilated_ops(), 4);
 
-  // Complete the fold: merged base contains the captured inserts, the
-  // rebase truncates the captured prefix — and the surviving
-  // tombstones still retract the edge.
-  auto merged = std::make_shared<const CsrGraph>(
-      build_csr(4, {{0, 1}, {1, 0}, {1, 2}, {2, 1}, {0, 3}, {3, 0}}, {}));
-  store.rebase(merged, cut.epoch);
   const DeltaStore::Snapshot after = store.snapshot(/*advance_epoch=*/false);
-  EXPECT_EQ(after.num_removes, 2);
-  EXPECT_EQ(after.num_inserts, 0);
+  EXPECT_EQ(after.overlay->touched, before.overlay->touched);
+  EXPECT_EQ(after.overlay->insert_offsets, before.overlay->insert_offsets);
+  EXPECT_EQ(after.overlay->inserts, before.overlay->inserts);
+  EXPECT_EQ(after.overlay->remove_offsets, before.overlay->remove_offsets);
+  EXPECT_EQ(after.overlay->removes, before.overlay->removes);
+  EXPECT_EQ(after.num_inserts, 2);
+  EXPECT_EQ(after.num_removes, 0);
+
+  // The erased ops are gone from the logs, and re-reducing a vertex
+  // from what survived agrees with the net it had.
+  EXPECT_TRUE(store.pending_targets(0).empty());
+  EXPECT_EQ(store.pending_targets(3), (std::vector<VertexId>{1}));
+  ASSERT_EQ(store.add_edge_pair(2, 3), 2);
+  const DeltaStore::Snapshot next = store.snapshot(/*advance_epoch=*/false);
+  EXPECT_EQ(next.num_inserts, 4);
+  EXPECT_EQ(next.num_removes, 0);
 }
 
 TEST(Annihilation, UnsnapshottedPairIsErasableAtDeltaStoreLevel) {
@@ -226,15 +236,15 @@ TEST(Annihilation, UnsnapshottedPairIsErasableAtDeltaStoreLevel) {
   DeltaStore store(base, 4);
   store.snapshot(/*advance_epoch=*/true);  // advance past construction epoch
 
-  ASSERT_TRUE(store.add_edge(2, 3));
-  ASSERT_TRUE(store.remove_edge(2, 3));
-  ASSERT_TRUE(store.add_edge(0, 2));  // unmatched: must survive
-  EXPECT_EQ(store.annihilate(), 2);
-  EXPECT_EQ(store.delta_ops(), 1);
+  ASSERT_EQ(store.add_edge_pair(2, 3), 2);
+  ASSERT_EQ(store.remove_edge_pair(2, 3), 2);
+  ASSERT_EQ(store.add_edge_pair(0, 2), 2);  // unmatched: must survive
+  EXPECT_EQ(store.annihilate(), 4);
+  EXPECT_EQ(store.delta_ops(), 2);
   const DeltaStore::Snapshot snap = store.snapshot(/*advance_epoch=*/false);
-  EXPECT_EQ(snap.num_inserts, 1);
+  EXPECT_EQ(snap.num_inserts, 2);
   EXPECT_EQ(snap.num_removes, 0);
-  EXPECT_EQ(store.annihilated_ops(), 2);
+  EXPECT_EQ(store.annihilated_ops(), 4);
 }
 
 TEST(Annihilation, RandomizedChurnNeverDivergesFromNet) {
@@ -357,27 +367,24 @@ TEST(NonBlockingFold, AnnihilationDuringFoldSparesStraddlingPair) {
 
 TEST(NonBlockingFold, DeltaStoreFoldGateClampsAnnihilationToTheCut) {
   // DeltaStore-level property: begin_fold pins ops at or below the cut
-  // against ANY annihilation gate (even the expert gate-0 form), rebase
-  // re-validates the declared cut, and abort_fold restores the full
-  // erasure license.
+  // against annihilation, rebase re-validates the declared cut, and
+  // abort_fold restores the full erasure license.
   auto base = std::make_shared<const CsrGraph>(build_csr(6, {{0, 1}, {1, 0}}, {}));
   DeltaStore store(base, 4);
 
-  ASSERT_TRUE(store.add_edge(2, 3));
-  ASSERT_TRUE(store.add_edge(3, 2));
+  ASSERT_EQ(store.add_edge_pair(2, 3), 2);
   const DeltaStore::Snapshot cut = store.snapshot(/*advance_epoch=*/true);
   store.begin_fold(cut.epoch);
   EXPECT_TRUE(store.fold_in_flight());
   EXPECT_THROW(store.begin_fold(cut.epoch), std::logic_error);  // one fold at a time
 
-  ASSERT_TRUE(store.remove_edge(2, 3));  // straddles the cut with its insert
-  ASSERT_TRUE(store.remove_edge(3, 2));
-  ASSERT_TRUE(store.add_edge(4, 5));     // cancelled entirely post-cut
-  ASSERT_TRUE(store.remove_edge(4, 5));
+  ASSERT_EQ(store.remove_edge_pair(2, 3), 2);  // straddles the cut with its insert
+  ASSERT_EQ(store.add_edge_pair(4, 5), 2);     // cancelled entirely post-cut
+  ASSERT_EQ(store.remove_edge_pair(4, 5), 2);
 
-  // Gate 0 asks for "erase everything matched"; the in-flight fold
-  // clamps it to the cut, so only the post-cut pair (2 ops) goes.
-  EXPECT_EQ(store.annihilate(/*gate=*/0), 2);
+  // Every matched pair would be erasable; the in-flight fold keeps the
+  // ops at or below its cut, so only the post-cut pairs (4 ops) go.
+  EXPECT_EQ(store.annihilate(), 4);
   EXPECT_EQ(store.delta_removes(), 2);
 
   // The rebase must present the exact frontier begin_fold declared.
@@ -397,16 +404,16 @@ TEST(NonBlockingFold, DeltaStoreFoldGateClampsAnnihilationToTheCut) {
 TEST(NonBlockingFold, AbortFoldRestoresFullAnnihilationLicense) {
   auto base = std::make_shared<const CsrGraph>(build_csr(4, {{0, 1}, {1, 0}}, {}));
   DeltaStore store(base, 4);
-  ASSERT_TRUE(store.add_edge(2, 3));
+  ASSERT_EQ(store.add_edge_pair(2, 3), 2);
   const DeltaStore::Snapshot cut = store.snapshot(/*advance_epoch=*/true);
   store.begin_fold(cut.epoch);
-  ASSERT_TRUE(store.remove_edge(2, 3));
-  EXPECT_EQ(store.annihilate(/*gate=*/0), 0);  // straddles the in-flight cut
+  ASSERT_EQ(store.remove_edge_pair(2, 3), 2);
+  EXPECT_EQ(store.annihilate(), 0);  // straddles the in-flight cut
   store.abort_fold();
   EXPECT_FALSE(store.fold_in_flight());
-  // Build abandoned: nothing was merged, so the matched pair is free
-  // again under the expert gate (no snapshot->rebase window remains).
-  EXPECT_EQ(store.annihilate(/*gate=*/0), 2);
+  // Build abandoned: nothing was merged, so the matched pairs are free
+  // again (no snapshot->rebase window remains).
+  EXPECT_EQ(store.annihilate(), 4);
   EXPECT_EQ(store.delta_ops(), 0);
 }
 
