@@ -1,9 +1,8 @@
 // google-benchmark micro-benches for the substrates: GEMM, feature
 // gather (plain rows and the streaming cache+store path at fp32 vs
 // int8), neighbor sampling (static and over a streaming overlay), the
-// streaming publish, source-sorted edges, gradient all-reduce,
-// graph partitioning, and the set-up stages: the CSR build and the whole
-// dataset materialisation.  These measure the REAL kernels on the host
+// streaming publish, source-sorted edges, gradient all-reduce, and the
+// set-up stages: the CSR build and the whole dataset materialisation.  These measure the REAL kernels on the host
 // (wall clock), complementing the simulated-platform harnesses.
 #include <benchmark/benchmark.h>
 
@@ -13,7 +12,6 @@
 #include "graph/builder.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generator.hpp"
-#include "graph/partition.hpp"
 #include "nn/model.hpp"
 #include "runtime/feature_cache.hpp"
 #include "runtime/sync.hpp"
@@ -360,15 +358,6 @@ void BM_GradientAllReduce(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * models.front()->num_parameters() * 4 * replicas);
 }
 BENCHMARK(BM_GradientAllReduce)->Arg(2)->Arg(5);
-
-void BM_PartitionBfs(benchmark::State& state) {
-  const CsrGraph& g = bench_graph();
-  for (auto _ : state) {
-    const Partition part = partition_bfs(g, 4, 1);
-    benchmark::DoNotOptimize(part.edge_cut);
-  }
-}
-BENCHMARK(BM_PartitionBfs);
 
 // Set-up cost at perfbench's scale: ogbn-products' density at 2^16
 // vertices (directed edge factor |E| / 2|V|, about 12.6).

@@ -62,7 +62,7 @@ inline HybridTrainerConfig sim_config(GnnKind kind) {
   config.model_kind = kind;
   config.fanouts = {25, 10};
   config.per_trainer_batch = 1024;
-  config.real_compute = false;
+  config.real_iterations_cap = 0;
   config.trajectory_cap = 0;
   return config;
 }

@@ -23,7 +23,7 @@ Seconds measure(const Dataset& dataset, const PlatformSpec& platform, bool hybri
   config.hybrid = hybrid;
   config.drm = drm;
   config.pipeline = mode;
-  config.real_compute = false;  // timing study only
+  config.real_iterations_cap = 0;  // timing study only
   HybridTrainer trainer(dataset, platform, config);
   trainer.train_epoch();  // let DRM settle
   return trainer.train_epoch().epoch_time;

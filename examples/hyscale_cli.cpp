@@ -564,12 +564,8 @@ struct StreamOptions {
   PublisherPolicy publisher;  ///< staleness_budget <= 0 disables the publisher
   ExpiryPolicy expiry;        ///< ttl < 0 = no TTL
   StreamingConfig streaming;
-  ShardedConfig sharded;  ///< num_shards > 1 serves through the sharded stack
 
-  StreamOptions() {
-    updates.operations = 512;
-    sharded.num_shards = 1;
-  }
+  StreamOptions() { updates.operations = 512; }
 };
 
 void stream_usage(const char* argv0) {
@@ -582,18 +578,13 @@ void stream_usage(const char* argv0) {
       "          [--vertex-add-frac F] [--feature-update-frac F]\n"
       "          [--delete-frac F] [--vertex-delete-frac F] [--delete-recent-frac F]\n"
       "          [--compact-edges E] [--compact-ratio R]\n"
-      "          [--slo-ms MS] [--ttl-ms MS] [--sweep-ms MS]\n"
-      "          [--shards N] [--partitioner hash|bfs] [--rerank-rows R]\n"
+      "          [--slo-ms MS] [--ttl-ms MS] [--sweep-ms MS] [--rerank-rows R]\n"
       "          [--metrics-out FILE|-] [--metrics-interval-ms MS] [--trace]\n"
       "          [--flight-record-out FILE|-]\n"
       "\n"
       "lifecycle: --slo-ms bounds staleness (background publisher; 0 = caller-paced\n"
       "via --publish-every), --ttl-ms retires streamed-in entities idle that long\n"
       "(swept every --sweep-ms).\n"
-      "sharding: --shards N > 1 splits the evolving graph into N partition-routed\n"
-      "shards (--partitioner picks the base assignment) with per-shard compaction\n"
-      "and publishing; queries sample a consistent cross-shard cut, and --ttl-ms\n"
-      "runs ONE facade-wide sweeper so shard vertex spaces stay in lockstep.\n"
       "--rerank-rows re-ranks the device cache every R gathered rows regardless\n"
       "of fold cadence.\n",
       argv0);
@@ -618,18 +609,13 @@ FlagTable stream_flags(StreamOptions& o) {
           real("--slo-ms", o.publisher.staleness_budget, 1e-3),  // <= 0 disables
           real("--ttl-ms", o.expiry.ttl, 1e-3),                   // < 0: no TTL
           real("--sweep-ms", o.expiry.sweep_interval, 1e-3),
-          count("--shards", o.sharded.num_shards, 1),
-          choice("--partitioner", o.sharded.partitioner,
-                 {{"hash", ShardedConfig::Partitioner::kHash},
-                  {"bfs", ShardedConfig::Partitioner::kBfs}}),
           count<std::int64_t>("--rerank-rows", o.serve.serving.cache_rerank_every_rows),
           choice("--cache-rerank", o.streaming.cache_rerank, {{"on", true}, {"off", false}}),
       });
   return table;
 }
 
-/// The device cache's hit rates (flat and sharded deployments alike have
-/// at most one); prints nothing without a cache.
+/// The device cache's hit rates; prints nothing without a cache.
 void print_cache(const StaticFeatureCache* cache) {
   if (cache == nullptr) return;
   std::printf("cache:    hit_rate %.3f  since_invalidate %.3f (%lld invalidations)\n",
@@ -650,51 +636,29 @@ int run_stream(const StreamOptions& options) {
   streaming.telemetry = telemetry.get();
   const PublisherPolicy& publisher = options.publisher;
   const ExpiryPolicy& expiry = options.expiry;
-  const int shards = options.sharded.num_shards;
-  const char* partitioner =
-      options.sharded.partitioner == ShardedConfig::Partitioner::kBfs ? "bfs" : "hash";
   const char* wire = transfer_precision_name(serving.transfer_precision);
-  const std::int64_t rerank_rows = serving.cache_rerank_every_rows;
 
-  ServingSession session;
-  if (shards > 1) {
-    ShardedConfig sharded = options.sharded;
-    sharded.stream = streaming;
-    // One facade-wide TTL sweeper over the sharded graph — retirement
-    // broadcasts to every shard so the vertex spaces stay in lockstep.
-    session = system.stream_sharded(sharded, serving, options.compaction, publisher, {}, expiry);
-    const Partition& partition = session.shards().partition();
-    std::printf("\nsharded streaming %s: %d shards (%s partition, imbalance %.3f, "
-                "edge-cut %.1f%%), %d workers, wire=%s, rerank-rows=%lld\n",
-                dataset->info.name.c_str(), shards, partitioner, partition.imbalance(),
-                partition.edge_cut_fraction(dataset->graph.num_edges()) * 100.0,
-                serving.num_workers, wire, static_cast<long long>(rerank_rows));
-    if (session.sweeper != nullptr) {
-      std::printf("expiry:   ttl %.1f ms, sweep every %.1f ms (facade-wide)\n",
-                  expiry.ttl * 1e3, expiry.sweep_interval * 1e3);
-    }
+  ServingSession session =
+      system.stream(serving, streaming, options.compaction, publisher, expiry);
+  std::printf("\nstreaming %s on %d workers (%lld base edges, compact at %lld overlay "
+              "edges or %.0f%%, wire=%s, rerank=%s)\n",
+              dataset->info.name.c_str(), serving.num_workers,
+              static_cast<long long>(dataset->graph.num_edges()),
+              static_cast<long long>(options.compaction.max_overlay_edges),
+              options.compaction.max_overlay_ratio * 100.0, wire,
+              streaming.cache_rerank ? "on" : "off");
+  if (session.publisher() != nullptr) {
+    std::printf("publisher: staleness budget %.3f ms\n", publisher.staleness_budget * 1e3);
+  } else if (options.updates.publish_every > 0) {
+    std::printf("publisher: off (fixed cadence, publish every %lld ops)\n",
+                static_cast<long long>(options.updates.publish_every));
   } else {
-    session = system.stream(serving, streaming, options.compaction, publisher, expiry);
-    std::printf("\nstreaming %s on %d workers (%lld base edges, compact at %lld overlay "
-                "edges or %.0f%%, wire=%s, rerank=%s)\n",
-                dataset->info.name.c_str(), serving.num_workers,
-                static_cast<long long>(dataset->graph.num_edges()),
-                static_cast<long long>(options.compaction.max_overlay_edges),
-                options.compaction.max_overlay_ratio * 100.0, wire,
-                streaming.cache_rerank ? "on" : "off");
-    if (session.publisher() != nullptr) {
-      std::printf("publisher: staleness budget %.3f ms\n", publisher.staleness_budget * 1e3);
-    } else if (options.updates.publish_every > 0) {
-      std::printf("publisher: off (fixed cadence, publish every %lld ops)\n",
-                  static_cast<long long>(options.updates.publish_every));
-    } else {
-      std::printf("publisher: off and no cadence — updates stay invisible until the "
-                  "final publish (pass --slo-ms or --publish-every)\n");
-    }
-    if (session.sweeper != nullptr) {
-      std::printf("expiry:    ttl %.1f ms, sweep every %.1f ms\n", expiry.ttl * 1e3,
-                  expiry.sweep_interval * 1e3);
-    }
+    std::printf("publisher: off and no cadence — updates stay invisible until the "
+                "final publish (pass --slo-ms or --publish-every)\n");
+  }
+  if (session.sweeper != nullptr) {
+    std::printf("expiry:    ttl %.1f ms, sweep every %.1f ms\n", expiry.ttl * 1e3,
+                expiry.sweep_interval * 1e3);
   }
 
   UpdateGeneratorConfig updates = options.updates;
@@ -702,8 +666,7 @@ int run_stream(const StreamOptions& options) {
   UpdateReport update_report;
   // jthread: joined on the way out even when the load run throws.
   std::jthread update_thread([&] {
-    update_report = shards > 1 ? ShardedUpdateDriver(session.shards(), updates).run()
-                               : UpdateGenerator(session.stream(), updates).run();
+    update_report = UpdateGenerator(session.stream(), updates).run();
   });
   const LoadReport report = run_load(*session.server, *dataset, serve, telemetry.get());
   update_thread.join();
@@ -712,34 +675,6 @@ int run_stream(const StreamOptions& options) {
   const ServingSnapshot& stats = report.server;
   std::printf("\nqueries:  %s\n", report.to_string().c_str());
   std::printf("updates:  %s\n", update_report.to_string().c_str());
-  if (shards > 1) {
-    std::printf("sharded:  %s\n", session.shards().stats().to_string().c_str());
-    std::printf("latency:  p50 %.3f ms  p99 %.3f ms  (queue p99 %.3f ms, compute mean "
-                "%.3f ms)\n",
-                stats.latency_p50 * 1e3, stats.latency_p99 * 1e3,
-                stats.queue_wait_p99 * 1e3, stats.compute_mean * 1e3);
-    for (std::size_t s = 0; s < session.publishers.size(); ++s) {
-      std::printf("shard %zu:  %lld publishes (worst staleness %.3f ms)\n", s,
-                  static_cast<long long>(session.publishers[s]->publishes()),
-                  session.publishers[s]->worst_staleness() * 1e3);
-    }
-    std::printf("adopter:  %lld cut adoptions (cut %llu served)\n",
-                static_cast<long long>(session.adopter->adoptions()),
-                static_cast<unsigned long long>(session.server->last_served_version()));
-    if (session.sweeper != nullptr) {
-      std::printf("expiry:   %lld retired in %lld sweeps\n",
-                  static_cast<long long>(session.sweeper->retired()),
-                  static_cast<long long>(session.sweeper->sweeps()));
-    }
-    if (rerank_rows > 0) {
-      std::printf("rerank:   %lld traffic-triggered re-ranks\n",
-                  static_cast<long long>(session.server->traffic_reranks()));
-    }
-    print_cache(session.server->cache());
-    print_telemetry_summary(telemetry, serve);
-    return 0;
-  }
-
   const StreamStats stream_stats = session.stream().stats();
   std::printf("stream:   %s\n", stream_stats.to_string().c_str());
   std::printf("latency:  p50 %.3f ms  p99 %.3f ms  (queue p99 %.3f ms, compute mean %.3f ms)\n",

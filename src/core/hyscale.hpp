@@ -27,7 +27,6 @@
 #include "graph/datasets.hpp"
 #include "graph/generator.hpp"
 #include "graph/io.hpp"
-#include "graph/partition.hpp"
 #include "graph/reorder.hpp"
 #include "nn/checkpoint.hpp"
 #include "nn/loss.hpp"
@@ -64,10 +63,8 @@ inline constexpr const char* kVersion = "1.0.0";
 /// per-shard compactors (annihilate-then-fold; exactly one in flat
 /// mode), SLO publishers (staleness budget, on by default), the
 /// CutAdopter folding per-shard publishes into consistent cuts (sharded
-/// only), and ONE TTL expiry sweeper over the graph (opt-in;
-/// facade-wide in sharded mode, so retirement keeps every shard's
-/// vertex space in lockstep).  A static session has only the backend
-/// and the server.
+/// only), and a TTL expiry sweeper over the graph (flat mode only,
+/// opt-in).  A static session has only the backend and the server.
 ///
 /// Members are declared in dependency order so teardown is safe: the
 /// sweeper stops first (it feeds retirements into the graph), then the
@@ -82,7 +79,7 @@ struct ServingSession {
   std::vector<std::unique_ptr<Compactor>> compactors;  ///< one per shard (flat: one)
   std::vector<std::unique_ptr<Publisher>> publishers;  ///< one per shard; empty when disabled
   std::unique_ptr<CutAdopter> adopter;     ///< sharded mode only
-  std::unique_ptr<ExpirySweeper> sweeper;  ///< null unless the expiry policy is enabled
+  std::unique_ptr<ExpirySweeper> sweeper;  ///< flat mode, when the expiry policy is enabled
 
   StreamingGraph& stream() { return *graph; }
   ShardedStreamingGraph& shards() { return *sharded; }
@@ -149,18 +146,14 @@ class HyScale {
     return session;
   }
 
-  /// Sharded variant of stream(): the evolving graph is split into
-  /// `sharded.num_shards` partition-routed StreamingGraph shards (hash
-  /// or BFS partitioner), each with its own Compactor and SLO
-  /// Publisher, while a CutAdopter folds the shards' independent
-  /// publishes into consistent cross-shard cuts for the server.  When
-  /// `expiry.enabled()`, ONE ExpirySweeper paces TTL retirement through
-  /// the facade-wide sweep — broadcast retirement keeps the
-  /// shards' vertex spaces in lockstep (the reason per-shard sweepers
-  /// would be wrong, and why sharded TTL used to be caller-paced).
+  /// Sharded variant of stream(), kept only for perfbench's
+  /// churn-sharded workload: the evolving graph is split into
+  /// `sharded.num_shards` hash-owned StreamingGraph shards, each with
+  /// its own Compactor and SLO Publisher, while a CutAdopter folds the
+  /// shards' independent publishes into consistent cross-shard cuts for
+  /// the server.  Nothing expires by TTL.
   ServingSession stream_sharded(ShardedConfig sharded = {}, ServingConfig serving = {},
-                                CompactionPolicy compaction = {}, PublisherPolicy publisher = {},
-                                CutAdopterPolicy adopter = {}, ExpiryPolicy expiry = {}) {
+                                CompactionPolicy compaction = {}, PublisherPolicy publisher = {}) {
     const ModelSnapshot snapshot(trainer_.model());
     ServingSession session;
     session.sharded = std::make_unique<ShardedStreamingGraph>(
@@ -176,9 +169,7 @@ class HyScale {
         session.publishers.push_back(
             std::make_unique<Publisher>(session.sharded->shard(s), publisher));
     }
-    session.adopter = std::make_unique<CutAdopter>(*session.sharded, adopter);
-    if (expiry.enabled())
-      session.sweeper = std::make_unique<ExpirySweeper>(*session.sharded, expiry);
+    session.adopter = std::make_unique<CutAdopter>(*session.sharded);
     return session;
   }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <stdexcept>
 
 #include "common/log.hpp"
 #include "common/strutil.hpp"
@@ -26,14 +25,16 @@ std::string DrmAction::to_string() const {
   return "drm{?}";
 }
 
-DrmEngine::DrmEngine(DrmConfig config) : config_(config) {
-  if (config_.work_gain <= 0.0 || config_.work_gain > 1.0)
-    throw std::invalid_argument("DrmEngine: work_gain must be in (0,1]");
-  if (config_.thread_step <= 0) throw std::invalid_argument("DrmEngine: thread_step must be > 0");
-}
+DrmEngine::DrmEngine(DrmConfig config) : config_(config) {}
 
 namespace {
 
+/// Fraction of the gap to the rate-balanced ideal closed per step.
+constexpr double kWorkGain = 0.5;
+/// Seed-count granularity of balance_work moves.
+constexpr double kBatchGranularity = 16.0;
+/// Threads moved per balance_thread step.
+constexpr int kThreadStep = 2;
 /// Granularity of sampling-fraction moves.
 constexpr double kSampleFractionStep = 0.125;
 
@@ -70,7 +71,7 @@ DrmAction DrmEngine::balance_thread(Stage from, Stage to, WorkloadAssignment& wo
   }
   // Keep at least one thread on every CPU task so no stage deadlocks.
   const int movable = std::max(0, *src - 1);
-  const int moved = std::min(config_.thread_step, movable);
+  const int moved = std::min(kThreadStep, movable);
   *src -= moved;
   *dst += moved;
   action.threads_moved = moved;
@@ -105,12 +106,13 @@ DrmAction DrmEngine::balance_trainer_work(const StageTimes& times, WorkloadAssig
                            (effective_cpu_rate + effective_accel_rate);
 
   double target = static_cast<double>(workload.cpu_batch) +
-                  config_.work_gain * (ideal_cpu - static_cast<double>(workload.cpu_batch));
+                  kWorkGain * (ideal_cpu - static_cast<double>(workload.cpu_batch));
   // Quantise to granularity and clamp.  Below one granule the CPU
   // trainer is pure overhead — release it entirely (its threads then
   // flow to the sampler/loader via balance_thread).
-  const double g = static_cast<double>(config_.batch_granularity);
-  target = target < g ? 0.0 : g * std::nearbyint(target / g);
+  target = target < kBatchGranularity
+               ? 0.0
+               : kBatchGranularity * std::nearbyint(target / kBatchGranularity);
   const auto new_cpu =
       std::clamp<std::int64_t>(static_cast<std::int64_t>(target), 0, total);
 

@@ -21,12 +21,6 @@
 namespace hyscale {
 
 struct DrmConfig {
-  /// Fraction of the gap to the rate-balanced ideal closed per step.
-  double work_gain = 0.5;
-  /// Seed-count granularity of balance_work moves.
-  std::int64_t batch_granularity = 16;
-  /// Threads moved per balance_thread step.
-  int thread_step = 2;
   /// Whether any accelerator can sample (enables the TSA dimension).
   bool accel_sampling_available = false;
 };

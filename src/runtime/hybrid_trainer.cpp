@@ -262,7 +262,7 @@ EpochReport HybridTrainer::train_epoch() {
 
   for (long iter = 0; iter < report.iterations; ++iter) {
     double jitter = 1.0;
-    if (config_.real_compute && iter < config_.real_iterations_cap) {
+    if (iter < config_.real_iterations_cap) {
       const RealIterationResult real = run_real_iteration();
       loss_sum += real.loss;
       acc_sum += real.accuracy;

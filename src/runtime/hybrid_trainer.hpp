@@ -60,9 +60,9 @@ struct HybridTrainerConfig {
   std::uint64_t seed = 1;
 
   // ---- Real-execution controls.
-  bool real_compute = true;
   std::int64_t real_batch_total = 256;  ///< seeds per iteration across all trainers
-  int real_iterations_cap = 8;          ///< real fwd/bwd only for the first k iters/epoch
+  /// Real fwd/bwd only for the first k iters/epoch; 0 = timing model only.
+  int real_iterations_cap = 8;
 
   // ---- Future-work extension (§VIII): quantize features before the
   // PCIe hop.  int8 additionally round-trips the real accelerator

@@ -1,25 +1,17 @@
 #include "shard/cut_adopter.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 namespace hyscale {
 
-CutAdopter::CutAdopter(ShardedStreamingGraph& graph, CutAdopterPolicy policy)
-    : graph_(graph), policy_(policy) {
-  if (policy_.poll_interval <= 0.0)
-    throw std::invalid_argument("CutAdopter: poll_interval must be positive");
+CutAdopter::CutAdopter(ShardedStreamingGraph& graph) : graph_(graph) {
   Heartbeat* heart = nullptr;  // liveness stamp when telemetry on
   if (Telemetry* telemetry = graph_.telemetry(); telemetry != nullptr) {
     // Busy time is one adopt (a version-vector snapshot);
     // the poll interval is the natural beat hint.
     heart = &telemetry->heartbeats().register_thread(
-        "sharded.adopter",
-        std::max<std::int64_t>(static_cast<std::int64_t>(policy_.poll_interval * 1e9),
-                               1'000'000));
+        "sharded.adopter", static_cast<std::int64_t>(kCutAdopterPoll * 1e9));
   }
   thread_.start(heart, [this] {
-    while (thread_.sleep(policy_.poll_interval)) {
+    while (thread_.sleep(kCutAdopterPoll)) {
       if (!graph_.cut_stale()) continue;
       const auto before = graph_.current_cut();
       const auto after = graph_.adopt();

@@ -25,17 +25,16 @@ namespace {
 /// Shard s's base adjacency: every directed edge (v, u) with
 /// owner(v) == s or owner(u) == s, in the dataset's (sorted) order —
 /// so an owned vertex's rows are element-identical to the flat CSR's.
-CsrGraph filter_owner_incident(const CsrGraph& graph, const std::vector<int>& assignment,
-                               int shard) {
+CsrGraph filter_owner_incident(const CsrGraph& graph, const ShardOwnerMap& owners, int shard) {
   const VertexId n = graph.num_vertices();
   std::vector<EdgeId> indptr;
   indptr.reserve(static_cast<std::size_t>(n) + 1);
   indptr.push_back(0);
   std::vector<VertexId> indices;
   for (VertexId v = 0; v < n; ++v) {
-    const bool owned = assignment[static_cast<std::size_t>(v)] == shard;
+    const bool owned = owners.owner(v) == shard;
     for (VertexId u : graph.neighbors(v)) {
-      if (owned || assignment[static_cast<std::size_t>(u)] == shard) indices.push_back(u);
+      if (owned || owners.owner(u) == shard) indices.push_back(u);
     }
     indptr.push_back(static_cast<EdgeId>(indices.size()));
   }
@@ -50,11 +49,7 @@ ShardedStreamingGraph::ShardedStreamingGraph(const Dataset& dataset, ShardedConf
   if (config_.num_shards < 1)
     throw std::invalid_argument("ShardedStreamingGraph: num_shards must be >= 1");
 
-  partition_ = config_.partitioner == ShardedConfig::Partitioner::kBfs
-                   ? partition_bfs(dataset.graph, config_.num_shards, config_.partition_seed)
-                   : partition_hash(dataset.graph, config_.num_shards, config_.partition_seed);
-  owners_ = std::make_shared<const ShardOwnerMap>(partition_.assignment, config_.num_shards,
-                                                  config_.partition_seed);
+  owners_ = std::make_shared<const ShardOwnerMap>(config_.num_shards, config_.partition_seed);
 
   // One feature store for every shard: views carry only the filtered
   // topology.
@@ -66,7 +61,7 @@ ShardedStreamingGraph::ShardedStreamingGraph(const Dataset& dataset, ShardedConf
     Dataset& view = shard_views_.emplace_back();
     view.info = dataset.info;
     view.info.name += "/shard" + std::to_string(s);
-    view.graph = filter_owner_incident(dataset.graph, partition_.assignment, s);
+    view.graph = filter_owner_incident(dataset.graph, *owners_, s);
     StreamingConfig shard_config = config_.stream;
     shard_config.recycle_ids = false;  // lockstep vertex spaces, see header
     shard_config.metric_prefix = "shard" + std::to_string(s) + ".";
@@ -93,9 +88,6 @@ void ShardedStreamingGraph::bind_telemetry() {
   };
   count("sharded.cut_adoptions", cut_adoptions_);
   registry.gauge("sharded.num_shards").set(static_cast<double>(num_shards()));
-  registry.gauge("sharded.edge_cut_fraction")
-      .set(partition_.edge_cut_fraction(dataset_->graph.num_edges()));
-  registry.gauge("sharded.imbalance").set(partition_.imbalance());
   registry.register_callback("sharded.cut_id", this, [this] {
     const auto cut = current_cut();
     return cut == nullptr ? 0.0 : static_cast<double>(cut->cut_id());
@@ -110,7 +102,6 @@ void ShardedStreamingGraph::bind_telemetry() {
   count("sharded.added_vertices", added_vertices_);
   count("sharded.removed_vertices", removed_vertices_);
   count("sharded.feature_updates", feature_updates_);
-  count("sharded.expired_vertices", expired_vertices_);
 }
 
 std::mutex& ShardedStreamingGraph::edge_stripe(VertexId u, VertexId v) const {
@@ -273,29 +264,6 @@ void ShardedStreamingGraph::attach_cache(StaticFeatureCache* cache) {
 
 void ShardedStreamingGraph::rerank_now() { shards_.front()->rerank_now(); }
 
-std::int64_t ShardedStreamingGraph::sweep_expired(Seconds ttl, std::int64_t max_retire) {
-  if (ttl < 0.0)
-    throw std::invalid_argument("ShardedStreamingGraph::sweep_expired: negative ttl");
-  if (max_retire <= 0) return 0;
-  const auto ttl_ns = static_cast<std::int64_t>(ttl * 1e9);
-  const std::int64_t now = MutableFeatureStore::now_ns();
-  const VertexId first_streamed = dataset_->graph.num_vertices();
-  const VertexId n = num_vertices();
-  std::int64_t retired = 0;
-  for (VertexId v = first_streamed; v < n && retired < max_retire; ++v) {
-    if (now - features_->last_touch_ns(v) <= ttl_ns) continue;
-    // Yield while any shard folds; the next pass resumes here.
-    if (std::any_of(shards_.begin(), shards_.end(),
-                    [](const auto& shard) { return shard->fold_in_flight(); }))
-      break;
-    if (remove_vertex(v)) {
-      ++retired;
-      expired_vertices_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return retired;
-}
-
 ShardedStats ShardedStreamingGraph::stats() const {
   ShardedStats stats;
   stats.ingested_edges = ingested_edges_.load(std::memory_order_relaxed);
@@ -305,7 +273,6 @@ ShardedStats ShardedStreamingGraph::stats() const {
   stats.added_vertices = added_vertices_.load(std::memory_order_relaxed);
   stats.removed_vertices = removed_vertices_.load(std::memory_order_relaxed);
   stats.feature_updates = feature_updates_.load(std::memory_order_relaxed);
-  stats.expired_vertices = expired_vertices_.load(std::memory_order_relaxed);
   stats.cut_adoptions = cut_adoptions_.load(std::memory_order_relaxed);
   const auto cut = current_cut();
   stats.cut_id = cut == nullptr ? 0 : cut->cut_id();
@@ -317,8 +284,7 @@ std::string ShardedStats::to_string() const {
   out << "cut=" << cut_id << " adoptions=" << cut_adoptions
       << " edges(in=" << ingested_edges << " dup=" << duplicate_edges
       << " rm=" << removed_edges << " rej=" << rejected_removals << ")"
-      << " vertices(add=" << added_vertices << " rm=" << removed_vertices
-      << " expired=" << expired_vertices << ")"
+      << " vertices(add=" << added_vertices << " rm=" << removed_vertices << ")"
       << " feature_updates=" << feature_updates;
   return out.str();
 }

@@ -1,16 +1,16 @@
-// Sharded streaming serving: N partition-routed StreamingGraph shards
-// behind one facade, with one shared feature plane and a consistent
+// Sharded streaming serving: N hash-owned StreamingGraph shards behind
+// one facade, with one shared feature plane and a consistent
 // cross-shard cut.
 //
 // This is the repository's stand-in for the multi-node serving tier the
 // paper's §VII baselines (P3, DistDGL) run — built so the cost HyScale
 // avoids (cross-shard consistency of a partitioned topology) can be
-// MEASURED against the same workloads instead of modeled.  Vertices are
-// assigned to shards by a Partition (hash or BFS-grown, graph/partition)
-// plus a seeded hash for vertices streamed in later; every shard is a
-// full StreamingGraph (its own DeltaStore, Compactor and Publisher — all
-// reused unchanged) over the FULL vertex space, holding every directed
-// edge incident to a vertex it owns.
+// MEASURED against the same workloads instead of modeled.  It remains
+// only for perfbench's churn-sharded workload.  Every vertex, dataset or
+// streamed-in, is owned by shard splitmix64(seed ^ v) % num_shards;
+// every shard is a full StreamingGraph (its own DeltaStore, Compactor
+// and Publisher — all reused unchanged) over the FULL vertex space,
+// holding every directed edge incident to a vertex it owns.
 //
 // The bit-identity contract (PR 3's standard) survives sharding by
 // construction, not by luck:
@@ -51,36 +51,27 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "graph/partition.hpp"
 #include "stream/streaming_graph.hpp"
 
 namespace hyscale {
 
-/// Vertex -> shard assignment: the base partition for dataset vertices,
-/// a seeded hash for vertices streamed in later (every shard computes
-/// the same owner without coordination).  Immutable and shared between
-/// the facade and every ShardedCut it publishes.
+/// Vertex -> shard assignment: one seeded hash for every id, dataset or
+/// streamed-in, so every shard computes the same owner without
+/// coordination or a table.  Immutable and shared between the facade
+/// and every ShardedCut it publishes.
 class ShardOwnerMap {
  public:
-  ShardOwnerMap(std::vector<int> base_assignment, int num_shards,
-                std::uint64_t stream_seed)
-      : base_assignment_(std::move(base_assignment)),
-        num_shards_(num_shards),
-        stream_seed_(stream_seed) {}
+  ShardOwnerMap(int num_shards, std::uint64_t seed) : num_shards_(num_shards), seed_(seed) {}
 
   int owner(VertexId v) const {
-    if (static_cast<std::size_t>(v) < base_assignment_.size())
-      return base_assignment_[static_cast<std::size_t>(v)];
-    std::uint64_t h = stream_seed_ ^ static_cast<std::uint64_t>(v);
+    std::uint64_t h = seed_ ^ static_cast<std::uint64_t>(v);
     return static_cast<int>(splitmix64(h) % static_cast<std::uint64_t>(num_shards_));
   }
   int num_shards() const { return num_shards_; }
-  VertexId base_vertices() const { return static_cast<VertexId>(base_assignment_.size()); }
 
  private:
-  std::vector<int> base_assignment_;
   int num_shards_;
-  std::uint64_t stream_seed_;
+  std::uint64_t seed_;
 };
 
 /// Immutable cross-shard snapshot: one published GraphVersion per shard,
@@ -138,9 +129,7 @@ class ShardedCut {
 
 struct ShardedConfig {
   int num_shards = 2;
-  enum class Partitioner { kHash, kBfs };
-  Partitioner partitioner = Partitioner::kHash;
-  /// Seeds both the base partitioner and the streamed-in owner hash.
+  /// Seeds the owner hash.
   std::uint64_t partition_seed = 17;
   /// Template for every per-shard StreamingGraph.  `recycle_ids` is
   /// forced off and `metric_prefix` is overwritten with "shard<i>." per
@@ -158,7 +147,6 @@ struct ShardedStats {
   std::int64_t added_vertices = 0;
   std::int64_t removed_vertices = 0;
   std::int64_t feature_updates = 0;
-  std::int64_t expired_vertices = 0;
   std::int64_t cut_adoptions = 0;
   /// Always 0: the shards share one feature store, so there are no
   /// mirror rows to refresh.  Kept only because perfbench reads it.
@@ -171,9 +159,9 @@ struct ShardedStats {
   std::string to_string() const;
 };
 
-class ShardedStreamingGraph : public ExpiryTarget {
+class ShardedStreamingGraph {
  public:
-  /// Partitions `dataset` and builds one StreamingGraph per shard (full
+  /// Splits `dataset` by owner and builds one StreamingGraph per shard (full
   /// vertex space, owner-incident edges) over one shared feature store:
   /// `features` when given (its precision is the gather's wire
   /// precision), else a private fp32 one from dataset.features.  The
@@ -242,26 +230,18 @@ class ShardedStreamingGraph : public ExpiryTarget {
   /// traffic-triggered cadence).
   void rerank_now();
 
-  /// Facade TTL pass: retires streamed-in vertices (broadcast
-  /// remove_vertex) whose shared feature row is idle.  Ascending id
-  /// order; same contract as StreamingGraph::sweep_expired, with the
-  /// pass yielding while ANY shard has a fold in flight.
-  std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire) override;
-
   // ---- accessors ----
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   StreamingGraph& shard(int s) { return *shards_[static_cast<std::size_t>(s)]; }
   const StreamingGraph& shard(int s) const { return *shards_[static_cast<std::size_t>(s)]; }
   int owner(VertexId v) const { return owners_->owner(v); }
-  const Partition& partition() const { return partition_; }
   const Dataset& dataset() const { return *dataset_; }
   /// The one feature store every shard serves from.
   MutableFeatureStore& features() { return *features_; }
   const MutableFeatureStore& features() const { return *features_; }
   const ShardedConfig& config() const { return config_; }
-  Telemetry* telemetry() const override { return config_.stream.telemetry; }
-  const char* expiry_scope() const override { return "sharded"; }
+  Telemetry* telemetry() const { return config_.stream.telemetry; }
   VertexId num_vertices() const { return shards_.front()->num_vertices(); }
   ShardedStats stats() const;
 
@@ -271,7 +251,6 @@ class ShardedStreamingGraph : public ExpiryTarget {
 
   const Dataset* dataset_;
   ShardedConfig config_;
-  Partition partition_;
   std::shared_ptr<const ShardOwnerMap> owners_;
   std::shared_ptr<MutableFeatureStore> features_;
   /// Per-shard dataset views (filtered topology only); StreamingGraph
@@ -302,7 +281,6 @@ class ShardedStreamingGraph : public ExpiryTarget {
   std::atomic<std::int64_t> added_vertices_{0};
   std::atomic<std::int64_t> removed_vertices_{0};
   std::atomic<std::int64_t> feature_updates_{0};
-  std::atomic<std::int64_t> expired_vertices_{0};
   std::atomic<std::int64_t> cut_adoptions_{0};
 
   // Telemetry handles; null when telemetry is off.

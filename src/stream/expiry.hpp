@@ -3,13 +3,10 @@
 // Deletions reclaim rows and ids (PR 3), but nothing EXPIRES entities
 // on its own: fraud/recommendation entities age out of the feed and
 // should be retired automatically.  The ExpirySweeper is a background
-// thread that periodically runs its target's sweep_expired — retiring
+// thread that periodically runs StreamingGraph::sweep_expired — retiring
 // (remove_vertex) streamed-in vertices whose feature row has not been
 // touched (appended/updated/reused, per
-// MutableFeatureStore::last_touch_ns) for longer than the TTL.  The
-// target is any ExpiryTarget: a flat StreamingGraph or the
-// ShardedStreamingGraph facade (whose pass retires facade-wide, keeping
-// the shards' vertex spaces in lockstep).
+// MutableFeatureStore::last_touch_ns) for longer than the TTL.
 //
 // A retirement is a tombstone burst (every live incident edge is
 // retracted), so an unpaced sweep over a large idle population would
@@ -26,7 +23,7 @@
 
 #include "common/timer.hpp"
 #include "obs/watchdog.hpp"
-#include "stream/expiry_target.hpp"
+#include "stream/streaming_graph.hpp"
 
 namespace hyscale {
 
@@ -44,10 +41,10 @@ struct ExpiryPolicy {
 
 class ExpirySweeper {
  public:
-  /// `target` must outlive the sweeper.  Requires policy.enabled(); the
+  /// `graph` must outlive the sweeper.  Requires policy.enabled(); the
   /// background thread starts immediately and stops (joined) on
   /// destruction or stop().
-  explicit ExpirySweeper(ExpiryTarget& target, ExpiryPolicy policy);
+  explicit ExpirySweeper(StreamingGraph& graph, ExpiryPolicy policy);
   ~ExpirySweeper();
 
   ExpirySweeper(const ExpirySweeper&) = delete;
@@ -60,7 +57,7 @@ class ExpirySweeper {
   const ExpiryPolicy& policy() const { return policy_; }
 
  private:
-  ExpiryTarget& target_;
+  StreamingGraph& graph_;
   ExpiryPolicy policy_;
   std::atomic<std::int64_t> sweeps_{0};
   std::atomic<std::int64_t> retired_{0};

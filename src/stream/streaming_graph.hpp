@@ -47,7 +47,6 @@
 #include "obs/telemetry.hpp"
 #include "runtime/feature_cache.hpp"
 #include "stream/delta_store.hpp"
-#include "stream/expiry_target.hpp"
 #include "stream/feature_store.hpp"
 
 namespace hyscale {
@@ -220,7 +219,7 @@ struct StreamStats {
   std::string to_string() const;
 };
 
-class StreamingGraph : public ExpiryTarget {
+class StreamingGraph {
  public:
   /// Copies the dataset's topology as the initial base.  `features` is
   /// the feature store to serve from, and its precision is the gather's
@@ -344,7 +343,7 @@ class StreamingGraph : public ExpiryTarget {
   /// next pass resumes.
   /// Throws std::invalid_argument for ttl < 0.  Returns the number of
   /// vertices retired.
-  std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire) override;
+  std::int64_t sweep_expired(Seconds ttl, std::int64_t max_retire);
 
   /// Age of the oldest accepted-but-unpublished op, 0 when everything
   /// ingested is already visible — the signal the SLO publisher closes
@@ -418,8 +417,7 @@ class StreamingGraph : public ExpiryTarget {
   const StreamingConfig& config() const { return config_; }
   /// The telemetry plane this graph was configured with (null = off).
   /// Background maintenance components report through it.
-  Telemetry* telemetry() const override { return config_.telemetry; }
-  const char* expiry_scope() const override { return "stream"; }
+  Telemetry* telemetry() const { return config_.telemetry; }
   StreamStats stats() const;
 
  private:

@@ -12,6 +12,15 @@
 
 namespace hyscale {
 
+namespace {
+
+/// Edge insertions per edge op.
+constexpr int kEdgesPerOp = 1;
+/// Attachment edges for a streamed-in vertex.
+constexpr int kEdgesPerNewVertex = 3;
+
+}  // namespace
+
 UpdateGenerator::UpdateGenerator(StreamingGraph& graph, UpdateGeneratorConfig config)
     : graph_(graph), config_(config) {
   if (config_.operations < 0) throw std::invalid_argument("UpdateGenerator: negative operations");

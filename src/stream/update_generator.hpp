@@ -28,11 +28,6 @@
 
 namespace hyscale {
 
-/// Edge insertions per edge op, in UpdateGenerator and ShardedUpdateDriver.
-inline constexpr int kEdgesPerOp = 1;
-/// Attachment edges for a streamed-in vertex.
-inline constexpr int kEdgesPerNewVertex = 3;
-
 struct UpdateGeneratorConfig {
   std::int64_t operations = 1024;     ///< total ops across all threads
   int num_threads = 1;

@@ -52,18 +52,13 @@ teardown.
           [--vertex-add-frac F] [--feature-update-frac F]
           [--delete-frac F] [--vertex-delete-frac F] [--delete-recent-frac F]
           [--compact-edges E] [--compact-ratio R]
-          [--slo-ms MS] [--ttl-ms MS] [--sweep-ms MS]
-          [--shards N] [--partitioner hash|bfs] [--rerank-rows R]
+          [--slo-ms MS] [--ttl-ms MS] [--sweep-ms MS] [--rerank-rows R]
           [--metrics-out FILE|-] [--metrics-interval-ms MS] [--trace]
           [--flight-record-out FILE|-]
 
 lifecycle: --slo-ms bounds staleness (background publisher; 0 = caller-paced
 via --publish-every), --ttl-ms retires streamed-in entities idle that long
 (swept every --sweep-ms).
-sharding: --shards N > 1 splits the evolving graph into N partition-routed
-shards (--partitioner picks the base assignment) with per-shard compaction
-and publishing; queries sample a consistent cross-shard cut, and --ttl-ms
-runs ONE facade-wide sweeper so shard vertex spaces stay in lockstep.
 --rerank-rows re-ranks the device cache every R gathered rows regardless
 of fold cadence.
 """,
@@ -92,8 +87,6 @@ BAD = [
     ["serve", "--precision", "fp16"],
     ["serve", "--cache-rows", "-8"],
     ["stream", "--updates", "-1"],
-    ["stream", "--shards", "0"],
-    ["stream", "--partitioner", "metis"],
     ["stream", "--slo-ms", "5x"],
     ["stream", "--cache-rerank", "maybe"],
     # The two telemetry misconfigurations CI also smoke-tests.
@@ -131,8 +124,7 @@ STREAM_RUN = ["stream"] + SERVE_COMMON + [
     "--delete-frac", "0.1", "--vertex-delete-frac", "0.05",
     "--delete-recent-frac", "0.5", "--compact-edges", "64",
     "--compact-ratio", "0.5", "--slo-ms", "3",
-    "--ttl-ms", "40", "--sweep-ms", "5", "--shards", "2",
-    "--partitioner", "bfs", "--rerank-rows", "16", "--cache-rerank", "off",
+    "--ttl-ms", "40", "--sweep-ms", "5", "--rerank-rows", "16", "--cache-rerank", "off",
 ]
 
 SENTINEL_RUN = ["stream"] + DATASET + [

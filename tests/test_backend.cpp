@@ -10,10 +10,6 @@
 // Hot-swap leg: swap_model() under concurrent traffic must never tear
 // a batch — every served result matches exactly one of the staged
 // epochs' oracles (run under TSan via the sanitizer presets).
-//
-// Expiry leg: ONE ExpirySweeper over the sharded facade, beside the
-// backend serving it, paces facade-wide TTL retirement — bursts capped
-// by max_retire_per_sweep, shard vertex spaces in lockstep afterwards.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -203,57 +199,6 @@ TEST(ModelHotSwap, ConcurrentTrafficNeverTearsABatch) {
 
   EXPECT_EQ(torn.load(), 0);
   EXPECT_EQ(server.model_epoch(), 17u);  // construction epoch + 16 swaps
-}
-
-// ------------------------------------------------------------ sharded TTL
-
-TEST(ShardedExpiry, OneSweeperRetiresFacadeWideWithPacing) {
-  // TTL expiry in sharded mode used to be caller-paced because a
-  // per-shard sweeper would let vertex spaces drift.  The facade's
-  // sweep_expired retires by broadcast, so ONE sweeper over the facade
-  // serves the whole deployment, as HyScale::stream_sharded wires it.
-  const Dataset& ds = community();
-  ShardedConfig sharded_config;
-  sharded_config.num_shards = 3;
-  ShardedStreamingGraph sharded(ds, sharded_config);
-
-  const std::vector<float> row(8, 0.5f);
-  constexpr int kStreamedIn = 6;
-  for (int i = 0; i < kStreamedIn; ++i) sharded.add_vertex(row);
-  sharded.publish_all();
-  const VertexId base = ds.graph.num_vertices();
-  const VertexId grown = sharded.num_vertices();
-  ASSERT_EQ(grown, base + kStreamedIn);
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));  // let them go idle
-
-  ServingConfig serving;
-  serving.num_workers = 1;
-  auto backend = make_sharded_backend(sharded, serving);
-
-  ExpiryPolicy policy;
-  policy.ttl = 0.0;  // everything idle at sweep time expires
-  policy.sweep_interval = 1e-3;
-  policy.max_retire_per_sweep = 2;  // force pacing across passes
-  ExpirySweeper sweeper(sharded, policy);
-
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (sweeper.retired() < kStreamedIn && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  sweeper.stop();
-
-  EXPECT_EQ(sweeper.retired(), kStreamedIn);
-  // Pacing: 6 retirements at <= 2 per pass is at least 3 passes.
-  EXPECT_GE(sweeper.sweeps(), 3);
-  EXPECT_EQ(sharded.stats().expired_vertices, kStreamedIn);
-
-  // Broadcast retirement kept every shard's vertex space in lockstep,
-  // and the next cut sees the retirees dead.
-  for (int s = 0; s < sharded.num_shards(); ++s) {
-    EXPECT_EQ(sharded.shard(s).num_vertices(), grown) << "shard " << s;
-  }
-  const auto cut = sharded.publish_all();
-  for (VertexId v = base; v < grown; ++v) EXPECT_FALSE(cut->alive(v)) << "vertex " << v;
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ TEST(Core, FacadeExposesRuntimeKnobs) {
   const Dataset dataset = make_community_dataset(3, 48, 8, 4);
   HybridTrainerConfig config;
   config.fanouts = {4, 4};
-  config.real_compute = false;
+  config.real_iterations_cap = 0;
   HyScale system(dataset, cpu_gpu_platform(1), config);
   WorkloadAssignment w = system.runtime().workload();
   w.accel_batch = 2048;

@@ -400,7 +400,6 @@ TEST(Watchdog, EveryLifecycleHeartIsRetiredAfterStop) {
   Compactor compactor(graph, compaction);
   Publisher publisher(graph);
   ExpirySweeper sweeper(graph, expiry);
-  ExpirySweeper sharded_sweeper(sharded, expiry);
   CutAdopter adopter(sharded);
   TelemetryExporter exporter(flat_telemetry, {jsonl_path, /*interval_ms=*/2});
 
@@ -414,7 +413,6 @@ TEST(Watchdog, EveryLifecycleHeartIsRetiredAfterStop) {
   compactor.stop();
   publisher.stop();
   sweeper.stop();
-  sharded_sweeper.stop();
   adopter.stop();
   exporter.stop();
   std::set<std::string> names;
@@ -426,8 +424,8 @@ TEST(Watchdog, EveryLifecycleHeartIsRetiredAfterStop) {
     }
   }
   EXPECT_EQ(names, (std::set<std::string>{"stream.compactor", "stream.publisher",
-                                          "stream.expiry_sweeper", "sharded.expiry_sweeper",
-                                          "sharded.adopter", "obs.exporter"}));
+                                          "stream.expiry_sweeper", "sharded.adopter",
+                                          "obs.exporter"}));
   std::remove(jsonl_path.c_str());
 }
 

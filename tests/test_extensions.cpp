@@ -107,7 +107,7 @@ EpochReport small_report() {
   options.label_signal = false;
   static const Dataset ds = materialize_dataset("ogbn-products", options);
   HybridTrainerConfig config;
-  config.real_compute = false;
+  config.real_iterations_cap = 0;
   config.trajectory_cap = 16;
   HybridTrainer trainer(ds, cpu_fpga_platform(2), config);
   return trainer.train_epoch();

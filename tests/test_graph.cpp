@@ -1,4 +1,4 @@
-// Tests for graph/: CSR, builder, generators, reordering, partitioning, I/O.
+// Tests for graph/: CSR, builder, generators, reordering, I/O.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -6,14 +6,12 @@
 #include <limits>
 #include <map>
 #include <numeric>
-#include <set>
 
 #include "common/rng.hpp"
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
 #include "graph/generator.hpp"
 #include "graph/io.hpp"
-#include "graph/partition.hpp"
 #include "graph/reorder.hpp"
 #include "corrupt_file.hpp"
 
@@ -333,152 +331,6 @@ TEST(Reorder, DegreeOrderDescending) {
   const auto perm = degree_order(g);
   EXPECT_EQ(perm.front(), 2);  // degree 3
   EXPECT_EQ(perm.back(), 3);   // degree 1
-}
-
-class PartitionerTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(PartitionerTest, HashPartitionCoversAllVertices) {
-  RmatParams rp;
-  rp.scale = 9;
-  const CsrGraph g = generate_rmat(rp);
-  const int parts = GetParam();
-  const Partition part = partition_hash(g, parts, 1);
-  EXPECT_EQ(part.num_parts, parts);
-  VertexId total = 0;
-  for (VertexId s : part.part_sizes) total += s;
-  EXPECT_EQ(total, g.num_vertices());
-  for (int a : part.assignment) {
-    EXPECT_GE(a, 0);
-    EXPECT_LT(a, parts);
-  }
-}
-
-TEST_P(PartitionerTest, BfsPartitionCutsLessThanHash) {
-  RmatParams rp;
-  rp.scale = 10;
-  rp.edge_factor = 8;
-  const CsrGraph g = generate_rmat(rp);
-  const int parts = GetParam();
-  const Partition hash = partition_hash(g, parts, 1);
-  const Partition bfs = partition_bfs(g, parts, 1);
-  EXPECT_LT(bfs.edge_cut, hash.edge_cut);
-  EXPECT_LE(bfs.imbalance(), 1.6);
-}
-
-INSTANTIATE_TEST_SUITE_P(Parts, PartitionerTest, ::testing::Values(2, 4, 8));
-
-TEST(Partition, StatsOnKnownGraph) {
-  // Path 0-1-2-3 split as {0,1} | {2,3}: cut = 1 undirected = 2 directed.
-  const CsrGraph g = build_csr(4, {{0, 1}, {1, 2}, {2, 3}});
-  Partition part;
-  part.num_parts = 2;
-  part.assignment = {0, 0, 1, 1};
-  compute_partition_stats(g, part);
-  EXPECT_EQ(part.edge_cut, 2);
-  EXPECT_EQ(part.part_sizes[0], 2);
-  EXPECT_EQ(part.halo_sizes[0], 1);  // part 0 needs vertex 2
-  EXPECT_EQ(part.halo_sizes[1], 1);  // part 1 needs vertex 1
-}
-
-TEST(Partition, RejectsBadPartCount) {
-  const CsrGraph g = triangle_plus_leaf();
-  EXPECT_THROW(partition_hash(g, 0, 1), std::invalid_argument);
-  EXPECT_THROW(partition_bfs(g, -1, 1), std::invalid_argument);
-}
-
-// The router calls imbalance()/edge_cut_fraction() on every rebalance
-// decision; degenerate shapes must report well-defined values, never
-// divide by zero.
-TEST(Partition, DegenerateInputsAreWellDefined) {
-  Partition empty;  // default-constructed: no stats computed yet
-  EXPECT_DOUBLE_EQ(empty.imbalance(), 1.0);
-  EXPECT_DOUBLE_EQ(empty.edge_cut_fraction(0), 0.0);
-
-  // Empty graph, real part count: every part size 0 => mean 0 => 1.0.
-  const CsrGraph g0 = build_csr(0, {});
-  const Partition p0 = partition_hash(g0, 4, 1);
-  EXPECT_DOUBLE_EQ(p0.imbalance(), 1.0);
-  EXPECT_DOUBLE_EQ(p0.edge_cut_fraction(g0.num_edges()), 0.0);
-  const Partition b0 = partition_bfs(g0, 4, 1);
-  EXPECT_DOUBLE_EQ(b0.imbalance(), 1.0);
-  EXPECT_EQ(b0.edge_cut, 0);
-
-  // Edgeless (but non-empty) graph: nothing to cut.
-  const CsrGraph g1 = build_csr(8, {});
-  const Partition p1 = partition_bfs(g1, 2, 1);
-  EXPECT_DOUBLE_EQ(p1.edge_cut_fraction(g1.num_edges()), 0.0);
-  VertexId total = 0;
-  for (VertexId s : p1.part_sizes) total += s;
-  EXPECT_EQ(total, 8);
-}
-
-TEST(Partition, StatsRejectMalformedAssignment) {
-  const CsrGraph g = triangle_plus_leaf();
-  Partition bad_count;
-  bad_count.num_parts = 0;
-  bad_count.assignment = {0, 0, 0, 0};
-  EXPECT_THROW(compute_partition_stats(g, bad_count), std::invalid_argument);
-
-  Partition bad_size;
-  bad_size.num_parts = 2;
-  bad_size.assignment = {0, 1};  // graph has 4 vertices
-  EXPECT_THROW(compute_partition_stats(g, bad_size), std::invalid_argument);
-
-  Partition bad_part;
-  bad_part.num_parts = 2;
-  bad_part.assignment = {0, 1, 2, -1};  // out-of-range ids
-  EXPECT_THROW(compute_partition_stats(g, bad_part), std::invalid_argument);
-}
-
-// Property tests over seeded random graphs: every vertex assigned
-// exactly once, the BFS capacity cap holds, and the halo/edge-cut
-// accounting matches a brute-force recount.
-TEST(Partition, PropertiesOnSeededRandomGraphs) {
-  for (const std::uint64_t seed : {3ULL, 29ULL, 151ULL}) {
-    RmatParams rp;
-    rp.scale = 8;
-    rp.edge_factor = 6;
-    rp.seed = seed;
-    const CsrGraph g = generate_rmat(rp);
-    const VertexId n = g.num_vertices();
-    for (const int parts : {2, 3, 5}) {
-      for (const bool bfs : {false, true}) {
-        const Partition part = bfs ? partition_bfs(g, parts, seed + 7)
-                                   : partition_hash(g, parts, seed + 7);
-        // Exactly-once assignment: sizes sum to n and every id in range.
-        ASSERT_EQ(part.assignment.size(), static_cast<std::size_t>(n));
-        std::vector<VertexId> sizes(static_cast<std::size_t>(parts), 0);
-        for (int a : part.assignment) {
-          ASSERT_GE(a, 0);
-          ASSERT_LT(a, parts);
-          ++sizes[static_cast<std::size_t>(a)];
-        }
-        EXPECT_EQ(sizes, std::vector<VertexId>(part.part_sizes.begin(), part.part_sizes.end()));
-        // BFS respects the ceil(n / parts) capacity cap.
-        if (bfs) {
-          const VertexId capacity = (n + parts - 1) / parts;
-          for (VertexId s : part.part_sizes) EXPECT_LE(s, capacity);
-        }
-        // Brute-force recount of edge cut and per-part halo sets.
-        EdgeId cut = 0;
-        std::vector<std::set<VertexId>> halos(static_cast<std::size_t>(parts));
-        for (VertexId v = 0; v < n; ++v) {
-          const int pv = part.assignment[static_cast<std::size_t>(v)];
-          for (VertexId u : g.neighbors(v)) {
-            if (part.assignment[static_cast<std::size_t>(u)] != pv) {
-              ++cut;
-              halos[static_cast<std::size_t>(pv)].insert(u);
-            }
-          }
-        }
-        EXPECT_EQ(part.edge_cut, cut);
-        for (int p = 0; p < parts; ++p) {
-          EXPECT_EQ(part.halo_sizes[static_cast<std::size_t>(p)],
-                    static_cast<VertexId>(halos[static_cast<std::size_t>(p)].size()));
-        }
-      }
-    }
-  }
 }
 
 TEST(GraphIo, RoundTrip) {

@@ -48,7 +48,7 @@ TEST(HybridTrainer, PredictedEpochWithinModelErrorBand) {
   // by construction — this guards against the two paths drifting apart.
   HybridTrainerConfig config = fast_config();
   config.drm = false;  // keep the workload static for the comparison
-  config.real_compute = false;
+  config.real_iterations_cap = 0;
   HybridTrainer trainer(small_products(), cpu_fpga_platform(4), config);
   const Seconds predicted = trainer.predicted_epoch_time();
   const EpochReport report = trainer.train_epoch();
@@ -67,7 +67,7 @@ TEST(HybridTrainer, AblationOrderingMatchesFigEleven) {
     config.hybrid = hybrid;
     config.drm = drm;
     config.pipeline = mode;
-    config.real_compute = false;
+    config.real_iterations_cap = 0;
     HybridTrainer trainer(ds, platform, config);
     // Two epochs so DRM settles before measuring.
     trainer.train_epoch();
@@ -91,7 +91,7 @@ TEST(HybridTrainer, AblationOrderingMatchesFigEleven) {
 TEST(HybridTrainer, DrmRecordsActionsInTrajectory) {
   HybridTrainerConfig config = fast_config();
   config.drm = true;
-  config.real_compute = false;
+  config.real_iterations_cap = 0;
   // Start from the uninformed mapping so DRM has something to correct.
   config.use_task_mapper = false;
   HybridTrainer trainer(small_products(), cpu_fpga_platform(4), config);
@@ -123,7 +123,7 @@ TEST(HybridTrainer, LossDecreasesOnLearnableData) {
 TEST(HybridTrainer, GpuAndFpgaPlatformsBothRun) {
   for (const PlatformSpec& platform : {cpu_gpu_platform(2), cpu_fpga_platform(2)}) {
     HybridTrainerConfig config = fast_config();
-    config.real_compute = false;
+    config.real_iterations_cap = 0;
     HybridTrainer trainer(small_products(), platform, config);
     const EpochReport report = trainer.train_epoch();
     EXPECT_GT(report.epoch_time, 0.0);
@@ -136,7 +136,7 @@ TEST(HybridTrainer, FpgaPlatformFasterThanGpuPlatform) {
   auto run = [&](const PlatformSpec& platform) {
     HybridTrainerConfig config = fast_config();
     config.fanouts = {25, 10};
-    config.real_compute = false;
+    config.real_iterations_cap = 0;
     HybridTrainer trainer(small_products(), platform, config);
     trainer.train_epoch();
     return trainer.train_epoch().epoch_time;

@@ -24,7 +24,7 @@ Seconds hyscale_fpga_epoch(const Dataset& ds, GnnKind kind, std::vector<int> fan
   HybridTrainerConfig config;
   config.model_kind = kind;
   config.fanouts = std::move(fanouts);
-  config.real_compute = false;
+  config.real_iterations_cap = 0;
   HybridTrainer trainer(ds, cpu_fpga_platform(4), config);
   trainer.train_epoch();
   return trainer.train_epoch().epoch_time;
@@ -72,7 +72,7 @@ TEST(CrossSystem, ScalabilitySaturatesButNeverRegressesMuch) {
   // more than a small margin.
   auto epoch_at = [&](int k) {
     HybridTrainerConfig config;
-    config.real_compute = false;
+    config.real_iterations_cap = 0;
     HybridTrainer trainer(products(), cpu_fpga_platform(k), config);
     trainer.train_epoch();
     return trainer.train_epoch().epoch_time;
@@ -92,7 +92,7 @@ TEST(CrossSystem, Fp16TransfersBetweenFp32AndInt8) {
   auto epoch_with = [&](TransferPrecision precision) {
     HybridTrainerConfig config;
     config.model_kind = GnnKind::kGcn;
-    config.real_compute = false;
+    config.real_iterations_cap = 0;
     config.drm = false;
     config.transfer_precision = precision;
     HybridTrainer trainer(products(), cpu_fpga_platform(4), config);

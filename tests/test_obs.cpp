@@ -14,7 +14,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -469,21 +468,24 @@ CountOnceSetup count_once_setup(Telemetry& telemetry) {
   return setup;
 }
 
-/// Queries under churn, a model swap, TTL expiry, then stops every
-/// background thread so no count moves while the test reads them.
+/// Queries under churn, a model swap, TTL expiry (flat sessions run a
+/// sweeper), then stops every background thread so no count moves while
+/// the test reads them.
 template <typename Churn>
-void drive_and_quiesce(HyScale& system, ServingSession& session, Churn churn,
-                       const std::function<std::int64_t()>& expired) {
+void drive_and_quiesce(HyScale& system, ServingSession& session, Churn churn) {
   std::thread ingest(churn);
   for (int i = 0; i < 24; ++i) (void)session.infer({static_cast<VertexId>(i), 40});
   ingest.join();
   EXPECT_EQ(session.server->swap_model(ModelSnapshot(system.model())), 2u);
   for (int i = 0; i < 8; ++i) (void)session.infer({static_cast<VertexId>(i + 50)});
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (expired() == 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  if (session.sweeper) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (session.stream().stats().expired_vertices == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    session.sweeper->stop();
   }
-  session.sweeper->stop();
   if (session.adopter) session.adopter->stop();
   for (auto& publisher : session.publishers) publisher->stop();
   for (auto& compactor : session.compactors) compactor->stop();
@@ -535,9 +537,20 @@ void expect_counts_agree(const MetricsSnapshot& snap, ServingSession& session) {
     expect(p + "publisher.worst_staleness_ms", publisher.worst_staleness() * 1e3);
     expect(p + "publisher.worst_publish_cost_ms", publisher.worst_publish_cost() * 1e3);
   }
-  if (session.sharded) expect("sharded.cut_adoptions", session.shards().stats().cut_adoptions);
-  expect("expiry.sweeps", session.sweeper->sweeps());
-  expect("expiry.retired", session.sweeper->retired());
+  if (session.sharded) {
+    const ShardedStats st = session.shards().stats();
+    expect("sharded.cut_adoptions", st.cut_adoptions);
+    expect("sharded.ingested_edges", st.ingested_edges);
+    expect("sharded.duplicate_edges", st.duplicate_edges);
+    expect("sharded.removed_edges", st.removed_edges);
+    expect("sharded.rejected_removals", st.rejected_removals);
+    expect("sharded.added_vertices", st.added_vertices);
+    expect("sharded.removed_vertices", st.removed_vertices);
+    expect("sharded.feature_updates", st.feature_updates);
+  } else {
+    expect("expiry.sweeps", session.sweeper->sweeps());
+    expect("expiry.retired", session.sweeper->retired());
+  }
 
   const InferenceServer& server = *session.server;
   const ServingSnapshot sv = server.stats();
@@ -563,12 +576,12 @@ void expect_counts_agree(const MetricsSnapshot& snap, ServingSession& session) {
     const std::int64_t reranks = session.stream().stats().cache_reranks;
     EXPECT_GT(reranks, 0);
     EXPECT_EQ(reranks, server.cache()->reranks());
+    EXPECT_GT(session.sweeper->retired(), 0);
   }
   EXPECT_EQ(sv.completed_requests, 32);
   EXPECT_GT(sv.cache_hits, 0);
   EXPECT_EQ(server.model_epoch(), 2u);
   EXPECT_GT(server.last_served_version(), 0u);
-  EXPECT_GT(session.sweeper->retired(), 0);
 }
 
 /// Tears the session down and expects every component scalar to read
@@ -581,6 +594,27 @@ void expect_frozen_after_teardown(Telemetry& telemetry, std::optional<ServingSes
   for (const auto& [name, value] : live.scalars()) {
     if (name.rfind("journal.", 0) == 0) continue;  // the telemetry's own, still live
     EXPECT_EQ(frozen.value(name), value) << name;
+  }
+}
+
+/// A paced write feed through the sharded facade: vertex arrivals with
+/// one attachment edge, feature refreshes, and edge inserts of which
+/// every other one is retracted right away.
+void sharded_write_feed(ShardedStreamingGraph& graph, int operations) {
+  Xoshiro256 rng(23);
+  const std::vector<float> row(static_cast<std::size_t>(graph.features().cols()), 0.5f);
+  for (int i = 0; i < operations; ++i) {
+    const auto n = static_cast<std::uint64_t>(graph.num_vertices());
+    const auto u = static_cast<VertexId>(rng.bounded(n));
+    const auto v = static_cast<VertexId>(rng.bounded(n));
+    if (i % 4 == 0) {
+      (void)graph.add_edge(graph.add_vertex(row), u);
+    } else if (i % 4 == 3) {
+      (void)graph.update_feature(u, row);
+    } else if (u != v && graph.add_edge(u, v) && i % 4 == 2) {
+      (void)graph.remove_edge(u, v);
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
 }
 
@@ -598,10 +632,8 @@ TEST(CountOnce, FlatSessionExportsEachComponentCount) {
   streaming.telemetry = &telemetry;
   std::optional<ServingSession> session = system.stream(
       setup.serving, streaming, setup.compaction, setup.publisher, setup.expiry);
-  drive_and_quiesce(
-      system, *session,
-      [&] { (void)UpdateGenerator(session->stream(), setup.updates).run(); },
-      [&] { return session->stream().stats().expired_vertices; });
+  drive_and_quiesce(system, *session,
+                    [&] { (void)UpdateGenerator(session->stream(), setup.updates).run(); });
 
   const MetricsSnapshot snap = telemetry.registry().snapshot();
   expect_counts_agree(snap, *session);
@@ -623,13 +655,9 @@ TEST(CountOnce, ShardedSessionExportsEachComponentCount) {
   sharded.num_shards = 2;
   sharded.stream.telemetry = &telemetry;
   std::optional<ServingSession> session =
-      system.stream_sharded(sharded, setup.serving, setup.compaction, setup.publisher,
-                            CutAdopterPolicy{}, setup.expiry);
+      system.stream_sharded(sharded, setup.serving, setup.compaction, setup.publisher);
   ASSERT_EQ(session->publishers.size(), 2u);
-  drive_and_quiesce(
-      system, *session,
-      [&] { (void)ShardedUpdateDriver(session->shards(), setup.updates).run(); },
-      [&] { return session->shards().stats().expired_vertices; });
+  drive_and_quiesce(system, *session, [&] { sharded_write_feed(session->shards(), 300); });
 
   const MetricsSnapshot snap = telemetry.registry().snapshot();
   expect_counts_agree(snap, *session);

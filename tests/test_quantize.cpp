@@ -168,7 +168,7 @@ TEST(Quantize, Int8TransfersShrinkTransferStage) {
 
   auto transfer_time = [&](TransferPrecision precision) {
     HybridTrainerConfig config;
-    config.real_compute = false;
+    config.real_iterations_cap = 0;
     config.drm = false;
     config.transfer_precision = precision;
     HybridTrainer trainer(ds, cpu_fpga_platform(4), config);

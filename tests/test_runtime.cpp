@@ -185,13 +185,13 @@ TEST(Drm, AccelSamplerBottleneckShiftsSamplingBack) {
 }
 
 TEST(Drm, ThreadMoveKeepsOneThreadMinimum) {
-  DrmConfig config;
-  config.thread_step = 100;
-  DrmEngine drm(config);
+  DrmEngine drm;
   WorkloadAssignment w = default_workload();
   w.threads = {128, 2, 2, 124};
-  // Load bottleneck; fastest CPU task has only 2 threads -> moves 1.
-  drm.step(times_ms(0.1, 0, 20, 3, 0.2, 4), w);
+  // Load bottleneck; fastest CPU task has only 2 threads -> the step of
+  // 2 is capped at 1.
+  const DrmAction action = drm.step(times_ms(0.1, 0, 20, 3, 0.2, 4), w);
+  EXPECT_EQ(action.threads_moved, 1);
   EXPECT_GE(w.threads.sampler, 1);
   EXPECT_GE(w.threads.trainer, 1);
 }
@@ -224,15 +224,6 @@ TEST(Drm, ConvergesToBalancedSplit) {
   const double t_accel = static_cast<double>(w.accel_batch) / 200e3;
   // Converged: the bottleneck gap has closed to a modest factor.
   EXPECT_NEAR(t_cpu / t_accel, 1.0, 0.35);
-}
-
-TEST(Drm, RejectsBadConfig) {
-  DrmConfig bad;
-  bad.work_gain = 0.0;
-  EXPECT_THROW(DrmEngine{bad}, std::invalid_argument);
-  bad = DrmConfig{};
-  bad.thread_step = 0;
-  EXPECT_THROW(DrmEngine{bad}, std::invalid_argument);
 }
 
 TEST(Workload, TotalAndValidity) {

@@ -88,7 +88,7 @@ TEST(TrainingSession, EarlyStopsOnPlateau) {
   options.target_vertices = 1 << 10;
   const Dataset ds = materialize_dataset("ogbn-products", options);
   HybridTrainerConfig trainer_config = session_trainer_config();
-  trainer_config.real_compute = false;
+  trainer_config.real_iterations_cap = 0;
   HybridTrainer trainer(ds, cpu_fpga_platform(2), trainer_config);
   SessionConfig config;
   config.max_epochs = 50;

@@ -3,10 +3,10 @@
 // feature plane (one store, one device cache, updates visible before
 // any adoption, no torn rows under concurrent writers),
 // consistent-cut semantics (staleness detection, monotone cut ids,
-// no-op adoption), the background CutAdopter, the facade update driver,
-// and the serving tier's sharded mode (the device cache, gathers,
-// traffic-triggered cache re-ranks).  Bit-level parity against the
-// flat stack lives in test_shard_differential.cpp.
+// no-op adoption), the background CutAdopter, and the serving tier's
+// sharded mode (the device cache, gathers, traffic-triggered cache
+// re-ranks).  Bit-level parity against the flat stack lives in
+// test_shard_differential.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/hyscale.hpp"
 
 namespace hyscale {
@@ -35,12 +36,9 @@ ModelConfig small_model_config() {
   return config;
 }
 
-ShardedConfig sharded_config(int shards,
-                             ShardedConfig::Partitioner partitioner =
-                                 ShardedConfig::Partitioner::kHash) {
+ShardedConfig sharded_config(int shards) {
   ShardedConfig config;
   config.num_shards = shards;
-  config.partitioner = partitioner;
   return config;
 }
 
@@ -55,21 +53,33 @@ TEST(ShardedGraph, OwnerShardHoldsCompleteAdjacency) {
   // The bit-identity contract's topology leg: shard s's base keeps every
   // edge incident to a vertex it owns, so the owner's version serves the
   // vertex's FULL live neighborhood, element-identical to the dataset.
+  // Every id, dataset or streamed-in, is owned by one seeded hash.
   const Dataset& ds = community();
-  for (const auto partitioner :
-       {ShardedConfig::Partitioner::kHash, ShardedConfig::Partitioner::kBfs}) {
-    ShardedStreamingGraph graph(ds, sharded_config(3, partitioner));
-    const auto cut = graph.current_cut();
-    std::vector<VertexId> live;
-    for (VertexId v = 0; v < ds.graph.num_vertices(); ++v) {
-      EXPECT_EQ(graph.owner(v), graph.partition().assignment[static_cast<std::size_t>(v)]);
-      ASSERT_EQ(cut->degree(v), ds.graph.degree(v)) << "vertex " << v;
-      live.clear();
-      cut->append_neighbors(v, live);
-      const auto expected = ds.graph.neighbors(v);
-      ASSERT_TRUE(std::equal(live.begin(), live.end(), expected.begin(), expected.end()))
-          << "vertex " << v;
-    }
+  constexpr int kShards = 3;
+  ShardedStreamingGraph graph(ds, sharded_config(kShards));
+  const auto hashed_owner = [&](VertexId v) {
+    std::uint64_t h = graph.config().partition_seed ^ static_cast<std::uint64_t>(v);
+    return static_cast<int>(splitmix64(h) % kShards);
+  };
+  const auto cut = graph.current_cut();
+  std::vector<VertexId> live;
+  std::vector<VertexId> owned(kShards, 0);
+  for (VertexId v = 0; v < ds.graph.num_vertices(); ++v) {
+    ASSERT_EQ(graph.owner(v), hashed_owner(v)) << "vertex " << v;
+    EXPECT_EQ(cut->owner(v), graph.owner(v)) << "vertex " << v;
+    ++owned[static_cast<std::size_t>(graph.owner(v))];
+    ASSERT_EQ(cut->degree(v), ds.graph.degree(v)) << "vertex " << v;
+    live.clear();
+    cut->append_neighbors(v, live);
+    const auto expected = ds.graph.neighbors(v);
+    ASSERT_TRUE(std::equal(live.begin(), live.end(), expected.begin(), expected.end()))
+        << "vertex " << v;
+  }
+  for (int s = 0; s < kShards; ++s) EXPECT_GT(owned[static_cast<std::size_t>(s)], 0) << s;
+  const std::vector<float> row(8, 0.5f);
+  for (int i = 0; i < 8; ++i) {
+    const VertexId v = graph.add_vertex(row);
+    EXPECT_EQ(graph.owner(v), hashed_owner(v)) << "streamed-in vertex " << v;
   }
 }
 
@@ -81,8 +91,8 @@ TEST(ShardedGraph, SingleShardDegeneratesToFlatBehaviour) {
   graph.publish_all();
   EXPECT_EQ(graph.current_cut()->degree(0), community().graph.degree(0) + 1);
 
-  // A feature update is served by the next gather, and the partition
-  // cuts no edge.
+  // A feature update is served by the next gather, and shard 0 owns
+  // every vertex.
   ASSERT_TRUE(graph.update_feature(5, std::vector<float>(8, 2.0f)));
   std::vector<VertexId> nodes(static_cast<std::size_t>(graph.num_vertices()));
   for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i] = static_cast<VertexId>(i);
@@ -90,7 +100,7 @@ TEST(ShardedGraph, SingleShardDegeneratesToFlatBehaviour) {
   std::vector<char> scratch;
   graph.gather(std::span<const VertexId>(nodes.data(), nodes.size()), out, scratch);
   EXPECT_EQ(out.at(5, 0), 2.0f);
-  EXPECT_EQ(graph.partition().edge_cut_fraction(community().graph.num_edges()), 0.0);
+  for (VertexId v = 0; v < graph.num_vertices(); ++v) EXPECT_EQ(graph.owner(v), 0) << v;
 }
 
 TEST(ShardedGraph, VertexSpacesStayInLockstep) {
@@ -132,20 +142,6 @@ TEST(ShardedGraph, RejectedRowChangesNoShard) {
   }
   EXPECT_EQ(graph.features().rows(), before);
   EXPECT_EQ(graph.add_vertex(std::vector<float>(8, 0.5f)), before);
-}
-
-TEST(ShardedGraph, NegativeTtlSweepThrowsAndRetiresNothing) {
-  // Same contract as the flat graph: a negative TTL is a caller error,
-  // not "everything is idle".
-  ShardedStreamingGraph graph(community(), sharded_config(2));
-  const std::vector<float> row(8, 0.5f);
-  std::vector<VertexId> streamed;
-  for (int i = 0; i < 3; ++i) streamed.push_back(graph.add_vertex(row));
-  EXPECT_THROW(graph.sweep_expired(/*ttl=*/-1.0, /*max_retire=*/64), std::invalid_argument);
-  EXPECT_EQ(graph.stats().expired_vertices, 0);
-  EXPECT_EQ(graph.stats().removed_vertices, 0);
-  const auto cut = graph.publish_all();
-  for (VertexId v : streamed) EXPECT_TRUE(cut->alive(v)) << v;
 }
 
 TEST(ShardedGraph, EdgeOpsRouteToBothEndpointOwners) {
@@ -394,9 +390,7 @@ TEST(ShardedGraph, SnapshotIsolationAcrossAdoptions) {
 
 TEST(CutAdopterTest, BackgroundThreadAdoptsPublishedVersions) {
   ShardedStreamingGraph graph(community(), sharded_config(2));
-  CutAdopterPolicy policy;
-  policy.poll_interval = 0.0005;
-  CutAdopter adopter(graph, policy);
+  CutAdopter adopter(graph);
   const std::uint64_t before = graph.current_cut()->cut_id();
   ASSERT_TRUE(graph.add_edge(1, 22));
   for (int s = 0; s < graph.num_shards(); ++s) graph.shard(s).publish();
@@ -412,44 +406,11 @@ TEST(CutAdopterTest, BackgroundThreadAdoptsPublishedVersions) {
   adopter.stop();
 }
 
-TEST(CutAdopterTest, RejectsNonPositivePollInterval) {
-  ShardedStreamingGraph graph(community(), sharded_config(2));
-  CutAdopterPolicy policy;
-  policy.poll_interval = 0.0;
-  EXPECT_THROW(CutAdopter(graph, policy), std::invalid_argument);
-}
-
-// ------------------------------------------------------------ update driver
-
-TEST(ShardedUpdateDriverTest, ReportMatchesFacadeCounters) {
-  ShardedStreamingGraph graph(community(), sharded_config(2));
-  UpdateGeneratorConfig config;
-  config.operations = 400;
-  config.num_threads = 2;
-  config.publish_every = 64;
-  config.vertex_add_fraction = 0.08;
-  config.vertex_delete_fraction = 0.04;
-  config.feature_update_fraction = 0.10;
-  config.edge_delete_fraction = 0.15;
-  config.seed = 23;
-  ShardedUpdateDriver driver(graph, config);
-  const UpdateReport report = driver.run();
-  const ShardedStats stats = graph.stats();
-  EXPECT_EQ(report.operations, 400);
-  EXPECT_EQ(report.accepted_edges, stats.ingested_edges);
-  EXPECT_EQ(report.removed_edges, stats.removed_edges);
-  EXPECT_EQ(report.feature_updates, stats.feature_updates);
-  EXPECT_EQ(report.recycled_vertices, 0);
-  EXPECT_GT(report.accepted_edges, 0);
-  EXPECT_GT(report.publishes, 0);  // cut adoptions from the cadence
-  EXPECT_FALSE(graph.cut_stale()); // final publish_all left nothing behind
-}
-
 // ------------------------------------------------------------ serving tier
 
 TEST(ShardedServing, ServerRoutesAndMatchesDirectForward) {
   const Dataset& ds = community();
-  ShardedStreamingGraph graph(ds, sharded_config(2, ShardedConfig::Partitioner::kBfs));
+  ShardedStreamingGraph graph(ds, sharded_config(2));
   GnnModel model(small_model_config());
   const ModelSnapshot snapshot(model);
   ServingConfig config;
@@ -565,27 +526,38 @@ TEST(ShardedServing, SessionLifecycleRunsCleanly) {
   serving.num_workers = 2;
   PublisherPolicy publisher;
   publisher.staleness_budget = 0.002;
-  CutAdopterPolicy adopter;
-  adopter.poll_interval = 0.001;
-  ServingSession session =
-      system.stream_sharded(sharded, serving, CompactionPolicy{}, publisher, adopter);
+  ServingSession session = system.stream_sharded(sharded, serving, CompactionPolicy{}, publisher);
   EXPECT_EQ(session.compactors.size(), 2u);
   EXPECT_EQ(session.publishers.size(), 2u);
+  ASSERT_NE(session.adopter, nullptr);
+  EXPECT_EQ(session.sweeper, nullptr);
 
-  UpdateGeneratorConfig updates;
-  updates.operations = 200;
-  updates.num_threads = 2;
-  updates.feature_update_fraction = 0.2;
-  updates.seed = 5;
-  ShardedUpdateDriver driver(session.shards(), updates);
-  UpdateReport update_report;
-  std::thread ingest([&] { update_report = driver.run(); });
+  // Two writers: edge inserts and feature refreshes through the facade.
+  std::atomic<std::int64_t> accepted{0};
+  const auto write = [&](std::uint64_t seed) {
+    Xoshiro256 rng(seed);
+    const std::vector<float> row(8, 0.25f);
+    const auto n = static_cast<std::uint64_t>(ds.graph.num_vertices());
+    for (int i = 0; i < 100; ++i) {
+      const auto u = static_cast<VertexId>(rng.bounded(n));
+      const auto v = static_cast<VertexId>(rng.bounded(n));
+      if (i % 5 == 0) {
+        (void)session.shards().update_feature(u, row);
+      } else if (u != v && session.shards().add_edge(u, v)) {
+        accepted.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  };
+  std::thread first(write, 5);
+  std::thread second(write, 6);
   for (int i = 0; i < 20; ++i) {
     const InferenceResult r = session.infer({static_cast<VertexId>(i % 60)});
     EXPECT_EQ(r.predictions.size(), 1u);
   }
-  ingest.join();
-  EXPECT_GT(update_report.accepted_edges, 0);
+  first.join();
+  second.join();
+  EXPECT_GT(accepted.load(), 0);
+  EXPECT_EQ(session.shards().stats().ingested_edges, 2 * accepted.load());
 }
 
 }  // namespace

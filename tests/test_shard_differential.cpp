@@ -128,12 +128,10 @@ struct MixConfig {
 };
 
 void run_sharded_differential(std::uint64_t seed, std::int64_t steps, int num_shards,
-                              ShardedConfig::Partitioner partitioner,
                               TransferPrecision wire, const MixConfig& mix = {}) {
   const Dataset ds = make_community_dataset(3, 32, 8, 2);
   ShardedConfig config;
   config.num_shards = num_shards;
-  config.partitioner = partitioner;
   ShardedStreamingGraph sharded(ds, config,
                                 std::make_shared<MutableFeatureStore>(ds.features, wire));
   StreamingConfig flat_config;
@@ -251,15 +249,13 @@ void run_sharded_differential(std::uint64_t seed, std::int64_t steps, int num_sh
 
 TEST(ShardDifferential, TwoShardsHashMatchFlatSeed17) {
   run_sharded_differential(/*seed=*/17, /*steps=*/900, /*num_shards=*/2,
-                           ShardedConfig::Partitioner::kHash, TransferPrecision::kFp32);
+                           TransferPrecision::kFp32);
 }
 
-TEST(ShardDifferential, TwoShardsBfsInt8WireMatchesFlatSeed91) {
-  // BFS partition concentrates communities per shard (few cut edges)
-  // while int8 makes every gather byte-comparable through the quantized
-  // wire.
+TEST(ShardDifferential, TwoShardsInt8WireMatchesFlatSeed91) {
+  // int8 makes every gather byte-comparable through the quantized wire.
   run_sharded_differential(/*seed=*/91, /*steps=*/900, /*num_shards=*/2,
-                           ShardedConfig::Partitioner::kBfs, TransferPrecision::kInt8);
+                           TransferPrecision::kInt8);
 }
 
 TEST(ShardDifferential, FourShardsDeleteHeavyMatchFlatSeed53) {
@@ -272,10 +268,10 @@ TEST(ShardDifferential, FourShardsDeleteHeavyMatchFlatSeed53) {
   mix.gather_probe = 0.05;
   mix.shard_compact = 0.07;
   run_sharded_differential(/*seed=*/53, /*steps=*/800, /*num_shards=*/4,
-                           ShardedConfig::Partitioner::kHash, TransferPrecision::kFp32, mix);
+                           TransferPrecision::kFp32, mix);
 }
 
-TEST(ShardDifferential, FourShardsBfsFeatureHeavySeed71) {
+TEST(ShardDifferential, FourShardsFeatureHeavyInt8Seed71) {
   // Feature-heavy mix: feature writes carry most of the traffic, many
   // of them gathered before the next adopt, over the int8 wire.
   MixConfig mix;
@@ -287,7 +283,7 @@ TEST(ShardDifferential, FourShardsBfsFeatureHeavySeed71) {
   mix.gather_probe = 0.10;
   mix.shard_compact = 0.04;
   run_sharded_differential(/*seed=*/71, /*steps=*/700, /*num_shards=*/4,
-                           ShardedConfig::Partitioner::kBfs, TransferPrecision::kInt8, mix);
+                           TransferPrecision::kInt8, mix);
 }
 
 }  // namespace

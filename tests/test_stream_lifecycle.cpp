@@ -498,32 +498,6 @@ TEST(Expiry, PassYieldsWhileAFoldIsInFlightAndResumesAfterTheRebase) {
   EXPECT_EQ(graph.stats().expired_vertices, 4);
 }
 
-TEST(Expiry, ShardedPassYieldsWhileAnyShardFolds) {
-  // The facade's pass yields while ANY shard's fold is in flight, and
-  // resumes once that shard has rebased.
-  ShardedConfig config;
-  config.num_shards = 2;
-  ShardedStreamingGraph sharded(community(), config);
-  Xoshiro256 rng(14);
-  std::vector<VertexId> streamed;
-  for (int i = 0; i < 3; ++i) {
-    streamed.push_back(sharded.add_vertex(random_row(rng, sharded.features().cols())));
-  }
-  ASSERT_TRUE(sharded.add_edge(streamed[0], streamed[1]));
-  int folding = 0;
-  while (sharded.shard(folding).overlay_ops() == 0) ++folding;
-
-  FoldPark park(sharded.shard(folding));
-  park.start();
-  EXPECT_EQ(sharded.sweep_expired(0.0, 64), 0);
-  EXPECT_EQ(sharded.stats().expired_vertices, 0);
-  EXPECT_TRUE(park.finish());
-  EXPECT_EQ(sharded.sweep_expired(0.0, 64), 3);
-  EXPECT_EQ(sharded.stats().expired_vertices, 3);
-  const auto cut = sharded.publish_all();
-  for (VertexId v : streamed) EXPECT_FALSE(cut->alive(v)) << v;
-}
-
 TEST(ExpirySweeper, BackgroundSweepRetiresIdleEntities) {
   StreamingGraph graph(community());
   Xoshiro256 rng(15);
