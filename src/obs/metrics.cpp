@@ -6,16 +6,6 @@
 
 namespace hyscale {
 
-std::size_t Counter::shard_index() {
-  // One shard per thread, assigned round-robin on first use; 16 shards
-  // cover the worker counts this stack runs (benches top out at 4-8
-  // threads), and a collision only costs a shared line, not wrongness.
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t mine =
-      next.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return mine;
-}
-
 const std::vector<double>& Histogram::bucket_bounds_ms() {
   static const std::vector<double> bounds = [] {
     std::vector<double> b(kBuckets);
@@ -37,7 +27,6 @@ void Histogram::observe_ms(double ms) {
   const auto it = std::lower_bound(bounds.begin(), bounds.end(), ms);
   const std::size_t idx = static_cast<std::size_t>(it - bounds.begin());
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   double cur = sum_ms_.load(std::memory_order_relaxed);
   while (!sum_ms_.compare_exchange_weak(cur, cur + ms, std::memory_order_relaxed)) {
   }
@@ -47,11 +36,23 @@ void Histogram::observe_ms(double ms) {
   }
 }
 
-double MetricsSnapshot::HistogramView::percentile_ms(double q) const {
+HistogramView Histogram::view() const {
+  HistogramView view;
+  view.buckets.resize(kBuckets + 1);
+  for (std::size_t i = 0; i <= kBuckets; ++i) {
+    view.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+    view.count += view.buckets[i];
+  }
+  view.sum_ms = sum_ms_.load(std::memory_order_relaxed);
+  view.max_ms = max_ms_.load(std::memory_order_relaxed);
+  return view;
+}
+
+double HistogramView::percentile_ms(double q) const {
   if (count <= 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  // Nearest-rank target over the cumulative bucket counts, matching the
-  // 1-based convention ServingStats pins in its tests.
+  // Nearest-rank target (1-based: rank ceil(q * n), never 0) over the
+  // cumulative bucket counts.
   const std::int64_t rank = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::ceil(q * static_cast<double>(count))));
   const auto& bounds = Histogram::bucket_bounds_ms();
@@ -82,7 +83,7 @@ double MetricsSnapshot::value(const std::string& name) const {
   return scalars_[it->second].second;
 }
 
-const MetricsSnapshot::HistogramView* MetricsSnapshot::histogram(
+const HistogramView* MetricsSnapshot::histogram(
     const std::string& name) const {
   const auto it = hist_index_.find(name);
   return it == hist_index_.end() ? nullptr : &histograms_[it->second];
@@ -95,75 +96,46 @@ double MetricsSnapshot::percentile_ms(const std::string& name, double q) const {
   return view->percentile_ms(q);
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard lock(mutex_);
-  const auto it = by_name_.find(name);
-  if (it != by_name_.end()) {
-    const Entry& entry = entries_[it->second];
-    if (entry.kind != Entry::Kind::kCounter)
-      throw std::invalid_argument("MetricsRegistry: '" + name + "' is not a counter");
-    return counters_[entry.index];
-  }
-  counters_.emplace_back();
-  by_name_.emplace(name, entries_.size());
-  entries_.push_back({Entry::Kind::kCounter, name, counters_.size() - 1});
-  return counters_.back();
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard lock(mutex_);
-  const auto it = by_name_.find(name);
-  if (it != by_name_.end()) {
-    const Entry& entry = entries_[it->second];
-    if (entry.kind != Entry::Kind::kGauge)
-      throw std::invalid_argument("MetricsRegistry: '" + name + "' is not a gauge");
-    return gauges_[entry.index];
-  }
-  gauges_.emplace_back();
-  by_name_.emplace(name, entries_.size());
-  entries_.push_back({Entry::Kind::kGauge, name, gauges_.size() - 1});
-  return gauges_.back();
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard lock(mutex_);
-  const auto it = by_name_.find(name);
-  if (it != by_name_.end()) {
-    const Entry& entry = entries_[it->second];
-    if (entry.kind != Entry::Kind::kHistogram)
-      throw std::invalid_argument("MetricsRegistry: '" + name + "' is not a histogram");
-    return histograms_[entry.index];
-  }
-  histograms_.emplace_back();
-  by_name_.emplace(name, entries_.size());
-  entries_.push_back({Entry::Kind::kHistogram, name, histograms_.size() - 1});
-  return histograms_.back();
+MetricsRegistry::Entry& MetricsRegistry::slot(const std::string& name, const void* owner,
+                                               bool is_histogram) {
+  const auto [it, added] = by_name_.emplace(name, entries_.size());
+  if (!added && entries_[it->second].is_histogram != is_histogram)
+    throw std::invalid_argument("MetricsRegistry: '" + name + "' is registered as a " +
+                                (is_histogram ? "callback" : "histogram"));
+  // Re-registration (a component recreated under the same registry)
+  // takes the slot over, keeping the original snapshot position.
+  Entry& entry = added ? entries_.emplace_back() : entries_[it->second];
+  entry = Entry{};
+  entry.name = name;
+  entry.owner = owner;
+  entry.is_histogram = is_histogram;
+  return entry;
 }
 
 void MetricsRegistry::register_callback(const std::string& name, const void* owner,
                                         std::function<double()> fn) {
   std::lock_guard lock(mutex_);
-  const auto it = by_name_.find(name);
-  if (it != by_name_.end()) {
-    const Entry& entry = entries_[it->second];
-    if (entry.kind != Entry::Kind::kCallback)
-      throw std::invalid_argument("MetricsRegistry: '" + name + "' is not a callback gauge");
-    // Re-registration (a component recreated under the same registry)
-    // takes the slot over, keeping the original snapshot position.
-    callbacks_[entry.index] = Callback{owner, std::move(fn), 0.0};
-    return;
-  }
-  callbacks_.push_back(Callback{owner, std::move(fn), 0.0});
-  by_name_.emplace(name, entries_.size());
-  entries_.push_back({Entry::Kind::kCallback, name, callbacks_.size() - 1});
+  slot(name, owner, /*is_histogram=*/false).fn = std::move(fn);
+}
+
+void MetricsRegistry::register_histogram(const std::string& name, const void* owner,
+                                         const Histogram& histogram) {
+  std::lock_guard lock(mutex_);
+  slot(name, owner, /*is_histogram=*/true).histogram = &histogram;
 }
 
 void MetricsRegistry::detach(const void* owner) {
   std::lock_guard lock(mutex_);
-  for (auto& cb : callbacks_) {
-    if (cb.owner != owner || !cb.fn) continue;
-    cb.frozen = cb.fn();
-    cb.fn = nullptr;
+  for (Entry& entry : entries_) {
+    if (entry.owner != owner) continue;
+    if (entry.fn) {
+      entry.frozen = entry.fn();
+      entry.fn = nullptr;
+    }
+    if (entry.histogram != nullptr) {
+      entry.frozen_view = entry.histogram->view();
+      entry.histogram = nullptr;
+    }
   }
 }
 
@@ -171,40 +143,14 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard lock(mutex_);
   MetricsSnapshot snap;
   for (const Entry& entry : entries_) {
-    switch (entry.kind) {
-      case Entry::Kind::kCounter:
-        snap.index_.emplace(entry.name, snap.scalars_.size());
-        snap.scalars_.emplace_back(
-            entry.name, static_cast<double>(counters_[entry.index].value()));
-        break;
-      case Entry::Kind::kGauge:
-        snap.index_.emplace(entry.name, snap.scalars_.size());
-        snap.scalars_.emplace_back(entry.name, gauges_[entry.index].value());
-        break;
-      case Entry::Kind::kCallback: {
-        const Callback& cb = callbacks_[entry.index];
-        snap.index_.emplace(entry.name, snap.scalars_.size());
-        snap.scalars_.emplace_back(entry.name, cb.fn ? cb.fn() : cb.frozen);
-        break;
-      }
-      case Entry::Kind::kHistogram: {
-        const Histogram& h = histograms_[entry.index];
-        MetricsSnapshot::HistogramView view;
-        view.name = entry.name;
-        view.buckets.resize(Histogram::kBuckets + 1);
-        for (std::size_t i = 0; i <= Histogram::kBuckets; ++i)
-          view.buckets[i] = h.bucket(i);
-        view.sum_ms = h.sum_ms();
-        view.max_ms = h.max_ms();
-        // Derive the count from the copied buckets rather than the live
-        // count_ so the view is internally consistent even if an
-        // observe lands mid-copy.
-        view.count = 0;
-        for (const std::int64_t c : view.buckets) view.count += c;
-        snap.hist_index_.emplace(entry.name, snap.histograms_.size());
-        snap.histograms_.push_back(std::move(view));
-        break;
-      }
+    if (entry.is_histogram) {
+      HistogramView view = entry.histogram ? entry.histogram->view() : entry.frozen_view;
+      view.name = entry.name;
+      snap.hist_index_.emplace(entry.name, snap.histograms_.size());
+      snap.histograms_.push_back(std::move(view));
+    } else {
+      snap.index_.emplace(entry.name, snap.scalars_.size());
+      snap.scalars_.emplace_back(entry.name, entry.fn ? entry.fn() : entry.frozen);
     }
   }
   return snap;

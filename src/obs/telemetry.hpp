@@ -8,14 +8,16 @@
 // Telemetry before building the serving/streaming session and hands a
 // raw pointer down through the config structs (ServingConfig.telemetry,
 // StreamingConfig.telemetry, ...).  A null pointer everywhere means
-// telemetry off — histograms and spans cost one branch, and counts cost
-// nothing extra — so the hot path pays nothing by default.
+// telemetry off — spans cost one branch, and counts and histograms
+// cost nothing extra — so the hot path pays nothing by default.
 //
-// Every event is counted once, by the component that makes it; the
-// registry reads those counts through snapshot-time callbacks, and each
-// component that registered one calls registry.detach(this) in its
-// destructor, freezing its final values.  The Telemetry must outlive
-// every component it is handed to.  See obs/metrics.hpp.
+// Every measurement is recorded once, by the component that makes it:
+// counts in its own atomics, latencies in its own Histograms.  The
+// registry owns no instruments; it reads those records through
+// snapshot-time callbacks and borrowed histograms, and each component
+// that registered one calls registry.detach(this) in its destructor,
+// freezing its final values.  The Telemetry must outlive every
+// component it is handed to.  See obs/metrics.hpp.
 #pragma once
 
 #include <cstdint>
@@ -50,9 +52,9 @@ class Telemetry {
         journal_(kJournalCapacity),
         exemplars_(kExemplarCapacity) {
     // Journal overflow is otherwise silent; surfacing the drop count as
-    // a registry instrument puts it in every exporter snapshot line and
+    // a registry value puts it in every exporter snapshot line and
     // every flight record.  Registered first so it precedes all
-    // component instruments in registration order.
+    // component values in registration order.
     registry_.register_callback("journal.dropped_events", this,
                                 [this] { return static_cast<double>(journal_.dropped()); });
   }

@@ -84,9 +84,21 @@ void LifecycleThread::stop() {
 
 Watchdog::Watchdog(Telemetry& telemetry, WatchdogConfig config)
     : telemetry_(telemetry), config_(config) {
-  thread_.start(nullptr, [this] {
-    while (thread_.sleep(static_cast<double>(config_.check_interval_ns) * 1e-9)) sweep();
-  });
+  register_count(telemetry_.registry(), "watchdog.stalls", this, stalls_);
+  try {
+    thread_.start(nullptr, [this] {
+      while (thread_.sleep(static_cast<double>(config_.check_interval_ns) * 1e-9)) sweep();
+    });
+  } catch (...) {
+    // No destructor runs: drop the callback over this half-built object.
+    telemetry_.registry().detach(this);
+    throw;
+  }
+}
+
+Watchdog::~Watchdog() {
+  stop();
+  telemetry_.registry().detach(this);
 }
 
 void Watchdog::sweep() {
@@ -116,7 +128,6 @@ void Watchdog::sweep() {
     // Report once per episode: the set holds currently-stalled names.
     if (!stalled_.insert(h.name).second) continue;
     stalls_.fetch_add(1, std::memory_order_relaxed);
-    telemetry_.registry().counter("watchdog.stalls").add(1);
     telemetry_.journal().log(
         "watchdog_stall", "thread=" + h.name +
                               " age_ms=" + std::to_string(static_cast<double>(age) * 1e-6) +

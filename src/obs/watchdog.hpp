@@ -21,8 +21,8 @@
 // test_diagnosis.  Detection latency for a real stall is threshold +
 // one check interval.
 //
-// On a stall transition the watchdog bumps the `watchdog.stalls`
-// counter, journals a `watchdog_stall` event, and calls
+// On a stall transition the watchdog bumps its stall count (exported
+// as `watchdog.stalls` from construction on), journals a `watchdog_stall` event, and calls
 // Telemetry::trip() — which the FlightRecorder turns into a post-mortem
 // dump.  Recovery (the heart beats again) is journaled too, and the
 // same heart can trip again on a later episode.
@@ -165,6 +165,8 @@ class Watchdog {
   /// immediately and sweeps telemetry.heartbeats() every
   /// check_interval.
   explicit Watchdog(Telemetry& telemetry, WatchdogConfig config = {});
+  /// Stops the thread, then freezes `watchdog.stalls`.
+  ~Watchdog();
 
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;

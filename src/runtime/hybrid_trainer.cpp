@@ -325,12 +325,8 @@ EpochReport HybridTrainer::train_epoch() {
   }
 
   // Pipeline fill cost, once per epoch.
-  if (report.iterations > 0) {
-    const StageTimes steady = simulate_stage_times(1.0);
-    report.epoch_time +=
-        std::max(0.0, steady.sampling() + steady.load + steady.transfer + steady.propagation() -
-                          iteration_time(steady, config_.pipeline));
-  }
+  if (report.iterations > 0)
+    report.epoch_time += pipeline_fill(simulate_stage_times(1.0), config_.pipeline);
 
   report.mteps = report.epoch_time > 0.0 ? total_edges / report.epoch_time / 1e6 : 0.0;
   report.loss = real_iters > 0 ? loss_sum / static_cast<double>(real_iters) : 0.0;

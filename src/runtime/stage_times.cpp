@@ -73,17 +73,20 @@ int pipeline_depth(PipelineMode mode) {
 }
 }  // namespace
 
+Seconds pipeline_fill(const StageTimes& t, PipelineMode mode) {
+  return std::max(0.0, t.sampling() + t.load + t.transfer + t.propagation() -
+                           iteration_time(t, mode));
+}
+
 Seconds epoch_time(const StageTimes& t, PipelineMode mode, long iterations) {
   if (iterations <= 0) return 0.0;
   const Seconds steady = iteration_time(t, mode);
-  // Fill/drain: the first batch flows through every stage sequentially.
-  const Seconds fill = t.sampling() + t.load + t.transfer + t.propagation() - steady;
   const int depth = pipeline_depth(mode);
   if (iterations < depth) {
     return t.sampling() + t.load + t.transfer + t.propagation() +
            static_cast<double>(iterations - 1) * steady;
   }
-  return std::max(fill, 0.0) + static_cast<double>(iterations) * steady;
+  return pipeline_fill(t, mode) + static_cast<double>(iterations) * steady;
 }
 
 }  // namespace hyscale

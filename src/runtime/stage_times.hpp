@@ -70,6 +70,11 @@ const char* pipeline_mode_name(PipelineMode mode);
 /// organisation (Eq. 6 for the two-stage case).
 Seconds iteration_time(const StageTimes& t, PipelineMode mode);
 
+/// Pipeline fill/drain: what the first batch, flowing through every
+/// stage in turn, costs beyond one steady-state iteration (never
+/// negative).
+Seconds pipeline_fill(const StageTimes& t, PipelineMode mode);
+
 /// Epoch time: `iterations` pipelined iterations including fill/drain of
 /// a pipeline with the mode's depth.
 Seconds epoch_time(const StageTimes& t, PipelineMode mode, long iterations);

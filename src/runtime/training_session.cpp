@@ -10,6 +10,8 @@ namespace {
 
 /// The accuracy gain that counts as an improvement for early stopping.
 constexpr double kMinDelta = 1e-3;
+/// Seeds evaluated per accuracy probe.
+constexpr std::int64_t kEvalSeeds = 512;
 
 }  // namespace
 
@@ -28,7 +30,7 @@ SessionResult TrainingSession::run() {
     result.reports.push_back(trainer_.train_epoch());
     ++result.epochs_run;
 
-    const double acc = trainer_.evaluate_accuracy(config_.eval_seeds);
+    const double acc = trainer_.evaluate_accuracy(kEvalSeeds);
     log_message(LogLevel::kInfo, "session", "epoch ", epoch, " accuracy ", acc);
     if (acc > result.best_accuracy + kMinDelta) {
       result.best_accuracy = acc;

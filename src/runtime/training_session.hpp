@@ -23,8 +23,6 @@ struct SessionConfig {
   std::string checkpoint_path;
   /// When non-empty, per-epoch CSV metrics are written here at the end.
   std::string csv_path;
-  /// Seeds evaluated per accuracy probe.
-  std::int64_t eval_seeds = 512;
 };
 
 struct SessionResult {

@@ -97,8 +97,10 @@ class BackendSession {
 
   /// Gathers the batch's input features into `out` at the backend's
   /// wire precision, through its cache when one is configured.
-  /// Returns the cache traffic to account (nullopt when the backend
-  /// has no cache in the path).  `hit_scratch` is worker-owned reusable
+  /// Returns this gather's cache traffic (nullopt when the backend
+  /// has no cache in the path); the cache already counts it in its
+  /// totals(), so a caller that only wants the running total reads
+  /// those instead.  `hit_scratch` is worker-owned reusable
   /// hit-bitmap scratch.
   virtual std::optional<StaticFeatureCache::LoadStats> gather(
       const MiniBatch& batch, Tensor& out, std::vector<char>& hit_scratch) = 0;

@@ -72,14 +72,14 @@ void InferenceServer::bind_telemetry() {
   if (config_.telemetry->exemplars().capacity() > 0)
     exemplars_ = &config_.telemetry->exemplars();
   MetricsRegistry& reg = config_.telemetry->registry();
-  // The serving.* scalars read the one copy the stats, the batcher and
-  // this server keep; the destructor freezes them once the workers
-  // have drained.
+  // The serving.* values read the one record the stats, the cache, the
+  // batcher and this server keep; the destructor freezes them once the
+  // workers have drained.
   const auto read = [&](const char* name, auto value) {
     reg.register_callback(name, this, [value] { return static_cast<double>(value()); });
   };
   const auto total = [&](const char* name, auto field) {
-    read(name, [this, field] { return stats_.totals().*field; });
+    read(name, [this, field] { return stats().*field; });
   };
   total("serving.requests_completed", &ServingSnapshot::completed_requests);
   total("serving.requests_rejected", &ServingSnapshot::rejected_requests);
@@ -92,8 +92,8 @@ void InferenceServer::bind_telemetry() {
   total("serving.cache_host_bytes", &ServingSnapshot::host_bytes);
   total("serving.min_batch_requests", &ServingSnapshot::min_batch_requests);
   total("serving.max_batch_requests", &ServingSnapshot::max_batch_requests);
-  m_latency_ = &reg.histogram("serving.latency_ms");
-  m_queue_wait_ = &reg.histogram("serving.queue_wait_ms");
+  reg.register_histogram("serving.latency_ms", this, stats_.latency());
+  reg.register_histogram("serving.queue_wait_ms", this, stats_.queue_wait());
   read("serving.queue_depth", [this] { return batcher_.depth(); });
   read("serving.queue_depth_peak", [this] { return batcher_.peak_depth(); });
   read("serving.last_served_version", [this] { return last_served_version(); });
@@ -136,6 +136,19 @@ InferenceServer::~InferenceServer() {
   pool_.reset();     // joins the worker loops after they drain the queue
   workers_.clear();  // sessions die before the backend they came from
   if (config_.telemetry != nullptr) config_.telemetry->registry().detach(this);
+}
+
+ServingSnapshot InferenceServer::stats() const {
+  ServingSnapshot s = stats_.snapshot();
+  if (const StaticFeatureCache* cache = backend_.cache(); cache != nullptr) {
+    const StaticFeatureCache::LoadStats traffic = cache->totals();
+    s.cache_hits = traffic.hits;
+    s.cache_misses = traffic.misses;
+    s.cache_hit_rate = traffic.hit_rate();
+    s.device_bytes = traffic.device_bytes;
+    s.host_bytes = traffic.host_bytes;
+  }
+  return s;
 }
 
 std::optional<std::future<InferenceResult>> InferenceServer::try_submit(
@@ -283,8 +296,7 @@ void InferenceServer::execute_batch(Worker& worker, std::vector<InferenceRequest
     if (worker.heart != nullptr) worker.heart->beat();
 
     Tensor& x = worker.x;
-    const auto gather_stats = session.gather(mb, x, worker.hit_scratch);
-    if (gather_stats) stats_.record_gather(*gather_stats);
+    (void)session.gather(mb, x, worker.hit_scratch);  // the cache counts its own traffic
     maybe_rerank(static_cast<std::int64_t>(mb.input_nodes().size()));
     const std::int64_t gather_end_ns = diag ? StageTracer::now_ns() : 0;
     if (tracing)
@@ -323,10 +335,6 @@ void InferenceServer::execute_batch(Worker& worker, std::vector<InferenceRequest
       result.batch_requests = static_cast<std::int64_t>(batch.size());
       result.batch_seeds = batch_seeds;
       stats_.record_completion(result.latency, result.queue_wait);
-      if (m_latency_ != nullptr) {
-        m_latency_->observe_seconds(result.latency);
-        m_queue_wait_->observe_seconds(result.queue_wait);
-      }
       request.promise.set_value(std::move(result));
     }
     const std::int64_t reply_end_ns = diag ? StageTracer::now_ns() : 0;

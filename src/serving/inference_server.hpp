@@ -89,7 +89,9 @@ class InferenceServer {
   /// Current model epoch (1 = the construction snapshot).
   std::uint64_t model_epoch() const { return model_epoch_.load(std::memory_order_acquire); }
 
-  ServingSnapshot stats() const { return stats_.snapshot(); }
+  /// Latency, batch and rejection stats with the backend cache's
+  /// traffic (its totals(), zero without a cache).
+  ServingSnapshot stats() const;
   const DynamicBatcher& batcher() const { return batcher_; }
   const StaticFeatureCache* cache() const { return backend_.cache(); }
   const ServingConfig& config() const { return config_; }
@@ -162,8 +164,6 @@ class InferenceServer {
 
   StageTracer* tracer_ = nullptr;      ///< from config_.telemetry, may be null
   ExemplarRing* exemplars_ = nullptr;  ///< tail-trace ring, null when off
-  Histogram* m_latency_ = nullptr;     ///< serving.latency_ms, null when off
-  Histogram* m_queue_wait_ = nullptr;  ///< serving.queue_wait_ms, null when off
 };
 
 }  // namespace hyscale

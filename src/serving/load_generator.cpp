@@ -10,6 +10,11 @@
 #include "common/strutil.hpp"
 
 namespace hyscale {
+namespace {
+
+constexpr Seconds kRetryBackoff = 200e-6;  ///< sleep after a rejected submit
+
+}  // namespace
 
 LoadGenerator::LoadGenerator(InferenceServer& server, const Dataset& dataset,
                              LoadGeneratorConfig config)
@@ -57,7 +62,7 @@ LoadReport LoadGenerator::run() {
           rejected.fetch_add(1, std::memory_order_relaxed);
           if (heart != nullptr) heart->idle_enter();
           std::this_thread::sleep_for(
-              std::chrono::duration<double>(config_.retry_backoff));
+              std::chrono::duration<double>(kRetryBackoff));
           if (heart != nullptr) heart->idle_exit();
         }
       }
@@ -74,11 +79,16 @@ LoadReport LoadGenerator::run() {
     report.qps = static_cast<double>(report.completed_requests) / report.wall_time;
   report.server = server_.stats();
   if (config_.telemetry != nullptr) {
+    // End-of-run values: registered, then frozen at once.
     MetricsRegistry& reg = config_.telemetry->registry();
-    reg.counter("load.completed_requests").add(report.completed_requests);
-    reg.counter("load.rejected_submits").add(report.rejected_submits);
-    reg.gauge("load.wall_seconds").set(report.wall_time);
-    reg.gauge("load.qps").set(report.qps);
+    const auto report_value = [&](const char* name, double value) {
+      reg.register_callback(name, this, [value] { return value; });
+    };
+    report_value("load.completed_requests", static_cast<double>(report.completed_requests));
+    report_value("load.rejected_submits", static_cast<double>(report.rejected_submits));
+    report_value("load.wall_seconds", report.wall_time);
+    report_value("load.qps", report.qps);
+    reg.detach(this);
   }
   return report;
 }

@@ -22,9 +22,9 @@ struct LoadGeneratorConfig {
   int requests_per_client = 64;
   int seeds_per_request = 4;
   std::uint64_t seed = 7;
-  Seconds retry_backoff = 200e-6;  ///< sleep after a rejected submit
-  /// When set, run() mirrors its totals into load.* instruments (the
-  /// server reports serving.* through its own config independently).
+  /// When set, run() exports its totals as load.* values, frozen at the
+  /// end of the run (the server reports serving.* through its own
+  /// config independently).
   Telemetry* telemetry = nullptr;
 };
 

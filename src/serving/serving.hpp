@@ -7,7 +7,7 @@
 //                      sharded implementations behind one seam)
 //   InferenceServer  — worker pool over one backend, with live model
 //                      hot-swap at batch boundaries
-//   ServingStats     — latency percentiles, QPS, batch shapes, hit rate
+//   ServingStats     — latency histograms, QPS, batch shapes
 //   LoadGenerator    — closed-loop benchmark driver
 #pragma once
 

@@ -1,20 +1,23 @@
-// Serving-side observability: request latency percentiles, throughput,
-// micro-batch shape distribution, and feature-cache traffic.
+// Serving-side observability: request latency and queue-wait
+// percentiles, throughput and micro-batch shape distribution.
 //
 // One ServingStats instance is shared by every InferenceWorker of a
-// server, so all mutators are guarded; snapshot() returns a consistent
-// copy with the derived quantities (p50/p95/p99, QPS, hit rate) already
+// server.  Each completion lands in two Histograms (latency and queue
+// wait) with lock-free observes — the one record of it, which the
+// server also exports as serving.latency_ms / serving.queue_wait_ms.
+// Batch shapes and rejections are guarded by a mutex.  snapshot()
+// returns a copy with the derived quantities (p50/p95/p99, QPS) already
 // computed, which is what the CLI, the load generator and the serving
-// bench all print.
+// bench all print.  Feature-cache traffic is the cache's own count
+// (StaticFeatureCache::totals); InferenceServer::stats() adds it.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/timer.hpp"
-#include "runtime/feature_cache.hpp"
+#include "obs/metrics.hpp"
 
 namespace hyscale {
 
@@ -30,10 +33,8 @@ struct ServingSnapshot {
   double seeds_per_second = 0.0;
 
   Seconds latency_mean = 0.0;     ///< enqueue -> result, over ALL completions
-  /// Percentiles over a bounded UNIFORM reservoir of all completions
-  /// (Vitter's Algorithm R), so memory stays constant on long-lived
-  /// servers while the estimate keeps covering the whole run instead of
-  /// sliding to the most recent window.
+  /// Percentiles over every completion, at histogram bucket resolution
+  /// (~15% buckets, interpolated; see Histogram).
   Seconds latency_p50 = 0.0;
   Seconds latency_p95 = 0.0;
   Seconds latency_p99 = 0.0;
@@ -56,6 +57,8 @@ struct ServingSnapshot {
   std::int64_t min_batch_requests = 0;
   std::int64_t max_batch_requests = 0;
 
+  /// The serving cache's traffic (zero without a cache); filled by
+  /// InferenceServer::stats().
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
   double cache_hit_rate = 0.0;
@@ -68,48 +71,29 @@ struct ServingSnapshot {
 class ServingStats {
  public:
   /// `queue_wait` is the enqueue -> worker-pickup share of `latency`.
-  void record_completion(Seconds latency, Seconds queue_wait = 0.0);
+  void record_completion(Seconds latency, Seconds queue_wait = 0.0) {
+    latency_.observe_seconds(latency);
+    queue_wait_.observe_seconds(queue_wait);
+  }
   void record_rejection();
   void record_batch(std::int64_t requests, std::int64_t seeds);
-  void record_gather(const StaticFeatureCache::LoadStats& stats);
 
   ServingSnapshot snapshot() const;
-  /// snapshot() without the reservoir percentiles (left 0): one lock,
-  /// no copy or sort — what the server's serving.* callbacks read.
-  ServingSnapshot totals() const;
-  void reset();
 
-  /// Latency/queue-wait samples retained for percentile estimates.
-  /// Retention is a uniform bounded reservoir (Vitter's Algorithm R):
-  /// once full, completion number n replaces a random slot with
-  /// probability kLatencyWindow/n, so every completion of the run is
-  /// equally likely to be in the sample — percentiles stay stable past
-  /// the cap instead of tracking whichever window arrived last.  The
-  /// latency and queue-wait reservoirs share one accept/slot draw so
-  /// the two samples describe the same subset of requests.
-  static constexpr std::size_t kLatencyWindow = 1 << 16;
+  const Histogram& latency() const { return latency_; }
+  const Histogram& queue_wait() const { return queue_wait_; }
 
  private:
-  mutable std::mutex mutex_;
   Timer uptime_;
-  std::vector<Seconds> latencies_;    ///< bounded to kLatencyWindow
-  std::vector<Seconds> queue_waits_;  ///< paired with latencies_
-  std::uint64_t reservoir_seen_ = 0;  ///< completions offered to the reservoir
-  std::uint64_t reservoir_rng_ = 0x9e3779b97f4a7c15ULL;  ///< splitmix64 state
-  std::int64_t completed_ = 0;
-  Seconds latency_sum_ = 0.0;
-  Seconds latency_max_ = 0.0;
-  Seconds queue_wait_sum_ = 0.0;
-  Seconds queue_wait_max_ = 0.0;
+  Histogram latency_;
+  Histogram queue_wait_;
+  mutable std::mutex mutex_;  ///< guards the batch and rejection counts
   std::int64_t rejected_ = 0;
   std::int64_t batches_ = 0;
   std::int64_t batch_requests_sum_ = 0;
   std::int64_t batch_seeds_sum_ = 0;
   std::int64_t min_batch_requests_ = 0;
   std::int64_t max_batch_requests_ = 0;
-  StaticFeatureCache::LoadStats gather_;
-
-  ServingSnapshot totals_locked() const;
 };
 
 }  // namespace hyscale

@@ -87,7 +87,8 @@ void ShardedStreamingGraph::bind_telemetry() {
     register_count(registry, name, this, counter);
   };
   count("sharded.cut_adoptions", cut_adoptions_);
-  registry.gauge("sharded.num_shards").set(static_cast<double>(num_shards()));
+  registry.register_callback("sharded.num_shards", this,
+                            [n = static_cast<double>(num_shards())] { return n; });
   registry.register_callback("sharded.cut_id", this, [this] {
     const auto cut = current_cut();
     return cut == nullptr ? 0.0 : static_cast<double>(cut->cut_id());

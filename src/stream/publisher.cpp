@@ -21,7 +21,7 @@ Publisher::Publisher(StreamingGraph& graph, PublisherPolicy policy)
                           [this] { return worst_staleness() * 1e3; });
     reg.register_callback(prefix + "publisher.worst_publish_cost_ms", this,
                           [this] { return worst_publish_cost() * 1e3; });
-    m_staleness_ = &reg.histogram(prefix + "publisher.visible_staleness_ms");
+    reg.register_histogram(prefix + "publisher.visible_staleness_ms", this, staleness_);
     journal_ = &telemetry->journal();
     telemetry_ = telemetry;
     // Busy time is one publish; the budget is the natural hint (floored
@@ -43,11 +43,6 @@ Publisher::Publisher(StreamingGraph& graph, PublisherPolicy policy)
 Publisher::~Publisher() {
   stop();
   if (telemetry_ != nullptr) telemetry_->registry().detach(this);
-}
-
-Seconds Publisher::worst_staleness() const {
-  std::lock_guard lock(stats_mutex_);
-  return worst_staleness_;
 }
 
 Seconds Publisher::worst_publish_cost() const {
@@ -113,11 +108,7 @@ void Publisher::loop() {
         // is accounted.
         if (start_age > 0.0) {
           const Seconds visible_age = start_age + took;
-          {
-            std::lock_guard stats(stats_mutex_);
-            worst_staleness_ = std::max(worst_staleness_, visible_age);
-          }
-          if (m_staleness_ != nullptr) m_staleness_->observe_seconds(visible_age);
+          staleness_.observe_seconds(visible_age);
           if (visible_age > policy_.staleness_budget) {
             breaches_.fetch_add(1, std::memory_order_relaxed);
             if (journal_ != nullptr)

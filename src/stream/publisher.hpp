@@ -62,7 +62,7 @@ class Publisher {
   /// Worst visibility staleness measured at publish COMPLETION: the
   /// pending-op age when the publish started plus the publish cost —
   /// how long the oldest op actually waited to become queryable.
-  Seconds worst_staleness() const;
+  Seconds worst_staleness() const { return staleness_.max_ms() / 1e3; }
   /// Publishes whose completion-time staleness exceeded the budget
   /// (scheduling overrun or a publish slower than its margin allowed).
   std::int64_t breaches() const { return breaches_.load(std::memory_order_relaxed); }
@@ -78,13 +78,12 @@ class Publisher {
   StreamingGraph& graph_;
   PublisherPolicy policy_;
   // Telemetry handles from graph_.telemetry(); null when telemetry off.
-  Histogram* m_staleness_ = nullptr;  ///< completion-time visible staleness
   EventJournal* journal_ = nullptr;
   Telemetry* telemetry_ = nullptr;  ///< trip channel; publisher.* detach here
   std::atomic<std::int64_t> publishes_{0};
   std::atomic<std::int64_t> breaches_{0};
+  Histogram staleness_;  ///< completion-time visible staleness, per publish
   mutable std::mutex stats_mutex_;
-  Seconds worst_staleness_ = 0.0;
   Seconds worst_publish_cost_ = 0.0;
   LifecycleThread thread_;  ///< keep last: starts in the constructor's tail
 };

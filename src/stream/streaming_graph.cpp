@@ -202,7 +202,7 @@ void StreamingGraph::bind_telemetry() {
   count("stream.annihilations", annihilations_);
   count("stream.expired_vertices", expired_vertices_);
   count("stream.cache_reranks", cache_reranks_);
-  m_publish_lag_ = &reg.histogram(name("stream.publish_lag_ms"));
+  reg.register_histogram(name("stream.publish_lag_ms"), this, publish_lag_);
   // Structural state is read from the delta store and the feature
   // store, which already hold it.  Every callback is detached (values
   // frozen) in the destructor.
@@ -655,11 +655,9 @@ StreamStats StreamingGraph::stats() const {
   s.base_edges = delta_.base()->num_edges();
   s.dead_vertices = delta_.dead_vertices();
   s.version_id = current()->id();
-  {
-    std::lock_guard lock(lag_mutex_);
-    s.publish_lag_mean = lag_samples_ > 0 ? lag_sum_ / static_cast<double>(lag_samples_) : 0.0;
-    s.publish_lag_max = lag_max_;
-  }
+  const HistogramView lag = publish_lag_.view();
+  s.publish_lag_mean = lag.mean_ms() / 1e3;
+  s.publish_lag_max = lag.max_ms / 1e3;
   return s;
 }
 
@@ -676,14 +674,9 @@ std::shared_ptr<const GraphVersion> StreamingGraph::install_version(
     // (the marker the caller claimed before its snapshot) to the
     // install.  An op racing the snapshot re-armed a fresh marker, so
     // it keeps driving the publisher instead of being reset away.
-    const Seconds lag =
+    publish_lag_.observe_seconds(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - *pending_marker)
-            .count();
-    if (m_publish_lag_ != nullptr) m_publish_lag_->observe_seconds(lag);
-    std::lock_guard lock(lag_mutex_);
-    lag_sum_ += lag;
-    lag_max_ = std::max(lag_max_, lag);
-    ++lag_samples_;
+            .count());
   }
   {
     std::lock_guard lock(version_mutex_);

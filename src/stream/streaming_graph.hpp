@@ -213,7 +213,9 @@ struct StreamStats {
   EdgeId base_edges = 0;
   std::int64_t dead_vertices = 0;
   std::uint64_t version_id = 0;
-  Seconds publish_lag_mean = 0.0;  ///< oldest-pending-ingest -> publish delay
+  /// Oldest-pending-ingest -> publish delay, from the graph's
+  /// stream.publish_lag_ms histogram.
+  Seconds publish_lag_mean = 0.0;
   Seconds publish_lag_max = 0.0;
 
   std::string to_string() const;
@@ -356,11 +358,12 @@ class StreamingGraph {
   const MutableFeatureStore& features() const { return *features_; }
 
   /// Serving gather: pinned rows from the attached cache's device copy,
-  /// everything else from the feature store.  Returns hit/miss traffic
-  /// for ServingStats.  Also refreshes the last-touch stamps of every
-  /// gathered streamed-in vertex (one batched pass), so a read-hot
-  /// entity that is never re-written still survives TTL sweeps — true
-  /// LRU, not write-only TTL.
+  /// everything else from the feature store.  Returns this gather's
+  /// hit/miss traffic (the cache also adds it to its totals()).  Also
+  /// refreshes the last-touch stamps of every gathered streamed-in
+  /// vertex (one batched pass), so a read-hot entity that is never
+  /// re-written still survives TTL sweeps — true LRU, not write-only
+  /// TTL.
   StaticFeatureCache::LoadStats gather(std::span<const VertexId> nodes, Tensor& out) const;
 
   /// Scratch-reusing variant for the serving hot path: `hit_scratch` is
@@ -471,11 +474,9 @@ class StreamingGraph {
   mutable std::mutex cache_mutex_;  ///< guards cache_ pointer + feature update/refresh pairs
   StaticFeatureCache* cache_ = nullptr;
 
-  mutable std::mutex lag_mutex_;  ///< publish-lag bookkeeping
+  mutable std::mutex lag_mutex_;  ///< guards pending_since_
   std::optional<std::chrono::steady_clock::time_point> pending_since_;
-  Seconds lag_sum_ = 0.0;
-  Seconds lag_max_ = 0.0;
-  std::int64_t lag_samples_ = 0;
+  Histogram publish_lag_;  ///< oldest-pending-ingest -> install, per publish
 
   std::atomic<std::int64_t> ingested_edges_{0};
   std::atomic<std::int64_t> duplicate_edges_{0};
@@ -494,7 +495,6 @@ class StreamingGraph {
   // Telemetry handles; all null when telemetry is off.
   StageTracer* tracer_ = nullptr;
   EventJournal* journal_ = nullptr;
-  Histogram* m_publish_lag_ = nullptr;
 };
 
 }  // namespace hyscale

@@ -158,12 +158,16 @@ UpdateReport UpdateGenerator::run() {
           ? static_cast<double>(report.accepted_edges + report.removed_edges) / report.wall_time
           : 0.0;
   if (Telemetry* telemetry = graph_.telemetry(); telemetry != nullptr) {
-    // Session-level ingest summary; the per-op counts are the graph's
-    // own, exported as stream.*.
+    // Session-level ingest summary, registered and frozen at once; the
+    // per-op counts are the graph's own, exported as stream.*.
     MetricsRegistry& reg = telemetry->registry();
-    reg.counter("ingest.operations").add(report.operations);
-    reg.gauge("ingest.wall_seconds").set(report.wall_time);
-    reg.gauge("ingest.edges_per_second").set(report.edges_per_second);
+    const auto report_value = [&](const char* name, double value) {
+      reg.register_callback(name, this, [value] { return value; });
+    };
+    report_value("ingest.operations", static_cast<double>(report.operations));
+    report_value("ingest.wall_seconds", report.wall_time);
+    report_value("ingest.edges_per_second", report.edges_per_second);
+    reg.detach(this);
   }
   return report;
 }

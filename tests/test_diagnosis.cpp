@@ -2,7 +2,8 @@
 // reconstruction via the TraceAssembler, tail-exemplar retention, the
 // liveness watchdog — both directions: it DETECTS an artificially
 // parked compactor fold, and it stays silent across a healthy
-// multi-second run with the default calibration — and the flight
+// multi-second run with the default calibration; its exported stall
+// count is its own, frozen on destruction — and the flight
 // recorder: trip-driven dumps, rate limiting, teardown ordering, and
 // a trip racing the recorder's destruction.
 #include <gtest/gtest.h>
@@ -348,6 +349,31 @@ TEST(Watchdog, NoFalsePositivesOverHealthyMultiSecondRun) {
   EXPECT_GE(telemetry.heartbeats().size(), 5u);
 }
 
+TEST(Watchdog, ExportsItsOwnStallCountAndFreezesIt) {
+  // watchdog.stalls is the watchdog's own count: present at 0 from
+  // construction, equal to stalls() after a stall, and frozen once the
+  // watchdog is gone.
+  Telemetry telemetry;
+  Heartbeat& heart = telemetry.heartbeats().register_thread("test.wedged", 1'000'000);
+  std::int64_t stalls = 0;
+  {
+    WatchdogConfig wcfg;
+    wcfg.check_interval_ns = 2'000'000;  // sweep every 2 ms
+    wcfg.min_stall_ns = 10'000'000;      // flag after 10 ms of busy silence
+    Watchdog watchdog(telemetry, wcfg);
+    EXPECT_DOUBLE_EQ(telemetry.registry().snapshot().value("watchdog.stalls"), 0.0);
+    heart.beat();  // busy from here on, and never beats again
+    wait_until([&] { return watchdog.stalls() >= 1; });
+    watchdog.stop();
+    stalls = watchdog.stalls();
+    ASSERT_GE(stalls, 1);
+    EXPECT_DOUBLE_EQ(telemetry.registry().snapshot().value("watchdog.stalls"),
+                     static_cast<double>(stalls));
+  }
+  EXPECT_DOUBLE_EQ(telemetry.registry().snapshot().value("watchdog.stalls"),
+                   static_cast<double>(stalls));
+}
+
 TEST(Watchdog, StoppedExpirySweeperDoesNotReadAsAStall) {
   // A stopped loop must retire its heart: a heart left busy with a
   // stale beat is exactly what a wedged thread looks like, so a
@@ -433,9 +459,12 @@ TEST(Watchdog, EveryLifecycleHeartIsRetiredAfterStop) {
 
 TEST(FlightRecorder, TripDumpsRateLimitAndExplicitDumpDoesNot) {
   const std::string path = "diagnosis_flight_test.json";
+  Histogram latency;  // declared first: outlives the telemetry that borrows it
   Telemetry telemetry;
-  telemetry.registry().counter("serving.requests_completed").add(3);
-  telemetry.registry().histogram("serving.latency_ms").observe_ms(2.5);
+  telemetry.registry().register_callback("serving.requests_completed", &latency,
+                                         [] { return 3.0; });
+  telemetry.registry().register_histogram("serving.latency_ms", &latency, latency);
+  latency.observe_ms(2.5);
   telemetry.journal().log("publish", "version=1 overlay_ops=9");
   telemetry.heartbeats().register_thread("test.thread", 1'000'000).beat();
   (void)telemetry.exemplars().offer(trace_with_total(5, 2'000'000));
@@ -478,7 +507,8 @@ TEST(FlightRecorder, TeardownDumpCompletesMidExporterInterval) {
   const std::string flight_path = "diagnosis_teardown_flight.json";
   const std::string jsonl_path = "diagnosis_teardown_metrics.jsonl";
   Telemetry telemetry;
-  telemetry.registry().counter("serving.requests_completed").add(1);
+  telemetry.registry().register_callback("serving.requests_completed", &telemetry,
+                                         [] { return 1.0; });
   {
     TelemetryExporter exporter(telemetry, {jsonl_path, /*interval_ms=*/60'000});
     {

@@ -1,19 +1,21 @@
-// Tests for the telemetry plane (src/obs/): registry determinism and
-// thread-safety, fixed-bucket histogram percentiles, callback-gauge
-// freeze-on-detach, trace-ring wraparound and seqlock consistency
+// Tests for the telemetry plane (src/obs/): registry order, slot and
+// kind rules, fixed-bucket histogram percentiles, freeze-on-detach of
+// callbacks and borrowed histograms, trace-ring wraparound and seqlock consistency
 // under concurrent writers, end-to-end stage reconstruction for a
 // served request (queue -> sample -> gather -> forward -> reply) and a
 // compaction fold (CUT -> BUILD -> REBASE), the lifecycle journal's
 // bounded ring, the JSON-lines exporter — including a snapshot taken
 // while a fold is parked in flight — and the count-once contract: every
 // exported scalar of a live flat or sharded session equals its
-// component's own count, and freezes at that value on teardown.
+// component's own count, every exported histogram matches its owner's
+// stats(), and both freeze at those values on teardown.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -43,37 +45,103 @@ ModelConfig small_model_config() {
 
 // --------------------------------------------------------------- registry
 
-TEST(MetricsRegistry, SnapshotReportsInstrumentsInRegistrationOrder) {
+/// A callback that always reads `value`.
+std::function<double()> constant(double value) {
+  return [value] { return value; };
+}
+
+TEST(MetricsRegistry, SnapshotReportsEntriesInRegistrationOrder) {
   MetricsRegistry registry;
-  registry.counter("b.count").add(2);
-  registry.gauge("a.gauge").set(1.5);
-  registry.counter("c.count").add(3);
-  registry.histogram("d.hist").observe_ms(1.0);
+  Histogram hist;
+  const int owner = 0;
+  registry.register_callback("b.count", &owner, constant(2.0));
+  registry.register_callback("a.gauge", &owner, constant(1.5));
+  registry.register_callback("c.count", &owner, constant(3.0));
+  registry.register_histogram("d.hist", &owner, hist);
+  hist.observe_ms(1.0);
 
   const MetricsSnapshot snap = registry.snapshot();
   std::vector<std::string> names;
   for (const auto& [name, value] : snap.scalars()) names.push_back(name);
   // Registration order, NOT lexicographic: two runs of the same binary
-  // wire instruments in the same order, so records diff cleanly.
+  // wire their values in the same order, so records diff cleanly.
   EXPECT_EQ(names, (std::vector<std::string>{"b.count", "a.gauge", "c.count"}));
   EXPECT_DOUBLE_EQ(snap.value("b.count"), 2.0);
   EXPECT_DOUBLE_EQ(snap.value("a.gauge"), 1.5);
   ASSERT_EQ(snap.histograms().size(), 1u);
   EXPECT_EQ(snap.histograms()[0].name, "d.hist");
+  EXPECT_EQ(snap.histograms()[0].count, 1);  // read at snapshot time
 }
 
-TEST(MetricsRegistry, LookupReturnsSameInstrumentAndKindMismatchThrows) {
+TEST(MetricsRegistry, KindMismatchThrowsInBothDirections) {
   MetricsRegistry registry;
-  Counter& c1 = registry.counter("x");
-  Counter& c2 = registry.counter("x");
-  EXPECT_EQ(&c1, &c2);
-  EXPECT_THROW(registry.gauge("x"), std::invalid_argument);
-  EXPECT_THROW(registry.histogram("x"), std::invalid_argument);
+  Histogram hist;
+  const int owner = 0;
+  registry.register_callback("x", &owner, constant(1.0));
+  registry.register_histogram("h", &owner, hist);
+  EXPECT_THROW(registry.register_histogram("x", &owner, hist), std::invalid_argument);
+  EXPECT_THROW(registry.register_callback("h", &owner, constant(2.0)),
+               std::invalid_argument);
+  // The failed registrations left both slots as they were.
+  const MetricsSnapshot snap = registry.snapshot();
+  EXPECT_DOUBLE_EQ(snap.value("x"), 1.0);
+  EXPECT_NE(snap.histogram("h"), nullptr);
+  EXPECT_FALSE(snap.has("h"));
+  EXPECT_EQ(snap.histogram("x"), nullptr);
+}
+
+TEST(MetricsRegistry, ReRegisteringANameTakesItsSlot) {
+  MetricsRegistry registry;
+  Histogram first, second;
+  const int old_owner = 0, new_owner = 0;
+  registry.register_callback("a", &old_owner, constant(1.0));
+  registry.register_histogram("h", &old_owner, first);
+  registry.register_callback("b", &old_owner, constant(2.0));
+  first.observe_ms(1.0);
+  // A recreated component takes both names over, in place.
+  registry.register_callback("a", &new_owner, constant(10.0));
+  registry.register_histogram("h", &new_owner, second);
+  second.observe_ms(5.0);
+  second.observe_ms(6.0);
+
+  MetricsSnapshot snap = registry.snapshot();
+  std::vector<std::string> names;
+  for (const auto& [name, value] : snap.scalars()) names.push_back(name);
+  EXPECT_EQ(names, (std::vector<std::string>{"a", "b"}));
+  EXPECT_DOUBLE_EQ(snap.value("a"), 10.0);
+  ASSERT_EQ(snap.histograms().size(), 1u);
+  EXPECT_EQ(snap.histogram("h")->count, 2);
+  EXPECT_DOUBLE_EQ(snap.histogram("h")->max_ms, 6.0);
+
+  // The old owner no longer holds either slot: its detach leaves them live.
+  registry.detach(&old_owner);
+  second.observe_ms(7.0);
+  snap = registry.snapshot();
+  EXPECT_EQ(snap.histogram("h")->count, 3);
+}
+
+TEST(MetricsRegistry, DetachFreezesAHistogramCopy) {
+  MetricsRegistry registry;
+  Histogram hist;
+  const int owner = 0;
+  registry.register_histogram("lat", &owner, hist);
+  hist.observe_ms(1.0);
+  hist.observe_ms(3.0);
+  registry.detach(&owner);  // copies once more and stops reading `hist`
+  hist.observe_ms(50.0);    // must never reach the registry
+  const MetricsSnapshot snap = registry.snapshot();
+  const HistogramView* view = snap.histogram("lat");
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view->name, "lat");
+  EXPECT_EQ(view->count, 2);
+  EXPECT_DOUBLE_EQ(view->sum_ms, 4.0);
+  EXPECT_DOUBLE_EQ(view->max_ms, 3.0);
 }
 
 TEST(MetricsSnapshot, UnknownScalarThrowsInsteadOfReturningZero) {
   MetricsRegistry registry;
-  registry.counter("known").add(1);
+  const int owner = 0;
+  registry.register_callback("known", &owner, constant(1.0));
   const MetricsSnapshot snap = registry.snapshot();
   EXPECT_TRUE(snap.has("known"));
   EXPECT_FALSE(snap.has("typo"));
@@ -82,29 +150,11 @@ TEST(MetricsSnapshot, UnknownScalarThrowsInsteadOfReturningZero) {
   EXPECT_EQ(snap.histogram("typo"), nullptr);
 }
 
-TEST(MetricsRegistry, ConcurrentCounterIncrementsAreExact) {
-  MetricsRegistry registry;
-  Counter& counter = registry.counter("hits");
-  constexpr int kThreads = 8;
-  constexpr std::int64_t kPerThread = 100000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&counter] {
-      for (std::int64_t i = 0; i < kPerThread; ++i) counter.add(1);
-    });
-  }
-  // Snapshot concurrently with the writers: must never block or tear
-  // (each read is a relaxed per-shard sum).
-  for (int i = 0; i < 50; ++i) (void)registry.snapshot();
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(counter.value(), kThreads * kPerThread);
-  EXPECT_DOUBLE_EQ(registry.snapshot().value("hits"),
-                   static_cast<double>(kThreads * kPerThread));
-}
-
 TEST(Histogram, PercentilesInterpolateWithinBucketResolution) {
   MetricsRegistry registry;
-  Histogram& h = registry.histogram("lat");
+  Histogram h;
+  const int owner = 0;
+  registry.register_histogram("lat", &owner, h);
   for (int i = 1; i <= 1000; ++i) h.observe_ms(static_cast<double>(i) * 0.01);  // 0.01..10 ms
   const MetricsSnapshot snap = registry.snapshot();
   const MetricsSnapshot::HistogramView* view = snap.histogram("lat");
@@ -316,9 +366,12 @@ std::vector<std::string> read_lines(const std::string& path) {
 
 TEST(TelemetryExporter, EmitsOneJsonObjectPerLine) {
   const std::string path = "obs_exporter_test.jsonl";
+  Histogram latency;  // declared first: outlives the telemetry that borrows it
   Telemetry telemetry;
-  telemetry.registry().counter("serving.requests_completed").add(5);
-  telemetry.registry().histogram("serving.latency_ms").observe_ms(2.0);
+  telemetry.registry().register_callback("serving.requests_completed", &latency,
+                                         constant(5.0));
+  telemetry.registry().register_histogram("serving.latency_ms", &latency, latency);
+  latency.observe_ms(2.0);
   telemetry.journal().log("publish", "version=1 overlay_ops=3");
   {
     TelemetryExporter exporter(telemetry, {path, /*interval_ms=*/0});
@@ -580,6 +633,27 @@ void expect_counts_agree(const MetricsSnapshot& snap, ServingSession& session) {
   }
   EXPECT_EQ(sv.completed_requests, 32);
   EXPECT_GT(sv.cache_hits, 0);
+
+  // Every exported histogram is its owner's one record of the latency.
+  const auto view = [&snap](const std::string& name) {
+    const HistogramView* found = snap.histogram(name);
+    EXPECT_NE(found, nullptr) << name;
+    return found != nullptr ? *found : HistogramView{};
+  };
+  EXPECT_EQ(view("serving.latency_ms").count, sv.completed_requests);
+  EXPECT_EQ(view("serving.latency_ms").max_ms / 1e3, sv.latency_max);
+  EXPECT_EQ(view("serving.queue_wait_ms").count, sv.completed_requests);
+  EXPECT_EQ(view("serving.queue_wait_ms").max_ms / 1e3, sv.queue_wait_max);
+  for (std::size_t s = 0; s < session.compactors.size(); ++s) {
+    const bool sharded = session.sharded != nullptr;
+    const std::string p = sharded ? "shard" + std::to_string(s) + "." : "";
+    const StreamingGraph& graph =
+        sharded ? session.shards().shard(static_cast<int>(s)) : session.stream();
+    EXPECT_EQ(view(p + "stream.publish_lag_ms").max_ms / 1e3, graph.stats().publish_lag_max);
+    EXPECT_GT(view(p + "stream.publish_lag_ms").count, 0);
+    EXPECT_EQ(view(p + "publisher.visible_staleness_ms").max_ms / 1e3,
+              session.publishers[s]->worst_staleness());
+  }
   EXPECT_EQ(server.model_epoch(), 2u);
   EXPECT_GT(server.last_served_version(), 0u);
 }
@@ -594,6 +668,15 @@ void expect_frozen_after_teardown(Telemetry& telemetry, std::optional<ServingSes
   for (const auto& [name, value] : live.scalars()) {
     if (name.rfind("journal.", 0) == 0) continue;  // the telemetry's own, still live
     EXPECT_EQ(frozen.value(name), value) << name;
+  }
+  ASSERT_EQ(frozen.histograms().size(), live.histograms().size());
+  for (const HistogramView& view : live.histograms()) {
+    const HistogramView* after = frozen.histogram(view.name);
+    ASSERT_NE(after, nullptr) << view.name;
+    EXPECT_EQ(after->buckets, view.buckets) << view.name;
+    EXPECT_EQ(after->count, view.count) << view.name;
+    EXPECT_EQ(after->sum_ms, view.sum_ms) << view.name;
+    EXPECT_EQ(after->max_ms, view.max_ms) << view.name;
   }
 }
 
