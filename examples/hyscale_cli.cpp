@@ -341,7 +341,6 @@ struct ServeOptions {
   LoadGeneratorConfig load;
   std::string metrics_out;        ///< JSON-lines telemetry dump; "-" = stderr
   int metrics_interval_ms = 0;    ///< periodic exporter cadence; 0 = final dump only
-  bool stage_trace = false;       ///< per-request / lifecycle stage tracing
   std::string flight_record_out;  ///< post-mortem JSON bundle; "-" = stderr
 
   ServeOptions() {
@@ -352,7 +351,7 @@ struct ServeOptions {
   }
 
   bool telemetry_enabled() const {
-    return !metrics_out.empty() || stage_trace || !flight_record_out.empty();
+    return !metrics_out.empty() || !flight_record_out.empty();
   }
 };
 
@@ -363,13 +362,12 @@ void serve_usage(const char* argv0) {
       "          [--fanouts a,b,...|--full] [--workers K] [--cache-rows R]\n"
       "          [--precision fp32|int8] [--max-batch B] [--max-wait-ms MS] [--queue-cap Q]\n"
       "          [--clients C] [--requests N] [--seeds-per-request S] [--seed X]\n"
-      "          [--metrics-out FILE|-] [--metrics-interval-ms MS] [--trace]\n"
+      "          [--metrics-out FILE|-] [--metrics-interval-ms MS]\n"
       "          [--flight-record-out FILE|-]\n"
       "\n"
       "telemetry: --metrics-out dumps registry snapshots + lifecycle events as\n"
       "JSON lines (one final snapshot, or every --metrics-interval-ms; '-' =\n"
-      "stderr); --trace also records per-request stage spans, summarized in the\n"
-      "snapshot lines; --flight-record-out arms a liveness watchdog + flight\n"
+      "stderr); --flight-record-out arms a liveness watchdog + flight\n"
       "recorder that dumps a post-mortem JSON bundle (metrics, journal tail,\n"
       "heartbeat ages, slowest-request traces) on a stall, an SLO breach, or\n"
       "teardown.\n",
@@ -403,12 +401,11 @@ FlagTable serve_flags(ServeOptions& o) {
       // EXPLICIT non-positive cadence is a mistake, not a request.
       count("--metrics-interval-ms", o.metrics_interval_ms, 1),
       output_path("--flight-record-out", o.flight_record_out),
-      set_to("--trace", o.stage_trace, true),
   };
 }
 
-// Telemetry stack for a CLI session: registry (+ stage tracer when
-// --trace), the JSON-lines exporter when --metrics-out is given, and
+// Telemetry stack for a CLI session: registry and journal, the
+// JSON-lines exporter when --metrics-out is given, and
 // a flight recorder + liveness watchdog when --flight-record-out is.
 // Declaration order is teardown order reversed: the watchdog stops
 // sweeping first (no trips into a dying recorder), the recorder then
@@ -428,9 +425,7 @@ struct CliTelemetry {
 CliTelemetry make_telemetry(const ServeOptions& options) {
   CliTelemetry out;
   if (!options.telemetry_enabled()) return out;
-  TelemetryConfig config;
-  config.tracing = options.stage_trace;
-  out.telemetry = std::make_unique<Telemetry>(config);
+  out.telemetry = std::make_unique<Telemetry>();
   if (!options.metrics_out.empty()) {
     ExporterConfig exporter;
     exporter.path = options.metrics_out == "-" ? "" : options.metrics_out;
@@ -449,12 +444,6 @@ CliTelemetry make_telemetry(const ServeOptions& options) {
 void print_telemetry_summary(const CliTelemetry& telemetry, const ServeOptions& options) {
   if (!telemetry.telemetry) return;
   std::printf("telemetry:");
-  if (options.stage_trace) {
-    const StageTracer& tracer = telemetry.telemetry->tracer();
-    std::printf(" %lld stage spans recorded (%lld dropped),",
-                static_cast<long long>(tracer.recorded()),
-                static_cast<long long>(tracer.dropped()));
-  }
   if (!options.metrics_out.empty()) {
     std::printf(" JSON lines -> %s",
                 options.metrics_out == "-" ? "stderr" : options.metrics_out.c_str());
@@ -579,7 +568,7 @@ void stream_usage(const char* argv0) {
       "          [--delete-frac F] [--vertex-delete-frac F] [--delete-recent-frac F]\n"
       "          [--compact-edges E] [--compact-ratio R]\n"
       "          [--slo-ms MS] [--ttl-ms MS] [--sweep-ms MS] [--rerank-rows R]\n"
-      "          [--metrics-out FILE|-] [--metrics-interval-ms MS] [--trace]\n"
+      "          [--metrics-out FILE|-] [--metrics-interval-ms MS]\n"
       "          [--flight-record-out FILE|-]\n"
       "\n"
       "lifecycle: --slo-ms bounds staleness (background publisher; 0 = caller-paced\n"

@@ -7,10 +7,18 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 
 namespace hyscale {
 
 using Seconds = double;
+
+/// Steady-clock nanoseconds: the one timeline the journal, trips,
+/// heartbeats, request exemplars and feature-store touch stamps share.
+inline std::int64_t steady_ns(
+    std::chrono::steady_clock::time_point tp = std::chrono::steady_clock::now()) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(tp.time_since_epoch()).count();
+}
 
 /// Simple monotonic stopwatch.
 class Timer {

@@ -1,34 +1,30 @@
-// Per-request critical-path reconstruction + tail exemplars.
+// Per-request critical paths + tail exemplars.
 //
-// The StageTracer records flat spans: one kQueue span per request
-// (context = batch id, aux = request id, begin = enqueue, end = worker
-// pickup) and one kSample/kGather/kForward/kReply span per micro-batch
-// (context = batch id).  The TraceAssembler joins them back into
-// per-request RequestTraces — which stage ate the time between a
-// request's enqueue and its reply — so "p99 doubled" has an answer in
-// milliseconds per stage, not just a number.
+// A serving worker stamps five stage boundaries per micro-batch on the
+// steady_ns() timeline (pickup, sample end, gather end, forward end,
+// reply end) and joins them with each request's enqueue stamp into a
+// RequestTrace — which stage ate the time between a request's enqueue
+// and its reply — so "p99 doubled" has an answer in milliseconds per
+// stage, not just a number.
 //
-// The ExemplarRing retains the full assembled trace of the slowest N
-// requests seen so far.  Admission is by latency threshold: once the
-// ring is full, the threshold is the total latency of the fastest
-// retained exemplar, read with one relaxed atomic load on the offer
-// fast path — requests below it never take the lock, so the hot path
-// pays one load + one compare per request in the common case.
+// The ExemplarRing retains the full trace of the slowest N requests
+// seen so far.  Admission is by latency threshold: once the ring is
+// full, the threshold is the total latency of the fastest retained
+// exemplar, read with one relaxed atomic load on the offer fast path —
+// requests below it never take the lock, so the hot path pays one
+// load + one compare per request in the common case.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <vector>
-
-#include "obs/trace.hpp"
 
 namespace hyscale {
 
 /// One stage's slice of a request's critical path.  `present` is false
-/// when the span was overwritten in the tracer ring before collection.
+/// until the worker has stamped the stage.
 struct StageSpanView {
   std::int64_t begin_ns = 0;
   std::int64_t end_ns = 0;
@@ -37,7 +33,7 @@ struct StageSpanView {
   double ms() const { return present ? static_cast<double>(end_ns - begin_ns) * 1e-6 : 0.0; }
 };
 
-/// A request's reconstructed end-to-end critical path.  Queue is
+/// A request's end-to-end critical path.  Queue is
 /// per-request (enqueue -> pickup); sample/gather/forward/reply are the
 /// serving micro-batch's stages — the request waited on all of them, so
 /// they ARE its critical path (attribution, not exclusive blame).
@@ -56,7 +52,7 @@ struct RequestTrace {
   std::int64_t batch_requests = 0;  ///< requests coalesced into the batch
   std::int64_t batch_seeds = 0;     ///< seeds across the batch
 
-  /// All five stages recovered from the rings.
+  /// All five stages stamped.
   bool complete() const {
     return queue.present && sample.present && gather.present && forward.present &&
            reply.present;
@@ -64,26 +60,6 @@ struct RequestTrace {
   /// Enqueue -> reply-done wall time.
   double total_ms() const { return static_cast<double>(done_ns - enqueue_ns) * 1e-6; }
   std::int64_t total_ns() const { return done_ns - enqueue_ns; }
-  const StageSpanView& stage(TraceStage s) const;
-};
-
-/// Reconstructs RequestTraces from a flat StageTracer::collect() dump.
-/// Spans may arrive unordered and partially overwritten; a request
-/// whose kQueue span survived is always reported (batch stages marked
-/// absent when lost).
-class TraceAssembler {
- public:
-  explicit TraceAssembler(std::vector<TraceRecord> records);
-
-  /// Every reconstructable request, sorted by request id.
-  std::vector<RequestTrace> assemble() const;
-  /// One request's trace, or nullopt when its queue span was lost.
-  std::optional<RequestTrace> request(std::uint64_t request_id) const;
-
- private:
-  RequestTrace build(const TraceRecord& queue_record) const;
-
-  std::vector<TraceRecord> records_;
 };
 
 /// Fixed-size ring of the slowest requests' full traces.  offer() is

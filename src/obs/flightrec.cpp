@@ -38,7 +38,7 @@ FlightRecorder::~FlightRecorder() {
 }
 
 void FlightRecorder::on_trip(const std::string& reason) {
-  const std::int64_t now = StageTracer::now_ns();
+  const std::int64_t now = steady_ns();
   const std::int64_t last = last_dump_ns_.load(std::memory_order_relaxed);
   if (last != 0 && now - last < config_.min_dump_gap_ns) {
     suppressed_.fetch_add(1, std::memory_order_relaxed);
@@ -60,13 +60,13 @@ bool FlightRecorder::dump(const std::string& reason) {
     std::fflush(f);
   else
     std::fclose(f);
-  last_dump_ns_.store(StageTracer::now_ns(), std::memory_order_relaxed);
+  last_dump_ns_.store(steady_ns(), std::memory_order_relaxed);
   dumps_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 std::string FlightRecorder::render(const std::string& reason) const {
-  const std::int64_t now = StageTracer::now_ns();
+  const std::int64_t now = steady_ns();
   std::string out = "{\"type\":\"flight_record\",\"reason\":";
   append_json_string(out, reason);
   out += ",\"t_ns\":";
@@ -94,9 +94,7 @@ std::string FlightRecorder::render(const std::string& reason) const {
   std::vector<JournalEvent> events = telemetry_.journal().events();
   const std::size_t skip =
       events.size() > kMaxJournalEvents ? events.size() - kMaxJournalEvents : 0;
-  out += ",\"journal\":{\"dropped\":";
-  append_json_int(out, telemetry_.journal().dropped());
-  out += ",\"events\":[";
+  out += ",\"journal\":{\"events\":[";
   first = true;
   for (std::size_t i = skip; i < events.size(); ++i) {
     if (!first) out += ',';
@@ -170,15 +168,7 @@ std::string FlightRecorder::render(const std::string& reason) const {
     append_stage(out, "reply_ms", trace.reply);
     out += "}}";
   }
-  out += "]}";
-
-  out += ",\"trace\":{\"recorded\":";
-  append_json_int(out, telemetry_.tracer().recorded());
-  out += ",\"retained\":";
-  append_json_int(out, static_cast<std::int64_t>(telemetry_.tracer().collect().size()));
-  out += ",\"dropped\":";
-  append_json_int(out, telemetry_.tracer().dropped());
-  out += "}}";
+  out += "]}}";
   return out;
 }
 

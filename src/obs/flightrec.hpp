@@ -4,14 +4,14 @@
 // teardown, dump() writes a single JSON object capturing the state an
 // operator needs to diagnose the episode after the fact:
 //   * the trip history and the reason for THIS dump,
-//   * a full registry snapshot (scalars + histogram summaries),
+//   * a full registry snapshot (scalars + histogram summaries; the
+//     journal drop count is `journal.dropped_events`),
 //   * the journal's retained events (non-consuming — the exporter's
-//     periodic drain still sees them) and the journal drop count,
+//     periodic drain still sees them),
 //   * per-thread heartbeat ages (who was busy, who was idle, who had
 //     stopped beating),
 //   * the exemplar ring's slowest-request traces with per-stage
-//     latency attribution,
-//   * tracer occupancy (recorded / retained / dropped spans).
+//     latency attribution.
 //
 // The recorder registers itself as the Telemetry trip handler at
 // construction; trips are rate-limited (min_dump_gap_ns) so a breach

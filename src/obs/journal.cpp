@@ -14,7 +14,7 @@ void EventJournal::log(std::string kind, std::string detail) {
     events_.pop_front();
     ++dropped_;
   }
-  events_.push_back(JournalEvent{StageTracer::now_ns(), std::move(kind), std::move(detail)});
+  events_.push_back(JournalEvent{steady_ns(), std::move(kind), std::move(detail)});
 }
 
 std::vector<JournalEvent> EventJournal::drain() {
@@ -182,18 +182,10 @@ std::string TelemetryExporter::snapshot_line(const std::string& reason) {
   std::string out = "{\"type\":\"snapshot\",\"reason\":";
   append_json_string(out, reason);
   out += ",\"t_ns\":";
-  append_json_int(out, StageTracer::now_ns());
+  append_json_int(out, steady_ns());
   out += ',';
   append_metrics_json(out, snap);
-  out += ",\"trace\":{\"recorded\":";
-  append_json_int(out, telemetry_.tracer().recorded());
-  out += ",\"retained\":";
-  append_json_int(out, static_cast<std::int64_t>(telemetry_.tracer().collect().size()));
-  out += ",\"dropped\":";
-  append_json_int(out, telemetry_.tracer().dropped());
-  out += ",\"journal_dropped\":";
-  append_json_int(out, telemetry_.journal().dropped());
-  out += "}}";
+  out += '}';
   return out;
 }
 

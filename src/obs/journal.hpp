@@ -2,10 +2,13 @@
 //
 // The journal is a bounded ring of discrete lifecycle events (version
 // published, fold completed, SLO breach, TTL sweep) that the exporter
-// drains into JSON lines.  The exporter runs an optional periodic
-// thread — each tick emits one `snapshot` line (every registry
-// instrument plus a trace summary) and one `event` line per journal
-// entry since the last tick — and always writes a final `snapshot`
+// drains into JSON lines.  The stream tier's events carry their own
+// durations in `detail` (`ms=`; a fold splits `cut_ms= build_ms=
+// rebase_ms=`), so the journal is the one record of each lifecycle
+// stage's time.  The exporter runs an optional periodic thread — each
+// tick emits one `snapshot` line (every registry value and histogram)
+// and one `event` line per journal entry since the last tick — and
+// always writes a final `snapshot`
 // line with reason "final" when stopped, so even a crash-adjacent run
 // leaves a parseable record of its last state.
 //
@@ -31,7 +34,7 @@ class MetricsSnapshot;
 /// One discrete lifecycle occurrence.  `detail` is free text (it is
 /// JSON-escaped on export, so any content is safe).
 struct JournalEvent {
-  std::int64_t t_ns = 0;  ///< StageTracer::now_ns() at log time
+  std::int64_t t_ns = 0;  ///< steady_ns() at log time
   std::string kind;       ///< e.g. "publish", "fold", "slo_breach"
   std::string detail;
 };

@@ -1,6 +1,6 @@
-// The telemetry bundle every subsystem wires against: one registry,
-// one tracer, one journal — plus the diagnosis plane built on them:
-// tail exemplars (full traces of the slowest requests), a heartbeat
+// The telemetry bundle every subsystem wires against: one registry and
+// one journal — plus the diagnosis plane built on them: tail exemplars
+// (full stage traces of the slowest requests), a heartbeat
 // registry for the liveness watchdog, and the trip channel that turns
 // a watchdog stall or SLO breach into a flight-recorder dump.
 //
@@ -8,8 +8,9 @@
 // Telemetry before building the serving/streaming session and hands a
 // raw pointer down through the config structs (ServingConfig.telemetry,
 // StreamingConfig.telemetry, ...).  A null pointer everywhere means
-// telemetry off — spans cost one branch, and counts and histograms
-// cost nothing extra — so the hot path pays nothing by default.
+// telemetry off — counts and histograms cost nothing extra, and the
+// serving worker reads no stage clocks — so the hot path pays nothing
+// by default.
 //
 // Every measurement is recorded once, by the component that makes it:
 // counts in its own atomics, latencies in its own Histograms.  The
@@ -26,17 +27,12 @@
 #include <string>
 #include <vector>
 
-#include "obs/assembler.hpp"
+#include "obs/exemplars.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 
 namespace hyscale {
-
-struct TelemetryConfig {
-  bool tracing = true;  ///< allocate + fill trace rings
-};
 
 /// One escalation: a watchdog stall, a publisher SLO breach, or an
 /// explicit operator request.
@@ -47,9 +43,8 @@ struct TripRecord {
 
 class Telemetry {
  public:
-  explicit Telemetry(TelemetryConfig config = {})
-      : tracer_(config.tracing, kTraceRingCapacity, kTraceMaxThreads),
-        journal_(kJournalCapacity),
+  Telemetry()
+      : journal_(kJournalCapacity),
         exemplars_(kExemplarCapacity) {
     // Journal overflow is otherwise silent; surfacing the drop count as
     // a registry value puts it in every exporter snapshot line and
@@ -65,8 +60,6 @@ class Telemetry {
 
   MetricsRegistry& registry() { return registry_; }
   const MetricsRegistry& registry() const { return registry_; }
-  StageTracer& tracer() { return tracer_; }
-  const StageTracer& tracer() const { return tracer_; }
   EventJournal& journal() { return journal_; }
   const EventJournal& journal() const { return journal_; }
   ExemplarRing& exemplars() { return exemplars_; }
@@ -85,7 +78,7 @@ class Telemetry {
   void trip(const std::string& reason) {
     std::lock_guard lock(trip_mutex_);
     if (trips_.size() >= kMaxTrips) trips_.erase(trips_.begin());
-    trips_.push_back(TripRecord{StageTracer::now_ns(), reason});
+    trips_.push_back(TripRecord{steady_ns(), reason});
     if (trip_handler_) trip_handler_(reason);
   }
   void set_trip_handler(std::function<void(const std::string&)> handler) {
@@ -102,14 +95,11 @@ class Telemetry {
   }
 
  private:
-  static constexpr std::size_t kTraceRingCapacity = 4096;  ///< spans retained per thread
-  static constexpr std::size_t kTraceMaxThreads = 64;
   static constexpr std::size_t kJournalCapacity = 1024;
   static constexpr std::size_t kExemplarCapacity = 16;  ///< slowest-request traces retained
   static constexpr std::size_t kMaxTrips = 64;
 
   MetricsRegistry registry_;
-  StageTracer tracer_;
   EventJournal journal_;
   ExemplarRing exemplars_;
   HeartbeatRegistry heartbeats_;

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace hyscale {
 namespace {
@@ -14,12 +13,12 @@ constexpr double kStallMultiplier = 8.0;  ///< threshold = multiplier x interval
 }  // namespace
 
 void Heartbeat::beat() {
-  last_beat_ns_.store(StageTracer::now_ns());
+  last_beat_ns_.store(steady_ns());
   beats_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Heartbeat::idle_enter() {
-  last_beat_ns_.store(StageTracer::now_ns());
+  last_beat_ns_.store(steady_ns());
   idle_.store(true);
 }
 
@@ -103,7 +102,7 @@ Watchdog::~Watchdog() {
 
 void Watchdog::sweep() {
   sweeps_.fetch_add(1, std::memory_order_relaxed);
-  const std::int64_t now = StageTracer::now_ns();
+  const std::int64_t now = steady_ns();
   for (const HeartbeatRegistry::View& h : telemetry_.heartbeats().views()) {
     // Idle hearts are blocked on purpose; a heart that never beat is a
     // thread that has not started its loop yet — neither is a stall.

@@ -67,7 +67,7 @@ struct ServingConfig {
   /// the fold-time path alone.
   std::int64_t cache_rerank_every_rows = 0;
   /// Telemetry plane (obs/) to report through: serving.* instruments,
-  /// request/batch stage spans.  Null = telemetry off (default); must
+  /// per-request stage exemplars.  Null = telemetry off (default); must
   /// outlive the server when set.
   Telemetry* telemetry = nullptr;
 };

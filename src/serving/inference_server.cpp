@@ -34,12 +34,6 @@ int argmax_row(const Tensor& logits, std::int64_t row) {
   return best;
 }
 
-/// steady_clock time_point on the StageTracer::now_ns timeline.
-std::int64_t to_trace_ns(std::chrono::steady_clock::time_point tp) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(tp.time_since_epoch())
-      .count();
-}
-
 /// Snapshot handles must drop even when sampling/forward throws — the
 /// next acquire() needs the session back in its released state.
 struct SessionReleaseGuard {
@@ -68,9 +62,7 @@ InferenceServer::InferenceServer(ServingBackend& backend, const ModelSnapshot& s
 
 void InferenceServer::bind_telemetry() {
   if (config_.telemetry == nullptr) return;
-  tracer_ = &config_.telemetry->tracer();
-  if (config_.telemetry->exemplars().capacity() > 0)
-    exemplars_ = &config_.telemetry->exemplars();
+  exemplars_ = &config_.telemetry->exemplars();
   MetricsRegistry& reg = config_.telemetry->registry();
   // The serving.* values read the one record the stats, the cache, the
   // batcher and this server keep; the destructor freezes them once the
@@ -243,22 +235,10 @@ void InferenceServer::worker_loop(Worker& worker) {
 void InferenceServer::execute_batch(Worker& worker, std::vector<InferenceRequest>& batch) {
   const std::uint64_t batch_id = next_batch_id_.fetch_add(1, std::memory_order_relaxed);
   const auto pickup = std::chrono::steady_clock::now();
-  const bool tracing = tracer_ != nullptr && tracer_->enabled();
-  // Stage boundaries are stamped explicitly (not RAII scopes) so ONE
-  // set of timestamps feeds both the tracer rings and the exemplar
-  // traces — a retained exemplar matches the assembled ring spans
-  // exactly.  When neither consumer is on, no extra clocks are read.
-  const bool diag = tracing || exemplars_ != nullptr;
-  const std::int64_t pickup_ns = diag ? to_trace_ns(pickup) : 0;
-  // Queue spans close at pickup: one per request, correlated to this
-  // batch by context so context_path(batch_id) reconstructs the full
-  // queue -> sample -> gather -> forward -> reply critical path.
-  if (tracing) {
-    for (const auto& request : batch) {
-      tracer_->record(TraceStage::kQueue, batch_id, request.id,
-                      to_trace_ns(request.enqueue_time), pickup_ns);
-    }
-  }
+  // The five stage boundaries are stamped only for the exemplar
+  // traces; with telemetry off no extra clocks are read.
+  const bool diag = exemplars_ != nullptr;
+  const std::int64_t pickup_ns = diag ? steady_ns(pickup) : 0;
   try {
     // Hot-swap pickup happens at the batch boundary, BEFORE the
     // snapshot acquire: the whole batch runs on one replica, so a
@@ -275,7 +255,7 @@ void InferenceServer::execute_batch(Worker& worker, std::vector<InferenceRequest
     }
 
     BackendSession& session = *worker.session;
-    const std::int64_t sample_begin_ns = diag ? StageTracer::now_ns() : 0;
+    const std::int64_t sample_begin_ns = diag ? steady_ns() : 0;
     const std::uint64_t freshness = session.acquire();
     SessionReleaseGuard release_guard{&session};
     if (freshness > 0) {
@@ -289,26 +269,17 @@ void InferenceServer::execute_batch(Worker& worker, std::vector<InferenceRequest
       }
     }
     MiniBatch mb = session.sample(combined, batch_stream_seed(config_.seed, combined));
-    const std::int64_t sample_end_ns = diag ? StageTracer::now_ns() : 0;
-    if (tracing)
-      tracer_->record(TraceStage::kSample, batch_id, combined.size(), sample_begin_ns,
-                      sample_end_ns);
+    const std::int64_t sample_end_ns = diag ? steady_ns() : 0;
     if (worker.heart != nullptr) worker.heart->beat();
 
     Tensor& x = worker.x;
     (void)session.gather(mb, x, worker.hit_scratch);  // the cache counts its own traffic
     maybe_rerank(static_cast<std::int64_t>(mb.input_nodes().size()));
-    const std::int64_t gather_end_ns = diag ? StageTracer::now_ns() : 0;
-    if (tracing)
-      tracer_->record(TraceStage::kGather, batch_id, mb.input_nodes().size(), sample_end_ns,
-                      gather_end_ns);
+    const std::int64_t gather_end_ns = diag ? steady_ns() : 0;
     if (worker.heart != nullptr) worker.heart->beat();
 
     Tensor logits = worker.model->forward(mb, x);
-    const std::int64_t forward_end_ns = diag ? StageTracer::now_ns() : 0;
-    if (tracing)
-      tracer_->record(TraceStage::kForward, batch_id, batch.size(), gather_end_ns,
-                      forward_end_ns);
+    const std::int64_t forward_end_ns = diag ? steady_ns() : 0;
     if (worker.heart != nullptr) worker.heart->beat();
 
     const auto completion = std::chrono::steady_clock::now();
@@ -337,14 +308,11 @@ void InferenceServer::execute_batch(Worker& worker, std::vector<InferenceRequest
       stats_.record_completion(result.latency, result.queue_wait);
       request.promise.set_value(std::move(result));
     }
-    const std::int64_t reply_end_ns = diag ? StageTracer::now_ns() : 0;
-    if (tracing)
-      tracer_->record(TraceStage::kReply, batch_id, batch.size(), forward_end_ns,
-                      reply_end_ns);
-    if (exemplars_ != nullptr) {
-      // Offer every member's assembled trace; the ring's threshold
-      // fast-path rejects the fast ones with one relaxed load.  Batch
-      // stages are shared; only the queue span is per-request.
+    const std::int64_t reply_end_ns = diag ? steady_ns() : 0;
+    if (diag) {
+      // Offer every member's trace; the ring's threshold fast-path
+      // rejects the fast ones with one relaxed load.  Batch stages are
+      // shared; only the queue span is per-request.
       RequestTrace trace;
       trace.batch_id = batch_id;
       trace.batch_requests = static_cast<std::int64_t>(batch.size());
@@ -356,7 +324,7 @@ void InferenceServer::execute_batch(Worker& worker, std::vector<InferenceRequest
       trace.done_ns = reply_end_ns;
       for (const auto& request : batch) {
         trace.request_id = request.id;
-        trace.enqueue_ns = to_trace_ns(request.enqueue_time);
+        trace.enqueue_ns = steady_ns(request.enqueue_time);
         trace.queue = {trace.enqueue_ns, pickup_ns, true};
         exemplars_->offer(trace);
       }

@@ -162,8 +162,7 @@ class InferenceServer {
   std::shared_ptr<const ModelSnapshot> staged_model_;  ///< guarded by model_mutex_
   std::atomic<std::uint64_t> model_epoch_{1};
 
-  StageTracer* tracer_ = nullptr;      ///< from config_.telemetry, may be null
-  ExemplarRing* exemplars_ = nullptr;  ///< tail-trace ring, null when off
+  ExemplarRing* exemplars_ = nullptr;  ///< tail-trace ring, null when telemetry is off
 };
 
 }  // namespace hyscale

@@ -80,7 +80,6 @@ void ShardedStreamingGraph::bind_telemetry() {
   Telemetry* telemetry = config_.stream.telemetry;
   if (telemetry == nullptr) return;
   auto& registry = telemetry->registry();
-  tracer_ = &telemetry->tracer();
   journal_ = &telemetry->journal();
   // Every count is the facade's own atomic, read at snapshot time.
   const auto count = [&](const char* name, const std::atomic<std::int64_t>& counter) {
@@ -225,7 +224,6 @@ std::shared_ptr<const ShardedCut> ShardedStreamingGraph::adopt() {
     }
   }
 
-  const std::int64_t begin_ns = tracer_ != nullptr ? StageTracer::now_ns() : 0;
   const auto cut = std::make_shared<const ShardedCut>(
       owners_, std::move(versions), cut_counter_.fetch_add(1, std::memory_order_relaxed) + 1);
   {
@@ -233,9 +231,6 @@ std::shared_ptr<const ShardedCut> ShardedStreamingGraph::adopt() {
     current_cut_ = cut;
   }
   cut_adoptions_.fetch_add(1, std::memory_order_relaxed);
-  if (tracer_ != nullptr) {
-    tracer_->record(TraceStage::kAdopt, cut->cut_id(), 0, begin_ns, StageTracer::now_ns());
-  }
   if (journal_ != nullptr) journal_->log("adopt", "cut=" + std::to_string(cut->cut_id()));
   return cut;
 }

@@ -283,8 +283,7 @@ class ShardedStreamingGraph {
   std::atomic<std::int64_t> feature_updates_{0};
   std::atomic<std::int64_t> cut_adoptions_{0};
 
-  // Telemetry handles; null when telemetry is off.
-  StageTracer* tracer_ = nullptr;
+  // Telemetry journal; null when telemetry is off.
   EventJournal* journal_ = nullptr;
 };
 

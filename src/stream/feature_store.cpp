@@ -1,13 +1,13 @@
 #include "stream/feature_store.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
 
 #include "common/thread_pool.hpp"
+#include "common/timer.hpp"
 #include "tensor/simd.hpp"
 
 namespace hyscale {
@@ -29,12 +29,6 @@ std::size_t record_bytes_for(TransferPrecision precision, std::int64_t cols) {
 
 }  // namespace
 
-std::int64_t MutableFeatureStore::now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 MutableFeatureStore::MutableFeatureStore(const Tensor& base, TransferPrecision precision)
     : precision_(precision), cols_(base.cols()), base_rows_(base.rows()) {
   if (precision == TransferPrecision::kFp16)
@@ -53,7 +47,7 @@ MutableFeatureStore::MutableFeatureStore(const Tensor& base, TransferPrecision p
   } else {
     ThreadPool::global().parallel_for(0, rows, encode_rows);
   }
-  touch_ns_.assign(rows, now_ns());
+  touch_ns_.assign(rows, steady_ns());
 }
 
 std::int64_t MutableFeatureStore::rows() const {
@@ -115,7 +109,7 @@ void MutableFeatureStore::update_row(VertexId v, std::span<const float> values) 
   std::unique_lock lock(mutex_);
   check_row(v);
   encode(values.data(), record_unlocked(v));
-  touch_ns_[static_cast<std::size_t>(v)] = now_ns();
+  touch_ns_[static_cast<std::size_t>(v)] = steady_ns();
 }
 
 std::int64_t MutableFeatureStore::append_row(std::span<const float> values) {
@@ -124,7 +118,7 @@ std::int64_t MutableFeatureStore::append_row(std::span<const float> values) {
   extension_.resize(extension_.size() + record_bytes_);
   encode(values.data(), extension_.data() + extension_.size() - record_bytes_);
   released_.push_back(0);
-  touch_ns_.push_back(now_ns());
+  touch_ns_.push_back(steady_ns());
   ++extension_rows_;
   return base_rows_ + extension_rows_ - 1;
 }
@@ -154,7 +148,7 @@ void MutableFeatureStore::reuse_row(VertexId v, std::span<const float> values) {
   flag = 0;
   --released_count_;
   encode(values.data(), record_unlocked(v));
-  touch_ns_[static_cast<std::size_t>(v)] = now_ns();
+  touch_ns_[static_cast<std::size_t>(v)] = steady_ns();
 }
 
 std::int64_t MutableFeatureStore::released_rows() const {
@@ -171,7 +165,7 @@ std::int64_t MutableFeatureStore::last_touch_ns(VertexId v) const {
 void MutableFeatureStore::touch(VertexId v) {
   std::unique_lock lock(mutex_);
   check_row(v);
-  touch_ns_[static_cast<std::size_t>(v)] = now_ns();
+  touch_ns_[static_cast<std::size_t>(v)] = steady_ns();
 }
 
 void MutableFeatureStore::touch_rows(std::span<const VertexId> nodes) const {
@@ -190,7 +184,7 @@ void MutableFeatureStore::touch_rows(std::span<const VertexId> nodes) const {
   // One stamp and one exclusive section per gather batch: duplicates
   // are re-stamped harmlessly, and everything in the batch shares the
   // same "read now" instant.
-  const std::int64_t now = now_ns();
+  const std::int64_t now = steady_ns();
   std::unique_lock lock(mutex_);
   const std::int64_t end = base_rows_ + extension_rows_;
   for (VertexId v : nodes) {

@@ -92,10 +92,10 @@ class MutableFeatureStore {
   /// Extension rows currently released and awaiting reuse.
   std::int64_t released_rows() const;
 
-  /// Monotonic (steady-clock) nanosecond timestamp of the last write to
-  /// row v — construction, append, update, reuse, or an explicit
-  /// touch().  The TTL eviction sweep retires entities whose last touch
-  /// is older than the configured idle budget.
+  /// steady_ns() timestamp of the last write to row v — construction,
+  /// append, update, reuse, or an explicit touch().  The TTL eviction
+  /// sweep retires entities whose last touch is older than the
+  /// configured idle budget.
   std::int64_t last_touch_ns(VertexId v) const;
 
   /// Refreshes row v's last-touch stamp without changing its values —
@@ -110,9 +110,6 @@ class MutableFeatureStore {
   /// pays nothing.  Const because touch stamps are eviction metadata,
   /// not feature data — this is the gather hot path's hook.
   void touch_rows(std::span<const VertexId> nodes) const;
-
-  /// Current steady-clock timestamp on the last-touch scale.
-  static std::int64_t now_ns();
 
   /// Copies row v's record (record_bytes() bytes) into `dst` under the
   /// shared lock — how the device cache fills its packed copies.

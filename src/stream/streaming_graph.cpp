@@ -13,6 +13,17 @@
 
 namespace hyscale {
 
+namespace {
+
+/// ` key=<ms>`: the journal detail field for a stage that ran from
+/// `begin_ns` to `end_ns` on the steady_ns() timeline.
+std::string ms_field(const char* key, std::int64_t begin_ns, std::int64_t end_ns) {
+  return std::string(" ") + key + "=" +
+         format_double(static_cast<double>(end_ns - begin_ns) * 1e-6, 3);
+}
+
+}  // namespace
+
 // ------------------------------------------------------------ GraphVersion
 
 GraphVersion::GraphVersion(std::shared_ptr<const CsrGraph> base, EdgeId base_max_degree,
@@ -176,7 +187,6 @@ StreamingGraph::~StreamingGraph() {
 
 void StreamingGraph::bind_telemetry() {
   if (config_.telemetry == nullptr) return;
-  tracer_ = &config_.telemetry->tracer();
   journal_ = &config_.telemetry->journal();
   MetricsRegistry& reg = config_.telemetry->registry();
   // Per-shard graphs prefix every name ("shard0.stream.publishes") so N
@@ -332,8 +342,7 @@ bool StreamingGraph::update_feature(VertexId v, std::span<const float> values) {
 }
 
 std::shared_ptr<const GraphVersion> StreamingGraph::publish() {
-  const bool traced = tracer_ != nullptr && tracer_->enabled();
-  const std::int64_t begin_ns = traced ? StageTracer::now_ns() : 0;
+  const std::int64_t begin_ns = journal_ != nullptr ? steady_ns() : 0;
   std::lock_guard maintenance(maintenance_mutex_);
   auto base = delta_.base();
   const EdgeId base_max = base_max_degree_;
@@ -353,12 +362,10 @@ std::shared_ptr<const GraphVersion> StreamingGraph::publish() {
       static_cast<std::uint64_t>(snapshot.num_inserts + snapshot.num_removes);
   auto version = install_version(std::move(base), base_max, std::move(snapshot), marker);
   publishes_.fetch_add(1, std::memory_order_relaxed);
-  if (traced)
-    tracer_->record(TraceStage::kPublish, version->id(), ops, begin_ns,
-                    StageTracer::now_ns());
   if (journal_ != nullptr)
     journal_->log("publish", "version=" + std::to_string(version->id()) +
-                                 " overlay_ops=" + std::to_string(ops));
+                                 " overlay_ops=" + std::to_string(ops) +
+                                 ms_field("ms", begin_ns, steady_ns()));
   return version;
 }
 
@@ -375,8 +382,9 @@ bool StreamingGraph::compact() {
   // publisher make them visible while the build below runs off-lock.
   DeltaStore::Snapshot snap;
   std::shared_ptr<const CsrGraph> base;
-  const bool traced = tracer_ != nullptr && tracer_->enabled();
-  std::int64_t phase_begin_ns = traced ? StageTracer::now_ns() : 0;
+  // The journal's fold event carries each phase's duration.
+  const bool timed = journal_ != nullptr;
+  const std::int64_t cut_begin_ns = timed ? steady_ns() : 0;
   {
     std::lock_guard maintenance(maintenance_mutex_);
     if (fold_in_flight_.load(std::memory_order_relaxed)) return false;  // one fold at a time
@@ -390,15 +398,8 @@ bool StreamingGraph::compact() {
     delta_.begin_fold(snap.epoch);
     fold_in_flight_.store(true, std::memory_order_release);
   }
-  // The fold's three phases share the cut epoch as trace context, so
-  // context_path(epoch) reconstructs CUT -> BUILD -> REBASE end to end.
-  const auto fold_ctx = static_cast<std::uint64_t>(snap.epoch);
-  if (traced) {
-    tracer_->record(TraceStage::kCut, fold_ctx,
-                    static_cast<std::uint64_t>(snap.raw_ops), phase_begin_ns,
-                    StageTracer::now_ns());
-    phase_begin_ns = StageTracer::now_ns();
-  }
+  const std::int64_t build_begin_ns = timed ? steady_ns() : 0;
+  std::int64_t build_end_ns = 0;
 
   // ---- 2. BUILD (off-lock, O(base)): `base` and `snap` are private
   // immutable copies, so publishes, ingest and annihilation passes
@@ -449,10 +450,7 @@ bool StreamingGraph::compact() {
       std::lock_guard hook_lock(hook_mutex_);
       hook = fold_hook_;
     }
-    if (traced)
-      tracer_->record(TraceStage::kBuild, fold_ctx,
-                      static_cast<std::uint64_t>(merged->num_edges()), phase_begin_ns,
-                      StageTracer::now_ns());
+    build_end_ns = timed ? steady_ns() : 0;
     if (hook) hook();  // test seam: park the fold here, still off-lock
   } catch (...) {
     // Abandon cleanly: the buffered ops were never touched, so the next
@@ -467,8 +465,8 @@ bool StreamingGraph::compact() {
   // in one exclusive section — the membership check never sees a base
   // without the merged prefix still pending — and republish.  rebase
   // also promotes fully-folded dead streamed-in ids to the free list.
+  const std::int64_t rebase_begin_ns = timed ? steady_ns() : 0;
   try {
-    phase_begin_ns = traced ? StageTracer::now_ns() : 0;
     std::lock_guard maintenance(maintenance_mutex_);
     delta_.rebase(merged, snap.epoch);
     base_max_degree_ = merged->max_degree();
@@ -490,13 +488,12 @@ bool StreamingGraph::compact() {
     throw;
   }
   compactions_.fetch_add(1, std::memory_order_relaxed);
-  if (traced)
-    tracer_->record(TraceStage::kRebase, fold_ctx,
-                    static_cast<std::uint64_t>(merged->num_edges()), phase_begin_ns,
-                    StageTracer::now_ns());
   if (journal_ != nullptr)
-    journal_->log("fold", "epoch=" + std::to_string(fold_ctx) +
-                              " base_edges=" + std::to_string(merged->num_edges()));
+    journal_->log("fold", "epoch=" + std::to_string(snap.epoch) +
+                              " base_edges=" + std::to_string(merged->num_edges()) +
+                              ms_field("cut_ms", cut_begin_ns, build_begin_ns) +
+                              ms_field("build_ms", build_begin_ns, build_end_ns) +
+                              ms_field("rebase_ms", rebase_begin_ns, steady_ns()));
   // The fold just rewrote the degree landscape the original admission
   // set was ranked by — the natural install point for the cache's
   // observed-traffic re-rank (and the moment freed slots get refilled).
@@ -531,18 +528,15 @@ EdgeId StreamingGraph::annihilate() {
   // fold in flight every matched pair is erasable, including pairs
   // older than published snapshots — a GraphVersion owns copies of its
   // spans, and the net reduction of the surviving ops is unchanged.
-  const bool traced = tracer_ != nullptr && tracer_->enabled();
-  const std::int64_t begin_ns = traced ? StageTracer::now_ns() : 0;
+  const std::int64_t begin_ns = journal_ != nullptr ? steady_ns() : 0;
   std::lock_guard maintenance(maintenance_mutex_);
   const EdgeId erased = delta_.annihilate();
   if (erased > 0) {
     annihilations_.fetch_add(1, std::memory_order_relaxed);
     if (journal_ != nullptr)
-      journal_->log("annihilate", "erased_ops=" + std::to_string(erased));
+      journal_->log("annihilate", "erased_ops=" + std::to_string(erased) +
+                                      ms_field("ms", begin_ns, steady_ns()));
   }
-  if (traced)
-    tracer_->record(TraceStage::kAnnihilate, static_cast<std::uint64_t>(erased), 0,
-                    begin_ns, StageTracer::now_ns());
   return erased;
 }
 
@@ -551,10 +545,8 @@ std::int64_t StreamingGraph::sweep_expired(Seconds ttl, std::int64_t max_retire)
   if (max_retire <= 0) return 0;
   // Stamp the cutoff once: entities touched DURING the sweep compare
   // against the same horizon, so one pass retires a deterministic set.
-  const std::int64_t horizon_ns =
-      MutableFeatureStore::now_ns() - static_cast<std::int64_t>(ttl * 1e9);
-  const bool traced = tracer_ != nullptr && tracer_->enabled();
-  const std::int64_t begin_ns = traced ? StageTracer::now_ns() : 0;
+  const std::int64_t begin_ns = steady_ns();
+  const std::int64_t horizon_ns = begin_ns - static_cast<std::int64_t>(ttl * 1e9);
   const VertexId first = dataset_->graph.num_vertices();  // dataset vertices never expire
   std::int64_t retired = 0;
   const VertexId n = num_vertices();
@@ -568,10 +560,8 @@ std::int64_t StreamingGraph::sweep_expired(Seconds ttl, std::int64_t max_retire)
   }
   expired_vertices_.fetch_add(retired, std::memory_order_relaxed);
   if (retired > 0 && journal_ != nullptr)
-    journal_->log("ttl_sweep", "retired=" + std::to_string(retired));
-  if (traced)
-    tracer_->record(TraceStage::kTtlSweep, static_cast<std::uint64_t>(retired), 0,
-                    begin_ns, StageTracer::now_ns());
+    journal_->log("ttl_sweep", "retired=" + std::to_string(retired) +
+                                   ms_field("ms", begin_ns, steady_ns()));
   return retired;
 }
 

@@ -184,9 +184,10 @@ struct StreamingConfig {
   /// registry.  Empty (default) keeps the flat single-graph names.
   std::string metric_prefix;
   /// Telemetry plane to report through: stream.* callback gauges over
-  /// this graph's own counts, publish/fold/annihilate/sweep spans,
-  /// lifecycle journal events.  The background maintenance components (Publisher,
-  /// Compactor, ExpirySweeper) and the UpdateGenerator reach the same
+  /// this graph's own counts, and lifecycle journal events (publish,
+  /// fold, annihilate, TTL sweep) that carry their own durations.  The
+  /// background maintenance components (Publisher, Compactor,
+  /// ExpirySweeper) and the UpdateGenerator reach the same
   /// plane via StreamingGraph::telemetry().  Null = off (default);
   /// must outlive the graph when set.
   Telemetry* telemetry = nullptr;
@@ -492,8 +493,7 @@ class StreamingGraph {
   std::atomic<std::int64_t> expired_vertices_{0};
   std::atomic<std::int64_t> cache_reranks_{0};
 
-  // Telemetry handles; all null when telemetry is off.
-  StageTracer* tracer_ = nullptr;
+  // Telemetry journal; null when telemetry is off.
   EventJournal* journal_ = nullptr;
 };
 

@@ -33,13 +33,12 @@ HELP = {
           [--fanouts a,b,...|--full] [--workers K] [--cache-rows R]
           [--precision fp32|int8] [--max-batch B] [--max-wait-ms MS] [--queue-cap Q]
           [--clients C] [--requests N] [--seeds-per-request S] [--seed X]
-          [--metrics-out FILE|-] [--metrics-interval-ms MS] [--trace]
+          [--metrics-out FILE|-] [--metrics-interval-ms MS]
           [--flight-record-out FILE|-]
 
 telemetry: --metrics-out dumps registry snapshots + lifecycle events as
 JSON lines (one final snapshot, or every --metrics-interval-ms; '-' =
-stderr); --trace also records per-request stage spans, summarized in the
-snapshot lines; --flight-record-out arms a liveness watchdog + flight
+stderr); --flight-record-out arms a liveness watchdog + flight
 recorder that dumps a post-mortem JSON bundle (metrics, journal tail,
 heartbeat ages, slowest-request traces) on a stall, an SLO breach, or
 teardown.
@@ -53,7 +52,7 @@ teardown.
           [--delete-frac F] [--vertex-delete-frac F] [--delete-recent-frac F]
           [--compact-edges E] [--compact-ratio R]
           [--slo-ms MS] [--ttl-ms MS] [--sweep-ms MS] [--rerank-rows R]
-          [--metrics-out FILE|-] [--metrics-interval-ms MS] [--trace]
+          [--metrics-out FILE|-] [--metrics-interval-ms MS]
           [--flight-record-out FILE|-]
 
 lifecycle: --slo-ms bounds staleness (background publisher; 0 = caller-paced
@@ -89,6 +88,9 @@ BAD = [
     ["stream", "--updates", "-1"],
     ["stream", "--slo-ms", "5x"],
     ["stream", "--cache-rerank", "maybe"],
+    # --trace (the simulated pipeline's Chrome trace) is training-only.
+    ["serve", "--trace"],
+    ["stream", "--trace"],
     # The two telemetry misconfigurations CI also smoke-tests.
     ["stream", "--updates", "16", "--requests", "4", "--metrics-out", "metrics.jsonl",
      "--metrics-interval-ms", "0"],
@@ -108,7 +110,6 @@ SERVE_COMMON = DATASET + [
     "--precision", "int8", "--max-batch", "4", "--max-wait-ms", "1.5",
     "--queue-cap", "64", "--clients", "1", "--requests", "2",
     "--seeds-per-request", "2", "--seed", "9", "--metrics-interval-ms", "50",
-    "--trace",
 ]
 
 SERVE_RUN = ["serve"] + SERVE_COMMON + [

@@ -12,9 +12,9 @@ Two input modes, combinable:
   --jsonl FILE    a telemetry JSON-lines dump (--metrics-out).  The
                   last snapshot line carries the aggregate view: the
                   latency and queue-wait histograms (the coarse
-                  queue-vs-compute split), trace-ring occupancy, and
-                  the journal's lifecycle events, which are replayed
-                  as a timeline.
+                  queue-vs-compute split), the journal's drop count,
+                  and the journal's lifecycle events, which are
+                  replayed as a timeline.
 
 Typical post-mortem workflow: the watchdog trips, the flight record
 lands, and
@@ -153,12 +153,9 @@ def report_jsonl(path):
             queue_share = queue.get("mean_ms", 0) / lat["mean_ms"]
             print(f"  coarse split: queue {queue_share:5.1%} of mean latency, "
                   f"service {1 - queue_share:5.1%}")
-    trace = snapshot.get("trace", {})
-    if trace:
-        print(f"  trace rings: {trace.get('recorded', 0)} spans recorded, "
-              f"{trace.get('retained', 0)} retained, "
-              f"{trace.get('dropped', 0)} dropped; "
-              f"journal dropped {trace.get('journal_dropped', 0)}")
+    metrics = snapshot.get("metrics", {})
+    if "journal.dropped_events" in metrics:
+        print(f"  journal dropped {metrics['journal.dropped_events']:.0f} events")
     if events:
         print(f"  events ({len(events)}):")
         for event in events[-20:]:
